@@ -11,8 +11,10 @@ bench run.
 All throughput floors are *in-run ratios* (dense vs tree, stream vs
 tree), not absolute rates: absolute element/second numbers swing with
 machine load, but the ratio between two pipelines measured back-to-back
-in one process is stable.  The only absolute floor is the identity
-cache hit, whose ceiling is the ISSUE's 10 microsecond budget.
+in one process is stable.  The absolute ceilings are the identity
+cache hit (10 microseconds) and the text-to-compiled-schema time of a
+24-member ``xs:all``, which must also compile dense and commit a valid
+record on the dense path.
 
 Exits nonzero with a diagnostic on any floor violation.  To re-baseline
 after an intentional change, edit the JSON floor file alongside the
@@ -90,6 +92,8 @@ def measure():
 
         diff_vs_tree = _measure_diff(full_seconds=size / e2e_tree)
 
+        bag_compile_ms = _measure_bag()
+
         serve = _measure_serve()
 
     return {
@@ -102,6 +106,7 @@ def measure():
         "cache_hit_us": cache_hit_us,
         "incremental_vs_full": incremental_vs_full,
         "diff_vs_tree": diff_vs_tree,
+        "bag_compile_ms": bag_compile_ms,
         **serve,
     }
 
@@ -180,6 +185,46 @@ def _measure_diff(full_seconds):
               "produces a certificate", file=sys.stderr)
         sys.exit(1)
     return best / full_seconds
+
+
+def _measure_bag():
+    """Schema text to dense CompiledSchema for a 24-member ``xs:all``.
+
+    The all-group compiles to a bag (a seen-mask checked by counting) in
+    time linear in its members; the committed ``bag_compile_ms_ceiling``
+    catches a change that sends it back through the 2^n-state DFA
+    construction.  The schema must compile dense, and a valid 24-field
+    record (members in reverse order) must commit on the dense path.
+    """
+    from repro.engine import StreamingValidator, compile_xsd
+    from repro.families import all_group_xsd
+    from repro.observability import default_registry
+    from repro.xsd.reader import read_xsd
+
+    text = all_group_xsd(required_id=True)
+    best = float("inf")
+    for __ in range(5):
+        started = time.perf_counter()
+        compiled = compile_xsd(read_xsd(text))
+        best = min(best, time.perf_counter() - started)
+    if not compiled.dense:
+        print("perfguard FAILED: the 24-member xs:all schema no longer "
+              "compiles dense tables", file=sys.stderr)
+        sys.exit(1)
+    record = ('<record id="r1">'
+              + "".join(f"<f{i:02d}>v</f{i:02d}>" for i in reversed(range(24)))
+              + "</record>")
+    registry = default_registry()
+    docs = registry.counter("engine.dense.docs")
+    falls = registry.counter("engine.dense.fallbacks")
+    before = docs.value, falls.value
+    report = StreamingValidator(compiled).validate(record)
+    if not report.valid or (docs.value, falls.value) != (
+            before[0] + 1, before[1]):
+        print("perfguard FAILED: a valid 24-field xs:all record did not "
+              "commit on the dense path", file=sys.stderr)
+        sys.exit(1)
+    return best * 1e3
 
 
 def _measure_serve():
@@ -287,6 +332,13 @@ def main():
             f"above the committed ceiling "
             f"{floors['diff_vs_tree_ceiling']:.2f}x"
         )
+    if measured["bag_compile_ms"] > floors["bag_compile_ms_ceiling"]:
+        problems.append(
+            f"bag_compile_ms: the 24-member xs:all schema took "
+            f"{measured['bag_compile_ms']:.1f} ms from text to a compiled "
+            f"schema, above the committed ceiling "
+            f"{floors['bag_compile_ms_ceiling']:.1f} ms"
+        )
     if measured["cache_hit_us"] > floors["cache_hit_us_ceiling"]:
         problems.append(
             f"cache_hit_us: measured {measured['cache_hit_us']:.2f} us "
@@ -320,7 +372,9 @@ def main():
         f"incremental edit {measured['incremental_vs_full']:.0f}x full "
         f"(floor {floors['incremental_vs_full']:.0f}x), "
         f"schema diff {measured['diff_vs_tree']:.1f}x tree pass "
-        f"(ceiling {floors['diff_vs_tree_ceiling']:.1f}x); "
+        f"(ceiling {floors['diff_vs_tree_ceiling']:.1f}x), "
+        f"24-member xs:all compile {measured['bag_compile_ms']:.1f} ms "
+        f"(ceiling {floors['bag_compile_ms_ceiling']:.0f} ms); "
         f"serve burst {measured['serve_admitted']}/"
         f"{measured['serve_requests']} admitted, "
         f"shed {measured['serve_shed_rate']:.0%} "

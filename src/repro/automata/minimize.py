@@ -11,14 +11,19 @@ Algorithm 3 (line 2) asks for: "minimal complete DFA for L(r_i)".
 from __future__ import annotations
 
 from repro.automata.dfa import DFA
+from repro.observability.budget import current_budget
 
 
 def minimize(dfa):
     """Return the minimal complete DFA equivalent to ``dfa``.
 
     The input is first restricted to reachable states and completed; then
-    Hopcroft refinement merges equivalent states.
+    Hopcroft refinement merges equivalent states.  The ambient
+    :class:`~repro.observability.ResourceBudget`'s deadline is checked
+    once per splitter; no states are charged, because the quotient is
+    never larger than its input, whose construction charged them.
     """
+    budget = current_budget()
     dfa = dfa.trimmed().completed()
     states = sorted(dfa.states, key=repr)
     alphabet = sorted(dfa.alphabet)
@@ -41,6 +46,8 @@ def minimize(dfa):
 
     while worklist:
         splitter = worklist.pop()
+        if budget is not None:
+            budget.check_time(where="automata.minimize")
         for symbol in alphabet:
             # X = states with a transition on `symbol` into the splitter.
             into = set()

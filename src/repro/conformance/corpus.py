@@ -541,8 +541,19 @@ def _replay_differential(case, oracle):
     return problems
 
 
+#: The route a text document took, from the change in the
+#: ``engine.dense.docs`` and ``engine.dense.fallbacks`` counters: a dense
+#: commit, a dense attempt that fell back, or no dense attempt at all (a
+#: schema without dense tables).
+_ROUTES = {(1, 0): "dense", (0, 1): "fallback", (0, 0): "dict"}
+
+
 def _replay_pinned(case):
+    """Streaming report expectations; ``expected["path"]`` (``"dense"``,
+    ``"fallback"`` or ``"dict"``, see :data:`_ROUTES`) also pins which
+    route a text document took."""
     from repro.engine import StreamingValidator, compile_xsd
+    from repro.observability import default_registry
     from repro.translation import dfa_based_to_xsd
 
     problems = []
@@ -554,7 +565,19 @@ def _replay_pinned(case):
         events = [tuple(event) for event in case.events]
         report = validator.validate_events(iter(events))
     else:
+        registry = default_registry()
+        counters = [registry.counter(f"engine.dense.{name}")
+                    for name in ("docs", "fallbacks")]
+        before = [counter.value for counter in counters]
         report = validator.validate(case.document)
+        route = _ROUTES.get(tuple(
+            counter.value - value for counter, value in zip(counters, before)
+        ))
+        expected = case.expected.get("path")
+        if expected is not None and route != expected:
+            problems.append(
+                f"the document took the {route} path, not the {expected} path"
+            )
     return _check_report(case.expected, report, problems)
 
 

@@ -25,6 +25,7 @@ from repro.corpus.generator import (
     random_deterministic_regex,
 )
 from repro.errors import ReproError
+from repro.regex.ast import EPSILON, interleave, optional, plus, star, sym
 from repro.translation.ksuffix import ksuffix_bxsd_to_dfa_based
 from repro.xmlmodel.tree import XMLDocument, XMLElement
 from repro.xsd.content import AttributeUse, ContentModel
@@ -36,8 +37,15 @@ ATTR_NAMES = ("id", "lang", "title")
 
 #: Families mirror the corpus-study mix: mostly unconstrained random
 #: DFA-based schemas, plus the suffix-shaped families real web XSDs
-#: exhibit (1-suffix DTD-likes and k-suffix context rules).
-FAMILIES = ("random", "random", "random", "dtd_like", "context")
+#: exhibit (1-suffix DTD-likes and k-suffix context rules), plus
+#: ``xs:all`` records (the engine's bag-shaped content).
+FAMILIES = ("random", "random", "random", "dtd_like", "context",
+            "unordered")
+
+BAG_NAMES = ("a", "b", "c", "d", "e", "f")
+#: Bag member multiplicities: 1, ``?``, ``*`` and ``+``.
+MULTIPLICITIES = (sym, lambda name: optional(sym(name)),
+                  lambda name: star(sym(name)), lambda name: plus(sym(name)))
 
 
 class ConformanceCase:
@@ -47,7 +55,7 @@ class ConformanceCase:
         index: the case's position in the sweep.
         seed: the sweep seed the case was derived from.
         formalism: the generating family (``random``/``dtd_like``/
-            ``context``).
+            ``context``/``unordered``).
         dfa: the :class:`~repro.xsd.dfa_based.DFABasedXSD` anchor.
         documents: list of ``(label, XMLDocument)`` pairs; labels are
             ``valid`` or ``mutant``.
@@ -111,7 +119,54 @@ def _build_schema(rng, formalism, max_states):
             rng, k=2 + rng.randrange(2), width=4, context_rules=2
         )
         return ksuffix_bxsd_to_dfa_based(bxsd)
+    if formalism == "unordered":
+        return random_unordered(rng)
     return random_dfa_based(rng, max_states=max_states)
+
+
+def random_unordered(rng):
+    """A random ``xs:all`` record: an interleave of 2-6 distinct names.
+
+    Each member of the record type gets a random multiplicity (1, ``?``,
+    ``*`` or ``+``) and one of three child types: an empty element, a
+    text element, or an all-optional inner bag over two of the record's
+    names.  Kept to six names, reused by the inner bag: the round-trip
+    legs still build each content model's DFA (2^n states), and the
+    separator search behind a round-trip failure grows with the
+    alphabet.
+    """
+    names = rng.sample(BAG_NAMES, 2 + rng.randrange(5))
+    inner_names = rng.sample(names, 2)
+    members = [MULTIPLICITIES[rng.randrange(len(MULTIPLICITIES))](name)
+               for name in names]
+    uses = ()
+    if rng.random() < 0.5:
+        uses = (AttributeUse(ATTR_NAMES[rng.randrange(len(ATTR_NAMES))],
+                             required=rng.random() < 0.5),)
+    assign = {
+        "rec": ContentModel(interleave(*members), mixed=rng.random() < 0.2,
+                            attributes=uses),
+        "leaf": ContentModel(EPSILON),
+        "text": ContentModel(EPSILON, mixed=True),
+        "inner": ContentModel(
+            interleave(*(optional(sym(name)) for name in inner_names))
+        ),
+    }
+    transitions = {("q0", "r"): "rec"}
+    for name in names:
+        transitions[("rec", name)] = ("leaf", "text", "inner")[
+            rng.randrange(3)
+        ]
+    for name in inner_names:
+        transitions[("inner", name)] = "leaf"
+    return DFABasedXSD(
+        states=frozenset(assign) | {"q0"},
+        alphabet=frozenset(names) | {"r"},
+        transitions=transitions,
+        initial="q0",
+        start=frozenset({"r"}),
+        assign=assign,
+    )
 
 
 def random_dfa_based(rng, max_states=4, names=NAMES):

@@ -340,8 +340,12 @@ class DifferentialOracle:
         return []
 
     # -- metamorphic -------------------------------------------------------
-    def check_roundtrips(self, dfa):
-        """Push the schema around the square; returns disagreements."""
+    def check_roundtrips(self, dfa, explain=True):
+        """Push the schema around the square; returns disagreements.
+
+        ``explain=False`` skips the certificate and witness search of a
+        disagreement (the shrinker only asks whether one reproduces).
+        """
         out = []
         for name in ROUND_TRIPS:
             back, error = _attempt(lambda: self._roundtrip(name, dfa))
@@ -362,8 +366,13 @@ class DifferentialOracle:
                 continue
             if pair is not None:
                 path, detail = pair
-                certificate = self._certificate(dfa, back)
                 summary = f"languages differ at /{'/'.join(path)}: {detail}"
+                if not explain:
+                    out.append(Disagreement(
+                        "roundtrip", f"roundtrip.{name}", summary
+                    ))
+                    continue
+                certificate = self._certificate(dfa, back)
                 if certificate is not None:
                     summary += f" [{certificate.summary()}]"
                 out.append(Disagreement(

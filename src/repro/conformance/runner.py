@@ -332,7 +332,7 @@ def make_predicate(oracle, kind, check):
         prepared = oracle.prepare(dfa)
         found = list(prepared.failures)
         if oracle.roundtrips:
-            found.extend(oracle.check_roundtrips(dfa))
+            found.extend(oracle.check_roundtrips(dfa, explain=False))
         if document is not None:
             found.extend(oracle.check_document(prepared, document))
             if (check == "incremental"

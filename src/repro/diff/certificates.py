@@ -453,7 +453,7 @@ class _WitnessBuilder:
                 word.reverse()
                 return word
             for name in sorted(allowed):
-                target = content.transitions.get((content_state, name))
+                target = content.step(content_state, name)
                 if target is None:
                     continue
                 pair = (target, seen or name == letter)

@@ -3,7 +3,7 @@
 The pipeline is ``compile -> cache -> stream``:
 
 * :func:`compile_xsd` lowers a formal XSD to immutable per-type DFA
-  tables (:class:`CompiledSchema`);
+  tables, or seen-mask bags for unordered content (:class:`CompiledSchema`);
 * :class:`SchemaCache` / :func:`compile_cached` memoize compilation per
   schema fingerprint;
 * :class:`StreamingValidator` / :func:`validate_streaming` run SAX-style
@@ -24,6 +24,7 @@ from repro.engine.incremental import ValidatedDocument
 from repro.engine.compiler import (
     CompiledSchema,
     CompiledType,
+    ContentBag,
     ContentDFA,
     compile_bonxai,
     compile_regex,
@@ -38,6 +39,7 @@ from repro.engine.streaming import (
 __all__ = [
     "CompiledSchema",
     "CompiledType",
+    "ContentBag",
     "ContentDFA",
     "SchemaCache",
     "StreamingValidator",

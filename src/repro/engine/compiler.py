@@ -12,6 +12,9 @@ that work *once per schema* instead of once per node:
   word, and by UPA the construction is unambiguous and small);
 * the DFA is renumbered to dense integer tables, so one validation step is
   ``row[symbol_id]`` — an integer list index;
+* an unordered content model (``xs:all``, BonXai ``&``), whose minimal
+  DFA has 2^n states, is compiled to a :class:`ContentBag` instead: a
+  seen-mask checked by counting, built in time linear in its members;
 * element names, types, and attribute names are interned to small ints;
   declared-attribute sets become bitmasks.
 
@@ -28,6 +31,7 @@ from array import array
 from repro.automata.minimize import minimize
 from repro.observability import default_registry
 from repro.observability.tracing import span
+from repro.regex.ast import Interleave, Optional, Plus, Star, Symbol
 from repro.regex.derivatives import to_dfa
 from repro.xsd.typednames import split_typed_name
 
@@ -35,10 +39,12 @@ DENSE_STATE_LIMIT = 256
 """Largest per-type DFA (in states) that still gets dense rows.
 
 Dense tables cost ``states x alphabet`` integers per type.  Content
-models are tiny in practice, but interleave (``&``) of n distinct
-symbols needs 2^n states, so a single pathological type could eat the
-whole budget; such types (and therefore their schema) simply keep the
-dict-driven path, which is O(1) per state in memory."""
+models are tiny in practice: interleaves of single names compile to a
+:class:`ContentBag`, which has no rows at all, so the only types past
+this limit are large numeric counters (``a{1,256}`` has 258 states)
+and interleaves outside the bag shape (``a{2,3} & b{2,3} & ...``).
+Such types (and therefore their schema) keep the dict-driven path,
+which is O(1) per state in memory."""
 
 
 class ContentDFA:
@@ -79,8 +85,119 @@ class ContentDFA:
             state = table[state][symbol]
         return self.accepting[state]
 
+    def step(self, state, symbol):
+        """The successor of ``state`` on alphabet index ``symbol``."""
+        return self.table[state][symbol]
+
+    def is_accepting(self, state):
+        return self.accepting[state]
+
+    def is_live(self, state):
+        return self.live[state]
+
     def __len__(self):
         return len(self.table)
+
+
+_MULTIPLICITY = {Optional: (False, False), Star: (False, True),
+                 Plus: (True, True)}
+"""``(required, repeatable)`` of a bag member wrapped in each operator."""
+
+
+class ContentBag:
+    """An interleave of distinct element names, checked by counting.
+
+    The shape of ``xs:all`` and of BonXai ``&`` under §3.1: every member
+    is one element name with multiplicity 1, ``?``, ``*`` or ``+``.  Its
+    minimal DFA has up to 2^n states; the bag's state is instead the
+    *seen-mask*, bit ``i`` set once ``symbols[i]`` has occurred (the
+    counting check of Boneva-Ciucanu-Staworko's unordered schemas, with
+    counts capped at "seen").  A second occurrence of a non-repeatable
+    member sets the sticky ``dead`` bit; the word is accepted iff every
+    required bit is set and the dead bit is not.
+
+    The interface mirrors :class:`ContentDFA`'s (``symbols``,
+    ``symbol_ids``, ``step``, ``is_accepting``, ``is_live``, ``accepts``,
+    ``len``) with masks for states, the initial state again 0.
+
+    Attributes:
+        symbols: the member names, sorted; member ``i`` owns bit ``1 << i``.
+        required: mask of the members that must occur (``1`` and ``+``).
+        repeatable: mask of the members that may recur (``*`` and ``+``).
+        dead: the bit just above the members', set by a forbidden repeat.
+    """
+
+    __slots__ = ("symbols", "symbol_ids", "required", "repeatable", "dead")
+
+    def __init__(self, members):
+        """``members``: dict name -> ``(required, repeatable)``."""
+        self.symbols = tuple(sorted(members))
+        self.symbol_ids = {name: i for i, name in enumerate(self.symbols)}
+        self.required = self.repeatable = 0
+        for index, name in enumerate(self.symbols):
+            required, repeatable = members[name]
+            if required:
+                self.required |= 1 << index
+            if repeatable:
+                self.repeatable |= 1 << index
+        self.dead = 1 << len(self.symbols)
+
+    def step(self, state, symbol):
+        bit = 1 << symbol
+        if state & bit & ~self.repeatable:
+            return state | self.dead
+        return state | bit
+
+    def is_accepting(self, state):
+        return state & (self.required | self.dead) == self.required
+
+    def is_live(self, state):
+        """Every mask without the dead bit can still complete."""
+        return not state & self.dead
+
+    def accepts(self, word):
+        state = 0
+        ids = self.symbol_ids
+        for name in word:
+            symbol = ids.get(name)
+            if symbol is None:
+                return False
+            state = self.step(state, symbol)
+        return self.is_accepting(state)
+
+    def __len__(self):
+        """The mask width: one bit per member plus the dead bit."""
+        return len(self.symbols) + 1
+
+
+def bag_members(regex):
+    """``{name: (required, repeatable)}`` if ``regex`` has bag shape.
+
+    Bag shape is an :class:`~repro.regex.ast.Interleave` of distinct
+    symbols, each bare or under ``?``, ``*`` or ``+``; anything else
+    (counters, nested groups, a repeated name) returns ``None``.
+    """
+    if not isinstance(regex, Interleave):
+        return None
+    members = {}
+    for child in regex.children:
+        multiplicity = _MULTIPLICITY.get(type(child))
+        if multiplicity is None:
+            multiplicity = (True, False)
+        else:
+            child = child.child
+        if not isinstance(child, Symbol) or child.name in members:
+            return None
+        members[child.name] = multiplicity
+    return members
+
+
+def compile_content(regex):
+    """A :class:`ContentBag` for bag-shaped content, else its ContentDFA."""
+    members = bag_members(regex)
+    if members is not None:
+        return ContentBag(members)
+    return compile_regex(regex)
 
 
 def compile_regex(regex, alphabet=None):
@@ -145,7 +262,11 @@ class CompiledType:
 
     Attributes:
         name: the source type name (for diagnostics).
-        dfa: the :class:`ContentDFA` of the erased content model.
+        dfa: the content automaton of the erased content model: its
+            :class:`ContentDFA`, or its :class:`ContentBag` when the
+            content has bag shape (:func:`bag_members`).
+        bag: that :class:`ContentBag`, or ``None`` for ordered content;
+            the step loops branch on it.
         children: dict element name -> ``(symbol_id, child_type_id)``; by
             EDC the child type is a function of the element name, so one
             dict lookup replaces the tree validator's symbol scan.
@@ -154,46 +275,58 @@ class CompiledType:
             order (diagnostic order matches the tree validator).
         declared_mask: bitmask over the schema-wide attribute interning of
             the attributes declared on this type.
-        dense: whether this type carries dense tables (small DFAs only;
-            see :data:`DENSE_STATE_LIMIT`).
+        dense: whether this type carries dense tables (bags and small
+            DFAs; see :data:`DENSE_STATE_LIMIT`).
         dense_rows: tuple of ``array('i')`` rows, one per DFA state,
             indexed by *schema-wide* element-name id; ``-1`` marks a name
-            that is not in this type's alphabet.  ``None`` when not dense.
+            that is not in this type's alphabet.  ``None`` when not dense
+            and for bags.
+        dense_bag: for bags, ``(bits, once, required)``: a list mapping
+            schema-wide name id to the member's bit (0 for non-members),
+            the mask of non-repeatable members and the required mask.
+            ``None`` for ordered content.
         child_types: ``array('i')`` mapping schema-wide name id to the
             child's type id (EDC: a function of the name), ``-1`` when the
             name is not a child of this type.  ``None`` when not dense.
-        acc_bits: accepting-states bitset — ``acc_bits >> state & 1``.
+        acc_bits: accepting-states bitset — ``acc_bits >> state & 1``;
+            for a bag only bit 0 (the empty mask) is meaningful.
         required_set: frozenset of the required attribute names.
         declared_attrs: frozenset of every declared attribute name.
     """
 
     __slots__ = (
-        "name", "dfa", "children", "mixed", "required_attrs",
-        "declared_mask", "dense", "dense_rows", "child_types", "acc_bits",
-        "required_set", "declared_attrs",
+        "name", "dfa", "bag", "children", "mixed", "required_attrs",
+        "declared_mask", "dense", "dense_rows", "dense_bag", "child_types",
+        "acc_bits", "required_set", "declared_attrs",
     )
 
     def __init__(self, name, dfa, children, mixed, required_attrs,
                  declared_mask, declared_attrs=frozenset()):
         self.name = name
         self.dfa = dfa
+        self.bag = dfa if isinstance(dfa, ContentBag) else None
         self.children = children
         self.mixed = mixed
         self.required_attrs = required_attrs
         self.declared_mask = declared_mask
         self.dense = False
         self.dense_rows = None
+        self.dense_bag = None
         self.child_types = None
-        self.acc_bits = 0
-        for state, accepting in enumerate(dfa.accepting):
-            if accepting:
-                self.acc_bits |= 1 << state
+        if self.bag is not None:
+            self.acc_bits = int(self.bag.is_accepting(0))
+        else:
+            self.acc_bits = 0
+            for state, accepting in enumerate(dfa.accepting):
+                if accepting:
+                    self.acc_bits |= 1 << state
         self.required_set = frozenset(required_attrs)
         self.declared_attrs = declared_attrs
 
     def build_dense(self, name_ids):
         """Fill the dense tables against a schema-wide name interning."""
-        if len(self.dfa.table) > DENSE_STATE_LIMIT:
+        bag = self.bag
+        if bag is None and len(self.dfa) > DENSE_STATE_LIMIT:
             return False
         width = len(name_ids)
         child_types = array("i", [-1]) * width
@@ -202,6 +335,15 @@ class CompiledType:
             interned = name_ids[element_name]
             child_types[interned] = child_type
             columns.append((interned, symbol))
+        self.child_types = child_types
+        self.dense = True
+        if bag is not None:
+            bits = [0] * width
+            for interned, symbol in columns:
+                bits[interned] = 1 << symbol
+            once = (bag.dead - 1) & ~bag.repeatable
+            self.dense_bag = (bits, once, bag.required)
+            return True
         rows = []
         for row in self.dfa.table:
             dense_row = array("i", [-1]) * width
@@ -209,8 +351,6 @@ class CompiledType:
                 dense_row[interned] = row[symbol]
             rows.append(dense_row)
         self.dense_rows = tuple(rows)
-        self.child_types = child_types
-        self.dense = True
         return True
 
 
@@ -237,8 +377,9 @@ class CompiledSchema:
             be validated on the dense fast path.
         dense_types: tuple, indexed by type id, of
             ``(dense_rows, child_types, acc_bits, mixed, declared_attrs,
-            required_set)`` — the hot loop unpacks one tuple per start
-            tag instead of touching attributes.  ``None`` when not dense.
+            required_set, dense_bag)`` — the hot loop unpacks one tuple
+            per start tag instead of touching attributes.  ``None`` when
+            not dense.
     """
 
     __slots__ = (
@@ -271,7 +412,8 @@ class CompiledSchema:
         )
         self.dense_types = tuple(
             (compiled.dense_rows, compiled.child_types, compiled.acc_bits,
-             compiled.mixed, compiled.declared_attrs, compiled.required_set)
+             compiled.mixed, compiled.declared_attrs, compiled.required_set,
+             compiled.dense_bag)
             for compiled in types
         ) if self.dense else None
 
@@ -312,7 +454,7 @@ def compile_xsd(xsd, fingerprint=None):
         for name in type_names:
             model = xsd.rho[name]
             erased = model.map_symbols(lambda s: split_typed_name(s)[0])
-            dfa = compile_regex(erased.regex)
+            dfa = compile_content(erased.regex)
             dfa_sizes.observe(len(dfa))
             dfa_states += len(dfa)
             children = {}

@@ -55,9 +55,10 @@ class _NodeState:
         type_id: the element's compiled type id (unique typing, Def. 2).
         path: the element's slash path (stable: labels never change in
             place — ``replace_subtree`` swaps whole nodes).
-        states: content-DFA state path; ``states[0] == 0`` and one state
-            is appended per *recognized* child, exactly the
-            ``dfa_states`` tuple PR 4's provenance records.
+        states: content-DFA state path (seen-masks for a bag type);
+            ``states[0] == 0`` and one state is appended per *recognized*
+            child, exactly the ``dfa_states`` tuple the provenance
+            recorder keeps.
         recognized: True iff every child's label is declared under this
             type (only then is the content word checked for acceptance,
             mirroring both reference validators).
@@ -210,7 +211,8 @@ class ValidatedDocument:
         is trustworthy (every earlier child was recognized, so the memo
         aligns with child positions); otherwise the word replays from
         the initial state.  The forward loop is the dense row loop when
-        the schema carries dense tables.
+        the schema carries dense tables; a bag type steps its seen-mask
+        (the memo is then a list of masks).
         """
         registry = default_registry()
         registry.counter("engine.incremental.content_replays").inc()
@@ -226,7 +228,7 @@ class ValidatedDocument:
         recognized = True
         viols = []
         schema = self.schema
-        if schema.dense:
+        if schema.dense and compiled.bag is None:
             rows, child_types = schema.dense_types[state.type_id][:2]
             name_ids = schema.name_ids
             for child in children[begin:]:
@@ -241,9 +243,10 @@ class ValidatedDocument:
                     continue
                 current = rows[current][interned]
                 states.append(current)
-        else:
+            accepted = compiled.acc_bits >> current & 1
+        else:  # a bag, or a DFA too large for dense rows
             child_map = compiled.children
-            table = compiled.dfa.table
+            step = compiled.dfa.step
             for child in children[begin:]:
                 entry = child_map.get(child.name)
                 if entry is None:
@@ -254,12 +257,13 @@ class ValidatedDocument:
                         f"(type {compiled.name})"
                     )
                     continue
-                current = table[current][entry[0]]
+                current = step(current, entry[0])
                 states.append(current)
+            accepted = compiled.dfa.is_accepting(current)
         state.states = states
         state.recognized = recognized
         state.child_viols = viols
-        if recognized and not compiled.acc_bits >> current & 1:
+        if recognized and not accepted:
             shown = " ".join(child.name for child in children)
             state.content_viol = (
                 f"{state.path}: children of <{node.name}> "

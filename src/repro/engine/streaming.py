@@ -199,7 +199,8 @@ class StreamingValidator:
         recording = recorder is not None
         # Frame layout (a mutable list, tuples would cost re-allocation):
         # [type_id, dfa_state, name, path, typed_path, child_names,
-        #  recognized, has_text, ordinals] — plus, only while a
+        #  recognized, has_text, ordinals] (``dfa_state`` is the seen-mask
+        # for bag types) — plus, only while a
         # provenance recorder is attached, [dfa_state_path, entry] at
         # indices 9/10 (the hot loop never touches them otherwise).
         stack = []
@@ -243,7 +244,10 @@ class StreamingValidator:
                         skip_depth = 1
                         continue
                     symbol, type_id = entry
-                    frame[1] = compiled.dfa.table[frame[1]][symbol]
+                    if compiled.bag is None:
+                        frame[1] = compiled.dfa.table[frame[1]][symbol]
+                    else:
+                        frame[1] = compiled.bag.step(frame[1], symbol)
                     if recording:
                         frame[9].append(frame[1])
                     ordinals = frame[8]
@@ -277,7 +281,10 @@ class StreamingValidator:
             elif kind == "end":
                 frame = stack.pop()
                 compiled = types[frame[0]]
-                if frame[6] and not compiled.dfa.accepting[frame[1]]:
+                bag = compiled.bag
+                if frame[6] and not (
+                        compiled.dfa.accepting[frame[1]] if bag is None
+                        else bag.is_accepting(frame[1])):
                     shown = " ".join(frame[5])
                     violations.append(
                         f"{frame[3]}: children of <{frame[2]}> "
@@ -447,7 +454,8 @@ class StreamingValidator:
         # Exact compat-event accounting (start/end tags plus non-empty
         # text runs), so ``engine.stream.events`` agrees between paths.
         consumed = 0
-        # Registers of the innermost open element.
+        # Registers of the innermost open element.  ``state`` is a DFA
+        # state, or the seen-mask when ``bag`` (its ``dense_bag``) is set.
         state = 0
         rows = None
         child_types = None
@@ -455,6 +463,7 @@ class StreamingValidator:
         mixed = True
         has_text = False
         open_id = -1
+        bag = None
         for chunk in islice(chunks, 1, None):
             action = memo_get(chunk)
             if action is None:
@@ -467,7 +476,13 @@ class StreamingValidator:
                     type_id = child_types[interned]
                     if type_id < 0:  # not allowed under this type
                         raise _FALLBACK
-                    state = rows[state][interned]
+                    if bag is None:
+                        state = rows[state][interned]
+                    else:
+                        bit = bag[0][interned]
+                        if state & bit & bag[1]:  # repeated once-member
+                            raise _FALLBACK
+                        state |= bit
                 else:
                     if root_done:
                         raise _FALLBACK
@@ -477,10 +492,10 @@ class StreamingValidator:
                 if max_depth is not None and depth >= max_depth:
                     raise _FALLBACK
                 push((state, rows, child_types, acc_bits, mixed,
-                      has_text, open_id))
+                      has_text, open_id, bag))
                 depth += 1
                 (rows, child_types, acc_bits, mixed, declared,
-                 required) = dense_types[type_id]
+                 required, bag) = dense_types[type_id]
                 state = 0
                 open_id = interned
                 has_text = action[3]
@@ -492,13 +507,16 @@ class StreamingValidator:
             elif kind == END:
                 if action[1] != open_id:  # mismatched end tag (or depth 0)
                     raise _FALLBACK
-                if not acc_bits >> state & 1:  # content-model violation
+                if bag is None:
+                    if not acc_bits >> state & 1:  # content-model violation
+                        raise _FALLBACK
+                elif state & bag[2] != bag[2]:  # a required member missing
                     raise _FALLBACK
                 if has_text and not mixed:
                     raise _FALLBACK
                 depth -= 1
                 (state, rows, child_types, acc_bits, mixed, has_text,
-                 open_id) = pop()
+                 open_id, bag) = pop()
                 if depth:
                     consumed += 2 if action[5] else 1
                     if action[3]:
@@ -514,7 +532,13 @@ class StreamingValidator:
                     type_id = child_types[interned]
                     if type_id < 0:
                         raise _FALLBACK
-                    state = rows[state][interned]
+                    if bag is None:
+                        state = rows[state][interned]
+                    else:
+                        bit = bag[0][interned]
+                        if state & bit & bag[1]:
+                            raise _FALLBACK
+                        state |= bit
                     if max_depth is not None and depth >= max_depth:
                         raise _FALLBACK
                 else:
@@ -526,7 +550,7 @@ class StreamingValidator:
                     root_done = True
                 entry = dense_types[type_id]
                 if not entry[2] & 1:  # empty content word not accepted
-                    raise _FALLBACK
+                    raise _FALLBACK  # (bit 0 is the empty mask for bags)
                 attrs = action[2]
                 required = entry[5]
                 if attrs or required:

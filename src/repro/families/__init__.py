@@ -1,6 +1,7 @@
-"""Schema families: worst-case blow-ups (Theorems 8, 9) and k-suffix
-fragment generators (Section 4.4)."""
+"""Schema families: worst-case blow-ups (Theorems 8, 9), k-suffix
+fragment generators (Section 4.4) and ``xs:all`` records."""
 
+from repro.families.all_group import all_group_xsd
 from repro.families.ehrenfeucht_zeiger import (
     sigma_n,
     split_symbol,
@@ -22,6 +23,7 @@ from repro.families.theorem9 import (
 )
 
 __all__ = [
+    "all_group_xsd",
     "chain_xsd",
     "dtd_like_bxsd",
     "expected_child_of_a",

@@ -10,8 +10,8 @@ one content-model DFA run.  This module records both:
   winning BXSD rule index (when a BonXai/DTD schema is in play), the
   verdict, and — for rejected nodes — a *first-divergence* explanation
   computed by :func:`first_divergence` (the earliest child at which the
-  content DFA entered a dead state, with the continuations that were
-  expected instead).
+  content DFA or bag entered a dead state, with the continuations that
+  were expected instead).
 * :class:`RuleCoverage` — how often each rule decided a node across a
   corpus, flagging rules that never fired (*dynamically dead*: present in
   the schema but never relevant for any sampled node — the runtime
@@ -35,8 +35,9 @@ class ElementProvenance:
             typing keys.
         name: the element name.
         type_name: the assigned XSD type (Definition 2's unique typing).
-        dfa_states: tuple of content-DFA state ids the element's child
-            sequence drove, starting at the initial state 0.
+        dfa_states: tuple of content-DFA state ids (seen-masks for a
+            bag type) the element's child sequence drove, starting at the
+            initial state 0.
         rule_index: the winning BXSD rule index under priority semantics,
             or ``None`` (no rule matched / schema has no rules).
         verdict: ``"ok"`` or ``"invalid"``.
@@ -164,49 +165,49 @@ class RuleCoverage:
         )
 
 
-def first_divergence(dfa, word):
-    """Why a :class:`~repro.engine.compiler.ContentDFA` rejects ``word``.
+def first_divergence(content, word):
+    """Why a compiled content model rejects ``word``.
 
+    ``content`` is a :class:`~repro.engine.compiler.ContentDFA` or a
+    :class:`~repro.engine.compiler.ContentBag`; both step, test
+    acceptance and test liveness on their own states (DFA states, or
+    seen-masks for a bag, so a bag's explanation never builds a DFA).
     Replays the child-name word and reports the *first* position at which
-    acceptance became impossible — either a child on which the DFA enters
-    a dead state (no completion exists from there, by the ``live`` table)
-    or the end of the word in a non-accepting state — together with the
-    continuations that were expected instead.  Returns ``None`` when the
-    word is accepted.
+    acceptance became impossible — either a child that leads to a dead
+    state (no completion exists from there) or the end of the word in a
+    non-accepting state — together with the continuations that were
+    expected instead.  Returns ``None`` when the word is accepted.
     """
     state = 0
-    table = dfa.table
-    live = dfa.live
-    ids = dfa.symbol_ids
+    ids = content.symbol_ids
     for position, name in enumerate(word):
         symbol = ids.get(name)
-        successor = None if symbol is None else table[state][symbol]
-        if successor is None or not live[successor]:
+        successor = None if symbol is None else content.step(state, symbol)
+        if successor is None or not content.is_live(successor):
             prefix = " ".join(word[:position]) or "(start)"
             return (
                 f"child #{position + 1} <{name}> diverges after "
-                f"[{prefix}]: expected {_expected(dfa, state)}, "
+                f"[{prefix}]: expected {_expected(content, state)}, "
                 f"got <{name}>"
             )
         state = successor
-    if not dfa.accepting[state]:
+    if not content.is_accepting(state):
         shown = " ".join(word) or "(no children)"
         return (
             f"content ends too early after [{shown}]: expected "
-            f"{_expected(dfa, state, at_end=True)}"
+            f"{_expected(content, state, at_end=True)}"
         )
     return None
 
 
-def _expected(dfa, state, at_end=False):
+def _expected(content, state, at_end=False):
     """The continuations from ``state`` that can still reach acceptance."""
-    row = dfa.table[state]
     names = [
         f"<{name}>"
-        for index, name in enumerate(dfa.symbols)
-        if dfa.live[row[index]]
+        for index, name in enumerate(content.symbols)
+        if content.is_live(content.step(state, index))
     ]
-    if dfa.accepting[state] and not at_end:
+    if content.is_accepting(state) and not at_end:
         names.append("end of content")
     return " or ".join(names) if names else "nothing (no continuation)"
 

@@ -15,6 +15,7 @@ normalization that keeps the set of reachable derivatives finite.
 from __future__ import annotations
 
 from repro.errors import RegexError
+from repro.observability.budget import current_budget
 from repro.regex.ast import (
     Concat,
     Counter,
@@ -159,8 +160,65 @@ class DerivativeMatcher:
         return len(word)
 
 
+class LazyDFA:
+    """The derivative automaton of a regex, its states built as reached.
+
+    States are derivative expressions interned to integers in the order
+    they are first reached (the initial state is 0); a state is accepting
+    when its expression is nullable.  :func:`to_dfa` exhausts one, while a
+    walk that needs only some states (an interleave of n members has
+    2^n) calls :meth:`step` directly.  Every interned state is charged to
+    the ambient :class:`~repro.observability.ResourceBudget`, if any.
+    """
+
+    initial = 0
+
+    __slots__ = ("alphabet", "accepting", "_expressions", "_ids",
+                 "_transitions", "_budget")
+
+    def __init__(self, regex, alphabet):
+        self.alphabet = frozenset(alphabet)
+        self.accepting = set()
+        self._expressions = []
+        self._ids = {}
+        self._transitions = {}
+        self._budget = current_budget()
+        self._intern(regex)
+
+    def __len__(self):
+        """The number of states built so far."""
+        return len(self._expressions)
+
+    def _intern(self, expression):
+        state = self._ids.get(expression)
+        if state is None:
+            if self._budget is not None:
+                self._budget.charge_states(1, where="regex.to_dfa")
+            state = self._ids[expression] = len(self._expressions)
+            self._expressions.append(expression)
+            if nullable(expression):
+                self.accepting.add(state)
+        return state
+
+    def step(self, state, symbol):
+        """The state ``symbol`` leads to from ``state`` (``None`` when
+        ``symbol`` is off the alphabet)."""
+        key = (state, symbol)
+        target = self._transitions.get(key)
+        if target is None and symbol in self.alphabet:
+            target = self._transitions[key] = self._intern(
+                derivative(self._expressions[state], symbol)
+            )
+        return target
+
+
 def to_dfa(regex, alphabet=None):
     """Build an explicit DFA from a regex via the derivative construction.
+
+    Every derivative state is charged to the ambient
+    :class:`~repro.observability.ResourceBudget` and its deadline checked
+    once per expanded state, so an interleave's ``2^n`` states raise
+    :class:`~repro.errors.BudgetExceeded` instead of running on.
 
     Args:
         regex: the expression to compile.
@@ -175,31 +233,29 @@ def to_dfa(regex, alphabet=None):
 
     if alphabet is None:
         alphabet = regex.symbols()
-    alphabet = frozenset(alphabet)
-
-    state_ids = {regex: 0}
-    order = [regex]
+    automaton = LazyDFA(regex, alphabet)
+    # Every (state, symbol) is derived exactly once here, so the walk
+    # interns directly instead of going through step()'s memo.
+    expressions = automaton._expressions
+    intern = automaton._intern
+    budget = current_budget()
     transitions = {}
-    worklist = [regex]
+    worklist = [automaton.initial]
     while worklist:
-        state = worklist.pop()
-        source = state_ids[state]
-        for symbol in alphabet:
-            target_expr = derivative(state, symbol)
-            target = state_ids.get(target_expr)
-            if target is None:
-                target = len(order)
-                state_ids[target_expr] = target
-                order.append(target_expr)
-                worklist.append(target_expr)
+        source = worklist.pop()
+        if budget is not None:
+            budget.check_time(where="regex.to_dfa")
+        expression = expressions[source]
+        for symbol in automaton.alphabet:
+            discovered = len(expressions)
+            target = intern(derivative(expression, symbol))
+            if target == discovered:
+                worklist.append(target)
             transitions[(source, symbol)] = target
-    accepting = frozenset(
-        state_ids[expr] for expr in order if nullable(expr)
-    )
     return DFA(
-        states=frozenset(range(len(order))),
-        alphabet=alphabet,
+        states=frozenset(range(len(automaton))),
+        alphabet=automaton.alphabet,
         transitions=transitions,
-        initial=0,
-        accepting=accepting,
+        initial=automaton.initial,
+        accepting=frozenset(automaton.accepting),
     )

@@ -2,7 +2,9 @@
 
 Given a DFA-based XSD, :func:`generate_document` samples a random valid
 document: child-words are sampled by random walks over the content-model
-DFAs (restricted to productive letters), and a per-state *cheap word* —
+DFAs (restricted to productive letters; built lazily, so an ``xs:all``
+of n members never materializes its 2^n states), and a per-state
+*cheap word* —
 computed during the productivity fixpoint — guarantees termination once the
 depth budget is spent, because cheap words only use letters whose states
 became productive in strictly earlier rounds.
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import SchemaError
-from repro.regex.derivatives import to_dfa
+from repro.regex.derivatives import LazyDFA
 from repro.xmlmodel.tree import XMLDocument, XMLElement
 
 
@@ -31,8 +33,8 @@ class _GeneratorTables:
             if state == schema.initial:
                 continue
             model = schema.assign[state]
-            self.content_dfas[state] = to_dfa(
-                model.regex, alphabet=model.element_names()
+            self.content_dfas[state] = LazyDFA(
+                model.regex, model.element_names()
             )
         self.ranks = {}
         self.cheap_words = {}
@@ -83,7 +85,7 @@ def _shortest_word_over(content_dfa, allowed):
             word.reverse()
             return word
         for name in sorted(allowed):
-            target = content_dfa.transitions.get((state, name))
+            target = content_dfa.step(state, name)
             if target is not None and target not in parents:
                 parents[target] = (state, name)
                 queue.append(target)
@@ -152,7 +154,7 @@ class DocumentGenerator:
             moves = [
                 name
                 for name in sorted(allowed)
-                if content.transitions.get((current, name)) is not None
+                if content.step(current, name) is not None
             ]
             can_stop = current in content.accepting
             if can_stop and (not moves or len(word) >= max_children
@@ -164,7 +166,7 @@ class DocumentGenerator:
                 # into a non-co-reachable region; restart conservatively.
                 return self.tables.cheap_words[state]
             name = moves[rng.randrange(len(moves))]
-            current = content.transitions[(current, name)]
+            current = content.step(current, name)
             word.append(name)
             if len(word) > max_children * 4:
                 # Escape very long loops: finish with a shortest completion.
@@ -192,7 +194,7 @@ def _shortest_completion(content_dfa, from_state, allowed):
             word.reverse()
             return word
         for name in sorted(allowed):
-            target = content_dfa.transitions.get((state, name))
+            target = content_dfa.step(state, name)
             if target is not None and target not in parents:
                 parents[target] = (state, name)
                 queue.append(target)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.families import all_group_xsd
 from repro.paperdata import (
     FIGURE1_XML,
     FIGURE2_DTD,
@@ -98,6 +99,52 @@ class TestExplain:
     def test_requires_schema_flag(self, files):
         with pytest.raises(SystemExit):
             main(["explain", files["fig1.xml"]])
+
+
+class TestExplainBags:
+    """A 24-member ``xs:all`` (a bag; its DFA would have 2^24 states)
+    explains in the DFA types' wording, from the seen-masks."""
+
+    def _explain(self, tmp_path, capsys, children):
+        schema = tmp_path / "all24.xsd"
+        schema.write_text(all_group_xsd())
+        document = tmp_path / "doc.xml"
+        document.write_text(
+            "<record>" + "".join(f"<{n}/>" for n in children) + "</record>"
+        )
+        code = main(["explain", str(document), "--schema", str(schema)])
+        why = [line.strip() for line in capsys.readouterr().out.splitlines()
+               if line.strip().startswith("why:")]
+        return code, why
+
+    def test_repeated_member_diverges_at_the_repeat(self, tmp_path,
+                                                    capsys):
+        required = [f"f{i:02d}" for i in range(0, 24, 3)]
+        code, why = self._explain(
+            tmp_path, capsys, ["f00", "f01"] + required[1:] + ["f00"]
+        )
+        assert code == 1
+        # Every member but the once-members already seen; all required
+        # ones are present, so the content could also end here.
+        seen = {1} | set(range(0, 24, 3))
+        expected = " or ".join(
+            f"<f{i:02d}>" for i in range(24) if i not in seen
+        )
+        assert why == [
+            f"why: child #10 <f00> diverges after "
+            f"[f00 f01 {' '.join(required[1:])}]: expected {expected} "
+            f"or end of content, got <f00>"
+        ]
+
+    def test_missing_members_end_too_early(self, tmp_path, capsys):
+        code, why = self._explain(tmp_path, capsys, ["f02", "f01", "f02"])
+        assert code == 1
+        # f02 is unbounded, so only f01 is used up; f00, f03, ... missing.
+        expected = " or ".join(f"<f{i:02d}>" for i in range(24) if i != 1)
+        assert why == [
+            f"why: content ends too early after [f02 f01 f02]: "
+            f"expected {expected}"
+        ]
 
 
 class TestTraceFlag:

@@ -54,7 +54,7 @@ class TestCleanBaseline:
     def test_every_family_appears(self):
         generator = CaseGenerator(seed=0)
         families = {case.formalism for case in generator.cases(40)}
-        assert families == {"random", "dtd_like", "context"}
+        assert families == {"random", "dtd_like", "context", "unordered"}
 
     def test_case_generation_is_pure(self):
         generator = CaseGenerator(seed=1)

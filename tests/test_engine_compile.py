@@ -11,7 +11,15 @@ alphabet probe both directions; schema-level tests then check that
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine import compile_regex, compile_xsd, schema_fingerprint
+from repro.engine import (
+    ContentBag,
+    compile_regex,
+    compile_xsd,
+    schema_fingerprint,
+)
+from repro.engine.compiler import bag_members, compile_content
+from repro.errors import BudgetExceeded
+from repro.observability import ResourceBudget, first_divergence
 from repro.regex.ast import (
     EPSILON,
     EmptySet,
@@ -151,6 +159,90 @@ def xsd():
         },
         start={T("doc", "Tdoc")},
     )
+
+
+MULTIPLICITIES = (lambda s: s, optional, star, plus)
+
+bag_regexes = st.lists(
+    st.sampled_from(MULTIPLICITIES), min_size=2, max_size=4
+).map(lambda wraps: interleave(*(
+    wrap(sym(name)) for wrap, name in zip(wraps, ALPHABET + ["d"])
+)))
+
+bag_words = st.lists(st.sampled_from(ALPHABET + ["d", "e"]), max_size=9)
+
+
+class TestContentBag:
+    """Bags accept, step and explain exactly like the minimal DFA."""
+
+    def test_shape_test(self):
+        assert bag_members(interleave(sym("a"), optional(sym("b")),
+                                      star(sym("c")), plus(sym("d")))) == {
+            "a": (True, False), "b": (False, False),
+            "c": (False, True), "d": (True, True),
+        }
+        for regex in (
+            concat(sym("a"), sym("b")),
+            sym("a"),
+            interleave(sym("a"), counter(sym("b"), 2, 3)),
+            interleave(sym("a"), concat(sym("b"), sym("c"))),
+            interleave(sym("a"), optional(sym("a"))),
+        ):
+            assert bag_members(regex) is None
+            assert not isinstance(compile_content(regex), ContentBag)
+
+    @given(regex=bag_regexes, word=bag_words)
+    def test_bag_agrees_with_minimal_dfa(self, regex, word):
+        bag = compile_content(regex)
+        assert isinstance(bag, ContentBag)
+        dfa = compile_regex(regex)
+        assert bag.symbols == dfa.symbols
+        assert bag.accepts(word) == dfa.accepts(word)
+        # Diagnostics come from the masks and read exactly like the DFA's.
+        assert first_divergence(bag, word) == first_divergence(dfa, word)
+
+    def test_wide_bag_compiles_without_states(self):
+        members = [sym(f"m{i:02d}") for i in range(24)]
+        with ResourceBudget(max_states=10, max_seconds=0.5) as budget:
+            bag = compile_content(interleave(*members))
+        assert budget.states_created == 0
+        assert len(bag) == 25
+        word = [f"m{i:02d}" for i in reversed(range(24))]
+        assert bag.accepts(word)
+        assert not bag.accepts(word[1:])
+        assert not bag.accepts(word + ["m05"])
+
+
+class TestCompileBudget:
+    def test_counted_all_group_exceeds_the_budget(self):
+        # Six {2,3}-counted members: outside the bag shape, so the
+        # 4097-state DFA is built, and the budget stops it.
+        regex = interleave(*(counter(sym(f"m{i}"), 2, 3) for i in range(6)))
+        with pytest.raises(BudgetExceeded) as info:
+            with ResourceBudget(max_states=1000, max_seconds=0.5):
+                compile_content(regex)
+        assert info.value.stats["where"] == "regex.to_dfa"
+
+    def test_small_content_charges_its_states(self):
+        with ResourceBudget(max_states=100) as budget:
+            compile_regex(concat(sym("a"), star(sym("b"))))
+        assert budget.states_created > 0
+
+    def test_minimize_checks_the_deadline_without_charging(self):
+        # The quotient is never larger than its input, whose construction
+        # charged the states; minimize only watches the clock.
+        import time
+
+        from repro.automata.minimize import minimize
+        from repro.regex.derivatives import to_dfa
+
+        dfa = to_dfa(concat(sym("a"), star(sym("b"))))
+        with ResourceBudget(max_seconds=1e-9) as budget:
+            time.sleep(0.002)
+            with pytest.raises(BudgetExceeded) as info:
+                minimize(dfa)
+        assert info.value.stats["where"] == "automata.minimize"
+        assert budget.states_created == 0
 
 
 class TestCompileXSD:

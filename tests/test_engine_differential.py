@@ -27,7 +27,16 @@ from hypothesis import given, strategies as st
 
 from repro.engine import StreamingValidator, compile_xsd
 from repro.paperdata import figure3_xsd
-from repro.regex.ast import EPSILON, concat, optional, star, sym
+from repro.regex.ast import (
+    EPSILON,
+    concat,
+    counter,
+    interleave,
+    optional,
+    plus,
+    star,
+    sym,
+)
 from repro.translation import xsd_to_dfa_based
 from repro.xmlmodel import parse_document, write_document
 from repro.xmlmodel.tree import XMLDocument, XMLElement
@@ -88,10 +97,56 @@ def _inventory_xsd():
     )
 
 
+def _all24_xsd():
+    """A 24-member ``xs:all``: a bag whose DFA (2^24 states) is unbuildable.
+
+    Members mix every bag multiplicity: plain (``f01``, ``f02``), ``+``
+    (``f03``), ``minOccurs="0"`` (``f00``, ``f04``-``f15``) and
+    ``maxOccurs="unbounded"`` (``f16``-``f23``).  ``f00``'s type is an
+    all-optional bag, so ``<f00/>`` must be accepted, and the record
+    carries a required attribute.  Three required members keep the
+    document generator's shortest-word search small.
+    """
+    def member(index):
+        name = f"f{index:02d}"
+        if index == 0:
+            target = "Topt"
+        else:
+            target = "Ttext" if index < 12 else "Tempty"
+        symbol = sym(T(name, target))
+        if index in (1, 2):
+            return symbol
+        if index == 3:
+            return plus(symbol)
+        if index >= 16:
+            return star(symbol)
+        return optional(symbol)
+
+    return XSD(
+        ename={f"f{i:02d}" for i in range(24)} | {"rec", "g0", "g1", "g2"},
+        types={"Tall", "Topt", "Ttext", "Tempty"},
+        rho={
+            "Tall": ContentModel(
+                interleave(*(member(i) for i in range(24))),
+                attributes=(AttributeUse("id", required=True),),
+            ),
+            "Topt": ContentModel(
+                interleave(*(optional(sym(T(f"g{i}", "Tempty")))
+                             for i in range(3))),
+                attributes=(AttributeUse("lang", required=False),),
+            ),
+            "Ttext": ContentModel(EPSILON, mixed=True),
+            "Tempty": ContentModel(EPSILON),
+        },
+        start={T("rec", "Tall")},
+    )
+
+
 SCHEMAS = {
     "figure3": figure3_xsd,
     "sections": _sections_xsd,
     "inventory": _inventory_xsd,
+    "all24": _all24_xsd,
 }
 
 _cache = {}
@@ -384,6 +439,125 @@ class TestDenseVsDict:
         # The sweep must actually exercise the fast path, not fall back
         # its way to vacuous agreement.
         assert dense_docs.value - dense_before >= total // 8
+
+
+_BAG_TAIL = "<f01/><f02>x</f02><f03/>"
+
+
+class TestBags:
+    """Bag-shaped content (``xs:all``) on the dense path and off it."""
+
+    def _counters(self):
+        from repro.observability import default_registry
+
+        registry = default_registry()
+        return (registry.counter("engine.dense.docs").value,
+                registry.counter("engine.dense.fallbacks").value)
+
+    def test_all_groups_compile_to_dense_bags(self):
+        __, compiled, *___ = _setup("all24")
+        wide = compiled.type_named("Tall")
+        assert wide.bag is not None and wide.dfa is wide.bag
+        assert len(wide.dfa) == 25  # 24 member bits + the dead bit
+        assert compiled.type_named("Topt").bag is not None
+        assert compiled.type_named("Ttext").bag is None
+        assert compiled.dense
+
+    def test_valid_record_commits_dense_in_any_order(self):
+        xsd, compiled, *__ = _setup("all24")
+        text = ('<rec id="1"><f23/><f03/><f00/><f16/><f03/><f23/>'
+                '<f02>x</f02><f07/><f01/></rec>')
+        before = self._counters()
+        report = StreamingValidator(compiled).validate(text)
+        after = self._counters()
+        assert after == (before[0] + 1, before[1])
+        expected = validate_xsd(xsd, parse_document(text))
+        assert report.valid and expected.valid
+        assert list(report.typing.items()) == list(expected.typing.items())
+
+    @pytest.mark.parametrize("text", [
+        # a second occurrence of a once-member
+        '<rec id="1"><f01/>' + _BAG_TAIL + "</rec>",
+        # a required member missing
+        '<rec id="1"><f01/><f03/></rec>',
+        # a required member missing, on a self-closing element
+        '<rec id="1"/>',
+        # a second occurrence inside the all-optional nested bag
+        '<rec id="1"><f00><g1/><g1/></f00>' + _BAG_TAIL + "</rec>",
+        # the required attribute missing
+        "<rec>" + _BAG_TAIL + "</rec>",
+    ])
+    def test_violations_fall_back_with_tree_diagnostics(self, text):
+        xsd, compiled, *__ = _setup("all24")
+        before = self._counters()
+        report = StreamingValidator(compiled).validate(text)
+        assert self._counters() == (before[0], before[1] + 1)
+        expected = validate_xsd(xsd, parse_document(text))
+        assert not report.valid
+        assert sorted(report.violations) == sorted(expected.violations)
+        assert report.typing == expected.typing
+
+
+def _counter_xsd():
+    """``a{1,256}``: a counter whose minimal DFA has 258 states, past
+    ``DENSE_STATE_LIMIT``, so the schema compiles without dense tables."""
+    return XSD(
+        ename={"r", "a"},
+        types={"Tr", "Ta"},
+        rho={
+            "Tr": ContentModel(counter(sym(T("a", "Ta")), 1, 256)),
+            "Ta": ContentModel(EPSILON),
+        },
+        start={T("r", "Tr")},
+    )
+
+
+class TestOffDensePath:
+    """A type too large for dense rows keeps its schema on the dict path:
+    text and bytes run the compat loop, edits step the ContentDFA."""
+
+    def _counters(self):
+        from repro.observability import default_registry
+
+        registry = default_registry()
+        return (registry.counter("engine.dense.docs").value,
+                registry.counter("engine.dense.fallbacks").value)
+
+    def test_large_counter_compiles_without_dense_tables(self):
+        from repro.engine.compiler import DENSE_STATE_LIMIT
+
+        compiled = compile_xsd(_counter_xsd())
+        assert not compiled.dense
+        assert len(compiled.type_named("Tr").dfa) > DENSE_STATE_LIMIT
+        assert compiled.type_named("Tr").bag is None
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257])
+    def test_text_and_bytes_agree_with_the_tree_validator(self, count):
+        xsd = _counter_xsd()
+        document = parse_document("<r>" + "<a/>" * count + "</r>")
+        before = self._counters()
+        report = _assert_agreement(xsd, compile_xsd(xsd), document)
+        assert report.valid == (1 <= count <= 256)
+        assert self._counters() == before  # no dense attempt at all
+
+    def test_edits_agree_with_the_tree_validator(self):
+        from repro.engine import ValidatedDocument
+
+        xsd = _counter_xsd()
+        handle = ValidatedDocument(
+            parse_document("<r>" + "<a/>" * 256 + "</r>"), compile_xsd(xsd)
+        )
+        root = handle.document.root
+        for edit, valid in (
+            (lambda: handle.insert_child(root, 0, XMLElement("a")), False),
+            (lambda: handle.delete_child(root, 100), True),
+        ):
+            edit()
+            expected = validate_xsd(xsd, handle.document)
+            report = handle.report()
+            assert handle.valid == expected.valid == valid
+            assert report.violations == expected.violations
+            assert report.typing == expected.typing
 
 
 class TestStreamingInputs:

@@ -5,6 +5,7 @@ import pytest
 from repro.regex.ast import EMPTY, EPSILON, Counter, UNBOUNDED
 from repro.regex.derivatives import (
     DerivativeMatcher,
+    LazyDFA,
     derivative,
     matches,
     to_dfa,
@@ -146,3 +147,15 @@ class TestToDfa:
         dfa = to_dfa(M("a{3,5}"), alphabet={"a"})
         accepted = [n for n in range(8) if dfa.accepts(["a"] * n)]
         assert accepted == [3, 4, 5]
+
+
+class TestLazyDFA:
+    def test_builds_only_the_states_it_reaches(self):
+        names = [f"m{i:02d}" for i in range(24)]
+        lazy = LazyDFA(M(" & ".join(names)), names)
+        state = lazy.initial
+        for name in names:
+            state = lazy.step(state, name)
+        assert state in lazy.accepting
+        assert len(lazy) == 25  # the 2^24-state DFA is never built
+        assert lazy.step(state, "zzz") is None  # off the alphabet

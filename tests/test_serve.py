@@ -28,6 +28,55 @@ def blowup_bonxai(n=6):
     return print_schema(bxsd_to_schema(theorem9_bxsd(n)))
 
 
+def counted_all_xsd(members=6):
+    """An ``xs:all`` of ``{2,3}``-counted members: outside the bag shape,
+    so compiling it builds a 4097-state content DFA."""
+    particles = "".join(
+        f'<xs:element name="m{i}" type="xs:string" minOccurs="2" '
+        f'maxOccurs="3"/>'
+        for i in range(members)
+    )
+    return (
+        '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">'
+        '<xs:element name="rec"><xs:complexType><xs:all>'
+        f"{particles}</xs:all></xs:complexType></xs:element>"
+        "</xs:schema>"
+    )
+
+
+def ordinary_xsd(levels=3, width=10):
+    """A tree of ``1 + width + ... + width**(levels - 1)`` complexTypes
+    (111 by default), each a ``width``-element sequence, with a valid
+    document: an ordinary many-type schema for the compile budget."""
+    types, document = [], []
+
+    def build(type_name, depth):
+        leaf = depth == levels - 1
+        particles = []
+        for index in range(width):
+            name = f"{type_name.lower()}_{index}"
+            if leaf:
+                particles.append(f'<xs:element name="{name}" '
+                                 'type="xs:string"/>')
+                document.append(f"<{name}/>")
+            else:
+                child = f"{type_name}_{index}"
+                particles.append(f'<xs:element name="{child.lower()}" '
+                                 f'type="{child}"/>')
+                document.append(f"<{child.lower()}>")
+                build(child, depth + 1)
+                document.append(f"</{child.lower()}>")
+        types.append(f'<xs:complexType name="{type_name}"><xs:sequence>'
+                     f'{"".join(particles)}</xs:sequence></xs:complexType>')
+
+    build("T", 0)
+    schema = (
+        '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">'
+        f'<xs:element name="root" type="T"/>{"".join(types)}</xs:schema>'
+    )
+    return schema, f"<root>{''.join(document)}</root>", len(types)
+
+
 def request(port, method, path, body=None, headers=None, timeout=10.0):
     """One HTTP request; returns ``(status, decoded body, headers)``."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
@@ -326,6 +375,48 @@ class TestBreaker:
                 handle.port, "POST", "/validate", validate_body()
             )
             assert status == 200 and payload["valid"] is True
+
+
+    def test_counted_all_group_compile_is_quarantined(self):
+        # The engine's own DFA compile (not a translation) charges the
+        # budget, so an oversized all-group trips it and the breaker.
+        config = ServeConfig(
+            port=0, workers=2, queue_depth=4, budget_states=1000,
+            budget_seconds=0.5, breaker_threshold=2, breaker_cooldown=60.0,
+        )
+        with start_in_thread(config, registry=MetricsRegistry()) as handle:
+            body = validate_body(schema=counted_all_xsd(),
+                                 document="<rec/>")
+            for __ in range(2):
+                status, payload, __ = request(
+                    handle.port, "POST", "/validate", body
+                )
+                assert status == 503 and payload["error"] == "budget"
+            status, payload, __ = request(
+                handle.port, "POST", "/validate", body
+            )
+            assert status == 503 and payload["error"] == "quarantined"
+            assert payload["stats"]["where"] == "regex.to_dfa"
+
+
+    def test_many_type_ordinary_schema_compiles_within_the_default(self):
+        # Each ordered type's content DFA is charged (12 states for a
+        # 10-element sequence), well inside the default allowance.
+        registry = MetricsRegistry()
+        config = ServeConfig(port=0, workers=2, queue_depth=4)
+        schema, document, types = ordinary_xsd()
+        assert types == 111
+        with start_in_thread(config, registry=registry) as handle:
+            status, payload, __ = request(
+                handle.port, "POST", "/validate",
+                validate_body(schema=schema, document=document),
+            )
+            assert status == 200 and payload["valid"] is True
+        charged = sum(
+            value for name, value in registry.snapshot()["counters"].items()
+            if name.startswith("serve.tenant.compile_states")
+        )
+        assert 0 < charged < config.budget_states // 10
 
 
 class TestDrain:
