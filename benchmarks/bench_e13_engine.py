@@ -5,13 +5,15 @@ Compares, on the E11 corpus (running-example documents of growing size):
 * **tree**: ``validate_xsd`` on a parsed document — per node it re-runs
   the derivative matcher over regex ASTs and scans content-model symbol
   lists for child types;
-* **streaming**: :class:`repro.engine.StreamingValidator` driving the
-  compiled per-type DFA tables from the document's event stream — one
-  dict lookup and one integer table index per child;
+* **streaming**: :class:`repro.engine.StreamingValidator`'s compat
+  loop driving the compiled dense tables from the document's event
+  stream — one name-id lookup and one row index per child;
 * **e2e dict**: the same loop fed from XML text via ``iter_events`` (no
   tree is ever built), against tree validation including
   ``parse_document`` — the end-to-end text-to-verdict race on the
-  compatibility path;
+  compatibility path (the fallback route; the column and its
+  ``e2e_dict_rate`` key keep the name of the dict tables that loop
+  once stepped);
 * **e2e dense**: ``validator.validate(text)`` — the fused byte
   tokenizer + dense-table loop (chunk memo, interned name ids, no
   per-event objects), the engine's production text path.
@@ -25,7 +27,7 @@ an identity cache hit stays under 10 microseconds.
 
 import time
 
-from repro.observability import installed_tracer
+from repro.observability import default_registry, installed_tracer
 
 from repro.engine import SchemaCache, StreamingValidator, compile_xsd
 from repro.paperdata import figure3_xsd
@@ -67,8 +69,13 @@ def bench_engine_throughput(benchmark):
         documents = build_corpus()
         xsd = figure3_xsd()
         compiled = compile_xsd(xsd)
-        assert compiled.dense, "figure-3 schema must compile dense tables"
         validator = StreamingValidator(compiled)
+        commits = default_registry().counter("engine.dense.docs")
+        before = commits.value
+        validator.validate(write_document(documents[min(documents)]))
+        assert commits.value == before + 1, (
+            "figure-3 documents must commit on the dense path"
+        )
         rows = [
             f"{'elements':>9} | {'tree el/s':>10} | {'stream el/s':>11} | "
             f"{'speedup':>7} | {'e2e tree':>9} | {'e2e dict':>9} | "

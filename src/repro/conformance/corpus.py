@@ -543,15 +543,14 @@ def _replay_differential(case, oracle):
 
 #: The route a text document took, from the change in the
 #: ``engine.dense.docs`` and ``engine.dense.fallbacks`` counters: a dense
-#: commit, a dense attempt that fell back, or no dense attempt at all (a
-#: schema without dense tables).
-_ROUTES = {(1, 0): "dense", (0, 1): "fallback", (0, 0): "dict"}
+#: commit, or a dense attempt that fell back.
+_ROUTES = {(1, 0): "dense", (0, 1): "fallback"}
 
 
 def _replay_pinned(case):
-    """Streaming report expectations; ``expected["path"]`` (``"dense"``,
-    ``"fallback"`` or ``"dict"``, see :data:`_ROUTES`) also pins which
-    route a text document took."""
+    """Streaming report expectations; ``expected["path"]`` (``"dense"``
+    or ``"fallback"``, see :data:`_ROUTES`) also pins which route a text
+    document took."""
     from repro.engine import StreamingValidator, compile_xsd
     from repro.observability import default_registry
     from repro.translation import dfa_based_to_xsd

@@ -15,8 +15,9 @@ that work *once per schema* instead of once per node:
 * an unordered content model (``xs:all``, BonXai ``&``), whose minimal
   DFA has 2^n states, is compiled to a :class:`ContentBag` instead: a
   seen-mask checked by counting, built in time linear in its members;
-* element names, types, and attribute names are interned to small ints;
-  declared-attribute sets become bitmasks.
+* element names and types are interned to small ints, and every type's
+  automaton becomes rows (or bag masks) indexed by the schema-wide name
+  id: the one runtime encoding every loop steps.
 
 The result, :class:`CompiledSchema`, is immutable and shareable across
 threads; :mod:`repro.engine.cache` memoizes it per schema fingerprint and
@@ -34,18 +35,6 @@ from repro.observability.tracing import span
 from repro.regex.ast import Interleave, Optional, Plus, Star, Symbol
 from repro.regex.derivatives import to_dfa
 from repro.xsd.typednames import split_typed_name
-
-DENSE_STATE_LIMIT = 256
-"""Largest per-type DFA (in states) that still gets dense rows.
-
-Dense tables cost ``states x alphabet`` integers per type.  Content
-models are tiny in practice: interleaves of single names compile to a
-:class:`ContentBag`, which has no rows at all, so the only types past
-this limit are large numeric counters (``a{1,256}`` has 258 states)
-and interleaves outside the bag shape (``a{2,3} & b{2,3} & ...``).
-Such types (and therefore their schema) keep the dict-driven path,
-which is O(1) per state in memory."""
-
 
 class ContentDFA:
     """A minimal complete DFA over a content model's (erased) alphabet.
@@ -264,30 +253,24 @@ class CompiledType:
         name: the source type name (for diagnostics).
         dfa: the content automaton of the erased content model: its
             :class:`ContentDFA`, or its :class:`ContentBag` when the
-            content has bag shape (:func:`bag_members`).
-        bag: that :class:`ContentBag`, or ``None`` for ordered content;
-            the step loops branch on it.
-        children: dict element name -> ``(symbol_id, child_type_id)``; by
-            EDC the child type is a function of the element name, so one
-            dict lookup replaces the tree validator's symbol scan.
+            content has bag shape (:func:`bag_members`).  A compile-time
+            artifact that explanations (``first_divergence``) read; the
+            validation loops step the tables below.
+        bag: that :class:`ContentBag`, or ``None`` for ordered content.
         mixed: whether character data is allowed.
         required_attrs: tuple of required attribute names, in declaration
             order (diagnostic order matches the tree validator).
-        declared_mask: bitmask over the schema-wide attribute interning of
-            the attributes declared on this type.
-        dense: whether this type carries dense tables (bags and small
-            DFAs; see :data:`DENSE_STATE_LIMIT`).
         dense_rows: tuple of ``array('i')`` rows, one per DFA state,
             indexed by *schema-wide* element-name id; ``-1`` marks a name
-            that is not in this type's alphabet.  ``None`` when not dense
-            and for bags.
-        dense_bag: for bags, ``(bits, once, required)``: a list mapping
-            schema-wide name id to the member's bit (0 for non-members),
-            the mask of non-repeatable members and the required mask.
+            that is not in this type's alphabet.  ``None`` for bags.
+        dense_bag: for bags, ``(bits, once, required, dead)``: a list
+            mapping schema-wide name id to the member's bit (0 for
+            non-members), the mask of non-repeatable members, the
+            required mask and the dead bit (:class:`ContentBag`'s).
             ``None`` for ordered content.
         child_types: ``array('i')`` mapping schema-wide name id to the
             child's type id (EDC: a function of the name), ``-1`` when the
-            name is not a child of this type.  ``None`` when not dense.
+            name is not a child of this type.
         acc_bits: accepting-states bitset — ``acc_bits >> state & 1``;
             for a bag only bit 0 (the empty mask) is meaningful.
         required_set: frozenset of the required attribute names.
@@ -295,63 +278,50 @@ class CompiledType:
     """
 
     __slots__ = (
-        "name", "dfa", "bag", "children", "mixed", "required_attrs",
-        "declared_mask", "dense", "dense_rows", "dense_bag", "child_types",
-        "acc_bits", "required_set", "declared_attrs",
+        "name", "dfa", "bag", "mixed", "required_attrs", "dense_rows",
+        "dense_bag", "child_types", "acc_bits", "required_set",
+        "declared_attrs",
     )
 
-    def __init__(self, name, dfa, children, mixed, required_attrs,
-                 declared_mask, declared_attrs=frozenset()):
+    def __init__(self, name, dfa, children, name_ids, mixed, required_attrs,
+                 declared_attrs=frozenset()):
+        """``children``: dict element name -> child type id;
+        ``name_ids``: the schema-wide element-name interning."""
         self.name = name
         self.dfa = dfa
-        self.bag = dfa if isinstance(dfa, ContentBag) else None
-        self.children = children
+        self.bag = bag = dfa if isinstance(dfa, ContentBag) else None
         self.mixed = mixed
         self.required_attrs = required_attrs
-        self.declared_mask = declared_mask
-        self.dense = False
-        self.dense_rows = None
-        self.dense_bag = None
-        self.child_types = None
-        if self.bag is not None:
-            self.acc_bits = int(self.bag.is_accepting(0))
-        else:
-            self.acc_bits = 0
-            for state, accepting in enumerate(dfa.accepting):
-                if accepting:
-                    self.acc_bits |= 1 << state
         self.required_set = frozenset(required_attrs)
         self.declared_attrs = declared_attrs
-
-    def build_dense(self, name_ids):
-        """Fill the dense tables against a schema-wide name interning."""
-        bag = self.bag
-        if bag is None and len(self.dfa) > DENSE_STATE_LIMIT:
-            return False
         width = len(name_ids)
-        child_types = array("i", [-1]) * width
+        self.child_types = array("i", [-1]) * width
         columns = []  # (schema-wide id, per-type symbol id)
-        for element_name, (symbol, child_type) in self.children.items():
+        for element_name, child_type in children.items():
             interned = name_ids[element_name]
-            child_types[interned] = child_type
-            columns.append((interned, symbol))
-        self.child_types = child_types
-        self.dense = True
+            self.child_types[interned] = child_type
+            columns.append((interned, dfa.symbol_ids[element_name]))
         if bag is not None:
             bits = [0] * width
             for interned, symbol in columns:
                 bits[interned] = 1 << symbol
             once = (bag.dead - 1) & ~bag.repeatable
-            self.dense_bag = (bits, once, bag.required)
-            return True
-        rows = []
-        for row in self.dfa.table:
-            dense_row = array("i", [-1]) * width
-            for interned, symbol in columns:
-                dense_row[interned] = row[symbol]
-            rows.append(dense_row)
-        self.dense_rows = tuple(rows)
-        return True
+            self.dense_rows = None
+            self.dense_bag = (bits, once, bag.required, bag.dead)
+            self.acc_bits = int(bag.is_accepting(0))
+        else:
+            rows = []
+            for row in dfa.table:
+                dense_row = array("i", [-1]) * width
+                for interned, symbol in columns:
+                    dense_row[interned] = row[symbol]
+                rows.append(dense_row)
+            self.dense_rows = tuple(rows)
+            self.dense_bag = None
+            self.acc_bits = 0
+            for state, accepting in enumerate(dfa.accepting):
+                if accepting:
+                    self.acc_bits |= 1 << state
 
 
 class CompiledSchema:
@@ -364,8 +334,6 @@ class CompiledSchema:
         type_ids: dict type name -> type id.
         start: dict root element name -> type id (the paper's ``T0``).
         start_names: sorted tuple of allowed root names (diagnostics).
-        attr_ids: dict attribute name -> bit position, shared by every
-            type's ``declared_mask``.
         names: sorted tuple interning the schema-wide element alphabet
             (every child name of every type, plus the root names).
         name_ids: dict name -> interned id (str keys).
@@ -373,49 +341,41 @@ class CompiledSchema:
             byte tokenizer looks names up without decoding.
         start_types: ``array('i')`` over the interning: root type id per
             name, ``-1`` for names that cannot be roots.
-        dense: True iff *every* type is dense, i.e. the whole schema can
-            be validated on the dense fast path.
         dense_types: tuple, indexed by type id, of
             ``(dense_rows, child_types, acc_bits, mixed, declared_attrs,
-            required_set, dense_bag)`` — the hot loop unpacks one tuple
-            per start tag instead of touching attributes.  ``None`` when
-            not dense.
+            required_set, dense_bag)`` — the fused loop unpacks one
+            tuple per start tag instead of touching attributes.
     """
 
     __slots__ = (
         "fingerprint", "types", "type_ids", "start", "start_names",
-        "attr_ids", "names", "name_ids", "byte_ids", "start_types",
-        "dense", "dense_types",
+        "names", "name_ids", "byte_ids", "start_types", "dense_types",
     )
 
-    def __init__(self, fingerprint, types, type_ids, start, start_names,
-                 attr_ids):
+    dense = True
+    """Always ``True``: every type has dense tables.  Kept for code that
+    still reads the flag (the repository benchmark)."""
+
+    def __init__(self, fingerprint, types, type_ids, start, name_ids):
         self.fingerprint = fingerprint
         self.types = types
         self.type_ids = type_ids
         self.start = start
-        self.start_names = start_names
-        self.attr_ids = attr_ids
-        alphabet = set(start)
-        for compiled in types:
-            alphabet.update(compiled.children)
-        self.names = tuple(sorted(alphabet))
-        self.name_ids = {name: i for i, name in enumerate(self.names)}
+        self.start_names = tuple(sorted(start))
+        self.names = tuple(name_ids)
+        self.name_ids = name_ids
         self.byte_ids = {
             name.encode("utf-8"): i for i, name in enumerate(self.names)
         }
         self.start_types = array("i", [-1]) * len(self.names)
         for name, type_id in start.items():
-            self.start_types[self.name_ids[name]] = type_id
-        self.dense = all(
-            [compiled.build_dense(self.name_ids) for compiled in types]
-        )
+            self.start_types[name_ids[name]] = type_id
         self.dense_types = tuple(
             (compiled.dense_rows, compiled.child_types, compiled.acc_bits,
              compiled.mixed, compiled.declared_attrs, compiled.required_set,
              compiled.dense_bag)
             for compiled in types
-        ) if self.dense else None
+        )
 
     def type_named(self, name):
         """The :class:`CompiledType` for a source type name."""
@@ -448,7 +408,20 @@ def compile_xsd(xsd, fingerprint=None):
             trace.set_attribute("schema", fingerprint[:12])
         type_names = tuple(sorted(xsd.types))
         type_ids = {name: i for i, name in enumerate(type_names)}
-        attr_ids = {}
+        start = {}
+        for typed in xsd.start:
+            element_name, target_type = split_typed_name(typed)
+            start[element_name] = type_ids[target_type]
+        # By EDC each type's child type is a function of the child name.
+        children = {}
+        alphabet = set(start)
+        for name in type_names:
+            by_name = children[name] = {}
+            for symbol in xsd.rho[name].element_names():
+                element_name, target_type = split_typed_name(symbol)
+                by_name[element_name] = type_ids[target_type]
+            alphabet.update(by_name)
+        name_ids = {name: i for i, name in enumerate(sorted(alphabet))}
         types = []
         dfa_states = 0
         for name in type_names:
@@ -457,27 +430,16 @@ def compile_xsd(xsd, fingerprint=None):
             dfa = compile_content(erased.regex)
             dfa_sizes.observe(len(dfa))
             dfa_states += len(dfa)
-            children = {}
-            for symbol in model.element_names():
-                element_name, target_type = split_typed_name(symbol)
-                children[element_name] = (
-                    dfa.symbol_ids[element_name], type_ids[target_type]
-                )
-            required = tuple(
-                use.name for use in model.attributes if use.required
-            )
-            declared_mask = 0
-            for use in model.attributes:
-                bit = attr_ids.setdefault(use.name, len(attr_ids))
-                declared_mask |= 1 << bit
             types.append(
                 CompiledType(
                     name=name,
                     dfa=dfa,
-                    children=children,
+                    children=children[name],
+                    name_ids=name_ids,
                     mixed=model.mixed,
-                    required_attrs=required,
-                    declared_mask=declared_mask,
+                    required_attrs=tuple(
+                        use.name for use in model.attributes if use.required
+                    ),
                     declared_attrs=frozenset(
                         use.name for use in model.attributes
                     ),
@@ -487,17 +449,12 @@ def compile_xsd(xsd, fingerprint=None):
         registry.counter("engine.compile.types").inc(len(types))
         trace.set_attribute("types", len(types))
         trace.set_attribute("dfa_states", dfa_states)
-        start = {}
-        for typed in xsd.start:
-            element_name, target_type = split_typed_name(typed)
-            start[element_name] = type_ids[target_type]
         return CompiledSchema(
             fingerprint=fingerprint,
             types=tuple(types),
             type_ids=type_ids,
             start=start,
-            start_names=tuple(sorted(start)),
-            attr_ids=attr_ids,
+            name_ids=name_ids,
         )
 
 

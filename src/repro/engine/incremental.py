@@ -151,6 +151,7 @@ class ValidatedDocument:
         """
         schema = self.schema
         types = schema.types
+        name_ids = schema.name_ids
         nodes = self._nodes
         typed = 0
         stack = [(node, type_id, path)]
@@ -164,13 +165,12 @@ class ValidatedDocument:
             self._check_text(node, compiled, state)
             self._run_content(node, compiled, state, offset=0)
             self._refresh_validity(node, state)
-            children = compiled.children
+            child_types = compiled.child_types
             for child in node.children:
-                entry = children.get(child.name)
-                if entry is not None:
-                    stack.append(
-                        (child, entry[1], f"{path}/{child.name}")
-                    )
+                interned = name_ids.get(child.name)
+                if interned is not None and child_types[interned] >= 0:
+                    stack.append((child, child_types[interned],
+                                  f"{path}/{child.name}"))
         default_registry().counter(
             "engine.incremental.nodes_typed"
         ).inc(typed)
@@ -210,8 +210,8 @@ class ValidatedDocument:
         ``state.states[:offset + 1]`` is reused verbatim when the prefix
         is trustworthy (every earlier child was recognized, so the memo
         aligns with child positions); otherwise the word replays from
-        the initial state.  The forward loop is the dense row loop when
-        the schema carries dense tables; a bag type steps its seen-mask
+        the initial state.  The forward loop steps the type's dense rows,
+        or for a bag its seen-mask exactly as ``ContentBag.step`` does
         (the memo is then a list of masks).
         """
         registry = default_registry()
@@ -227,39 +227,30 @@ class ValidatedDocument:
         current = states[-1]
         recognized = True
         viols = []
-        schema = self.schema
-        if schema.dense and compiled.bag is None:
-            rows, child_types = schema.dense_types[state.type_id][:2]
-            name_ids = schema.name_ids
-            for child in children[begin:]:
-                interned = name_ids.get(child.name)
-                if interned is None or child_types[interned] < 0:
-                    recognized = False
-                    viols.append(
-                        f"{state.path}: element <{child.name}> is not "
-                        f"allowed under <{node.name}> "
-                        f"(type {compiled.name})"
-                    )
-                    continue
+        rows = compiled.dense_rows
+        child_types = compiled.child_types
+        bag = compiled.dense_bag
+        name_ids = self.schema.name_ids
+        for child in children[begin:]:
+            interned = name_ids.get(child.name)
+            if interned is None or child_types[interned] < 0:
+                recognized = False
+                viols.append(
+                    f"{state.path}: element <{child.name}> is not "
+                    f"allowed under <{node.name}> "
+                    f"(type {compiled.name})"
+                )
+                continue
+            if bag is None:
                 current = rows[current][interned]
-                states.append(current)
+            else:  # a repeated once-member sets the dead bit
+                bit = bag[0][interned]
+                current |= bag[3] if current & bit & bag[1] else bit
+            states.append(current)
+        if bag is None:
             accepted = compiled.acc_bits >> current & 1
-        else:  # a bag, or a DFA too large for dense rows
-            child_map = compiled.children
-            step = compiled.dfa.step
-            for child in children[begin:]:
-                entry = child_map.get(child.name)
-                if entry is None:
-                    recognized = False
-                    viols.append(
-                        f"{state.path}: element <{child.name}> is not "
-                        f"allowed under <{node.name}> "
-                        f"(type {compiled.name})"
-                    )
-                    continue
-                current = step(current, entry[0])
-                states.append(current)
-            accepted = compiled.dfa.is_accepting(current)
+        else:
+            accepted = current & (bag[2] | bag[3]) == bag[2]
         state.states = states
         state.recognized = recognized
         state.child_viols = viols
@@ -425,10 +416,10 @@ class ValidatedDocument:
         self._check_text(parent, compiled, state)
         self._refresh_validity(parent, state)
         if new_child is not None:
-            entry = compiled.children.get(new_child.name)
-            if entry is not None:
+            interned = self.schema.name_ids.get(new_child.name)
+            if interned is not None and compiled.child_types[interned] >= 0:
                 self._type_subtree(
-                    new_child, entry[1],
+                    new_child, compiled.child_types[interned],
                     f"{state.path}/{new_child.name}",
                 )
 

@@ -3,7 +3,7 @@
 The validator consumes SAX-style events (from
 :func:`repro.xmlmodel.parser.iter_events` or ``XMLDocument.events()``) and
 never materializes a tree: its working state is a stack of frames, one per
-open element, each holding the element's compiled type id and current
+open element, each holding the element's compiled type and current
 content-DFA state.  A document is valid iff every frame's DFA ends in an
 accepting state — the event-stream restatement of Definition 2/3's "every
 node's child-string matches its content model".
@@ -165,17 +165,19 @@ class StreamingValidator:
         from repro.resilience.faults import probe
 
         probe("validate")
-        return self._observed_run(events, provenance)
+        return self._observed(lambda trace: self._run(events, provenance))
 
-    def _observed_run(self, events, provenance=None):
-        """The compat loop with its spans/metrics (probe already fired)."""
+    def _observed(self, run):
+        """One document under one ``engine.validate`` span, with its
+        ``engine.stream.*`` metrics; ``run(span)`` returns ``(report,
+        events consumed)`` (the probes have already fired)."""
         registry = default_registry()
         started = time.perf_counter_ns()
         with span("engine.validate") as trace:
             fingerprint = self.schema.fingerprint
             if fingerprint is not None:
                 trace.set_attribute("schema", fingerprint[:12])
-            report, consumed = self._run(events, provenance)
+            report, consumed = run(trace)
             trace.set_attribute("events", consumed)
             trace.set_attribute("violations", len(report.violations))
         registry.counter("engine.stream.events").inc(consumed)
@@ -190,19 +192,24 @@ class StreamingValidator:
         return report
 
     def _run(self, events, recorder=None):
-        """The validation loop; returns ``(report, events_consumed)``."""
+        """The validation loop; returns ``(report, events_consumed)``.
+
+        Steps the same tables as :meth:`_scan_dense`, by interned name
+        id, and writes every diagnostic.
+        """
         schema = self.schema
         types = schema.types
+        name_ids = schema.name_ids
         report = XSDValidationReport()
         violations = report.violations
         typing = report.typing
         recording = recorder is not None
         # Frame layout (a mutable list, tuples would cost re-allocation):
-        # [type_id, dfa_state, name, path, typed_path, child_names,
-        #  recognized, has_text, ordinals] (``dfa_state`` is the seen-mask
-        # for bag types) — plus, only while a
-        # provenance recorder is attached, [dfa_state_path, entry] at
-        # indices 9/10 (the hot loop never touches them otherwise).
+        # [compiled_type, state, name, path, typed_path, child_names,
+        #  recognized, has_text, ordinals] (``state`` is a DFA state, or
+        # the seen-mask for bag types) — plus, only while a provenance
+        # recorder is attached, [state_path, entry] at indices 9/10 (the
+        # hot loop never touches them otherwise).
         stack = []
         skip_depth = 0
         root_closed = False
@@ -228,9 +235,11 @@ class StreamingValidator:
                 if stack:
                     frame = stack[-1]
                     frame[5].append(name)
-                    compiled = types[frame[0]]
-                    entry = compiled.children.get(name)
-                    if entry is None:
+                    compiled = frame[0]
+                    interned = name_ids.get(name)
+                    type_id = (-1 if interned is None
+                               else compiled.child_types[interned])
+                    if type_id < 0:
                         violations.append(
                             f"{frame[3]}: element <{name}> is not allowed "
                             f"under <{frame[2]}> (type {compiled.name})"
@@ -243,13 +252,16 @@ class StreamingValidator:
                             )
                         skip_depth = 1
                         continue
-                    symbol, type_id = entry
-                    if compiled.bag is None:
-                        frame[1] = compiled.dfa.table[frame[1]][symbol]
-                    else:
-                        frame[1] = compiled.bag.step(frame[1], symbol)
+                    bag = compiled.dense_bag
+                    state = frame[1]
+                    if bag is None:
+                        state = compiled.dense_rows[state][interned]
+                    else:  # ContentBag.step: a repeated once-member is dead
+                        bit = bag[0][interned]
+                        state |= bag[3] if state & bit & bag[1] else bit
+                    frame[1] = state
                     if recording:
-                        frame[9].append(frame[1])
+                        frame[9].append(state)
                     ordinals = frame[8]
                     ordinal = ordinals[name] = ordinals.get(name, 0) + 1
                     path = f"{frame[3]}/{name}"
@@ -264,27 +276,33 @@ class StreamingValidator:
                         return report, consumed
                     path = "/" + name
                     typed_path = f"/{name}[1]"
-                typing[typed_path] = types[type_id].name
+                compiled = types[type_id]
+                typing[typed_path] = compiled.name
                 frame = [
-                    type_id, 0, name, path, typed_path, [], True, False, {}
+                    compiled, 0, name, path, typed_path, [], True, False, {}
                 ]
                 if recording:
                     frame.append([0])
                     frame.append(recorder.start_element(
-                        path, typed_path, name, types[type_id].name
+                        path, typed_path, name, compiled.name
                     ))
                 stack.append(frame)
-                self._check_attributes(
-                    frame, event[2], violations,
-                    frame[10] if recording else None,
-                )
+                attributes = event[2]
+                if attributes or compiled.required_attrs:
+                    self._check_attributes(
+                        frame, attributes, violations,
+                        frame[10] if recording else None,
+                    )
             elif kind == "end":
                 frame = stack.pop()
-                compiled = types[frame[0]]
-                bag = compiled.bag
-                if frame[6] and not (
-                        compiled.dfa.accepting[frame[1]] if bag is None
-                        else bag.is_accepting(frame[1])):
+                compiled = frame[0]
+                state = frame[1]
+                bag = compiled.dense_bag
+                if bag is None:
+                    accepted = compiled.acc_bits >> state & 1
+                else:  # every required member seen, and not dead
+                    accepted = state & (bag[2] | bag[3]) == bag[2]
+                if frame[6] and not accepted:
                     shown = " ".join(frame[5])
                     violations.append(
                         f"{frame[3]}: children of <{frame[2]}> "
@@ -317,7 +335,7 @@ class StreamingValidator:
         return report, consumed
 
     def _check_attributes(self, frame, attributes, violations, entry=None):
-        compiled = self.schema.types[frame[0]]
+        compiled = frame[0]
         for required in compiled.required_attrs:
             if required not in attributes:
                 message = (
@@ -329,11 +347,9 @@ class StreamingValidator:
                     entry.mark_invalid(
                         f"missing required attribute {required!r}"
                     )
-        attr_ids = self.schema.attr_ids
-        mask = compiled.declared_mask
+        declared = compiled.declared_attrs
         for attr_name in attributes:
-            bit = attr_ids.get(attr_name)
-            if bit is None or not mask >> bit & 1:
+            if attr_name not in declared:
                 violations.append(
                     f"{frame[3]}: element <{frame[2]}> has undeclared "
                     f"attribute {attr_name!r}"
@@ -346,14 +362,14 @@ class StreamingValidator:
     def validate(self, source, provenance=None):
         """Validate ``source``: XML text/bytes, a document/element, or events.
 
-        Text and UTF-8 bytes take the dense fast path when the schema is
-        dense and no provenance recorder is attached (provenance needs
-        the per-element bookkeeping only the compat loop carries); all
-        other inputs — and every fast-path fallback — run the
-        event-driven compat loop, so the report is identical either way.
+        Text and UTF-8 bytes take the dense fast path when no provenance
+        recorder is attached (provenance needs the per-element
+        bookkeeping only the compat loop carries); all other inputs —
+        and every fast-path fallback — run the event-driven compat loop,
+        so the report is identical either way.
         """
         if isinstance(source, str):
-            if provenance is None and self.schema.dense:
+            if provenance is None:
                 return self._validate_dense(source.encode("utf-8"), source)
             return self.validate_events(as_events(source), provenance)
         if isinstance(source, (bytes, bytearray, memoryview)):
@@ -364,8 +380,8 @@ class StreamingValidator:
         """Validate UTF-8 document bytes without materializing a str.
 
         The dense fast path works on the bytes directly; only a fallback
-        (or a non-dense schema, or provenance recording) decodes them
-        for the char-based parser.
+        (or provenance recording) decodes them for the char-based
+        parser.
 
         Raises:
             ParseError: on malformed documents (including bytes that are
@@ -373,7 +389,7 @@ class StreamingValidator:
                 ``validate(text)`` would.
         """
         data = bytes(data)
-        if provenance is None and self.schema.dense:
+        if provenance is None:
             return self._validate_dense(data, None)
         return self.validate_events(
             as_events(_decode_utf8(data)), provenance
@@ -381,14 +397,14 @@ class StreamingValidator:
 
     def _validate_dense(self, data, text):
         """Dense attempt with compat fallback; mirrors the compat path's
-        eager input-size check and ``parse``/``validate`` probe order."""
+        eager input-size check and ``parse``/``validate`` probe order.
+
+        One ``engine.validate`` span covers the document, its ``path``
+        attribute ``dense`` or ``fallback``."""
         from repro.resilience.faults import probe
-        from repro.xmlmodel.parser import _iter_events
 
         limits = resolve_limits(None)
         limit = limits.max_input_bytes
-        registry = default_registry()
-        started = time.perf_counter_ns()
         if limit is not None and len(data) > limit:
             # Identical error to the char parser's eager size check.
             limits.check_input_size(
@@ -396,30 +412,30 @@ class StreamingValidator:
             )
         probe("parse")
         probe("validate")
+        return self._observed(
+            lambda trace: self._dense_or_fallback(data, text, limits, trace)
+        )
+
+    def _dense_or_fallback(self, data, text, limits, trace):
+        """The dense scan, or the compat loop when the scan falls back;
+        tags ``trace`` with the path taken."""
+        from repro.xmlmodel.parser import _iter_events
+
+        registry = default_registry()
         try:
-            with span("engine.validate") as trace:
-                trace.set_attribute("path", "dense")
-                fingerprint = self.schema.fingerprint
-                if fingerprint is not None:
-                    trace.set_attribute("schema", fingerprint[:12])
-                report, consumed = self._scan_dense(data, limits)
-                trace.set_attribute("events", consumed)
-                trace.set_attribute("violations", 0)
-            registry.counter("engine.dense.docs").inc()
-            registry.counter("engine.stream.events").inc(consumed)
-            registry.counter("engine.stream.docs").inc()
-            registry.histogram("engine.stream.doc_ns").observe(
-                time.perf_counter_ns() - started
-            )
-            return report
+            result = self._scan_dense(data, limits)
         except FallbackRequired:
             registry.counter("engine.dense.fallbacks").inc()
+            trace.set_attribute("path", "fallback")
             if text is None:
                 text = _decode_utf8(data)
-            # The probes already fired once for this document; rerun the
-            # compat loop without re-probing (fault injection must see
-            # one document, not two).
-            return self._observed_run(_iter_events(text, limits))
+            # The probes fired once for this document; the compat loop
+            # reruns without re-probing (fault injection must see one
+            # document, not two).
+            return self._run(_iter_events(text, limits))
+        registry.counter("engine.dense.docs").inc()
+        trace.set_attribute("path", "dense")
+        return result
 
     def _scan_dense(self, data, limits):
         """The fused tokenizer+validator loop.

@@ -249,10 +249,14 @@ class TestCompileXSD:
     def test_child_maps_follow_edc(self, xsd):
         compiled = compile_xsd(xsd)
         tdoc = compiled.type_named("Tdoc")
-        symbol, child_id = tdoc.children["item"]
-        assert compiled.types[child_id].name == "Titem"
-        assert tdoc.dfa.symbols[symbol] == "item"
-        assert "note" not in tdoc.children
+        item = compiled.name_ids["item"]
+        assert compiled.types[tdoc.child_types[item]].name == "Titem"
+        symbol = tdoc.dfa.symbol_ids["item"]
+        for state, row in enumerate(tdoc.dense_rows):
+            assert row[item] == tdoc.dfa.step(state, symbol)
+        note = compiled.name_ids["note"]
+        assert tdoc.child_types[note] == -1
+        assert all(row[note] == -1 for row in tdoc.dense_rows)
 
     def test_start_and_roots(self, xsd):
         compiled = compile_xsd(xsd)
@@ -264,11 +268,11 @@ class TestCompileXSD:
         compiled = compile_xsd(xsd)
         tdoc = compiled.type_named("Tdoc")
         assert tdoc.required_attrs == ("version",)
-        for name in ("version", "lang"):
-            bit = compiled.attr_ids[name]
-            assert tdoc.declared_mask >> bit & 1
+        assert tdoc.required_set == {"version"}
+        assert tdoc.declared_attrs == {"version", "lang"}
         titem = compiled.type_named("Titem")
-        assert titem.declared_mask == 0 and titem.required_attrs == ()
+        assert titem.declared_attrs == frozenset()
+        assert titem.required_attrs == () and not titem.required_set
         assert titem.mixed and not tdoc.mixed
 
     def test_content_language_per_type(self, xsd):

@@ -280,19 +280,24 @@ def _outcome(thunk):
 
 
 class TestDenseVsDict:
-    """The dense fast path is observationally identical to the dict path.
+    """The fused fast path is observationally identical to the compat loop.
 
-    ``validate(text)`` / ``validate_bytes`` route through the dense
-    tables; ``validate_events(iter_events(text))`` is the dict-lookup
-    compat loop.  Everything observable — verdicts, violation multisets,
-    typing, parse/limit errors, provenance, metrics counters — must
-    agree.
+    ``validate(text)`` / ``validate_bytes`` run the byte tokenizer fused
+    with the table loop; ``validate_events(iter_events(text))`` is the
+    char parser feeding the event-driven compat loop, which steps the
+    same tables by interned name id.  Everything observable — verdicts,
+    violation multisets, typing, parse/limit errors, provenance, metrics
+    counters — must agree.
     """
 
     def test_schemas_compile_dense(self):
         for key in sorted(SCHEMAS):
             __, compiled, *___ = _setup(key)
-            assert compiled.dense, f"{key} should take the dense path"
+            for compiled_type in compiled.types:
+                # Rows for ordered content, masks for a bag: never both.
+                assert (compiled_type.dense_rows is None) != (
+                    compiled_type.dense_bag is None
+                ), f"{key}: type {compiled_type.name} has no dense tables"
 
     def test_dense_commits_valid_documents_without_fallback(self):
         from repro.observability import default_registry
@@ -362,7 +367,7 @@ class TestDenseVsDict:
 
     def test_provenance_requests_take_the_compat_path(self):
         # A provenance recorder needs per-element state paths only the
-        # dict loop tracks; validate(text, provenance=...) must delegate
+        # compat loop tracks; validate(text, provenance=...) must delegate
         # and produce records identical to the explicit compat call.
         from repro.observability import default_registry
         from repro.observability.provenance import ProvenanceRecorder
@@ -461,7 +466,7 @@ class TestBags:
         assert len(wide.dfa) == 25  # 24 member bits + the dead bit
         assert compiled.type_named("Topt").bag is not None
         assert compiled.type_named("Ttext").bag is None
-        assert compiled.dense
+        assert wide.dense_bag[3] == wide.bag.dead == 1 << 24
 
     def test_valid_record_commits_dense_in_any_order(self):
         xsd, compiled, *__ = _setup("all24")
@@ -497,10 +502,41 @@ class TestBags:
         assert sorted(report.violations) == sorted(expected.violations)
         assert report.typing == expected.typing
 
+    def test_state_paths_follow_content_bag_step(self):
+        # The loops step masks inline; a repeated once-member must set
+        # the dead bit exactly as ContentBag.step does, so provenance
+        # and the incremental memo record the same state paths.
+        from repro.engine import ValidatedDocument
+        from repro.observability.provenance import ProvenanceRecorder
+
+        __, compiled, *___ = _setup("all24")
+        bag = compiled.type_named("Tall").bag
+
+        def bag_path(words):
+            states = [0]
+            for word in words:
+                states.append(bag.step(states[-1], bag.symbol_ids[word]))
+            return tuple(states)
+
+        words = ["f01", "f16", "f01", "f16", "f02", "f03"]
+        text = ('<rec id="1">' + "".join(f"<{w}/>" for w in words)
+                + "</rec>")
+        assert bag_path(words)[3] & bag.dead  # the repeat of f01 is dead
+        recorder = ProvenanceRecorder()
+        report = StreamingValidator(compiled).validate(text, recorder)
+        assert not report.valid
+        assert recorder.elements[0].dfa_states == bag_path(words)
+        handle = ValidatedDocument(parse_document(text), compiled)
+        root = handle.document.root
+        assert handle.provenance_of(root) == ("Tall", bag_path(words))
+        handle.delete_child(root, 2)  # drop the repeat: a live mask again
+        del words[2]
+        assert handle.provenance_of(root) == ("Tall", bag_path(words))
+        assert handle.valid
+
 
 def _counter_xsd():
-    """``a{1,256}``: a counter whose minimal DFA has 258 states, past
-    ``DENSE_STATE_LIMIT``, so the schema compiles without dense tables."""
+    """``a{1,256}``: a counter whose minimal DFA has 258 states."""
     return XSD(
         ename={"r", "a"},
         types={"Tr", "Ta"},
@@ -512,9 +548,29 @@ def _counter_xsd():
     )
 
 
+def _interleave_xsd():
+    """Four ``{2,3}``-counted members: an interleave outside the bag
+    shape, whose minimal DFA has 257 states (4^4 count vectors plus the
+    sink)."""
+    return XSD(
+        ename={"r", "a", "b", "c", "d"},
+        types={"Tr", "Te"},
+        rho={
+            "Tr": ContentModel(interleave(
+                *(counter(sym(T(name, "Te")), 2, 3) for name in "abcd")
+            )),
+            "Te": ContentModel(EPSILON),
+        },
+        start={T("r", "Tr")},
+    )
+
+
 class TestOffDensePath:
-    """A type too large for dense rows keeps its schema on the dict path:
-    text and bytes run the compat loop, edits step the ContentDFA."""
+    """Types past the 256 states that once kept their schema off the
+    dense path — a large counter and an interleave outside the bag
+    shape — compile dense rows like any other type: text and bytes
+    commit dense exactly when the document is valid, and edits step
+    the rows."""
 
     def _counters(self):
         from repro.observability import default_registry
@@ -523,41 +579,63 @@ class TestOffDensePath:
         return (registry.counter("engine.dense.docs").value,
                 registry.counter("engine.dense.fallbacks").value)
 
-    def test_large_counter_compiles_without_dense_tables(self):
-        from repro.engine.compiler import DENSE_STATE_LIMIT
+    def _assert_route(self, xsd, text):
+        before = self._counters()
+        report = _assert_agreement(xsd, compile_xsd(xsd),
+                                   parse_document(text))
+        # validate(text) and validate_bytes: two dense attempts.
+        committed = (before[0] + 2, before[1])
+        fell_back = (before[0], before[1] + 2)
+        assert self._counters() == (committed if report.valid
+                                    else fell_back)
+        return report
 
-        compiled = compile_xsd(_counter_xsd())
-        assert not compiled.dense
-        assert len(compiled.type_named("Tr").dfa) > DENSE_STATE_LIMIT
-        assert compiled.type_named("Tr").bag is None
+    def test_large_types_compile_dense_tables(self):
+        for xsd, states in ((_counter_xsd(), 258), (_interleave_xsd(), 257)):
+            compiled_type = compile_xsd(xsd).type_named("Tr")
+            assert compiled_type.bag is None
+            assert len(compiled_type.dfa) == states
+            assert len(compiled_type.dense_rows) == states
 
     @pytest.mark.parametrize("count", [0, 1, 255, 256, 257])
     def test_text_and_bytes_agree_with_the_tree_validator(self, count):
-        xsd = _counter_xsd()
-        document = parse_document("<r>" + "<a/>" * count + "</r>")
-        before = self._counters()
-        report = _assert_agreement(xsd, compile_xsd(xsd), document)
+        report = self._assert_route(_counter_xsd(),
+                                    "<r>" + "<a/>" * count + "</r>")
         assert report.valid == (1 <= count <= 256)
-        assert self._counters() == before  # no dense attempt at all
+
+    @pytest.mark.parametrize("word, valid", [
+        ("aabbccdd", True),
+        ("dcbadcbaabcd", True),
+        ("abcdabc", False),  # d only once
+        ("aaaabbccdd", False),  # a four times
+        ("", False),
+    ])
+    def test_interleave_commits_dense_exactly_when_valid(self, word, valid):
+        text = "<r>" + "".join(f"<{name}/>" for name in word) + "</r>"
+        assert self._assert_route(_interleave_xsd(), text).valid == valid
 
     def test_edits_agree_with_the_tree_validator(self):
         from repro.engine import ValidatedDocument
 
-        xsd = _counter_xsd()
-        handle = ValidatedDocument(
-            parse_document("<r>" + "<a/>" * 256 + "</r>"), compile_xsd(xsd)
-        )
-        root = handle.document.root
-        for edit, valid in (
-            (lambda: handle.insert_child(root, 0, XMLElement("a")), False),
-            (lambda: handle.delete_child(root, 100), True),
+        for xsd, text in (
+            (_counter_xsd(), "<r>" + "<a/>" * 256 + "</r>"),
+            (_interleave_xsd(), "<r>" + "<a/><b/><c/><d/>" * 2 + "<a/></r>"),
         ):
-            edit()
-            expected = validate_xsd(xsd, handle.document)
-            report = handle.report()
-            assert handle.valid == expected.valid == valid
-            assert report.violations == expected.violations
-            assert report.typing == expected.typing
+            # Both documents hold as many <a> as their type allows.
+            handle = ValidatedDocument(parse_document(text),
+                                       compile_xsd(xsd))
+            root = handle.document.root
+            for edit, valid in (
+                (lambda: handle.insert_child(root, 0, XMLElement("a")),
+                 False),
+                (lambda: handle.delete_child(root, 1), True),
+            ):
+                edit()
+                expected = validate_xsd(xsd, handle.document)
+                report = handle.report()
+                assert handle.valid == expected.valid == valid
+                assert report.violations == expected.violations
+                assert report.typing == expected.typing
 
 
 class TestStreamingInputs:

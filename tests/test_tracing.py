@@ -7,6 +7,7 @@ import pytest
 
 from repro.observability import (
     NULL_SPAN,
+    TailSampler,
     Tracer,
     current_span,
     current_tracer,
@@ -197,6 +198,39 @@ class TestEngineSpans:
             validator.validate(FIGURE1_XML)
         summary = tracer.summary()
         assert summary["engine.validate"]["count"] == 2
+
+    def test_fallback_records_one_ok_span_per_document(self):
+        # A dense attempt that falls back is one document: one span
+        # (path "fallback", status ok), not an error span plus a rerun.
+        from repro.engine import compile_xsd, StreamingValidator
+        from repro.observability import default_registry
+        from repro.paperdata import FIGURE1_XML, figure3_xsd
+
+        text = FIGURE1_XML.replace("<content>", "<content><bogus/>", 1)
+        validator = StreamingValidator(compile_xsd(figure3_xsd()))
+        registry = default_registry()
+        names = ("engine.stream.docs", "engine.stream.violations",
+                 "engine.dense.docs", "engine.dense.fallbacks")
+        doc_ns = registry.histogram("engine.stream.doc_ns")
+        before = [registry.counter(name).value for name in names]
+        observed = doc_ns.count
+        sampler = TailSampler(reservoir=0)
+        with Tracer(sink=sampler) as tracer:
+            report = validator.validate(text)
+        assert not report.valid
+        validates = [span for span in tracer.finished_spans()
+                     if span.name == "engine.validate"]
+        assert len(validates) == 1
+        assert validates[0].status == "ok"
+        assert validates[0].attributes["path"] == "fallback"
+        assert validates[0].attributes["violations"] == 1
+        assert "error" not in validates[0].attributes
+        assert tracer.summary()["engine.validate"]["count"] == 1
+        assert sampler.retained() == []
+        deltas = [registry.counter(name).value - value
+                  for name, value in zip(names, before)]
+        assert deltas == [1, 1, 0, 1]
+        assert doc_ns.count == observed + 1
 
     def test_translation_square_records_stage_spans(self):
         from repro.paperdata import figure3_xsd
