@@ -72,7 +72,9 @@ perfguard:
 # The repository benchmark's self-tests (perfbench/tests).  Tier-1
 # collects only tests/, yet the benchmark reads program names under
 # src/ (CompiledSchema.dense, types[i].dfa, byte_ids, names, the
-# engine.dense.* counters); a rename breaks here, not in a benchmark run.
+# engine.dense.* counters, and the tokenizer's body_start, split_body,
+# parse_chunk(chunk, limits, name_id_of) and FallbackRequired); a rename
+# breaks here, not in a benchmark run.
 perfbench-selftest:
 	python -m pytest perfbench/tests -q
 

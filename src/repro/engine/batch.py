@@ -42,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.cache import compile_cached
 from repro.engine.compiler import CompiledSchema
-from repro.engine.streaming import StreamingValidator
+from repro.engine.streaming import StreamingValidator, as_events
 from repro.errors import DeadlineExceeded
 from repro.observability import default_registry
 from repro.observability.tracing import (
@@ -71,11 +71,11 @@ def validate_many(schema, sources, engine="streaming", workers=None,
         schema: a formal :class:`~repro.xsd.model.XSD` or an already
             compiled :class:`CompiledSchema` (ignored by the tree engine,
             which needs the formal XSD).
-        sources: iterable of documents — XML text strings,
-            ``XMLDocument``/``XMLElement`` trees, event iterables (the
-            tree engine accepts text and trees only), or zero-arg
-            callables returning any of those (fetched lazily, with
-            retry).
+        sources: iterable of documents — XML text strings, UTF-8
+            bytes (undecodable bytes are a parse error),
+            ``XMLDocument``/``XMLElement`` trees, event iterables, or
+            zero-arg callables returning any of those (fetched lazily,
+            with retry).  Both engines accept every kind.
         engine: ``"streaming"`` (compiled tables, default) or ``"tree"``
             (the reference validator, for comparison).
         workers: thread count; ``None`` or ``1`` validates serially.
@@ -95,9 +95,9 @@ def validate_many(schema, sources, engine="streaming", workers=None,
         retry: a :class:`~repro.resilience.RetryPolicy` for callable
             sources (default: no retry).
         limits: :class:`~repro.resilience.ParserLimits` for parsing
-            text sources (explicit wins over ambient wins over the
-            defaults; resolved once, so worker threads see the caller's
-            ambient limits).
+            text and bytes sources (explicit wins over ambient wins over
+            the defaults; resolved once, so worker threads see the
+            caller's ambient limits).
         injector: a :class:`~repro.resilience.FaultInjector` (explicit
             wins over ambient; re-installed inside workers).
 
@@ -265,7 +265,7 @@ def _make_validator(schema, engine, cache, limits, deadline=None):
         validator = StreamingValidator(compiled)
 
         def validate(document, deadline_at):
-            events = _as_limited_events(document, limits)
+            events = as_events(document, limits)
             if deadline_at is not None:
                 events = _deadline_events(events, deadline_at, deadline)
             return validator.validate_events(events)
@@ -274,14 +274,16 @@ def _make_validator(schema, engine, cache, limits, deadline=None):
     if engine == "tree":
         if isinstance(schema, CompiledSchema):
             raise ValueError("the tree engine needs the formal XSD")
-        from repro.xmlmodel.parser import parse_document
         from repro.xmlmodel.tree import XMLDocument, XMLElement
         from repro.xsd.validator import validate_xsd
 
         def validate(document, deadline_at):
-            if isinstance(document, str):
-                document = parse_document(document, limits=limits)
-            elif isinstance(document, XMLElement):
+            if not isinstance(document, (XMLDocument, XMLElement)):
+                # Text, bytes or events: the tree the stream spells.
+                document = XMLElement.from_events(
+                    as_events(document, limits)
+                )
+            if isinstance(document, XMLElement):
                 document = XMLDocument(document)
             _check_deadline(deadline_at, deadline)
             report = validate_xsd(schema, document)
@@ -290,18 +292,6 @@ def _make_validator(schema, engine, cache, limits, deadline=None):
 
         return validate
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def _as_limited_events(source, limits):
-    """Like :func:`repro.engine.streaming.as_events`, threading limits."""
-    from repro.xmlmodel.parser import iter_events
-
-    if isinstance(source, str):
-        return iter_events(source, limits=limits)
-    events = getattr(source, "events", None)
-    if events is not None:
-        return events()
-    return source
 
 
 def _deadline_events(events, deadline_at, allowance, stride=64):

@@ -171,9 +171,11 @@ class ValidatedDocument:
                 if interned is not None and child_types[interned] >= 0:
                     stack.append((child, child_types[interned],
                                   f"{path}/{child.name}"))
-        default_registry().counter(
-            "engine.incremental.nodes_typed"
-        ).inc(typed)
+        # One content replay per typed element, none from the memo
+        # (offset 0); counted once per walk, not per element.
+        registry = default_registry()
+        registry.counter("engine.incremental.nodes_typed").inc(typed)
+        registry.counter("engine.incremental.content_replays").inc(typed)
         return typed
 
     # -- per-element checks (message-compatible with both validators) ------
@@ -212,15 +214,14 @@ class ValidatedDocument:
         aligns with child positions); otherwise the word replays from
         the initial state.  The forward loop steps the type's dense rows,
         or for a bag its seen-mask exactly as ``ContentBag.step`` does
-        (the memo is then a list of masks).
+        (the memo is then a list of masks).  Returns True iff the memo
+        supplied the prefix; callers count replays and memo hits.
         """
-        registry = default_registry()
-        registry.counter("engine.incremental.content_replays").inc()
         children = node.children
-        if state.recognized and 0 < offset < len(state.states):
+        memo_hit = state.recognized and 0 < offset < len(state.states)
+        if memo_hit:
             states = state.states[:offset + 1]
             begin = offset
-            registry.counter("engine.incremental.memo_hits").inc()
         else:
             states = [0]
             begin = 0
@@ -263,6 +264,7 @@ class ValidatedDocument:
             )
         else:
             state.content_viol = None
+        return memo_hit
 
     # -- edit API ----------------------------------------------------------
     def node_at(self, path):
@@ -411,7 +413,10 @@ class ValidatedDocument:
             # undeclared root): structurally applied, nothing to check.
             return
         compiled = self.schema.types[state.type_id]
-        self._run_content(parent, compiled, state, offset=index)
+        registry = default_registry()
+        registry.counter("engine.incremental.content_replays").inc()
+        if self._run_content(parent, compiled, state, offset=index):
+            registry.counter("engine.incremental.memo_hits").inc()
         # insert/delete may move character data between runs.
         self._check_text(parent, compiled, state)
         self._refresh_validity(parent, state)

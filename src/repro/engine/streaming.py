@@ -370,7 +370,12 @@ class StreamingValidator:
         """
         if isinstance(source, str):
             if provenance is None:
-                return self._validate_dense(source.encode("utf-8"), source)
+                # A lone surrogate has no UTF-8 encoding; "surrogatepass"
+                # turns it into non-ASCII bytes, which the scan never
+                # certifies, so such text falls back.
+                return self._validate_dense(
+                    source.encode("utf-8", "surrogatepass"), source
+                )
             return self.validate_events(as_events(source), provenance)
         if isinstance(source, (bytes, bytearray, memoryview)):
             return self.validate_bytes(source, provenance)
@@ -391,9 +396,7 @@ class StreamingValidator:
         data = bytes(data)
         if provenance is None:
             return self._validate_dense(data, None)
-        return self.validate_events(
-            as_events(_decode_utf8(data)), provenance
-        )
+        return self.validate_events(as_events(data), provenance)
 
     def _validate_dense(self, data, text):
         """Dense attempt with compat fallback; mirrors the compat path's
@@ -515,7 +518,7 @@ class StreamingValidator:
                 state = 0
                 open_id = interned
                 has_text = action[3]
-                consumed += 2 if action[5] else 1
+                consumed += 2 if action[4] else 1
                 attrs = action[2]
                 if attrs or required:
                     if not (required <= attrs and attrs <= declared):
@@ -534,7 +537,7 @@ class StreamingValidator:
                 (state, rows, child_types, acc_bits, mixed, has_text,
                  open_id, bag) = pop()
                 if depth:
-                    consumed += 2 if action[5] else 1
+                    consumed += 2 if action[4] else 1
                     if action[3]:
                         has_text = True
                 else:
@@ -572,7 +575,7 @@ class StreamingValidator:
                 if attrs or required:
                     if not (required <= attrs and attrs <= entry[4]):
                         raise _FALLBACK
-                consumed += 3 if depth and action[5] else 2
+                consumed += 3 if depth and action[4] else 2
                 if action[3]:
                     if depth:
                         has_text = True
@@ -593,14 +596,21 @@ def _decode_utf8(data):
         raise ParseError(f"input is not valid UTF-8: {error}")
 
 
-def as_events(source):
-    """Coerce text / documents / elements / iterables into an event stream."""
+def as_events(source, limits=None):
+    """Coerce text / bytes / documents / elements / iterables into an
+    event stream.
+
+    Bytes decode as UTF-8 (undecodable input raises
+    :class:`~repro.errors.ParseError`); ``limits`` reaches the parser
+    for text and bytes (explicit wins over ambient wins over the
+    defaults).
+    """
     from repro.xmlmodel.parser import iter_events
 
     if isinstance(source, str):
-        return iter_events(source)
+        return iter_events(source, limits)
     if isinstance(source, (bytes, bytearray, memoryview)):
-        return iter_events(_decode_utf8(source))
+        return iter_events(_decode_utf8(source), limits)
     events = getattr(source, "events", None)
     if events is not None:
         return events()

@@ -94,7 +94,9 @@ class ParserLimits:
 
         The common case costs one ``len``: a string of N code points
         encodes to at least N and at most 4N bytes, so the exact encoded
-        length is only computed in the narrow band where it matters.
+        length is only computed in the narrow band where it matters.  A
+        lone surrogate (which has no UTF-8 encoding, yet parses as
+        character data) counts its three ``surrogatepass`` bytes.
         """
         limit = self.max_input_bytes
         if limit is None:
@@ -102,7 +104,9 @@ class ParserLimits:
         length = len(text)
         if length * 4 <= limit:
             return
-        size = length if length > limit else len(text.encode("utf-8"))
+        size = length if length > limit else len(
+            text.encode("utf-8", "surrogatepass")
+        )
         if size > limit:
             raise LimitExceeded(
                 f"input size limit exceeded ({size} bytes > "

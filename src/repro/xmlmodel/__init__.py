@@ -21,13 +21,11 @@ from repro.xmlmodel.parser import (
     parse_document,
     parse_fragment,
 )
-from repro.xmlmodel.tokenizer import ByteTokenizer, iter_byte_events
 from repro.xmlmodel.tree import XMLDocument, XMLElement, element
 from repro.xmlmodel.writer import write_document, write_element
 
 __all__ = [
     "AddChild",
-    "ByteTokenizer",
     "DTD",
     "DTDAttribute",
     "DTDElement",
@@ -41,7 +39,6 @@ __all__ = [
     "clone_element",
     "element",
     "from_etree",
-    "iter_byte_events",
     "iter_events",
     "mutate_tree",
     "parse_document",

@@ -24,6 +24,12 @@ explicit stack of open elements — so depth is policy-limited
 process with ``RecursionError``.  An ambient
 :class:`~repro.resilience.FaultInjector` may plant faults at the
 ``parse`` site (chaos testing).
+
+The grammar is spelled once, as the event generator behind
+:func:`iter_events`; :func:`parse_document` and :func:`parse_fragment`
+fold that stream into a tree (:meth:`XMLElement.from_events`), so the
+tree and event entry points accept the same inputs, raise the same
+errors, and agree on every tree by construction.
 """
 
 from __future__ import annotations
@@ -189,16 +195,7 @@ def parse_document(text, limits=None):
             :class:`~repro.errors.LimitExceeded` subclass) if it trips a
             parsing limit.
     """
-    limits = resolve_limits(limits)
-    limits.check_input_size(text)
-    probe("parse")
-    cursor = _Cursor(text)
-    _skip_prolog(cursor)
-    root = _parse_element(cursor, limits)
-    _skip_misc(cursor)
-    if not cursor.at_end():
-        raise cursor.error("content after the root element")
-    return XMLDocument(root)
+    return XMLDocument(XMLElement.from_events(iter_events(text, limits)))
 
 
 def parse_fragment(text, limits=None):
@@ -206,13 +203,7 @@ def parse_fragment(text, limits=None):
     limits = resolve_limits(limits)
     limits.check_input_size(text)
     probe("parse")
-    cursor = _Cursor(text)
-    cursor.skip_whitespace()
-    element = _parse_element(cursor, limits)
-    cursor.skip_whitespace()
-    if not cursor.at_end():
-        raise cursor.error("content after the element")
-    return element
+    return XMLElement.from_events(_fragment_events(text, limits))
 
 
 def _skip_prolog(cursor):
@@ -261,94 +252,6 @@ def _skip_doctype(cursor):
     raise cursor.error("unterminated DOCTYPE")
 
 
-def _parse_element(cursor, limits):
-    """Parse one element and its whole subtree, iteratively.
-
-    An explicit stack of open elements replaces the per-nesting-level
-    recursion this function used to have, so the accepted depth is
-    decided by ``limits.max_depth`` — not by the interpreter's recursion
-    limit (a 10k-deep document used to die with ``RecursionError``).
-    """
-    if not cursor.startswith("<"):
-        raise cursor.error("expected an element start tag")
-    max_depth = limits.max_depth
-    stack = []
-    while True:
-        # The cursor sits on the '<' of a start tag.
-        cursor.advance()
-        name = _read_name(cursor, limits)
-        if max_depth is not None and len(stack) >= max_depth:
-            raise cursor.limit_error(
-                f"nesting depth limit exceeded at <{name}> "
-                f"(depth {len(stack) + 1} > max_depth={max_depth})",
-                "max_depth", len(stack) + 1,
-            )
-        node = XMLElement(name)
-        node.attributes.update(_read_attributes(cursor, name, limits))
-        cursor.skip_whitespace()
-        if cursor.startswith("/>"):
-            cursor.advance(2)
-            if not stack:
-                return node
-            stack[-1].append(node)
-        elif cursor.startswith(">"):
-            cursor.advance()
-            stack.append(node)
-        else:
-            raise cursor.error(f"malformed start tag <{name}>")
-        # Consume content until a nested start tag (break back to the
-        # outer loop, which pushes it) or until every open element has
-        # been closed (the subtree is complete: return it).
-        while stack:
-            if cursor.at_end():
-                raise cursor.error(
-                    f"unterminated element <{stack[-1].name}>"
-                )
-            if cursor.startswith("</"):
-                cursor.advance(2)
-                closing = _read_name(cursor, limits)
-                node = stack[-1]
-                if closing != node.name:
-                    raise cursor.error(
-                        f"mismatched end tag </{closing}> "
-                        f"(expected </{node.name}>)"
-                    )
-                cursor.skip_whitespace()
-                if not cursor.startswith(">"):
-                    raise cursor.error(f"malformed end tag </{closing}>")
-                cursor.advance()
-                stack.pop()
-                if not stack:
-                    return node
-                stack[-1].append(node)
-                continue
-            if cursor.startswith("<!--"):
-                cursor.advance(4)
-                cursor.take_until("-->", "comment")
-                continue
-            if cursor.startswith("<![CDATA["):
-                cursor.advance(len("<![CDATA["))
-                data = cursor.take_until("]]>", "CDATA section")
-                _check_text(data, cursor, limits)
-                stack[-1].append_text(data)
-                continue
-            if cursor.startswith("<?"):
-                cursor.advance(2)
-                cursor.take_until("?>", "processing instruction")
-                continue
-            if cursor.startswith("<"):
-                break
-            # Character data up to the next markup.
-            index = cursor.text.find("<", cursor.pos)
-            if index < 0:
-                raise cursor.error(
-                    f"unterminated element <{stack[-1].name}>"
-                )
-            raw = cursor.text[cursor.pos : index]
-            cursor.pos = index
-            stack[-1].append_text(_decode_entities(raw, cursor, limits))
-
-
 def _read_attributes(cursor, owner_name, limits):
     """Read the attribute list of a start tag into a fresh dict."""
     max_attributes = limits.max_attributes
@@ -386,11 +289,10 @@ def _read_attributes(cursor, owner_name, limits):
 #
 # ``iter_events`` tokenizes a document into a flat event stream without
 # ever materializing the tree: ``("start", name, attributes)``,
-# ``("text", data)`` and ``("end", name)``.  It enforces the same
-# well-formedness rules and parsing limits as :func:`parse_document` (the
-# two share the cursor and attribute machinery), so for every input
-# either both raise :class:`~repro.errors.ParseError` or the event
-# stream spells exactly the tree the parser would build.  The compiled
+# ``("text", data)`` and ``("end", name)``.  This is the parser's only
+# grammar: :func:`parse_document` is the fold of this stream, so for
+# every input either both raise :class:`~repro.errors.ParseError` or the
+# event stream spells exactly the tree the parser builds.  The compiled
 # validation engine (:mod:`repro.engine.streaming`) consumes this stream
 # keeping only a stack of DFA states.
 
@@ -430,7 +332,22 @@ def _iter_events(text, limits):
         raise cursor.error("content after the root element")
 
 
+def _fragment_events(text, limits):
+    cursor = _Cursor(text)
+    cursor.skip_whitespace()
+    yield from _element_events(cursor, limits)
+    cursor.skip_whitespace()
+    if not cursor.at_end():
+        raise cursor.error("content after the element")
+
+
 def _element_events(cursor, limits):
+    """Yield one element's subtree as events, iteratively.
+
+    An explicit stack of open element names replaces per-nesting-level
+    recursion, so the accepted depth is decided by ``limits.max_depth``,
+    not by the interpreter's recursion limit.
+    """
     if not cursor.startswith("<"):
         raise cursor.error("expected an element start tag")
     max_depth = limits.max_depth

@@ -1,4 +1,4 @@
-"""Byte-level two-tier tokenizer for the streaming hot path.
+"""Byte-level chunk parsing for the dense validation fast path.
 
 The char-based parser (:mod:`repro.xmlmodel.parser`) is the semantic
 reference: strict well-formedness, exact diagnostics, full entity and
@@ -6,19 +6,20 @@ CDATA support.  It is also the dominant cost of text-to-verdict
 validation — per-character cursor movement and per-event object
 construction dwarf the engine's integer table steps.
 
-This module adds a *fast tier* that never walks characters.  The body of
-a document is split once on ``b"<"``; every resulting chunk is exactly
-``tag-bytes + b">" + trailing-text-bytes``, and real documents repeat
-chunks heavily (same tags, same markup runs), so each distinct chunk is
-parsed **once** into an action tuple and memoized — the hot loop is one
-dict lookup per chunk.  All well-formedness checking, limit checking,
-and decoding happen on the memo-miss path; the per-event cost for a
+This module is the *fast tier* that never walks characters.  The body
+of a document is split once on ``b"<"``; every resulting chunk is
+exactly ``tag-bytes + b">" + trailing-text-bytes``, and real documents
+repeat chunks heavily (same tags, same markup runs), so each distinct
+chunk is parsed **once** into an action tuple and memoized — the hot
+loop is one dict lookup per chunk.  All well-formedness and limit
+checking happens on the memo-miss path; the per-event cost for a
 repeated chunk is a hash of its bytes.
 
 The fast tier only commits to inputs it can prove the careful tier would
 accept identically:
 
-* prolog is scanned structurally; a DOCTYPE falls back;
+* prolog is scanned structurally; a DOCTYPE or a non-ASCII byte falls
+  back;
 * any ``b"<!"``/``b"<?"`` in the body (comments, CDATA, PIs) falls back;
 * non-ASCII chunks, entity references, over-limit constructs, duplicate
   attributes, and every malformed shape fall back;
@@ -26,28 +27,21 @@ accept identically:
 
 "Falls back" means :class:`FallbackRequired` is raised and the caller
 re-runs the char-based tier from the start — so errors (type, message,
-line/column) and event streams are *identical by construction*: the fast
-tier either produces exactly what the careful tier would, or it produces
-nothing and the careful tier speaks.  ``tests/test_tokenizer_hardening``
-pins this on the fuzz-mutant corpus.
+line/column) and reports are *identical by construction*: the fast tier
+either certifies exactly what the careful tier would accept, or it
+certifies nothing and the careful tier speaks.
 
-Entry points: :func:`iter_byte_events` (drop-in for
-:func:`~repro.xmlmodel.parser.iter_events`, accepting str or UTF-8
-bytes) and :class:`ByteTokenizer` (exposes the name-interning table and
-whether the fast tier was used).  The fused dense validation loop in
-:mod:`repro.engine.streaming` drives :func:`split_body` /
-:func:`parse_chunk` directly with schema-interned name ids.
+Entry points: :func:`body_start`, :func:`split_body` and
+:func:`parse_chunk`, driven by the fused dense validation loop
+(:meth:`repro.engine.streaming.StreamingValidator._scan_dense`) and its
+lazy typing walk, with schema-interned name ids.
+``tests/test_tokenizer_hardening`` replays the parser fuzz corpus
+through that loop against the char parser plus compat loop.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
-
-from repro.errors import LimitExceeded, ParseError
-from repro.resilience.faults import probe
-from repro.resilience.limits import resolve_limits
-from repro.xmlmodel.parser import _iter_events
 
 
 class FallbackRequired(Exception):
@@ -66,6 +60,7 @@ _WS = b" \t\r\n"
 # ASCII bytes that str.strip() removes — the validator's text-content
 # test is `text.strip()`, whose whitespace set on ASCII is wider than
 # the parser's token whitespace ('\x0b', '\x0c', '\x1c'-'\x1f').
+# Stripping them from the raw bytes decides significance undecoded.
 _STR_WS = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 # Conservative ASCII subset of the reference name grammar (isalpha/_:
@@ -93,7 +88,8 @@ def body_start(data):
     a DOCTYPE (rare, and full of quoting subtleties) falls back.
     Raises :class:`FallbackRequired` whenever the prolog is anything the
     structural scan cannot certify — including malformed shapes, which
-    the careful tier then rejects with its exact diagnostics.
+    the careful tier then rejects with its exact diagnostics, and
+    non-ASCII bytes, which may not be UTF-8 at all.
     """
     pos = 0
     size = len(data)
@@ -116,7 +112,7 @@ def body_start(data):
             continue
         if data.startswith(b"<!", pos):  # DOCTYPE (or garbage)
             raise _FALLBACK
-        if pos >= size or data[pos] != 0x3C:  # not '<'
+        if pos >= size or data[pos] != 0x3C or not data[:pos].isascii():
             raise _FALLBACK
         return pos
 
@@ -136,21 +132,23 @@ def split_body(data, start):
 def parse_chunk(chunk, limits, name_id_of):
     """Parse one chunk into an action tuple (the memo-miss path).
 
-    Returns ``(kind, name_id, attr_names, significant_text, attr_pairs,
-    text)`` where ``kind`` is :data:`START`/:data:`END`/:data:`SELFCLOSE`,
+    Returns ``(kind, name_id, attr_names, significant_text, has_text)``
+    where ``kind`` is :data:`START`/:data:`END`/:data:`SELFCLOSE`,
     ``attr_names`` is a frozenset of decoded attribute names (``None``
     for end tags), ``significant_text`` is True iff the trailing text
-    contains a non-whitespace character, ``attr_pairs`` is a tuple of
-    decoded ``(name, value)`` pairs, and ``text`` is the decoded trailing
-    text (``""`` when absent).
+    contains a character that is not whitespace by ``str.isspace``, and
+    ``has_text`` is True iff there is any trailing text (the char parser
+    then yields a text event).  Neither attribute values nor text are
+    decoded: the validator reads only names and these flags.
 
     Every check the reference parser performs on this shape happens
-    here — name grammar, quote closure, duplicate attributes, and the
-    ambient :class:`~repro.resilience.ParserLimits` caps — and every
-    violation raises :class:`FallbackRequired` so the careful tier can
-    produce the canonical error.  ``name_id_of`` interns a name's bytes
-    to an integer id; it may itself raise :class:`FallbackRequired`
-    (the validator does, for names outside the schema alphabet).
+    here — name grammar, quote closure, duplicate attributes, entity
+    references, and the ambient :class:`~repro.resilience.ParserLimits`
+    caps — and every violation raises :class:`FallbackRequired` so the
+    careful tier can produce the canonical error.  ``name_id_of`` interns
+    a name's bytes to an integer id; it may itself raise
+    :class:`FallbackRequired` (the validator does, for names outside the
+    schema alphabet).
     """
     if not chunk.isascii():
         raise _FALLBACK
@@ -159,16 +157,14 @@ def parse_chunk(chunk, limits, name_id_of):
         raise _FALLBACK
     tag = chunk[:gt]
     rest = chunk[gt + 1:]
-    text = ""
-    significant = False
+    max_text = limits.max_text_length
     if rest:
         if b"&" in rest:
             raise _FALLBACK
-        max_text = limits.max_text_length
         if max_text is not None and len(rest) > max_text:
             raise _FALLBACK
-        text = rest.decode("ascii")
-        significant = not text.isspace()
+    significant = bool(rest.strip(_STR_WS))
+    has_text = bool(rest)
     max_name = limits.max_name_length
     if tag[:1] == b"/":
         name = tag[1:].rstrip(_WS)
@@ -176,7 +172,7 @@ def parse_chunk(chunk, limits, name_id_of):
             raise _FALLBACK
         if max_name is not None and len(name) > max_name:
             raise _FALLBACK
-        return (END, name_id_of(name), None, significant, (), text)
+        return (END, name_id_of(name), None, significant, has_text)
     selfclose = tag[-1:] == b"/"
     if selfclose:
         tag = tag[:-1]
@@ -188,227 +184,32 @@ def parse_chunk(chunk, limits, name_id_of):
     if max_name is not None and end > max_name:
         raise _FALLBACK
     attr_names = _EMPTY_SET
-    attr_pairs = ()
     if end < len(tag):
         blob = tag[end:]
         pos = 0
         names = []
-        values = []
         match_attr = _ATTR_RE.match
         while True:
             attr = match_attr(blob, pos)
             if attr is None:
                 break
             attr_name, double, single = attr.group(1, 2, 3)
+            value = single if double is None else double
             if attr_name in names:
                 raise _FALLBACK  # duplicate -> careful tier's error
-            names.append(attr_name)
-            values.append(double if double is not None else single)
-            pos = attr.end()
-        if blob[pos:].strip(_WS):
-            raise _FALLBACK
-        max_attrs = limits.max_attributes
-        if max_attrs is not None and len(names) > max_attrs:
-            raise _FALLBACK
-        max_text = limits.max_text_length
-        pairs = []
-        for attr_name, value in zip(names, values):
             if max_name is not None and len(attr_name) > max_name:
                 raise _FALLBACK
             if b"&" in value:
                 raise _FALLBACK
             if max_text is not None and len(value) > max_text:
                 raise _FALLBACK
-            pairs.append((attr_name.decode("ascii"),
-                          value.decode("ascii")))
-        attr_pairs = tuple(pairs)
-        attr_names = frozenset(name for name, __ in attr_pairs)
-    kind = SELFCLOSE if selfclose else START
-    return (kind, name_id_of(name), attr_names, significant, attr_pairs,
-            text)
-
-
-class NameTable:
-    """Document-local interning of element names (bytes -> small int)."""
-
-    __slots__ = ("_ids", "_names")
-
-    def __init__(self):
-        self._ids = {}
-        self._names = []
-
-    def intern(self, name_bytes):
-        """The id for ``name_bytes``, allocating on first sight."""
-        interned = self._ids.get(name_bytes)
-        if interned is None:
-            interned = self._ids[name_bytes] = len(self._names)
-            self._names.append(name_bytes.decode("ascii"))
-        return interned
-
-    def name(self, interned):
-        """The decoded name for an interned id."""
-        return self._names[interned]
-
-    def __len__(self):
-        return len(self._names)
-
-
-class ByteTokenizer:
-    """Tokenize one document, fast tier first, careful tier on fallback.
-
-    Attributes:
-        names: the :class:`NameTable` interning element names seen by the
-            fast tier (empty when the careful tier ran).
-        delegated: ``None`` before iteration finishes; afterwards True
-            iff the careful (char-based) tier produced the events.
-    """
-
-    __slots__ = ("_data", "_text", "_limits", "names", "delegated")
-
-    def __init__(self, source, limits=None):
-        if isinstance(source, str):
-            self._text = source
-            self._data = None  # encoded lazily, only if the size cap holds
-        else:
-            self._data = bytes(source)
-            self._text = None
-        self._limits = resolve_limits(limits)
-        self.names = NameTable()
-        self.delegated = None
-
-    def _decoded(self):
-        if self._text is None:
-            try:
-                self._text = self._data.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise ParseError(f"input is not valid UTF-8: {error}")
-        return self._text
-
-    def _encoded(self):
-        if self._data is None:
-            self._data = self._text.encode("utf-8")
-        return self._data
-
-    def check_input_size(self):
-        """Enforce ``max_input_bytes`` exactly like the char parser."""
-        if self._text is not None:
-            self._limits.check_input_size(self._text)
-            return
-        limit = self._limits.max_input_bytes
-        if limit is not None and len(self._data) > limit:
-            raise LimitExceeded(
-                f"input size limit exceeded ({len(self._data)} bytes > "
-                f"max_input_bytes={limit})",
-                limit="max_input_bytes", value=len(self._data),
-            )
-
-    def tokens(self):
-        """Fast-tier action tuples for the whole document, or fallback.
-
-        Returns a list of :func:`parse_chunk` actions in document order
-        (names interned through :attr:`names`), checking structural
-        well-formedness (tag matching, depth, single root).  Raises
-        :class:`FallbackRequired` when the fast tier cannot certify the
-        input.  Limit note: ``max_depth`` is enforced here; the other
-        caps are enforced per chunk by :func:`parse_chunk`.
-        """
-        data = self._encoded()
-        chunks = split_body(data, body_start(data))
-        limits = self._limits
-        max_depth = limits.max_depth
-        intern = self.names.intern
-        memo = {}
-        memo_get = memo.get
-        actions = []
-        append = actions.append
-        open_ids = []
-        push = open_ids.append
-        pop = open_ids.pop
-        depth = 0
-        root_done = False
-        for chunk in islice(chunks, 1, None):
-            action = memo_get(chunk)
-            if action is None:
-                action = parse_chunk(chunk, limits, intern)
-                memo[chunk] = action
-            kind = action[0]
-            if kind == START:
-                if not depth and root_done:
-                    raise _FALLBACK
-                if max_depth is not None and depth >= max_depth:
-                    raise _FALLBACK
-                push(action[1])
-                depth += 1
-            elif kind == END:
-                if not depth or action[1] != pop():
-                    raise _FALLBACK
-                depth -= 1
-                if not depth:
-                    root_done = True
-                    if action[3]:  # text after the root element
-                        raise _FALLBACK
-            else:  # SELFCLOSE
-                if not depth:
-                    if root_done:
-                        raise _FALLBACK
-                    root_done = True
-                    if action[3]:
-                        raise _FALLBACK
-                elif max_depth is not None and depth >= max_depth:
-                    raise _FALLBACK
-            append(action)
-        if depth or not root_done:
+            names.append(attr_name)
+            pos = attr.end()
+        if blob[pos:].strip(_WS):
             raise _FALLBACK
-        return actions
-
-    def events(self):
-        """Yield ``("start", name, attrs)`` / ``("text", data)`` /
-        ``("end", name)`` events, identical to
-        :func:`~repro.xmlmodel.parser.iter_events` on the same input
-        (same events, same errors, same line/column)."""
-        try:
-            actions = self.tokens()
-        except FallbackRequired:
-            self.delegated = True
-            return self._careful_events()
-        self.delegated = False
-        return self._fast_events(actions)
-
-    def _fast_events(self, actions):
-        name_of = self.names.name
-        depth = 0
-        for kind, interned, __, ___, pairs, text in actions:
-            name = name_of(interned)
-            if kind == END:
-                depth -= 1
-                yield ("end", name)
-            else:
-                yield ("start", name, dict(pairs))
-                if kind == SELFCLOSE:
-                    yield ("end", name)
-                else:
-                    depth += 1
-            # Trailing text after the root's end tag is misc the char
-            # parser skips without an event — suppress it here too.
-            if text and depth:
-                yield ("text", text)
-
-    def _careful_events(self):
-        return _iter_events(self._decoded(), self._limits)
-
-
-def iter_byte_events(source, limits=None):
-    """Stream SAX-style events from ``source`` (str or UTF-8 bytes).
-
-    A drop-in for :func:`~repro.xmlmodel.parser.iter_events` that runs
-    the byte fast tier when it can: for every input, the two produce
-    identical event streams or raise identical
-    :class:`~repro.errors.ParseError`/:class:`~repro.errors.LimitExceeded`
-    errors (message, line, column).  Like ``iter_events``, the input-size
-    cap and the ``parse`` fault probe fire eagerly at the call; all other
-    errors surface as the stream is consumed.
-    """
-    tokenizer = ByteTokenizer(source, limits)
-    tokenizer.check_input_size()
-    probe("parse")
-    return tokenizer.events()
+        max_attrs = limits.max_attributes
+        if max_attrs is not None and len(names) > max_attrs:
+            raise _FALLBACK
+        attr_names = frozenset(attr.decode("ascii") for attr in names)
+    kind = SELFCLOSE if selfclose else START
+    return (kind, name_id_of(name), attr_names, significant, has_text)

@@ -158,6 +158,42 @@ class XMLElement:
                 yield ("text", child.texts[0])
             stack.append((child, 0))
 
+    @classmethod
+    def from_events(cls, events):
+        """Fold a SAX-style event stream into the element it spells.
+
+        The inverse of :meth:`events`, and how the parser builds trees
+        (:func:`repro.xmlmodel.parser.parse_document` folds
+        ``iter_events``): adjacent text events concatenate into one run.
+        The stream must spell one element, as the parser's streams do;
+        it is drained to its end, so an error raised after the element
+        closes still propagates.  Each start event's attributes dict is
+        adopted, not copied.  The fold fills the node slots directly
+        (this class owns them) and walks back up by ``parent``.
+        """
+        new = cls.__new__
+        root = node = None
+        for event in events:
+            kind = event[0]
+            if kind == "start":
+                child = new(cls)
+                child.name = event[1]
+                child.attributes = event[2]
+                child.children = []
+                child.texts = [""]
+                child.parent = node
+                if node is None:
+                    root = child
+                else:
+                    node.children.append(child)
+                    node.texts.append("")
+                node = child
+            elif kind == "end":
+                node = node.parent
+            else:
+                node.texts[-1] += event[1]
+        return root
+
     def find(self, name):
         """First child with the given name, or ``None``."""
         for child in self.children:

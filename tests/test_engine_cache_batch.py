@@ -296,6 +296,29 @@ class TestValidateMany:
             assert left.valid == right.valid
             assert sorted(left.violations) == sorted(right.violations)
 
+    def test_bytes_sources_on_both_engines(self, xsd):
+        # Bytes decode as UTF-8, as validate(b"...") does; undecodable
+        # bytes are a parse error, not an internal one.
+        from repro.xmlmodel import iter_events
+
+        bad = FIGURE1_XML.replace('<color color="red"/>', "<color/>", 1)
+        sources = [FIGURE1_XML.encode("utf-8"), bytearray(bad.encode()),
+                   b"<document>\xff</document>"]
+        runs = [
+            validate_many(compile_xsd(xsd), sources, policy="isolate"),
+            validate_many(xsd, sources, engine="tree", policy="isolate"),
+        ]
+        for outcomes in runs:
+            assert [o.ok for o in outcomes] == [True, True, False]
+            assert [o.valid for o in outcomes[:2]] == [True, False]
+            assert outcomes[2].error.kind == "parse"
+            assert "not valid UTF-8" in outcomes[2].error.message
+        # The tree engine takes event streams too, like the streaming one.
+        tree = validate_many(xsd, [iter_events(bad)], engine="tree")
+        assert sorted(tree[0].violations) == sorted(
+            runs[0][1].report.violations
+        )
+
     def test_tree_engine_rejects_compiled(self, xsd):
         with pytest.raises(ValueError):
             validate_many(compile_xsd(xsd), [FIGURE1_XML], engine="tree")

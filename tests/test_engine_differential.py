@@ -662,6 +662,37 @@ class TestStreamingInputs:
             parse_document(text).events()
         )
 
+    @pytest.mark.parametrize("text", [
+        "<document>\ud800</document>",  # lone surrogate in a text run
+        '<document a="x\udfff"/>',  # ... in an attribute value
+        "<!-- \ud800 --><document/>",  # ... and in the prolog
+    ])
+    def test_unencodable_text_takes_the_compat_route(self, text):
+        # A lone surrogate has no UTF-8 encoding, so the dense scan
+        # cannot certify it: validate(text) falls back, under one
+        # engine.validate span, to the report the compat route gives.
+        from repro.observability import Tracer, default_registry
+        from repro.xmlmodel import iter_events
+
+        xsd, compiled, *__ = _setup("figure3")
+        validator = StreamingValidator(compiled)
+        falls = default_registry().counter("engine.dense.fallbacks")
+        before = falls.value
+        with Tracer() as tracer:
+            report = validator.validate(text)
+        validates = [span for span in tracer.finished_spans()
+                     if span.name == "engine.validate"]
+        assert [span.attributes["path"] for span in validates] == [
+            "fallback"
+        ]
+        assert falls.value == before + 1
+        expected = validator.validate_events(iter_events(text))
+        assert report.violations == expected.violations
+        assert report.typing == expected.typing
+        assert sorted(report.violations) == sorted(
+            validate_xsd(xsd, parse_document(text)).violations
+        )
+
     def test_undeclared_root_stops_early(self):
         xsd, compiled, *__ = _setup("sections")
         report = StreamingValidator(compiled).validate(

@@ -1,0 +1,28 @@
+"""Every name a ``repro`` module lists in ``__all__`` resolves.
+
+A deletion that leaves its export behind fails here, in tier-1, rather
+than at the first ``from repro.<package> import *``.
+"""
+
+import importlib
+import pkgutil
+
+import repro
+
+
+def _modules():
+    yield repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        yield importlib.import_module(info.name)
+
+
+def test_every_exported_name_resolves():
+    stale = []
+    checked = 0
+    for module in _modules():
+        for name in getattr(module, "__all__", ()):
+            checked += 1
+            if not hasattr(module, name):
+                stale.append(f"{module.__name__}.{name}")
+    assert stale == []
+    assert checked > 300  # the walk reached the subpackages

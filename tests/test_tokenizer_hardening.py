@@ -1,58 +1,119 @@
-"""Hardening suite: the byte tokenizer is a drop-in for ``iter_events``.
+"""Hardening suite: the dense scan certifies only what the char parser accepts.
 
-:func:`repro.xmlmodel.tokenizer.iter_byte_events` promises that for
-*every* input it either produces the exact event stream the char-based
-parser would, or raises the exact error the char-based parser would —
-type, message, line, and column (plus ``limit``/``value`` for
-:class:`~repro.errors.LimitExceeded`).  The fast tier earns its speed by
-falling back whenever it cannot certify an input, so the dangerous
-surface is the set of inputs it *does* certify; this suite sweeps that
-surface with the same 600-mutant seeded corpus the parser fuzz suite
-uses, plus targeted probes of the limits plumbing and the fallback
-boundary.
+``StreamingValidator.validate_bytes`` runs the byte fast tier
+(:mod:`repro.xmlmodel.tokenizer`: ``body_start``, ``split_body`` and the
+memoized ``parse_chunk``) fused with the dense table loop, and falls
+back to the char parser plus compat loop on anything it cannot certify.
+It promises that for *every* input it returns the report
+``validate_events(iter_events(text))`` returns — verdict, violations,
+typing and typing order — or raises the same error — type, message,
+line, and column (plus ``limit``/``value`` for
+:class:`~repro.errors.LimitExceeded`).  The dangerous surface is the set
+of inputs the scan *does* commit; this suite sweeps it with the same
+600-mutant seeded corpus the parser fuzz suite uses, plus targeted
+probes of the limits plumbing and the fallback boundary.
+
+Each input is validated against schemas built from its own names, so a
+well-formed mutant can commit on the dense path: one type that admits
+every name-shaped token of the input as the root, as a child in any
+order, and as an optional attribute.  The *mixed* variant accepts text
+and commits every certifiable document; the *element-only* variant
+rejects significant text, so the scan's undecoded whitespace test is
+held to the compat loop's ``str.strip``.
 """
 
+import functools
 import random
+import re
 
 import pytest
 
+from repro.engine import StreamingValidator, compile_xsd
 from repro.errors import LimitExceeded, ParseError
+from repro.observability import default_registry
+from repro.regex.ast import star, sym, union
 from repro.resilience import ParserLimits
 from repro.xmlmodel.parser import iter_events
-from repro.xmlmodel.tokenizer import ByteTokenizer, iter_byte_events
+from repro.xsd.content import AttributeUse, ContentModel
+from repro.xsd.model import XSD
+from repro.xsd.typednames import TypedName
 from tests.test_fuzz_parser import BASE_DOCUMENTS, LIMITS, MUTATIONS, mutate
 
 pytestmark = pytest.mark.differential
 
+# Over-inclusive on purpose: every name the char parser could read (and
+# some it could not) becomes a schema name.
+_NAME_TOKEN = re.compile(r"[\w:][\w:.\-]*")
 
-def _drain(factory):
-    """Run one tokenizer to completion; normalize events or the error."""
+
+@functools.lru_cache(maxsize=None)
+def _validator(names, mixed):
+    typed = [sym(TypedName(name, "T")) for name in names]
+    model = ContentModel(
+        star(union(*typed)),
+        mixed=mixed,
+        attributes=tuple(AttributeUse(name, required=False)
+                         for name in names),
+    )
+    xsd = XSD(ename=names, types={"T"}, rho={"T": model},
+              start={TypedName(name, "T") for name in names})
+    return StreamingValidator(compile_xsd(xsd))
+
+
+def permissive_validator(text, mixed):
+    """A validator for a schema built from ``text``'s own names."""
+    names = tuple(sorted(set(_NAME_TOKEN.findall(text)))) or ("x",)
+    return _validator(names, mixed)
+
+
+def _outcome(thunk):
+    """Normalize a validation attempt: the report, or the error."""
     try:
-        return ("events", list(factory()))
+        report = thunk()
     except ParseError as error:
         return ("error", type(error).__name__, str(error), error.line,
                 error.column, getattr(error, "limit", None),
                 getattr(error, "value", None))
+    return ("report", report.valid, list(report.violations),
+            list(report.typing.items()))
+
+
+def _dense_docs():
+    return default_registry().counter("engine.dense.docs").value
+
+
+def assert_scan_agreement(text, mixed):
+    """``validate_bytes`` (and ``validate`` of the text) agree with the
+    compat route under the ambient limits; returns True iff the bytes
+    scan committed the document."""
+    validator = permissive_validator(text, mixed)
+    before = _dense_docs()
+    scan = _outcome(lambda: validator.validate_bytes(text.encode("utf-8")))
+    committed = _dense_docs() - before == 1
+    compat = _outcome(lambda: validator.validate_events(iter_events(text)))
+    variant = "mixed" if mixed else "element-only"
+    assert scan == compat, (
+        f"dense scan diverges on {text!r} ({variant}):\n"
+        f"  compat={compat}\n  scan={scan}"
+    )
+    assert _outcome(lambda: validator.validate(text)) == compat, (
+        f"validate(text) diverges on {text!r} ({variant})"
+    )
+    return committed
 
 
 def assert_tokenizer_agreement(text, limits=None):
-    reference = _drain(lambda: iter_events(text, limits=limits))
-    fast = _drain(lambda: iter_byte_events(text, limits=limits))
-    assert fast == reference, (
-        f"byte tokenizer diverges on {text!r}:\n"
-        f"  reference={reference}\n  fast={fast}"
-    )
-    as_bytes = _drain(
-        lambda: iter_byte_events(text.encode("utf-8"), limits=limits)
-    )
-    assert as_bytes == reference, (
-        f"byte tokenizer (bytes input) diverges on {text!r}:\n"
-        f"  reference={reference}\n  fast={as_bytes}"
-    )
+    """Both schema variants agree under ``limits`` (installed ambiently:
+    ``validate_bytes`` reads the ambient limits); returns the mixed
+    variant's commit."""
+    with limits or ParserLimits():
+        committed = assert_scan_agreement(text, mixed=True)
+        assert_scan_agreement(text, mixed=False)
+    return committed
 
 
 class TestSeededCorpus:
-    """The parser fuzz corpus, replayed against the byte tokenizer."""
+    """The parser fuzz corpus, replayed through the dense scan."""
 
     def test_base_documents_agree(self):
         for text in BASE_DOCUMENTS:
@@ -62,9 +123,15 @@ class TestSeededCorpus:
         # Same seed and mutation schedule as the parser fuzz sweep, so
         # the two suites certify the same inputs.
         rng = random.Random(0x20150806)
+        committed = 0
         for round_number in range(600):
             base = BASE_DOCUMENTS[round_number % len(BASE_DOCUMENTS)]
-            assert_tokenizer_agreement(mutate(base, rng), limits=LIMITS)
+            committed += assert_tokenizer_agreement(
+                mutate(base, rng), limits=LIMITS
+            )
+        # The replay must reach the commit path, not agree by falling
+        # back every time.
+        assert committed >= 31
 
     def test_every_mutation_operator_alone(self):
         rng = random.Random(0xFACADE)
@@ -77,32 +144,26 @@ class TestSeededCorpus:
 
 
 class TestLimitsPlumbing:
-    """Ambient and explicit ParserLimits reach the fast tier intact."""
+    """Ambient ParserLimits reach the dense scan intact."""
 
     def test_ambient_limits_are_honored(self):
         deep = "<a>" * 10 + "x" + "</a>" * 10
-        with ParserLimits(max_depth=4):
-            assert_tokenizer_agreement(deep)
+        assert_tokenizer_agreement(deep, limits=ParserLimits(max_depth=4))
+        validator = permissive_validator(deep, mixed=True)
         with ParserLimits(max_depth=4):
             with pytest.raises(LimitExceeded) as caught:
-                list(iter_byte_events(deep))
+                validator.validate_bytes(deep.encode("utf-8"))
         assert caught.value.limit == "max_depth"
-
-    def test_explicit_limits_override_ambient(self):
-        text = "<a><b/><b/><b/></a>"
-        with ParserLimits(max_depth=1):
-            events = list(iter_byte_events(
-                text, limits=ParserLimits(max_depth=8)
-            ))
-        assert events == list(iter_events(text))
 
     def test_input_size_cap_is_eager_and_identical(self):
         text = "<a>" + "x" * 64 + "</a>"
         limits = ParserLimits(max_input_bytes=32)
-        with pytest.raises(LimitExceeded) as fast:
-            iter_byte_events(text, limits=limits)
+        with limits, pytest.raises(LimitExceeded) as fast:
+            permissive_validator(text, mixed=True).validate_bytes(
+                text.encode("utf-8")
+            )
         with pytest.raises(LimitExceeded) as reference:
-            iter_events(text, limits=limits)
+            iter_events(text, limits=limits)  # raises before iteration
         assert str(fast.value) == str(reference.value)
         assert fast.value.limit == reference.value.limit
         assert fast.value.value == reference.value.value
@@ -113,22 +174,25 @@ class TestLimitsPlumbing:
             ("<a>" + "y" * 40 + "</a>", ParserLimits(max_text_length=16)),
             ("<a " + " ".join(f'k{i}="v"' for i in range(6)) + "/>",
              ParserLimits(max_attributes=3)),
+            ("<a k='" + "v" * 40 + "'/>", ParserLimits(max_text_length=16)),
         ]
         for text, limits in cases:
             assert_tokenizer_agreement(text, limits=limits)
 
 
 class TestFallbackBoundary:
-    """The fast tier runs when it can and delegates when it must."""
+    """The scan commits when it can and falls back when it must."""
 
     def test_clean_document_takes_the_fast_tier(self):
-        tokenizer = ByteTokenizer(
-            "<doc a='1'><item>text</item><item/></doc>"
+        text = "<doc a='1'><item>text</item><item/></doc>"
+        assert assert_tokenizer_agreement(text) is True
+        report = permissive_validator(text, mixed=True).validate_bytes(
+            text.encode("utf-8")
         )
-        events = list(tokenizer.events())
-        assert tokenizer.delegated is False
-        assert events[0] == ("start", "doc", {"a": "1"})
-        assert len(tokenizer.names) == 2  # doc, item interned once each
+        assert report.valid
+        assert list(report.typing) == [
+            "/doc[1]", "/doc[1]/item[1]", "/doc[1]/item[2]",
+        ]
 
     @pytest.mark.parametrize("text", [
         "<!DOCTYPE d><d/>",                      # prolog DOCTYPE
@@ -140,10 +204,9 @@ class TestFallbackBoundary:
         "<a b = '1'c='2'/>",                     # no space after quote
     ])
     def test_uncertifiable_inputs_delegate(self, text):
-        tokenizer = ByteTokenizer(text)
-        list(tokenizer.events())
-        assert tokenizer.delegated is True
-        assert_tokenizer_agreement(text)
+        # Valid under the mixed schema, yet never committed by the scan.
+        assert assert_tokenizer_agreement(text) is False
+        assert permissive_validator(text, mixed=True).validate(text).valid
 
     @pytest.mark.parametrize("text", [
         "<?>",                      # '?>' overlapping the opening '<?'
@@ -157,5 +220,39 @@ class TestFallbackBoundary:
 
     def test_malformed_shapes_produce_reference_errors(self):
         for text in ["<a b/>", "</a>", "<a></b>", "<a", "<>", "<a//>",
-                     "<a>text", "x<a/>", "<a/><b/>", "<a 1='x'/>"]:
-            assert_tokenizer_agreement(text)
+                     "<a>text", "x<a/>", "<a/><b/>", "<a 1='x'/>",
+                     "<a b='1' b='2'/>", "<a b='1' c='2' b='1'>t</a>"]:
+            assert assert_tokenizer_agreement(text) is False
+
+    @pytest.mark.parametrize("data", [
+        b"<!-- \xff --><a/>",                            # comment
+        b"<?pi \xff?><a/>",                              # PI
+        b"<?xml version='1.0' encoding='\xff'?><a/>",    # declaration
+        "<!-- caf\xe9 --><a/>".encode("latin-1"),
+    ])
+    def test_undecodable_prolog_bytes_are_refused(self, data):
+        # The scan skips the prolog without decoding it, so it must not
+        # commit a document whose prolog is not UTF-8: the compat route
+        # rejects the whole input.
+        from repro.engine.streaming import as_events
+
+        validator = permissive_validator("a", mixed=True)
+        scan = _outcome(lambda: validator.validate_bytes(data))
+        compat = _outcome(lambda: validator.validate_events(as_events(data)))
+        assert scan == compat
+        assert scan[0] == "error" and "not valid UTF-8" in scan[2]
+
+    def test_text_significance_matches_str_strip_on_ascii(self):
+        # The scan tests trailing text bytes against _STR_WS undecoded;
+        # the compat loop tests the decoded run with str.strip.  Every
+        # ASCII character that is not markup, alone and around a letter;
+        # element-only content commits exactly the whitespace runs.
+        for code in range(128):
+            char = chr(code)
+            if char in "<&":
+                continue
+            for text in (f"<a>{char}</a>", f"<a>{char}x{char}</a>",
+                         f"<a><b/>{char}</a>"):
+                assert_tokenizer_agreement(text)
+            committed = assert_scan_agreement(f"<a>{char}</a>", mixed=False)
+            assert committed == char.isspace(), repr(char)

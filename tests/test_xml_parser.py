@@ -63,6 +63,55 @@ class TestParsing:
         assert node.name == "a"
 
 
+class TestParseFragment:
+    """One element, optionally wrapped in whitespace, and nothing else."""
+
+    def test_surrounding_whitespace_is_accepted(self):
+        node = parse_fragment(" \n\t<a x='1'>t<b/>u</a>\r\n ")
+        assert node == element("a", "t", element("b"), "u",
+                               attributes={"x": "1"})
+        assert node.parent is None
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        # Markup before the element: its '<' opens a tag whose name is
+        # missing (a fragment has no prolog).
+        ("<?xml version='1.0'?><a/>", "expected a name", 1, 2),
+        ("<!-- c --><a/>", "expected a name", 1, 2),
+        (" \n<!-- c -->\n<a/>", "expected a name", 2, 2),
+        ("text<a/>", "expected an element start tag", 1, 1),
+        ("", "expected an element start tag", 1, 1),
+        ("  ", "expected an element start tag", 1, 3),
+        # Anything after it, misc included.
+        ("<a/><!-- c -->", "content after the element", 1, 5),
+        ("<a/>\n<!--c-->", "content after the element", 2, 1),
+        ("<a/>  <?xml version='1.0'?>", "content after the element", 1, 7),
+        ("<a/><?pi x?>", "content after the element", 1, 5),
+        ("<a/>\n  <b/>", "content after the element", 2, 3),
+    ])
+    def test_anything_but_one_element_is_rejected(self, text, message,
+                                                  line, column):
+        with pytest.raises(ParseError) as info:
+            parse_fragment(text)
+        assert (info.value.message, info.value.line, info.value.column) == (
+            message, line, column
+        )
+
+    def test_max_depth_is_honoured(self):
+        from repro.errors import LimitExceeded
+        from repro.resilience import ParserLimits
+
+        text = "<a><b><c/></b></a>"
+        node = parse_fragment(text, limits=ParserLimits(max_depth=3))
+        assert node.children[0].children[0].name == "c"
+        with pytest.raises(LimitExceeded) as info:
+            parse_fragment(text, limits=ParserLimits(max_depth=2))
+        error = info.value
+        assert (str(error), error.limit, error.value) == (
+            "nesting depth limit exceeded at <c> (depth 3 > max_depth=2) "
+            "at line 1, column 9", "max_depth", 3,
+        )
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "text",

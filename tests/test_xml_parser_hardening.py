@@ -149,6 +149,19 @@ class TestOtherLimits:
         with pytest.raises(LimitExceeded):
             parse_document(text * 3, limits=limits)
 
+    def test_input_size_counts_a_lone_surrogate(self):
+        # 8 code points, 10 bytes with the surrogate's three: close
+        # enough to the cap that the exact size is computed, which must
+        # not leak UnicodeEncodeError.
+        text = "<a>\ud800</a>"
+        document = parse_document(text, limits=ParserLimits(
+            max_input_bytes=16
+        ))
+        assert document.root.text == "\ud800"
+        with pytest.raises(LimitExceeded) as info:
+            parse_document(text, limits=ParserLimits(max_input_bytes=9))
+        assert info.value.value == 10
+
     def test_attribute_count(self):
         attrs = " ".join(f"a{i}='v'" for i in range(5))
         limits = ParserLimits(max_attributes=4)

@@ -94,3 +94,39 @@ class TestDocument:
         assert XMLDocument(left) == XMLDocument(right)
         different = element("r", element("a", attributes={"x": "2"}))
         assert XMLDocument(left) != XMLDocument(different)
+
+
+class TestEventFold:
+    """``XMLElement.from_events`` inverts ``XMLElement.events``."""
+
+    def test_fold_of_events_is_the_tree(self):
+        tree = element(
+            "doc",
+            "lead",
+            element("a", element("b", "deep"), attributes={"k": "v"}),
+            "mid",
+            element("a"),
+            attributes={"id": "1"},
+        )
+        rebuilt = XMLElement.from_events(tree.events())
+        assert rebuilt == tree
+        assert rebuilt.texts == ["lead", "mid", ""]
+        assert [node.parent for node in rebuilt.children] == [rebuilt] * 2
+        assert rebuilt.parent is None
+
+    def test_adjacent_text_events_join_one_run(self):
+        node = XMLElement.from_events([
+            ("start", "a", {}), ("text", "x"), ("text", "y"),
+            ("start", "b", {}), ("end", "b"), ("text", "z"), ("end", "a"),
+        ])
+        assert node.texts == ["xy", "z"]
+        assert node.ch_str() == ["b"]
+
+    def test_the_stream_is_drained(self):
+        def events():
+            yield ("start", "a", {})
+            yield ("end", "a")
+            raise ValueError("after the element")
+
+        with pytest.raises(ValueError):
+            XMLElement.from_events(events())
