@@ -59,9 +59,9 @@ def _rate(function, size, repeats=3):
 
 def bench_engine_throughput(benchmark):
     def run():
-        # This experiment certifies the *disabled* tracing/provenance hot
-        # path (the acceptance bar: within noise of the seed), so the
-        # bench session's ambient tracer is uninstalled for its extent.
+        # This experiment certifies the hot path with tracing disabled
+        # (the acceptance bar: within noise of the seed), so the ambient
+        # tracer of the benchmark run is uninstalled for its extent.
         with installed_tracer(None):
             return _run_engine_throughput()
 

@@ -96,16 +96,15 @@ from repro.bonxai import (
 )
 from repro.errors import ReproError
 from repro.translation import (
+    bxsd_core,
     bxsd_to_dfa_based,
     detect_k_suffix,
     detect_semantic_locality,
-    dfa_based_to_bxsd,
-    dfa_based_to_xsd,
-    dtd_to_bxsd,
+    formal_xsd,
     xsd_to_dfa_based,
 )
 from repro.xmlmodel import parse_document, parse_dtd
-from repro.xsd import read_xsd, validate_xsd, write_xsd
+from repro.xsd import XSDValidationReport, read_xsd, validate_xsd, write_xsd
 
 
 def main(argv=None):
@@ -734,20 +733,18 @@ def _validate_single(args, kind, schema, path):
     text = _load_text(path)
     try:
         if getattr(args, "engine", "tree") == "streaming":
-            violations = _streaming_violations(kind, schema, text)
+            from repro.engine import validate_streaming
+
+            # BonXai and DTD schemas: their structural language only.
+            report = validate_streaming(formal_xsd(kind, schema), text)
         else:
-            document = parse_document(text)
-            if kind == "xsd":
-                violations = validate_xsd(schema, document).violations
-            elif kind == "dtd":
-                violations = schema.validate(document)
-            else:
-                violations = schema.validate(document).violations
+            report = _tree_check(kind, schema)(parse_document(text))
     except ParseError as error:
         # A malformed (or over-limit) document is a *data* failure, not
         # a usage error: one structured line, exit 1, no traceback.
         print(_error_line(path, DocumentError.from_exception(error)))
         return 1
+    violations = report.violations
     if violations:
         for violation in violations:
             print(violation)
@@ -760,22 +757,25 @@ def _validate_single(args, kind, schema, path):
 def _validate_batch(args, kind, schema, resilience=None):
     """Fault-isolated multi-document validation with a summary line.
 
-    Every schema kind rides the translation square to one formal XSD
-    (structural validation for BonXai/DTD), so the whole batch shares a
-    single compiled schema.  Documents are fetched lazily as source
-    callables; a file that fails to read is an isolated ``io`` error,
-    not a batch abort.  ``resilience`` carries the ``--deadline`` /
-    ``--retries`` / ``--limits-*`` overrides straight into
-    :func:`validate_many` (a single document given any of those flags
-    comes through here too, so the knobs always ride the isolation
-    machinery).
+    The tree engine runs the schema kind's own check on every document,
+    as single-document mode does; the streaming engine rides the
+    translation square to one compiled formal XSD (structural
+    validation for BonXai/DTD) shared by the whole batch.  Documents are
+    fetched lazily as source callables; a file that fails to read is an
+    isolated ``io`` error, not a batch abort.  ``resilience`` carries
+    the ``--deadline`` / ``--retries`` / ``--limits-*`` overrides
+    straight into :func:`validate_many` (a single document given any of
+    those flags comes through here too, so the knobs always ride the
+    isolation machinery).
     """
-    from repro.engine import compile_cached, validate_many
+    from repro.engine import validate_many
     from repro.resilience import FailurePolicy
 
     engine = getattr(args, "engine", "tree")
-    xsd = _as_formal_xsd(kind, schema)
-    target = compile_cached(xsd) if engine == "streaming" else xsd
+    if engine == "streaming":
+        target = formal_xsd(kind, schema)
+    else:
+        target = _tree_check(kind, schema)
     policy = (
         FailurePolicy.FAIL_FAST if args.fail_fast else FailurePolicy.ISOLATE
     )
@@ -807,22 +807,32 @@ def _validate_batch(args, kind, schema, resilience=None):
     return 0 if ok == len(outcomes) else 1
 
 
-def _as_formal_xsd(kind, schema):
-    """Ride the translation square to a formal XSD (Algorithms 2 + 4)."""
+def _tree_check(kind, schema):
+    """The schema kind's own validator, as ``document -> report``.
+
+    A DTD also checks attribute enumerations, and a BonXai schema its
+    typed attributes and integrity constraints: checks the formal XSD
+    of the streaming engine does not carry.
+    """
     if kind == "xsd":
-        return schema
-    if kind == "dtd":
-        return dfa_based_to_xsd(bxsd_to_dfa_based(dtd_to_bxsd(schema)))
-    return dfa_based_to_xsd(bxsd_to_dfa_based(schema.bxsd))
+        return lambda document: validate_xsd(schema, document)
+    if kind == "bonxai":
+        return schema.validate
+
+    def check(document):
+        report = XSDValidationReport()
+        report.violations = schema.validate(document)
+        return report
+
+    return check
 
 
 def _as_dfa_based(kind, schema):
     """Ride the translation square to the DFA-based pivot (Definition 3)."""
-    if kind == "xsd":
+    bxsd = bxsd_core(kind, schema)
+    if bxsd is None:
         return xsd_to_dfa_based(schema)
-    if kind == "dtd":
-        return bxsd_to_dfa_based(dtd_to_bxsd(schema))
-    return bxsd_to_dfa_based(schema.bxsd)
+    return bxsd_to_dfa_based(bxsd)
 
 
 def _cmd_diff(args):
@@ -843,20 +853,6 @@ def _cmd_diff(args):
         for line in diff.render():
             print(line)
     return 0 if diff.equivalent else 1
-
-
-def _streaming_violations(kind, schema, text):
-    """Validate with the compiled streaming engine (any schema kind).
-
-    BonXai and DTD schemas ride the translation square to a formal XSD
-    first (Algorithms 2 + 4), so the streaming engine checks exactly their
-    structural language; the compiled form is cached process-wide.
-    """
-    from repro.engine import compile_cached, validate_streaming
-
-    return validate_streaming(
-        compile_cached(_as_formal_xsd(kind, schema)), text
-    ).violations
 
 
 def _cmd_highlight(args):
@@ -883,7 +879,7 @@ def _cmd_patch(args):
     from repro.xmlmodel import parse_patch, write_document
 
     kind, schema = _load_schema(args.schema)
-    xsd = _as_formal_xsd(kind, schema)
+    xsd = formal_xsd(kind, schema)
     document = parse_document(_load_text(args.document))
     patches = [parse_patch(_load_text(path)) for path in args.patches]
     applied = sum(len(patch) for patch in patches)
@@ -959,8 +955,7 @@ def _cmd_explain(args):
 
 
 def _cmd_convert(args):
-    kind, __ = _load_schema(args.input)
-    text = _load_text(args.input)
+    kind, schema = _load_schema(args.input)
     target = args.to
     if target is None:
         target = "bonxai" if kind in ("xsd", "dtd") else "xsd"
@@ -969,21 +964,20 @@ def _cmd_convert(args):
         from repro.translation.hybrid import hybrid_dfa_based_to_bxsd
         from repro.xsd import minimize_dfa_based
 
-        dfa_based = minimize_dfa_based(xsd_to_dfa_based(read_xsd(text)))
+        dfa_based = minimize_dfa_based(xsd_to_dfa_based(schema))
         # Hybrid Algorithm 2: suffix rules for context-local states,
         # state elimination only for the genuinely context-dependent rest.
         bxsd = hybrid_dfa_based_to_bxsd(dfa_based)
         output = print_schema(bxsd_to_schema(bxsd))
     elif kind == "dtd" and target == "bonxai":
-        output = print_schema(bxsd_to_schema(dtd_to_bxsd(parse_dtd(text))))
+        output = print_schema(bxsd_to_schema(bxsd_core(kind, schema)))
     elif kind == "bonxai" and target == "xsd":
-        compiled = compile_schema(parse_bonxai(text))
-        xsd = dfa_based_to_xsd(bxsd_to_dfa_based(compiled.bxsd))
         output = write_xsd(
-            xsd, target_namespace=compiled.source.target_namespace
+            formal_xsd(kind, schema),
+            target_namespace=schema.source.target_namespace,
         )
     elif kind == target:
-        output = text
+        output = _load_text(args.input)
     else:
         print(f"cannot convert {kind} to {target}", file=sys.stderr)
         return 2
@@ -1003,7 +997,7 @@ def _cmd_analyze(args):
         dfa_based = xsd_to_dfa_based(schema)
         bxsd = None
     else:
-        bxsd = dtd_to_bxsd(schema) if kind == "dtd" else schema.bxsd
+        bxsd = bxsd_core(kind, schema)
         # Prefer the Theorem-12 construction for suffix-based schemas: it
         # yields the automaton whose structural k-suffix width matches the
         # schema's intent (the generic product does not).

@@ -27,7 +27,6 @@ from repro.conformance.corpus import (
 from repro.conformance.generate import (
     CaseGenerator,
     ConformanceCase,
-    copy_tree,
     mutate_document,
     random_dfa_based,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ShrinkResult",
     "SweepConfig",
     "SweepResult",
-    "copy_tree",
     "default_arrows",
     "dfa_to_json",
     "document_measure",

@@ -27,7 +27,8 @@ from repro.corpus.generator import (
 from repro.errors import ReproError
 from repro.regex.ast import EPSILON, interleave, optional, plus, star, sym
 from repro.translation.ksuffix import ksuffix_bxsd_to_dfa_based
-from repro.xmlmodel.tree import XMLDocument, XMLElement
+from repro.xmlmodel.patch import clone_element
+from repro.xmlmodel.tree import XMLDocument
 from repro.xsd.content import AttributeUse, ContentModel
 from repro.xsd.dfa_based import DFABasedXSD
 from repro.xsd.generator import DocumentGenerator
@@ -231,15 +232,6 @@ def _sample_documents(rng, dfa, docs_per_case, mutants_per_doc):
     return documents
 
 
-def copy_tree(node):
-    """A deep copy of one element subtree (attributes, texts, children)."""
-    clone = XMLElement(node.name, attributes=dict(node.attributes))
-    clone.texts = [node.texts[0]]
-    for index, child in enumerate(node.children):
-        clone.append(copy_tree(child), text_after=node.texts[index + 1])
-    return clone
-
-
 def mutate_document(document, rng, names, attr_names):
     """One random mutation covering every violation class.
 
@@ -248,7 +240,7 @@ def mutate_document(document, rng, names, attr_names):
     child), attributes (add an undeclared or drop a declared one), and
     mixedness (inject character data).
     """
-    root = copy_tree(document.root)
+    root = clone_element(document.root)
     nodes = list(root.iter())
     victim = nodes[rng.randrange(len(nodes))]
     choice = rng.randrange(6)
@@ -261,7 +253,7 @@ def mutate_document(document, rng, names, attr_names):
         del victim.parent.texts[index + 1]
         victim.parent = None
     elif choice == 2 and victim.children:  # duplicate a child
-        victim.append(copy_tree(
+        victim.append(clone_element(
             victim.children[rng.randrange(len(victim.children))]
         ))
     elif choice == 3:  # add an attribute (possibly undeclared)

@@ -46,6 +46,7 @@ from repro.regex.ast import (
     union,
 )
 from repro.regex.determinism import check_deterministic
+from repro.xmlmodel.patch import clone_element
 from repro.xmlmodel.tree import XMLDocument
 from repro.xsd.content import ContentModel
 from repro.xsd.dfa_based import DFABasedXSD
@@ -419,20 +420,18 @@ def _substitute_empty(node, name):
 # -- document reductions ---------------------------------------------------
 def document_reductions(document):
     """Yield documents strictly smaller than ``document``."""
-    from repro.conformance.generate import copy_tree
-
     base = document_measure(document)
     count = sum(1 for __ in document.iter())
     for index in range(1, count):  # never delete the root
-        yield _delete_subtree(document, index, copy_tree)
+        yield _delete_subtree(document, index)
     for index in range(count):
         node = _node_at(document, index)
         if node.children:
-            yield _clear_children(document, index, copy_tree)
+            yield _clear_children(document, index)
         for attr_name in sorted(node.attributes):
-            yield _drop_attribute(document, index, attr_name, copy_tree)
+            yield _drop_attribute(document, index, attr_name)
         if any(run.strip() for run in node.texts):
-            yield _clear_text(document, index, copy_tree)
+            yield _clear_text(document, index)
     # All operators remove at least one node, attribute, or text run,
     # so every yielded document is strictly smaller; assert the
     # invariant cheaply in debug runs.
@@ -446,40 +445,39 @@ def _node_at(document, index):
     raise IndexError(index)
 
 
-def _edit(document, index, copy_tree, editor):
-    root = copy_tree(document.root)
-    clone = XMLDocument(root)
+def _edit(document, index, editor):
+    clone = XMLDocument(clone_element(document.root))
     editor(_node_at(clone, index))
     return clone
 
 
-def _delete_subtree(document, index, copy_tree):
+def _delete_subtree(document, index):
     def remove(node):
         parent = node.parent
         position = parent.children.index(node)
         del parent.children[position]
         del parent.texts[position + 1]
 
-    return _edit(document, index, copy_tree, remove)
+    return _edit(document, index, remove)
 
 
-def _clear_children(document, index, copy_tree):
+def _clear_children(document, index):
     def clear(node):
         node.children = []
         node.texts = [node.texts[0]]
 
-    return _edit(document, index, copy_tree, clear)
+    return _edit(document, index, clear)
 
 
-def _drop_attribute(document, index, attr_name, copy_tree):
+def _drop_attribute(document, index, attr_name):
     def drop(node):
         del node.attributes[attr_name]
 
-    return _edit(document, index, copy_tree, drop)
+    return _edit(document, index, drop)
 
 
-def _clear_text(document, index, copy_tree):
+def _clear_text(document, index):
     def clear(node):
         node.texts = ["" for __ in node.texts]
 
-    return _edit(document, index, copy_tree, clear)
+    return _edit(document, index, clear)

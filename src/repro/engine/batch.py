@@ -70,7 +70,10 @@ def validate_many(schema, sources, engine="streaming", workers=None,
     Args:
         schema: a formal :class:`~repro.xsd.model.XSD` or an already
             compiled :class:`CompiledSchema` (ignored by the tree engine,
-            which needs the formal XSD).
+            which needs the formal XSD).  The tree engine also takes a
+            callable ``document -> report`` in its place: a schema
+            kind's own tree validator (``repro validate`` passes the
+            BonXai and DTD validators this way).
         sources: iterable of documents — XML text strings, UTF-8
             bytes (undecodable bytes are a parse error),
             ``XMLDocument``/``XMLElement`` trees, event iterables, or
@@ -277,6 +280,12 @@ def _make_validator(schema, engine, cache, limits, deadline=None):
         from repro.xmlmodel.tree import XMLDocument, XMLElement
         from repro.xsd.validator import validate_xsd
 
+        if callable(schema):
+            check = schema
+        else:
+            def check(document):
+                return validate_xsd(schema, document)
+
         def validate(document, deadline_at):
             if not isinstance(document, (XMLDocument, XMLElement)):
                 # Text, bytes or events: the tree the stream spells.
@@ -286,7 +295,7 @@ def _make_validator(schema, engine, cache, limits, deadline=None):
             if isinstance(document, XMLElement):
                 document = XMLDocument(document)
             _check_deadline(deadline_at, deadline)
-            report = validate_xsd(schema, document)
+            report = check(document)
             _check_deadline(deadline_at, deadline)
             return report
 

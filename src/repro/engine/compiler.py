@@ -323,6 +323,59 @@ class CompiledType:
                 if accepting:
                     self.acc_bits |= 1 << state
 
+    # The per-element checks and violation messages both validation loops
+    # (the streaming compat loop and ValidatedDocument) write, in the
+    # wording of the tree validator.  ``path`` is the element's slash path.
+    def attribute_problems(self, attributes):
+        """The attribute check, as ``(missing, attribute name)`` pairs.
+
+        Missing required attributes (``missing`` true) come first, in
+        declaration order, then undeclared ones in document order.
+        """
+        problems = []
+        for name in self.required_attrs:
+            if name not in attributes:
+                problems.append((True, name))
+        declared = self.declared_attrs
+        for name in attributes:
+            if name not in declared:
+                problems.append((False, name))
+        return problems
+
+    def attribute_violations(self, path, element, attributes):
+        """:meth:`attribute_problems` as violation messages."""
+        problems = self.attribute_problems(attributes)
+        if not problems:
+            return problems
+        return [
+            f"{path}: element <{element}> is missing required "
+            f"attribute {name!r}" if missing else
+            f"{path}: element <{element}> has undeclared attribute {name!r}"
+            for missing, name in problems
+        ]
+
+    def child_not_allowed(self, path, element, child):
+        """The violation for a ``child`` this type declares no type for."""
+        return (
+            f"{path}: element <{child}> is not allowed under <{element}> "
+            f"(type {self.name})"
+        )
+
+    def content_mismatch(self, path, element, child_names):
+        """The violation for a child word the content model rejects."""
+        shown = " ".join(child_names)
+        return (
+            f"{path}: children of <{element}> [{shown or 'none'}] do not "
+            f"match the content model of type {self.name}"
+        )
+
+    def text_not_allowed(self, path, element):
+        """The violation for character data in element-only content."""
+        return (
+            f"{path}: element <{element}> (type {self.name}) may not "
+            f"contain text"
+        )
+
 
 class CompiledSchema:
     """An immutable, table-driven form of a formal XSD.
@@ -384,6 +437,13 @@ class CompiledSchema:
     def root_type_id(self, element_name):
         """The start type id of a root element name, or ``None``."""
         return self.start.get(element_name)
+
+    def undeclared_root(self, element_name):
+        """The violation for a root element that is not declared."""
+        return (
+            f"root element <{element_name}> is not declared "
+            f"(allowed: {list(self.start_names)})"
+        )
 
     def __repr__(self):
         return (
@@ -462,17 +522,16 @@ def compile_bonxai(schema):
     """Compile a BonXai schema (parsed or compiled) to a CompiledSchema.
 
     Rides the existing lowering chain: ``bonxai.compile`` to the formal
-    BXSD core, Algorithm 2 to the DFA-based pivot, Algorithm 4 to a formal
-    XSD, then :func:`compile_xsd`.  The result validates exactly the
-    structural (rule) language of the schema; BonXai-specific extras
-    (constraints, rule highlighting) stay with the tree validator.
+    BXSD core, Algorithms 3 and 4 to a formal XSD
+    (:func:`~repro.translation.formal_xsd`), then :func:`compile_xsd`.
+    The result validates exactly the structural (rule) language of the
+    schema; BonXai-specific extras (constraints, rule highlighting) stay
+    with the tree validator.
     """
     from repro.bonxai.compile import CompiledSchema as BonxaiCompiled
     from repro.bonxai.compile import compile_schema
-    from repro.translation.bxsd_to_dfa import bxsd_to_dfa_based
-    from repro.translation.dfa_to_xsd import dfa_based_to_xsd
+    from repro.translation.pipeline import formal_xsd
 
     if not isinstance(schema, BonxaiCompiled):
         schema = compile_schema(schema)
-    xsd = dfa_based_to_xsd(bxsd_to_dfa_based(schema.bxsd))
-    return compile_xsd(xsd)
+    return compile_xsd(formal_xsd("bonxai", schema))

@@ -11,8 +11,8 @@ anything outside that element's content word and the new subtree itself:
 
 * **insert/delete/replace of a child** re-runs only the touched parent's
   content word against its content-model DFA.  The per-element DFA state
-  path recorded at validation time (the same memo the provenance layer of
-  PR 4 records) lets even that be partial: states up to the edit offset
+  path recorded at validation time (the memo ``explain`` reads its
+  records from) lets even that be partial: states up to the edit offset
   replay from the memo, and only the suffix runs the dense row loop.
 * **a new subtree** is typed and checked by the ordinary validator walk —
   its root's type is forced by the parent's type and its label, so the
@@ -28,7 +28,8 @@ violations).  All edits MUST go through its API — mutating the underlying
 tree directly leaves the memo stale.  After every edit the handle's
 :meth:`report` agrees with a from-scratch run of the tree or streaming
 validator on verdict, violation multiset, and typing (the conformance
-harness's ``incremental`` leg enforces this on seeded edit storms).
+harness's ``incremental`` leg enforces this on seeded edit storms), and
+:meth:`provenance` lists the per-element records ``explain`` prints.
 
 Observability: ``engine.incremental.*`` counters (documents, edits by
 operation, nodes typed, memo hits) and ``engine.incremental.build`` /
@@ -41,9 +42,11 @@ import contextlib
 import time
 
 from repro.engine.compiler import CompiledSchema
-from repro.errors import PatchError, SchemaError
+from repro.errors import SchemaError
 from repro.observability import default_registry
+from repro.observability.provenance import ElementProvenance, first_divergence
 from repro.observability.tracing import span
+from repro.xmlmodel.patch import resolve
 from repro.xmlmodel.tree import XMLDocument, XMLElement
 from repro.xsd.validator import XSDValidationReport
 
@@ -57,8 +60,7 @@ class _NodeState:
             place — ``replace_subtree`` swaps whole nodes).
         states: content-DFA state path (seen-masks for a bag type);
             ``states[0] == 0`` and one state is appended per *recognized*
-            child, exactly the ``dfa_states`` tuple the provenance
-            recorder keeps.
+            child; the ``dfa_states`` of the element's provenance entry.
         recognized: True iff every child's label is declared under this
             type (only then is the content word checked for acceptance,
             mirroring both reference validators).
@@ -161,7 +163,11 @@ class ValidatedDocument:
             nodes[id(node)] = state
             typed += 1
             compiled = types[type_id]
-            self._check_attributes(node, compiled, state)
+            attributes = node.attributes
+            if attributes or compiled.required_attrs:
+                state.attr_viols = compiled.attribute_violations(
+                    path, node.name, attributes
+                )
             self._check_text(node, compiled, state)
             self._run_content(node, compiled, state, offset=0)
             self._refresh_validity(node, state)
@@ -178,31 +184,10 @@ class ValidatedDocument:
         registry.counter("engine.incremental.content_replays").inc(typed)
         return typed
 
-    # -- per-element checks (message-compatible with both validators) ------
-    def _check_attributes(self, node, compiled, state):
-        viols = []
-        attributes = node.attributes
-        for required in compiled.required_attrs:
-            if required not in attributes:
-                viols.append(
-                    f"{state.path}: element <{node.name}> is missing "
-                    f"required attribute {required!r}"
-                )
-        declared = compiled.declared_attrs
-        for attr_name in attributes:
-            if attr_name not in declared:
-                viols.append(
-                    f"{state.path}: element <{node.name}> has undeclared "
-                    f"attribute {attr_name!r}"
-                )
-        state.attr_viols = viols
-
+    # -- per-element checks (shared with the streaming compat loop) -------
     def _check_text(self, node, compiled, state):
         if not compiled.mixed and node.has_text():
-            state.text_viol = (
-                f"{state.path}: element <{node.name}> "
-                f"(type {compiled.name}) may not contain text"
-            )
+            state.text_viol = compiled.text_not_allowed(state.path, node.name)
         else:
             state.text_viol = None
 
@@ -236,11 +221,9 @@ class ValidatedDocument:
             interned = name_ids.get(child.name)
             if interned is None or child_types[interned] < 0:
                 recognized = False
-                viols.append(
-                    f"{state.path}: element <{child.name}> is not "
-                    f"allowed under <{node.name}> "
-                    f"(type {compiled.name})"
-                )
+                viols.append(compiled.child_not_allowed(
+                    state.path, node.name, child.name
+                ))
                 continue
             if bag is None:
                 current = rows[current][interned]
@@ -256,11 +239,8 @@ class ValidatedDocument:
         state.recognized = recognized
         state.child_viols = viols
         if recognized and not accepted:
-            shown = " ".join(child.name for child in children)
-            state.content_viol = (
-                f"{state.path}: children of <{node.name}> "
-                f"[{shown or 'none'}] do not match the content model of "
-                f"type {compiled.name}"
+            state.content_viol = compiled.content_mismatch(
+                state.path, node.name, [child.name for child in children]
             )
         else:
             state.content_viol = None
@@ -271,19 +251,10 @@ class ValidatedDocument:
         """The element at a child-index path (``()`` is the root).
 
         Raises :class:`~repro.errors.PatchError` when an index is out
-        of range, with the offending prefix named (the same contract as
-        :func:`repro.xmlmodel.patch.resolve`).
+        of range, with the offending prefix named
+        (:func:`repro.xmlmodel.patch.resolve`).
         """
-        node = self.document.root
-        for position, index in enumerate(path):
-            if not 0 <= index < len(node.children):
-                prefix = "/".join(str(i) for i in path[:position + 1])
-                raise PatchError(
-                    f"patch path /{prefix} does not exist: <{node.name}> "
-                    f"has {len(node.children)} child(ren)"
-                )
-            node = node.children[index]
-        return node
+        return resolve(self.document.root, path)
 
     def insert_child(self, parent, index, child, text_after=""):
         """Insert ``child`` under ``parent`` at ``index``; revalidate.
@@ -336,21 +307,8 @@ class ValidatedDocument:
                 self._purge(node)
                 self._build()
                 return node
-            # Locate by identity: list.index would use XMLElement's
-            # *value* equality and can pick the wrong (equal-valued)
-            # sibling, corrupting the provenance bookkeeping.
-            index = next(
-                i for i, sibling in enumerate(parent.children)
-                if sibling is node
-            )
-            # Preserve the text runs around the replaced node exactly
-            # (remove_child would merge them).
-            before = parent.texts[index]
-            text_after = parent.texts[index + 1]
-            parent.remove_child(index)
-            parent.texts[index] = before
             self._purge(node)
-            parent.insert(index, replacement, text_after)
+            index = parent.replace_child(node, replacement)
             self._after_child_edit(parent, index, new_child=replacement)
         return node
 
@@ -367,8 +325,9 @@ class ValidatedDocument:
                 node.attributes[name] = value
             state = self._nodes.get(id(node))
             if state is not None:
-                self._check_attributes(
-                    node, self.schema.types[state.type_id], state
+                compiled = self.schema.types[state.type_id]
+                state.attr_viols = compiled.attribute_violations(
+                    state.path, node.name, node.attributes
                 )
                 self._refresh_validity(node, state)
 
@@ -464,23 +423,86 @@ class ValidatedDocument:
         children's).  The streaming validator agrees on the multiset.
         """
         report = XSDValidationReport()
-        root = self.document.root
         if not self._root_declared:
             report.violations.append(
-                f"root element <{root.name}> is not declared "
-                f"(allowed: {list(self.schema.start_names)})"
+                self.schema.undeclared_root(self.document.root.name)
             )
             return report
-        nodes = self._nodes
         types = self.schema.types
-        # Pre-order over typed nodes, assigning sibling ordinals over
-        # recognized children only (exactly the reference validators).
+        for __, typed_path, state in self._typed_nodes():
+            report.typing[typed_path] = types[state.type_id].name
+            report.violations.extend(state.local_violations())
+        return report
+
+    def provenance(self, rule_of=None):
+        """One :class:`~repro.observability.ElementProvenance` per typed
+        element, in document order (the ``explain`` records).
+
+        Each entry carries the element's type and content state path
+        (``tuple(states)``) and, for an invalid element, the first
+        reason in the order a streaming pass meets them: a missing
+        required attribute, then an undeclared one; the first child not
+        allowed; the content model's first divergence; text in
+        element-only content.
+
+        Args:
+            rule_of: optional ``id(element) -> BXSD rule index`` map
+                (:attr:`~repro.bonxai.bxsd.MatchReport.rule_of` of a
+                match over this handle's tree) for ``rule_index``.
+        """
+        if not self._root_declared:
+            return []
+        types = self.schema.types
+        invalid = self._invalid
+        entries = []
+        for node, typed_path, state in self._typed_nodes():
+            compiled = types[state.type_id]
+            entry = ElementProvenance(
+                state.path, typed_path, node.name, compiled.name
+            )
+            entry.dfa_states = tuple(state.states)
+            if rule_of is not None:
+                entry.rule_index = rule_of.get(id(node))
+            if id(node) in invalid:
+                entry.mark_invalid(self._first_reason(node, compiled, state))
+            entries.append(entry)
+        return entries
+
+    def _first_reason(self, node, compiled, state):
+        """Why an invalid element failed (see :meth:`provenance`)."""
+        if state.attr_viols:
+            missing, name = compiled.attribute_problems(node.attributes)[0]
+            if missing:
+                return f"missing required attribute {name!r}"
+            return f"undeclared attribute {name!r}"
+        if not state.recognized:
+            nodes = self._nodes
+            child = next(
+                child for child in node.children if id(child) not in nodes
+            )
+            return (
+                f"child <{child.name}> is not allowed under <{node.name}> "
+                f"(type {compiled.name})"
+            )
+        if state.content_viol is not None:
+            return first_divergence(
+                compiled.dfa, [child.name for child in node.children]
+            )
+        return f"contains text but type {compiled.name} is not mixed"
+
+    def _typed_nodes(self):
+        """``(node, typed path, state)`` for every typed element, in
+        document order (pre-order; the root must be declared).
+
+        Sibling ordinals count typed (recognized) children only, exactly
+        as the reference validators assign them.
+        """
+        nodes = self._nodes
+        root = self.document.root
         stack = [(root, f"/{root.name}[1]")]
         while stack:
             node, typed_path = stack.pop()
-            state = nodes[id(node)]
-            report.typing[typed_path] = types[state.type_id].name
-            report.violations.extend(state.local_violations())
+            yield node, typed_path, nodes[id(node)]
             ordinals = {}
             typed_children = []
             for child in node.children:
@@ -493,13 +515,13 @@ class ValidatedDocument:
                     (child, f"{typed_path}/{child.name}[{ordinal}]")
                 )
             stack.extend(reversed(typed_children))
-        return report
 
     def provenance_of(self, node):
         """``(type name, DFA state path)`` for one element, or ``None``.
 
-        The state path is the same tuple PR 4's provenance layer records
-        (initial state 0, one state per recognized child).
+        The state path is the ``dfa_states`` of the element's
+        :meth:`provenance` entry (initial state 0, one state per
+        recognized child).
         """
         state = self._nodes.get(id(node))
         if state is None:

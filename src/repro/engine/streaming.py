@@ -14,7 +14,12 @@ keys, and the same violation strings (the *multiset* of violations is
 equal; the order differs because streaming discovers a node's
 child-word mismatch at its end tag, after its children's violations,
 whereas the tree validator reports parents first).  The differential test
-suite pins this down.
+suite pins this down.  The per-element checks and messages are the
+compiled type's, shared with
+:class:`~repro.engine.incremental.ValidatedDocument`, whose memo is also
+where explanations come from: this loop records nothing for them.  A
+stream that does not spell one element (empty, ending inside an element,
+or closing one that is not open) is a :class:`~repro.errors.ParseError`.
 
 One deliberate deviation from pure streaming: each frame accumulates its
 child-name list so the mismatch diagnostic can cite the full child-string,
@@ -28,8 +33,8 @@ import time
 from itertools import islice
 
 from repro.engine.compiler import CompiledSchema
+from repro.errors import ParseError
 from repro.observability import default_registry
-from repro.observability.provenance import first_divergence
 from repro.observability.tracing import span
 from repro.resilience.limits import ParserLimits, resolve_limits
 from repro.xmlmodel.tokenizer import (
@@ -143,7 +148,7 @@ class StreamingValidator:
     def __init__(self, schema):
         self.schema = schema
 
-    def validate_events(self, events, provenance=None):
+    def validate_events(self, events):
         """Consume an event iterable; return an XSDValidationReport.
 
         Stops consuming as soon as the outcome is decided (undeclared
@@ -153,19 +158,14 @@ class StreamingValidator:
         malformed stream carrying a second root must not validate clean,
         matching what the tree parser would reject outright.
 
-        Args:
-            events: the SAX-style event iterable.
-            provenance: optional
-                :class:`~repro.observability.ProvenanceRecorder`; when
-                given, every validated element gets an
-                :class:`~repro.observability.ElementProvenance` record
-                (type, content-DFA state path, first-divergence reason).
-                Disabled recording costs the event loop one bool test.
+        Raises:
+            ParseError: when the stream holds no element, ends inside
+                one, or closes an element that is not open.
         """
         from repro.resilience.faults import probe
 
         probe("validate")
-        return self._observed(lambda trace: self._run(events, provenance))
+        return self._observed(lambda trace: self._run(events))
 
     def _observed(self, run):
         """One document under one ``engine.validate`` span, with its
@@ -191,7 +191,7 @@ class StreamingValidator:
         )
         return report
 
-    def _run(self, events, recorder=None):
+    def _run(self, events):
         """The validation loop; returns ``(report, events_consumed)``.
 
         Steps the same tables as :meth:`_scan_dense`, by interned name
@@ -203,200 +203,144 @@ class StreamingValidator:
         report = XSDValidationReport()
         violations = report.violations
         typing = report.typing
-        recording = recorder is not None
         # Frame layout (a mutable list, tuples would cost re-allocation):
         # [compiled_type, state, name, path, typed_path, child_names,
         #  recognized, has_text, ordinals] (``state`` is a DFA state, or
-        # the seen-mask for bag types) — plus, only while a provenance
-        # recorder is attached, [state_path, entry] at indices 9/10 (the
-        # hot loop never touches them otherwise).
+        # the seen-mask for bag types).
         stack = []
         skip_depth = 0
         root_closed = False
         consumed = 0
-        for event in events:
-            consumed += 1
-            kind = event[0]
-            if skip_depth:
-                if kind == "start":
-                    skip_depth += 1
-                elif kind == "end":
-                    skip_depth -= 1
-                continue
-            if kind == "start":
-                name = event[1]
-                if root_closed:
-                    violations.append(
-                        f"/{name}: document has more than one root element "
-                        f"(<{name}> follows the closed root)"
-                    )
-                    skip_depth = 1
+        try:
+            for event in events:
+                consumed += 1
+                kind = event[0]
+                if skip_depth:
+                    if kind == "start":
+                        skip_depth += 1
+                    elif kind == "end":
+                        skip_depth -= 1
                     continue
-                if stack:
-                    frame = stack[-1]
-                    frame[5].append(name)
-                    compiled = frame[0]
-                    interned = name_ids.get(name)
-                    type_id = (-1 if interned is None
-                               else compiled.child_types[interned])
-                    if type_id < 0:
+                if kind == "start":
+                    name = event[1]
+                    if root_closed:
                         violations.append(
-                            f"{frame[3]}: element <{name}> is not allowed "
-                            f"under <{frame[2]}> (type {compiled.name})"
+                            f"/{name}: document has more than one root "
+                            f"element (<{name}> follows the closed root)"
                         )
-                        frame[6] = False
-                        if recording:
-                            frame[10].mark_invalid(
-                                f"child <{name}> is not allowed under "
-                                f"<{frame[2]}> (type {compiled.name})"
-                            )
                         skip_depth = 1
                         continue
-                    bag = compiled.dense_bag
+                    if stack:
+                        frame = stack[-1]
+                        frame[5].append(name)
+                        compiled = frame[0]
+                        interned = name_ids.get(name)
+                        type_id = (-1 if interned is None
+                                   else compiled.child_types[interned])
+                        if type_id < 0:
+                            violations.append(compiled.child_not_allowed(
+                                frame[3], frame[2], name
+                            ))
+                            frame[6] = False
+                            skip_depth = 1
+                            continue
+                        bag = compiled.dense_bag
+                        state = frame[1]
+                        if bag is None:
+                            state = compiled.dense_rows[state][interned]
+                        else:  # ContentBag.step: a repeated once-member
+                            bit = bag[0][interned]  # sets the dead bit
+                            state |= bag[3] if state & bit & bag[1] else bit
+                        frame[1] = state
+                        ordinals = frame[8]
+                        ordinal = ordinals[name] = ordinals.get(name, 0) + 1
+                        path = f"{frame[3]}/{name}"
+                        typed_path = f"{frame[4]}/{name}[{ordinal}]"
+                    else:
+                        type_id = schema.start.get(name)
+                        if type_id is None:
+                            violations.append(schema.undeclared_root(name))
+                            return report, consumed
+                        path = "/" + name
+                        typed_path = f"/{name}[1]"
+                    compiled = types[type_id]
+                    typing[typed_path] = compiled.name
+                    stack.append([
+                        compiled, 0, name, path, typed_path, [], True, False,
+                        {},
+                    ])
+                    attributes = event[2]
+                    if attributes or compiled.required_attrs:
+                        violations.extend(compiled.attribute_violations(
+                            path, name, attributes
+                        ))
+                elif kind == "end":
+                    frame = stack.pop()
+                    compiled = frame[0]
                     state = frame[1]
+                    bag = compiled.dense_bag
                     if bag is None:
-                        state = compiled.dense_rows[state][interned]
-                    else:  # ContentBag.step: a repeated once-member is dead
-                        bit = bag[0][interned]
-                        state |= bag[3] if state & bit & bag[1] else bit
-                    frame[1] = state
-                    if recording:
-                        frame[9].append(state)
-                    ordinals = frame[8]
-                    ordinal = ordinals[name] = ordinals.get(name, 0) + 1
-                    path = f"{frame[3]}/{name}"
-                    typed_path = f"{frame[4]}/{name}[{ordinal}]"
-                else:
-                    type_id = schema.start.get(name)
-                    if type_id is None:
+                        accepted = compiled.acc_bits >> state & 1
+                    else:  # every required member seen, and not dead
+                        accepted = state & (bag[2] | bag[3]) == bag[2]
+                    if frame[6] and not accepted:
+                        violations.append(compiled.content_mismatch(
+                            frame[3], frame[2], frame[5]
+                        ))
+                    if frame[7] and not compiled.mixed:
                         violations.append(
-                            f"root element <{name}> is not declared "
-                            f"(allowed: {list(schema.start_names)})"
+                            compiled.text_not_allowed(frame[3], frame[2])
                         )
-                        return report, consumed
-                    path = "/" + name
-                    typed_path = f"/{name}[1]"
-                compiled = types[type_id]
-                typing[typed_path] = compiled.name
-                frame = [
-                    compiled, 0, name, path, typed_path, [], True, False, {}
-                ]
-                if recording:
-                    frame.append([0])
-                    frame.append(recorder.start_element(
-                        path, typed_path, name, compiled.name
-                    ))
-                stack.append(frame)
-                attributes = event[2]
-                if attributes or compiled.required_attrs:
-                    self._check_attributes(
-                        frame, attributes, violations,
-                        frame[10] if recording else None,
-                    )
-            elif kind == "end":
-                frame = stack.pop()
-                compiled = frame[0]
-                state = frame[1]
-                bag = compiled.dense_bag
-                if bag is None:
-                    accepted = compiled.acc_bits >> state & 1
-                else:  # every required member seen, and not dead
-                    accepted = state & (bag[2] | bag[3]) == bag[2]
-                if frame[6] and not accepted:
-                    shown = " ".join(frame[5])
-                    violations.append(
-                        f"{frame[3]}: children of <{frame[2]}> "
-                        f"[{shown or 'none'}] do not match the content "
-                        f"model of type {compiled.name}"
-                    )
-                    if recording:
-                        frame[10].mark_invalid(
-                            first_divergence(compiled.dfa, frame[5])
-                        )
-                if frame[7] and not compiled.mixed:
-                    violations.append(
-                        f"{frame[3]}: element <{frame[2]}> "
-                        f"(type {compiled.name}) may not contain text"
-                    )
-                    if recording:
-                        frame[10].mark_invalid(
-                            f"contains text but type {compiled.name} "
-                            f"is not mixed"
-                        )
-                if recording:
-                    frame[10].dfa_states = tuple(frame[9])
-                if not stack:
-                    # Keep draining: trailing element events (a second
-                    # root) must surface as violations, not be ignored.
-                    root_closed = True
-            else:  # text
-                if stack and event[1].strip():
-                    stack[-1][7] = True
+                    if not stack:
+                        # Keep draining: trailing element events (a second
+                        # root) must surface as violations, not be ignored.
+                        root_closed = True
+                else:  # text
+                    if stack and event[1].strip():
+                        stack[-1][7] = True
+        except IndexError as error:
+            # An end event with nothing open pops the empty stack (an
+            # IndexError raised inside the stream's producer is not ours).
+            ours = error.__traceback__.tb_next is None
+            if not ours or stack or kind != "end":
+                raise
+            raise ParseError("end event closes no open element") from None
+        if stack or skip_depth:
+            raise ParseError("event stream ends inside an open element")
+        if not root_closed:
+            raise ParseError("event stream holds no element")
         return report, consumed
 
-    def _check_attributes(self, frame, attributes, violations, entry=None):
-        compiled = frame[0]
-        for required in compiled.required_attrs:
-            if required not in attributes:
-                message = (
-                    f"{frame[3]}: element <{frame[2]}> is missing required "
-                    f"attribute {required!r}"
-                )
-                violations.append(message)
-                if entry is not None:
-                    entry.mark_invalid(
-                        f"missing required attribute {required!r}"
-                    )
-        declared = compiled.declared_attrs
-        for attr_name in attributes:
-            if attr_name not in declared:
-                violations.append(
-                    f"{frame[3]}: element <{frame[2]}> has undeclared "
-                    f"attribute {attr_name!r}"
-                )
-                if entry is not None:
-                    entry.mark_invalid(
-                        f"undeclared attribute {attr_name!r}"
-                    )
-
-    def validate(self, source, provenance=None):
+    def validate(self, source):
         """Validate ``source``: XML text/bytes, a document/element, or events.
 
-        Text and UTF-8 bytes take the dense fast path when no provenance
-        recorder is attached (provenance needs the per-element
-        bookkeeping only the compat loop carries); all other inputs —
+        Text and UTF-8 bytes take the dense fast path; all other inputs —
         and every fast-path fallback — run the event-driven compat loop,
         so the report is identical either way.
         """
         if isinstance(source, str):
-            if provenance is None:
-                # A lone surrogate has no UTF-8 encoding; "surrogatepass"
-                # turns it into non-ASCII bytes, which the scan never
-                # certifies, so such text falls back.
-                return self._validate_dense(
-                    source.encode("utf-8", "surrogatepass"), source
-                )
-            return self.validate_events(as_events(source), provenance)
+            # A lone surrogate has no UTF-8 encoding; "surrogatepass"
+            # turns it into non-ASCII bytes, which the scan never
+            # certifies, so such text falls back.
+            return self._validate_dense(
+                source.encode("utf-8", "surrogatepass"), source
+            )
         if isinstance(source, (bytes, bytearray, memoryview)):
-            return self.validate_bytes(source, provenance)
-        return self.validate_events(as_events(source), provenance)
+            return self.validate_bytes(source)
+        return self.validate_events(as_events(source))
 
-    def validate_bytes(self, data, provenance=None):
+    def validate_bytes(self, data):
         """Validate UTF-8 document bytes without materializing a str.
 
         The dense fast path works on the bytes directly; only a fallback
-        (or provenance recording) decodes them for the char-based
-        parser.
+        decodes them for the char-based parser.
 
         Raises:
             ParseError: on malformed documents (including bytes that are
                 not valid UTF-8) and over-limit ones, exactly as
                 ``validate(text)`` would.
         """
-        data = bytes(data)
-        if provenance is None:
-            return self._validate_dense(data, None)
-        return self.validate_events(as_events(data), provenance)
+        return self._validate_dense(bytes(data), None)
 
     def _validate_dense(self, data, text):
         """Dense attempt with compat fallback; mirrors the compat path's
@@ -588,8 +532,6 @@ class StreamingValidator:
 
 def _decode_utf8(data):
     """Decode document bytes, mapping undecodable input to ParseError."""
-    from repro.errors import ParseError
-
     try:
         return bytes(data).decode("utf-8")
     except UnicodeDecodeError as error:

@@ -18,8 +18,9 @@ Four orthogonal facilities, all dependency-free and thread-safe:
   span when disabled (the CLI's ``--trace FILE``).
 * :mod:`repro.observability.provenance` — per-element validation
   provenance (winning rule index, XSD type, content-DFA state path,
-  first-divergence explanations) and :class:`RuleCoverage` accounting
-  (the CLI's ``explain`` subcommand and the linter's coverage mode).
+  first-divergence explanations, read off the incremental engine's
+  per-element memo) and :class:`RuleCoverage` accounting (the CLI's
+  ``explain`` subcommand and the linter's coverage mode).
 """
 
 from repro.errors import BudgetExceeded
@@ -45,7 +46,6 @@ from repro.observability.metrics import (
 from repro.observability.provenance import (
     DocumentExplanation,
     ElementProvenance,
-    ProvenanceRecorder,
     RuleCoverage,
     explain_document,
     first_divergence,
@@ -81,7 +81,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
-    "ProvenanceRecorder",
     "ResourceBudget",
     "RingFileWriter",
     "RuleCoverage",

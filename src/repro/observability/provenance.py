@@ -3,7 +3,7 @@
 BonXai's priority semantics (Definition 1: the *last* matching rule wins)
 means a verdict hinges on exactly which rule index fired for each node,
 and Definition 2's unique typing means each element's fate is decided by
-one content-model DFA run.  This module records both:
+one content-model DFA run.  This module describes both:
 
 * :class:`ElementProvenance` — per element: the slash path, the assigned
   XSD type, the content-model DFA state path its children drove, the
@@ -17,9 +17,11 @@ one content-model DFA run.  This module records both:
   the schema but never relevant for any sampled node — the runtime
   counterpart of the linter's static shadowing check).
 
-Recording is opt-in: :class:`~repro.engine.StreamingValidator` takes a
-``provenance=`` recorder and pays one ``is None`` test when it is absent
-(verified by bench E13 staying within noise).
+The records come from the one per-element memo the engine keeps:
+:meth:`~repro.engine.ValidatedDocument.provenance` reads each element's
+type, state path and local violations off
+:class:`~repro.engine.ValidatedDocument`, so validation loops record
+nothing for explanations.
 """
 
 from __future__ import annotations
@@ -80,31 +82,6 @@ class ElementProvenance:
             f"<ElementProvenance {self.typed_path} type={self.type_name} "
             f"{self.verdict}>"
         )
-
-
-class ProvenanceRecorder:
-    """Collects :class:`ElementProvenance` in document (start-tag) order.
-
-    Passed as ``provenance=`` to the streaming validator; a recorder is
-    single-document and not thread-safe (use one per document).
-    """
-
-    __slots__ = ("elements",)
-
-    def __init__(self):
-        self.elements = []
-
-    def start_element(self, path, typed_path, name, type_name):
-        """Open the record for one element; the validator fills it in."""
-        entry = ElementProvenance(path, typed_path, name, type_name)
-        self.elements.append(entry)
-        return entry
-
-    def invalid_elements(self):
-        return [entry for entry in self.elements if entry.verdict != "ok"]
-
-    def __len__(self):
-        return len(self.elements)
 
 
 class RuleCoverage:
@@ -216,10 +193,11 @@ class DocumentExplanation:
     """One document's full verdict provenance (the ``explain`` command).
 
     Attributes:
-        report: the streaming engine's
-            :class:`~repro.xsd.validator.XSDValidationReport`.
+        report: the :class:`~repro.xsd.validator.XSDValidationReport` of
+            :meth:`~repro.engine.ValidatedDocument.report` (violations in
+            the tree validator's order).
         elements: list of :class:`ElementProvenance` in document order
-            (rule indices merged in for BonXai/DTD schemas).
+            (with rule indices for BonXai/DTD schemas).
         coverage: :class:`RuleCoverage` over this document's nodes, or
             ``None`` when the schema has no rules (plain XSD).
         rules: per-rule display strings (index-aligned), or ``None``.
@@ -254,62 +232,29 @@ def explain_document(kind, schema, document):
         document: a parsed :class:`~repro.xmlmodel.tree.XMLDocument`.
 
     Returns:
-        A :class:`DocumentExplanation`.  BonXai and DTD schemas ride the
-        translation square to a formal XSD for the streaming provenance
-        run (exactly like batch validation), and additionally replay the
+        A :class:`DocumentExplanation`: the records of a
+        :class:`~repro.engine.ValidatedDocument` built over ``document``.
+        BonXai and DTD schemas ride the translation square to a formal
+        XSD (as the streaming engine does), and additionally replay the
         BXSD priority semantics on the tree to attribute each element to
         its winning rule index.
     """
     from repro.engine.cache import compile_cached
-    from repro.engine.streaming import StreamingValidator
+    from repro.engine.incremental import ValidatedDocument
     from repro.regex.printer import to_string
-    from repro.translation.bxsd_to_dfa import bxsd_to_dfa_based
-    from repro.translation.dfa_to_xsd import dfa_based_to_xsd
+    from repro.translation.pipeline import bxsd_core, formal_xsd
 
-    bxsd = None
-    if kind == "bonxai":
-        bxsd = schema.bxsd
-    elif kind == "dtd":
-        from repro.translation.dtd import dtd_to_bxsd
-
-        bxsd = dtd_to_bxsd(schema)
-    if bxsd is not None:
-        xsd = dfa_based_to_xsd(bxsd_to_dfa_based(bxsd))
-    else:
-        xsd = schema
-
-    recorder = ProvenanceRecorder()
-    report = StreamingValidator(compile_cached(xsd)).validate_events(
-        document.events(), provenance=recorder
-    )
-
-    coverage = None
-    rules = None
-    if bxsd is not None:
-        match = bxsd.match(document)
-        coverage = RuleCoverage(len(bxsd.rules))
-        coverage.add_report(match)
-        rules = [to_string(rule.pattern) for rule in bxsd.rules]
-        _merge_rule_indices(recorder.elements, document, match)
+    compiled = compile_cached(formal_xsd(kind, schema))
+    handle = ValidatedDocument(document, compiled)
+    bxsd = bxsd_core(kind, schema)
+    if bxsd is None:
+        return DocumentExplanation(handle.report(), handle.provenance())
+    match = bxsd.match(document)
+    coverage = RuleCoverage(len(bxsd.rules))
+    coverage.add_report(match)
     return DocumentExplanation(
-        report, recorder.elements, coverage=coverage, rules=rules
+        handle.report(),
+        handle.provenance(match.rule_of),
+        coverage=coverage,
+        rules=[to_string(rule.pattern) for rule in bxsd.rules],
     )
-
-
-def _merge_rule_indices(elements, document, match):
-    """Attach BXSD rule indices to the streaming provenance entries.
-
-    Both the recorder (start-tag order) and ``document.iter()`` walk the
-    tree pre-order; the recorder may have skipped subtrees (undeclared
-    elements), so entries are matched greedily by slash path — a node
-    whose path differs from the next pending entry's produced no entry.
-    """
-    pending = iter(elements)
-    entry = next(pending, None)
-    for node in document.iter():
-        if entry is None:
-            break
-        path = match.paths.get(id(node))
-        if path is not None and path == entry.path:
-            entry.rule_index = match.rule_of.get(id(node))
-            entry = next(pending, None)

@@ -230,22 +230,17 @@ def _parse_schema(kind, text):
     the ``explain`` route needs (the formal XSD itself for ``xsd``).
     """
     from repro.bonxai import compile_schema, parse_bonxai
-    from repro.translation import (
-        bxsd_to_dfa_based,
-        dfa_based_to_xsd,
-        dtd_to_bxsd,
-    )
+    from repro.translation import formal_xsd
     from repro.xmlmodel import parse_dtd
     from repro.xsd import read_xsd
 
     if kind == "xsd":
-        xsd = read_xsd(text)
-        return xsd, xsd
-    if kind == "dtd":
-        dtd = parse_dtd(text)
-        return dfa_based_to_xsd(bxsd_to_dfa_based(dtd_to_bxsd(dtd))), dtd
-    schema = compile_schema(parse_bonxai(text))
-    return dfa_based_to_xsd(bxsd_to_dfa_based(schema.bxsd)), schema
+        model = read_xsd(text)
+    elif kind == "dtd":
+        model = parse_dtd(text)
+    else:
+        model = compile_schema(parse_bonxai(text))
+    return formal_xsd(kind, model), model
 
 
 class ValidationService:

@@ -16,10 +16,16 @@ from repro.translation.ksuffix import (
     ksuffix_dfa_based_to_bxsd,
     pattern_as_suffix,
 )
-from repro.translation.pipeline import bxsd_to_xsd, xsd_to_bxsd
+from repro.translation.pipeline import (
+    bxsd_core,
+    bxsd_to_xsd,
+    formal_xsd,
+    xsd_to_bxsd,
+)
 from repro.translation.xsd_to_dfa import xsd_to_dfa_based
 
 __all__ = [
+    "bxsd_core",
     "bxsd_suffix_width",
     "bxsd_to_dfa_based",
     "bxsd_to_xsd",
@@ -30,6 +36,7 @@ __all__ = [
     "dfa_based_to_xsd",
     "dtd_to_bxsd",
     "dtd_to_xsd",
+    "formal_xsd",
     "hybrid_dfa_based_to_bxsd",
     "is_semantically_k_local",
     "ksuffix_bxsd_to_dfa_based",

@@ -2,6 +2,8 @@
 
 ``xsd_to_bxsd``  = Algorithm 1 then Algorithm 2  (Lemmas 4 + 5).
 ``bxsd_to_xsd``  = Algorithm 3 then Algorithm 4  (Lemmas 6 + 7).
+``formal_xsd``   = any loaded schema kind (``xsd``, ``dtd``, ``bonxai``) as
+a formal XSD, the one arrow the engine's users ride.
 
 When the schema is k-suffix (Section 4.4), callers can ask for the
 polynomial fragment translations instead via ``prefer_ksuffix=True``:
@@ -15,6 +17,7 @@ from repro.observability.tracing import span
 from repro.translation.bxsd_to_dfa import bxsd_to_dfa_based
 from repro.translation.dfa_to_bxsd import dfa_based_to_bxsd
 from repro.translation.dfa_to_xsd import dfa_based_to_xsd
+from repro.translation.dtd import dtd_to_bxsd
 from repro.translation.xsd_to_dfa import xsd_to_dfa_based
 
 
@@ -74,3 +77,27 @@ def bxsd_to_xsd(bxsd, prefer_ksuffix=False, max_k=3, budget=None):
         return dfa_based_to_xsd(
             bxsd_to_dfa_based(bxsd, budget=budget), budget=budget
         )
+
+
+def bxsd_core(kind, schema):
+    """The BXSD behind a loaded schema of ``kind``, or ``None`` for XSDs.
+
+    A BonXai schema (:class:`~repro.bonxai.compile.CompiledSchema`)
+    carries its own; a DTD migrates rule per element name
+    (:func:`~repro.translation.dtd.dtd_to_bxsd`).
+    """
+    if kind == "xsd":
+        return None
+    if kind == "dtd":
+        return dtd_to_bxsd(schema)
+    return schema.bxsd
+
+
+def formal_xsd(kind, schema):
+    """A loaded schema of ``kind`` (``xsd``, ``dtd`` or ``bonxai``) as a
+    formal XSD: an XSD as is, the others through :func:`bxsd_core` and
+    :func:`bxsd_to_xsd`'s generic product (for a DTD too, not the
+    k-suffix construction of :func:`~repro.translation.dtd.dtd_to_xsd`).
+    """
+    bxsd = bxsd_core(kind, schema)
+    return schema if bxsd is None else bxsd_to_xsd(bxsd)

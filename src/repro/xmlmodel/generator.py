@@ -5,6 +5,7 @@ Schema-driven document generation lives in :mod:`repro.xsd.generator`.
 
 from __future__ import annotations
 
+from repro.xmlmodel.patch import clone_element
 from repro.xmlmodel.tree import XMLDocument, XMLElement
 
 
@@ -48,7 +49,7 @@ def mutate_tree(document, rng, labels=("a", "b", "c")):
     One random mutation is applied: relabel a node, delete a subtree (never
     the root), or duplicate a child.
     """
-    clone = _copy(document.root)
+    clone = clone_element(document.root)
     nodes = list(clone.iter())
     choice = rng.randrange(3)
     if choice == 0 or len(nodes) == 1:
@@ -68,17 +69,7 @@ def mutate_tree(document, rng, labels=("a", "b", "c")):
         if candidates:
             parent = candidates[rng.randrange(len(candidates))]
             child = parent.children[rng.randrange(len(parent.children))]
-            parent.append(_copy(child))
+            parent.append(clone_element(child))
         else:
             nodes[0].append(XMLElement(labels[rng.randrange(len(labels))]))
     return XMLDocument(clone)
-
-
-def _copy(node):
-    duplicate = XMLElement(node.name, attributes=dict(node.attributes))
-    duplicate.texts = list(node.texts)
-    duplicate.children = []
-    duplicate.texts = [node.texts[0]]
-    for index, child in enumerate(node.children):
-        duplicate.append(_copy(child), text_after=node.texts[index + 1])
-    return duplicate

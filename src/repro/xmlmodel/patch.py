@@ -203,21 +203,10 @@ class ReplaceChild(PatchOp):
     def apply_full(self, document):
         node = resolve(document.root, self.sel)
         replacement = clone_element(self.child)
-        parent = node.parent
-        if parent is None:
+        if node.parent is None:
             document.root = replacement
-            return
-        # By identity, not list.index: value equality could pick an
-        # equal-valued sibling at a different position.
-        index = next(
-            i for i, sibling in enumerate(parent.children)
-            if sibling is node
-        )
-        before = parent.texts[index]
-        text_after = parent.texts[index + 1]
-        parent.remove_child(index)
-        parent.texts[index] = before
-        parent.insert(index, replacement, text_after)
+        else:
+            node.parent.replace_child(node, replacement)
 
     def apply_incremental(self, handle):
         handle.replace_subtree(

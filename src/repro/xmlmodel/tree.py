@@ -14,7 +14,7 @@ validators use them.
 
 from __future__ import annotations
 
-from repro.errors import SchemaError
+from repro.errors import ParseError, SchemaError
 
 
 class XMLElement:
@@ -97,6 +97,23 @@ class XMLElement:
         self.texts[index] += self.texts.pop(index + 1)
         return child
 
+    def replace_child(self, child, replacement):
+        """Put ``replacement`` in ``child``'s place; returns the index.
+
+        ``child`` is found by identity (value equality could pick an
+        equal-valued sibling at another position), and the text runs
+        around it stay exactly as they were.
+        """
+        index = next(
+            i for i, sibling in enumerate(self.children) if sibling is child
+        )
+        before = self.texts[index]
+        text_after = self.texts[index + 1]
+        self.remove_child(index)
+        self.texts[index] = before
+        self.insert(index, replacement, text_after)
+        return index
+
     # -- the paper's string notions --------------------------------------
     def anc_str(self):
         """The ancestor-string of this node (labels from the root to here)."""
@@ -164,34 +181,61 @@ class XMLElement:
 
         The inverse of :meth:`events`, and how the parser builds trees
         (:func:`repro.xmlmodel.parser.parse_document` folds
-        ``iter_events``): adjacent text events concatenate into one run.
-        The stream must spell one element, as the parser's streams do;
-        it is drained to its end, so an error raised after the element
-        closes still propagates.  Each start event's attributes dict is
-        adopted, not copied.  The fold fills the node slots directly
-        (this class owns them) and walks back up by ``parent``.
+        ``iter_events``): adjacent text events concatenate into one run,
+        and text outside the element is ignored.  The stream is drained
+        to its end, so an error raised after the element closes still
+        propagates.  Each start event's attributes dict is adopted, not
+        copied.  The fold fills the node slots directly (this class owns
+        them) and walks back up by ``parent``.
+
+        Raises:
+            ParseError: when the stream holds no element or a second
+                one, ends inside an element, or closes an element that
+                is not open.
         """
         new = cls.__new__
         root = node = None
-        for event in events:
-            kind = event[0]
-            if kind == "start":
-                child = new(cls)
-                child.name = event[1]
-                child.attributes = event[2]
-                child.children = []
-                child.texts = [""]
-                child.parent = node
-                if node is None:
-                    root = child
-                else:
-                    node.children.append(child)
-                    node.texts.append("")
-                node = child
-            elif kind == "end":
-                node = node.parent
-            else:
-                node.texts[-1] += event[1]
+        events = iter(events)
+        while True:
+            try:
+                for event in events:
+                    kind = event[0]
+                    if kind == "start":
+                        child = new(cls)
+                        child.name = event[1]
+                        child.attributes = event[2]
+                        child.children = []
+                        child.texts = [""]
+                        child.parent = node
+                        if node is None:
+                            if root is not None:
+                                raise ParseError(
+                                    "document has more than one root element"
+                                )
+                            root = child
+                        else:
+                            node.children.append(child)
+                            node.texts.append("")
+                        node = child
+                    elif kind == "end":
+                        node = node.parent
+                    else:
+                        node.texts[-1] += event[1]
+                break
+            except AttributeError as error:
+                # ``node`` is None outside the element: skip text there
+                # and resume; an end event there closes nothing.  (The
+                # stream's producer raising AttributeError is not ours.)
+                if error.__traceback__.tb_next is not None or node is not None:
+                    raise
+                if kind == "end":
+                    raise ParseError(
+                        "end event closes no open element"
+                    ) from None
+        if node is not None:
+            raise ParseError("event stream ends inside an open element")
+        if root is None:
+            raise ParseError("event stream holds no element")
         return root
 
     def find(self, name):

@@ -54,7 +54,7 @@ class _GeneratorTables:
                     for name in content.alphabet
                     if self.schema.transitions.get((state, name)) in self.ranks
                 }
-                word = _shortest_word_over(content, allowed)
+                word = _shortest_completion(content, content.initial, allowed)
                 if word is not None:
                     self.ranks[state] = round_number
                     self.cheap_words[state] = word
@@ -67,29 +67,6 @@ class _GeneratorTables:
             for name in content.alphabet
             if self.schema.transitions.get((state, name)) in self.ranks
         }
-
-
-def _shortest_word_over(content_dfa, allowed):
-    """Shortest accepted word using only ``allowed`` letters, or ``None``."""
-    parents = {content_dfa.initial: None}
-    queue = deque([content_dfa.initial])
-    while queue:
-        state = queue.popleft()
-        if state in content_dfa.accepting:
-            word = []
-            current = state
-            while parents[current] is not None:
-                previous, name = parents[current]
-                word.append(name)
-                current = previous
-            word.reverse()
-            return word
-        for name in sorted(allowed):
-            target = content_dfa.step(state, name)
-            if target is not None and target not in parents:
-                parents[target] = (state, name)
-                queue.append(target)
-    return None
 
 
 class DocumentGenerator:
@@ -179,7 +156,8 @@ class DocumentGenerator:
 
 
 def _shortest_completion(content_dfa, from_state, allowed):
-    """Shortest suffix leading to acceptance, or ``None``."""
+    """Shortest word over ``allowed`` letters leading from ``from_state``
+    to acceptance, or ``None``."""
     parents = {from_state: None}
     queue = deque([from_state])
     while queue:

@@ -252,6 +252,50 @@ class TestValidateResilienceFlags:
                 main(["validate", files["fig3.xsd"], files["fig1.xml"]]
                      + flags)
 
+    @pytest.mark.parametrize("schema_name, schema, valid, invalid", [
+        # A dangling keyref: the BonXai validator checks integrity
+        # constraints, which the translated formal XSD drops.
+        ("keys.bonxai", """
+            global { doc }
+            grammar {
+              doc = { (element def)*, (element use)* }
+              def = { attribute id }
+              use = { attribute ref }
+            }
+            constraints {
+              key defs doc/def (@id)
+              keyref uses doc/use (@ref) refers defs
+            }
+            """,
+         "<doc><def id='a'/><use ref='a'/></doc>",
+         "<doc><def id='a'/><use ref='zz'/></doc>"),
+        # An attribute value outside the DTD's enumeration.
+        ("kinds.dtd", """
+            <!ELEMENT a EMPTY>
+            <!ATTLIST a kind (x|y) #REQUIRED>
+            """,
+         '<a kind="x"/>', '<a kind="z"/>'),
+    ], ids=["bonxai-keyref", "dtd-attribute-enumeration"])
+    def test_batch_runs_the_schema_kinds_own_check(
+        self, tmp_path, capsys, schema_name, schema, valid, invalid
+    ):
+        paths = {}
+        for name, content in ((schema_name, schema), ("valid.xml", valid),
+                              ("invalid.xml", invalid)):
+            (tmp_path / name).write_text(content)
+            paths[name] = str(tmp_path / name)
+        alone = ["validate", paths[schema_name], paths["invalid.xml"]]
+        assert main(alone) == 1
+        assert "INVALID (1 violation(s))" in capsys.readouterr().out
+        for extra, summary in (
+            (["--deadline", "5"], "0 ok / 1 invalid / 0 errored"),
+            ([paths["valid.xml"]], "1 ok / 1 invalid / 0 errored"),
+        ):
+            assert main(alone + extra) == 1
+            out = capsys.readouterr().out
+            assert f"{paths['invalid.xml']}: INVALID (1 violation(s))" in out
+            assert summary in out
+
 
 class TestServeCommand:
     def test_negative_queue_depth_is_a_usage_error(self, capsys):

@@ -211,7 +211,7 @@ class TestTraceFlag:
         capsys.readouterr()
         assert code == 0
         names = {record["name"] for record in self._load(trace)}
-        assert "engine.validate" in names
+        assert "engine.incremental.build" in names
 
 
 class TestMetricsFormat:

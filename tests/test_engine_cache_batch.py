@@ -319,6 +319,36 @@ class TestValidateMany:
             runs[0][1].report.violations
         )
 
+    @pytest.mark.parametrize("events", [
+        [],  # no element
+        [("start", "document", {})],  # ends inside <document>
+        [("end", "document")],  # closes nothing
+    ])
+    def test_malformed_streams_are_parse_errors(self, xsd, events):
+        for engine in ("streaming", "tree"):
+            outcome = validate_many(
+                xsd, [iter(events)], engine=engine, policy="isolate"
+            )[0]
+            assert outcome.error.kind == "parse", engine
+
+    def test_stream_with_two_roots(self, xsd):
+        # An undeclared root before the real one: the streaming engine
+        # reports it; the tree engine cannot fold two roots into one
+        # tree, so the stream is a parse error there.
+        events = [("start", "bogus", {}), ("end", "bogus")]
+        events += list(parse_document(FIGURE1_XML).events())
+        streaming, tree = (
+            validate_many(xsd, [iter(events)], engine=engine,
+                          policy="isolate")[0]
+            for engine in ("streaming", "tree")
+        )
+        assert streaming.ok and not streaming.valid
+        assert "root element <bogus> is not declared" in (
+            streaming.report.violations[0]
+        )
+        assert tree.error.kind == "parse"
+        assert "more than one root" in tree.error.message
+
     def test_tree_engine_rejects_compiled(self, xsd):
         with pytest.raises(ValueError):
             validate_many(compile_xsd(xsd), [FIGURE1_XML], engine="tree")

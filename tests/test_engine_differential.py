@@ -286,8 +286,8 @@ class TestDenseVsDict:
     with the table loop; ``validate_events(iter_events(text))`` is the
     char parser feeding the event-driven compat loop, which steps the
     same tables by interned name id.  Everything observable — verdicts,
-    violation multisets, typing, parse/limit errors, provenance, metrics
-    counters — must agree.
+    violation multisets, typing, parse/limit errors, metrics counters —
+    must agree.
     """
 
     def test_schemas_compile_dense(self):
@@ -364,40 +364,6 @@ class TestDenseVsDict:
 
         assert dense_delta == compat_delta
         assert dense_delta[1] == 1
-
-    def test_provenance_requests_take_the_compat_path(self):
-        # A provenance recorder needs per-element state paths only the
-        # compat loop tracks; validate(text, provenance=...) must delegate
-        # and produce records identical to the explicit compat call.
-        from repro.observability import default_registry
-        from repro.observability.provenance import ProvenanceRecorder
-        from repro.xmlmodel.parser import iter_events
-
-        registry = default_registry()
-        __, compiled, generator, *___ = _setup("sections")
-        document = generator.generate(
-            random.Random(3), max_depth=4, max_children=4
-        )
-        text = write_document(document)
-        validator = StreamingValidator(compiled)
-
-        dense_docs = registry.counter("engine.dense.docs")
-        before = dense_docs.value
-        via_validate = ProvenanceRecorder()
-        validator.validate(text, provenance=via_validate)
-        assert dense_docs.value == before  # dense path not taken
-
-        via_events = ProvenanceRecorder()
-        validator.validate_events(iter_events(text), via_events)
-        got = [
-            (e.path, e.typed_path, e.name, e.type_name, e.dfa_states)
-            for e in via_validate.elements
-        ]
-        want = [
-            (e.path, e.typed_path, e.name, e.type_name, e.dfa_states)
-            for e in via_events.elements
-        ]
-        assert got == want and got
 
     def test_seeded_10k_dense_vs_dict_sweep(self):
         # The bulk lockdown: ~10k serialized documents (valid bases plus
@@ -504,10 +470,10 @@ class TestBags:
 
     def test_state_paths_follow_content_bag_step(self):
         # The loops step masks inline; a repeated once-member must set
-        # the dead bit exactly as ContentBag.step does, so provenance
-        # and the incremental memo record the same state paths.
+        # the dead bit exactly as ContentBag.step does, so the
+        # incremental memo (and the provenance read off it) records
+        # ContentBag.step's state paths.
         from repro.engine import ValidatedDocument
-        from repro.observability.provenance import ProvenanceRecorder
 
         __, compiled, *___ = _setup("all24")
         bag = compiled.type_named("Tall").bag
@@ -522,13 +488,11 @@ class TestBags:
         text = ('<rec id="1">' + "".join(f"<{w}/>" for w in words)
                 + "</rec>")
         assert bag_path(words)[3] & bag.dead  # the repeat of f01 is dead
-        recorder = ProvenanceRecorder()
-        report = StreamingValidator(compiled).validate(text, recorder)
-        assert not report.valid
-        assert recorder.elements[0].dfa_states == bag_path(words)
         handle = ValidatedDocument(parse_document(text), compiled)
         root = handle.document.root
+        assert not handle.valid
         assert handle.provenance_of(root) == ("Tall", bag_path(words))
+        assert handle.provenance()[0].dfa_states == bag_path(words)
         handle.delete_child(root, 2)  # drop the repeat: a live mask again
         del words[2]
         assert handle.provenance_of(root) == ("Tall", bag_path(words))

@@ -98,3 +98,50 @@ class TestTrailingEvents:
         report = validator.validate_events(events)
         assert len(report.violations) == 1
         assert "more than one root" in report.violations[0]
+
+
+class TestMalformedStreams:
+    """A stream that does not spell one element is a parse error, not a
+    verdict: the text spelling of each is rejected by the parser too."""
+
+    @pytest.fixture
+    def figure3(self):
+        from repro.paperdata import figure3_xsd
+
+        return StreamingValidator(compile_xsd(figure3_xsd()))
+
+    def test_truncated_stream_is_a_parse_error(self, figure3):
+        # "<document/>" reports a content-model violation; the stream
+        # that never closes <document> must not read as valid instead.
+        assert not figure3.validate("<document/>").valid
+        with pytest.raises(ParseError, match="ends inside"):
+            figure3.validate_events(iter([("start", "document", {})]))
+
+    def test_truncated_inside_a_skipped_subtree(self, validator):
+        with pytest.raises(ParseError, match="ends inside"):
+            validator.validate_events(
+                [("start", "r", {}), ("end", "r"), ("start", "r", {})]
+            )
+
+    def test_empty_stream_is_a_parse_error(self, figure3):
+        with pytest.raises(ParseError, match="holds no element"):
+            figure3.validate_events(iter([]))
+        with pytest.raises(ParseError, match="holds no element"):
+            figure3.validate_events([("text", "  ")])
+
+    @pytest.mark.parametrize("events", [
+        [("end", "r")],
+        [("start", "r", {}), ("end", "r"), ("end", "r")],
+    ])
+    def test_stray_end_is_a_parse_error(self, validator, events):
+        with pytest.raises(ParseError, match="closes no open element"):
+            validator.validate_events(events)
+
+    def test_producer_errors_propagate_unchanged(self, validator):
+        def events():
+            yield ("start", "r", {})
+            yield ("end", "r")
+            raise IndexError("inside the producer")
+
+        with pytest.raises(IndexError, match="inside the producer"):
+            validator.validate_events(events())

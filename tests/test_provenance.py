@@ -1,21 +1,38 @@
-"""Unit tests for validation provenance: recorders, divergence, coverage."""
+"""Unit tests for validation provenance: records, divergence, coverage."""
+
+import json
+import pathlib
+import random
 
 import pytest
 
 from repro.bonxai import compile_schema, lint_bxsd, parse_bonxai
-from repro.engine import StreamingValidator, compile_xsd
+from repro.engine import ValidatedDocument, compile_xsd
 from repro.observability import (
-    ProvenanceRecorder,
+    ElementProvenance,
     RuleCoverage,
     explain_document,
     first_divergence,
 )
-from repro.paperdata import FIGURE1_XML, FIGURE5_BONXAI, figure3_xsd
-from repro.xmlmodel import parse_document
+from repro.paperdata import (
+    FIGURE1_XML,
+    FIGURE5_BONXAI,
+    figure1_document,
+    figure2_dtd,
+    figure3_xsd,
+    figure5_schema,
+)
+from repro.xmlmodel import mutate_tree, parse_document
+
+_PINNED = pathlib.Path(__file__).parent / "data" / "explain_pinned.json"
 
 
-def _figure3_validator():
-    return StreamingValidator(compile_xsd(figure3_xsd()))
+def _figure3_records(text):
+    """``(provenance records, report)`` of ``text`` against Figure 3."""
+    handle = ValidatedDocument(
+        parse_document(text), compile_xsd(figure3_xsd())
+    )
+    return handle.provenance(), handle.report()
 
 
 class TestFirstDivergence:
@@ -61,73 +78,55 @@ class TestFirstDivergence:
 
 class TestRecorder:
     def test_recorder_captures_every_validated_element(self):
-        recorder = ProvenanceRecorder()
-        report = _figure3_validator().validate(
-            FIGURE1_XML, provenance=recorder
-        )
+        elements, report = _figure3_records(FIGURE1_XML)
         assert report.valid
-        assert len(recorder) == len(report.typing)
-        assert all(e.verdict == "ok" for e in recorder.elements)
-        assert recorder.invalid_elements() == []
-        # Typed paths agree with the report's typing keys and types.
-        for entry in recorder.elements:
+        assert len(elements) == len(report.typing)
+        assert all(e.verdict == "ok" for e in elements)
+        # Typed paths agree with the report's typing keys and types, in
+        # document order.
+        assert [e.typed_path for e in elements] == list(report.typing)
+        for entry in elements:
             assert report.typing[entry.typed_path] == entry.type_name
 
     def test_dfa_state_path_tracks_children(self):
-        recorder = ProvenanceRecorder()
-        _figure3_validator().validate(FIGURE1_XML, provenance=recorder)
-        for entry in recorder.elements:
+        elements, __ = _figure3_records(FIGURE1_XML)
+        for entry in elements:
             assert entry.dfa_states[0] == 0
             # One state per consumed (declared) child, plus the start.
             assert len(entry.dfa_states) >= 1
 
     def test_content_model_mismatch_yields_divergence_reason(self):
-        recorder = ProvenanceRecorder()
-        report = _figure3_validator().validate(
-            "<document><content/><userstyles/></document>",
-            provenance=recorder,
+        elements, report = _figure3_records(
+            "<document><content/><userstyles/></document>"
         )
         assert not report.valid
-        root = recorder.elements[0]
+        root = elements[0]
         assert root.verdict == "invalid"
         assert "diverges" in root.reason or "too early" in root.reason
 
     def test_undeclared_child_marks_the_parent(self):
-        recorder = ProvenanceRecorder()
-        report = _figure3_validator().validate(
-            "<document><mystery/></document>", provenance=recorder,
-        )
+        elements, report = _figure3_records("<document><mystery/></document>")
         assert not report.valid
-        root = recorder.elements[0]
+        root = elements[0]
         assert root.verdict == "invalid"
         assert "<mystery> is not allowed" in root.reason
         # The undeclared subtree itself produced no entry.
-        assert [entry.name for entry in recorder.elements] == ["document"]
+        assert [entry.name for entry in elements] == ["document"]
 
     def test_first_reason_wins(self):
-        entry = ProvenanceRecorder().start_element("/a", "/a[1]", "a", "T")
+        entry = ElementProvenance("/a", "/a[1]", "a", "T")
         entry.mark_invalid("first")
         entry.mark_invalid("second")
         assert entry.reason == "first"
         assert entry.verdict == "invalid"
 
     def test_to_dict_shape(self):
-        recorder = ProvenanceRecorder()
-        _figure3_validator().validate(FIGURE1_XML, provenance=recorder)
-        record = recorder.elements[0].to_dict()
+        elements, __ = _figure3_records(FIGURE1_XML)
+        record = elements[0].to_dict()
         assert set(record) == {
             "path", "typed_path", "name", "type", "dfa_states",
             "rule_index", "verdict", "reason",
         }
-
-    def test_validation_without_recorder_is_unchanged(self):
-        plain = _figure3_validator().validate(FIGURE1_XML)
-        recorded = _figure3_validator().validate(
-            FIGURE1_XML, provenance=ProvenanceRecorder()
-        )
-        assert plain.valid == recorded.valid
-        assert plain.typing == recorded.typing
-        assert sorted(plain.violations) == sorted(recorded.violations)
 
 
 class TestRuleCoverage:
@@ -230,3 +229,40 @@ class TestExplainDocument:
         assert all(
             entry.rule_index is None for entry in explanation.elements
         )
+
+
+def _pinned_explanations():
+    """``explain_document`` over Figure 1 and twelve seeded
+    ``mutate_tree`` mutants (relabelled with Figure 1's own names),
+    against Figures 2, 3 and 5: each explanation's entries and its
+    violation multiset."""
+    figure1 = figure1_document()
+    labels = sorted({node.name for node in figure1.root.iter()})
+    documents = [("figure1", figure1)] + [
+        (f"mutant{seed}", mutate_tree(figure1, random.Random(seed), labels))
+        for seed in range(12)
+    ]
+    schemas = [
+        ("dtd", figure2_dtd()),
+        ("xsd", figure3_xsd()),
+        ("bonxai", compile_schema(figure5_schema())),
+    ]
+    explained = {}
+    for kind, schema in schemas:
+        for name, document in documents:
+            explanation = explain_document(kind, schema, document)
+            explained[f"{kind}/{name}"] = {
+                "violations": sorted(explanation.violations),
+                "elements": [
+                    entry.to_dict() for entry in explanation.elements
+                ],
+            }
+    return explained
+
+
+def test_explanations_match_the_pinned_file():
+    # Pinned before explanations moved from the streaming recorder to
+    # ValidatedDocument's memo: entries (reasons, state paths and rule
+    # indices included) and violation multisets must not change.
+    pinned = json.loads(_PINNED.read_text())
+    assert _pinned_explanations() == pinned

@@ -130,3 +130,37 @@ class TestEventFold:
 
         with pytest.raises(ValueError):
             XMLElement.from_events(events())
+
+    def test_producer_errors_are_not_read_as_stray_events(self):
+        def events():
+            yield ("start", "a", {})
+            yield ("end", "a")
+            yield ("text", " ")
+            raise AttributeError("inside the producer")
+
+        with pytest.raises(AttributeError, match="inside the producer"):
+            XMLElement.from_events(events())
+
+    def test_text_outside_the_element_is_ignored(self):
+        node = XMLElement.from_events([
+            ("text", "\n"), ("start", "a", {}), ("text", "x"),
+            ("end", "a"), ("text", "  "),
+        ])
+        assert node.texts == ["x"]
+
+    @pytest.mark.parametrize("events, message", [
+        ([], "holds no element"),
+        ([("text", " ")], "holds no element"),
+        ([("start", "a", {}), ("start", "b", {}), ("end", "b")],
+         "ends inside"),
+        ([("end", "a")], "closes no open element"),
+        ([("start", "a", {}), ("end", "a"), ("end", "a")],
+         "closes no open element"),
+        ([("start", "a", {}), ("end", "a"), ("start", "b", {}),
+          ("end", "b")], "more than one root"),
+    ])
+    def test_streams_that_spell_no_single_element(self, events, message):
+        from repro.errors import ParseError
+
+        with pytest.raises(ParseError, match=message):
+            XMLElement.from_events(events)
