@@ -42,6 +42,7 @@ from repro.xmlmodel.tokenizer import (
     START,
     FallbackRequired,
     body_start,
+    check_after_root,
     parse_chunk,
     split_body,
 )
@@ -82,7 +83,7 @@ class _DenseReport(XSDValidationReport):
     def typing(self):
         value = _TYPING_SLOT.__get__(self, XSDValidationReport)
         if value is None:
-            chunks = self._data[self._offset:].split(b"<")
+            chunks = split_body(self._data, self._offset)
             value = _materialize_typing(self._schema, chunks)
             _TYPING_SLOT.__set__(self, value)
             self._data = None
@@ -371,7 +372,11 @@ class StreamingValidator:
         registry = default_registry()
         try:
             result = self._scan_dense(data, limits)
-        except FallbackRequired:
+        except FallbackRequired as fallback:
+            # The raised instances are shared, and a raise chains its
+            # frames onto the instance's traceback: drop them, or every
+            # fallback would keep its scan's frames and document alive.
+            fallback.__traceback__ = fallback.__context__ = None
             registry.counter("engine.dense.fallbacks").inc()
             trace.set_attribute("path", "fallback")
             if text is None:
@@ -414,8 +419,8 @@ class StreamingValidator:
         pop = stack.pop
         depth = 0
         root_done = False
-        # Exact compat-event accounting (start/end tags plus non-empty
-        # text runs), so ``engine.stream.events`` agrees between paths.
+        # Exact compat-event accounting (start/end tags plus each chunk's
+        # text events), so ``engine.stream.events`` agrees between paths.
         consumed = 0
         # Registers of the innermost open element.  ``state`` is a DFA
         # state, or the seen-mask when ``bag`` (its ``dense_bag``) is set.
@@ -462,7 +467,7 @@ class StreamingValidator:
                 state = 0
                 open_id = interned
                 has_text = action[3]
-                consumed += 2 if action[4] else 1
+                consumed += 1 + action[4]
                 attrs = action[2]
                 if attrs or required:
                     if not (required <= attrs and attrs <= declared):
@@ -481,14 +486,12 @@ class StreamingValidator:
                 (state, rows, child_types, acc_bits, mixed, has_text,
                  open_id, bag) = pop()
                 if depth:
-                    consumed += 2 if action[4] else 1
+                    consumed += 1 + action[4]
                     if action[3]:
                         has_text = True
                 else:
                     consumed += 1
                     root_done = True
-                    if action[3]:  # text after the root element
-                        raise _FALLBACK
             else:  # SELFCLOSE
                 interned = action[1]
                 if depth:
@@ -519,14 +522,16 @@ class StreamingValidator:
                 if attrs or required:
                     if not (required <= attrs and attrs <= entry[4]):
                         raise _FALLBACK
-                consumed += 3 if depth and action[4] else 2
-                if action[3]:
-                    if depth:
+                if depth:
+                    consumed += 2 + action[4]
+                    if action[3]:
                         has_text = True
-                    else:
-                        raise _FALLBACK
+                else:
+                    consumed += 2
         if depth or not root_done:  # unterminated element / no root
             raise _FALLBACK
+        # The last chunk closed the root (a chunk after it fell back).
+        check_after_root(chunks[-1])
         return _DenseReport(schema, data, offset), consumed
 
 

@@ -3,9 +3,13 @@
 Supports the XML subset the paper's data model needs: elements, attributes
 (single- or double-quoted), character data with the five predefined
 entities, numeric character references, comments, processing instructions,
-CDATA sections, an XML declaration, and an (ignored, but syntax-checked)
-internal DTD subset.  Namespaces are treated lexically: prefixed names are
-kept verbatim (the formal model works over plain element names).
+CDATA sections, an XML declaration, and a DOCTYPE, which is skipped.  The
+skip checks only that the DOCTYPE's brackets and quotes balance: an
+internal subset's declarations are neither parsed nor applied, so
+``<!DOCTYPE a [ garbage %% ]><a/>`` parses, an entity it declares is an
+unknown entity, and its attribute defaults never reach the tree.
+Namespaces are treated lexically: prefixed names are kept verbatim (the
+formal model works over plain element names).
 
 The parser is deliberately strict about well-formedness (mismatched tags,
 unterminated constructs and stray ``<`` are errors) because schema tooling

@@ -7,23 +7,29 @@ validation — per-character cursor movement and per-event object
 construction dwarf the engine's integer table steps.
 
 This module is the *fast tier* that never walks characters.  The body
-of a document is split once on ``b"<"``; every resulting chunk is
-exactly ``tag-bytes + b">" + trailing-text-bytes``, and real documents
-repeat chunks heavily (same tags, same markup runs), so each distinct
-chunk is parsed **once** into an action tuple and memoized — the hot
-loop is one dict lookup per chunk.  All well-formedness and limit
-checking happens on the memo-miss path; the per-event cost for a
-repeated chunk is a hash of its bytes.
+of a document is split once on ``b"<"``, except that each comment,
+processing instruction and CDATA section stays whole on the end of the
+chunk before it (they may contain ``<``).  Every chunk is therefore
+``tag-bytes + b">" + content``, the content being everything up to the
+next tag: text and such markup.  Real documents repeat chunks heavily
+(same tags, same markup runs), so each distinct chunk is parsed
+**once** into an action tuple and memoized — the hot loop is one dict
+lookup per chunk.  All well-formedness and limit checking happens on the
+memo-miss path; the per-event cost for a repeated chunk is a hash of its
+bytes.
 
 The fast tier only commits to inputs it can prove the careful tier would
-accept identically:
+accept identically.  It falls back on:
 
-* prolog is scanned structurally; a DOCTYPE or a non-ASCII byte falls
-  back;
-* any ``b"<!"``/``b"<?"`` in the body (comments, CDATA, PIs) falls back;
-* non-ASCII chunks, entity references, over-limit constructs, duplicate
-  attributes, and every malformed shape fall back;
-* names use a conservative ASCII subset of the reference name grammar.
+* a prolog holding a non-ASCII byte, a DOCTYPE with an internal subset
+  (a ``[`` or ``]`` outside its quoted literals), or a second DOCTYPE;
+* ``<!`` in the body that opens no comment or CDATA section, and
+  anything but whitespace, comments and PIs after the root element;
+* bytes that are not UTF-8, and names outside a conservative ASCII
+  subset of the reference name grammar (text and attribute values may
+  hold any UTF-8);
+* references the char parser's own ``_decode_entities`` rejects,
+  over-limit constructs, duplicate attributes, and every malformed shape.
 
 "Falls back" means :class:`FallbackRequired` is raised and the caller
 re-runs the char-based tier from the start — so errors (type, message,
@@ -31,8 +37,9 @@ line/column) and reports are *identical by construction*: the fast tier
 either certifies exactly what the careful tier would accept, or it
 certifies nothing and the careful tier speaks.
 
-Entry points: :func:`body_start`, :func:`split_body` and
-:func:`parse_chunk`, driven by the fused dense validation loop
+Entry points: :func:`body_start`, :func:`split_body`,
+:func:`parse_chunk` and :func:`check_after_root`, driven by the fused
+dense validation loop
 (:meth:`repro.engine.streaming.StreamingValidator._scan_dense`) and its
 lazy typing walk, with schema-interned name ids.
 ``tests/test_tokenizer_hardening`` replays the parser fuzz corpus
@@ -42,6 +49,9 @@ through that loop against the char parser plus compat loop.
 from __future__ import annotations
 
 import re
+
+from repro.errors import ParseError
+from repro.xmlmodel.parser import _Cursor, _decode_entities
 
 
 class FallbackRequired(Exception):
@@ -56,12 +66,18 @@ _FALLBACK = FallbackRequired()
 # *not* in this set: the char parser rejects them between markup, so the
 # fast tier must too).
 _WS = b" \t\r\n"
+_WS_RUN = re.compile(rb"[ \t\r\n]*")
 
 # ASCII bytes that str.strip() removes — the validator's text-content
 # test is `text.strip()`, whose whitespace set on ASCII is wider than
 # the parser's token whitespace ('\x0b', '\x0c', '\x1c'-'\x1f').
 # Stripping them from the raw bytes decides significance undecoded.
 _STR_WS = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+# Byte values for the memo-miss path's membership tests: ``byte in
+# data`` with an int is a memchr, where a bytes needle first fails an
+# int conversion (an exception raised and cleared per test).
+_AMP, _LT = ord("&"), ord("<")
 
 # Conservative ASCII subset of the reference name grammar (isalpha/_:
 # start, isalnum/_:.- continue).  Anything outside falls back.
@@ -75,71 +91,188 @@ _ATTR_RE = re.compile(
     rb"(?:\"([^\"]*)\"|'([^']*)')"
 )
 
+# A DOCTYPE without an internal subset.  Its quoted literals may hold
+# '>', as in the char parser's _skip_doctype; a '[' or ']' outside them
+# does not match, so an internal subset falls back.
+_DOCTYPE_RE = re.compile(rb"<!DOCTYPE(?:[^\"'\[\]>]|\"[^\"]*\"|'[^']*')*>")
+
+# Markup the body may hold, as (opener, closer).  A closer is searched
+# from just past its opener, as the char parser does, so "<?>" and
+# "<!-->" are not closed.  Only comments and PIs may follow the root.
+_CDATA_OPEN, _CDATA_CLOSE = b"<![CDATA[", b"]]>"
+_MISC = ((b"<!--", b"-->"), (b"<?", b"?>"))
+_MARKUP = _MISC + ((_CDATA_OPEN, _CDATA_CLOSE),)
+_MARKUP_START = re.compile(rb"<[!?]")
+
+# The error locator handed to the char parser's decoding routines; their
+# errors become fallbacks, so no location is ever reported.
+_NOWHERE = _Cursor("")
+
 _EMPTY_SET = frozenset()
 
 # Action kinds.
 START, END, SELFCLOSE = 0, 1, 2
 
 
+def _markup_end(data, pos, kinds=_MARKUP):
+    """Offset just past the markup of ``kinds`` that opens at
+    ``data[pos]``, or ``None`` if none opens there."""
+    for opener, closer in kinds:
+        if data.startswith(opener, pos):
+            end = data.find(closer, pos + len(opener))
+            if end < 0:  # unterminated: the careful tier's error
+                raise _FALLBACK
+            return end + len(closer)
+    return None
+
+
+def _skip_misc(data, pos):
+    """Offset past the whitespace, comments and PIs from ``data[pos]``,
+    as the char parser's ``_skip_misc`` skips them."""
+    while True:
+        pos = _WS_RUN.match(data, pos).end()
+        end = _markup_end(data, pos, _MISC)
+        if end is None:
+            return pos
+        pos = end
+
+
 def body_start(data):
     """Byte offset of the root element's ``<`` after the prolog.
 
-    Handles whitespace, an XML declaration, and comment/PI misc;
-    a DOCTYPE (rare, and full of quoting subtleties) falls back.
-    Raises :class:`FallbackRequired` whenever the prolog is anything the
+    Handles whitespace, an XML declaration, comment/PI misc and one
+    DOCTYPE without an internal subset.  Raises
+    :class:`FallbackRequired` whenever the prolog is anything the
     structural scan cannot certify — including malformed shapes, which
     the careful tier then rejects with its exact diagnostics, and
     non-ASCII bytes, which may not be UTF-8 at all.
     """
-    pos = 0
-    size = len(data)
-    while True:
-        while pos < size and data[pos] in _WS:
-            pos += 1
-        if data.startswith(b"<?", pos):
-            # Search after the opening "<?" so "<?>" (whose closing "?>"
-            # would overlap it) is not mistaken for a complete PI.
-            end = data.find(b"?>", pos + 2)
-            if end < 0:
-                raise _FALLBACK
-            pos = end + 2
-            continue
-        if data.startswith(b"<!--", pos):
-            end = data.find(b"-->", pos + 4)
-            if end < 0:
-                raise _FALLBACK
-            pos = end + 3
-            continue
-        if data.startswith(b"<!", pos):  # DOCTYPE (or garbage)
+    pos = _skip_misc(data, 0)
+    if data.startswith(b"<!DOCTYPE", pos):
+        doctype = _DOCTYPE_RE.match(data, pos)
+        if doctype is None:  # an internal subset, or unterminated
             raise _FALLBACK
-        if pos >= size or data[pos] != 0x3C or not data[:pos].isascii():
-            raise _FALLBACK
-        return pos
+        pos = _skip_misc(data, doctype.end())
+    if (data[pos:pos + 1] != b"<" or data.startswith(b"<!", pos)
+            or not data[:pos].isascii()):
+        raise _FALLBACK
+    return pos
 
 
 def split_body(data, start):
-    """Chunk the body: one entry per tag, ``tag + b'>' + trailing text``.
+    """Chunk the body: one entry per tag, ``tag + b'>' + content``.
 
-    Falls back if the body contains any markup the chunk grammar cannot
-    represent (comments, CDATA sections, processing instructions).
+    The content runs up to the next tag: text, plus any comments, PIs
+    and CDATA sections, each kept whole.  Falls back if the body holds
+    a ``<!`` that opens neither a comment nor a CDATA section, or
+    unterminated markup.
     """
     body = data[start:] if start else data
-    if b"<!" in body or b"<?" in body:
+    if b"<!" not in body and b"<?" not in body:
+        return body.split(b"<")
+    chunks = []
+    head = 0  # where the chunk that markup may still extend begins
+    pos = 0
+    while True:
+        found = _MARKUP_START.search(body, pos)
+        stop = len(body) if found is None else found.start()
+        pieces = body[pos:stop].split(b"<")
+        if len(pieces) > 1:  # tags between pos and stop end that chunk
+            chunks.append(body[head:pos + len(pieces[0])])
+            chunks += pieces[1:-1]
+            head = stop - len(pieces[-1])
+        if found is None:
+            chunks.append(body[head:])
+            return chunks
+        pos = _markup_end(body, stop)
+        if pos is None:
+            raise _FALLBACK
+
+
+def check_after_root(chunk):
+    """Fall back unless only whitespace, comments and PIs follow the tag
+    of ``chunk``, the chunk that closes the root element.
+
+    The char parser skips exactly these after the root: its whitespace
+    is :data:`_WS`, narrower than ``str.strip``'s, and a CDATA section
+    is refused there even when it is empty (and so yields no text
+    event).  Called once per document.
+    """
+    tail = chunk[chunk.find(b">") + 1:]
+    if tail.strip(_WS) and _skip_misc(tail, 0) != len(tail):
         raise _FALLBACK
-    return body.split(b"<")
+
+
+def _decoded(raw, limits):
+    """``raw`` (a text run or attribute value) decoded as strict UTF-8,
+    then by the char parser's own ``_decode_entities``, which checks its
+    references and the run-length cap; what either rejects falls back."""
+    try:
+        return _decode_entities(raw.decode("utf-8"), _NOWHERE, limits)
+    except (UnicodeDecodeError, ParseError):  # LimitExceeded included
+        raise _FALLBACK from None
+
+
+def _content(rest, limits):
+    """``(significant, events)`` for the content after a chunk's tag.
+
+    Walks it as the char parser's content loop does: text runs split by
+    comments, PIs and CDATA sections.  Each non-empty run and non-empty
+    CDATA section is one text event, and the content is significant iff
+    one of them is not empty after ``str.strip``, as the compat loop
+    tests it.  Falls back unless ``rest`` is strict UTF-8.
+    """
+    try:
+        rest.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _FALLBACK from None
+    max_text = limits.max_text_length
+    significant = False
+    events = 0
+    pos = 0
+    while True:
+        lt = rest.find(b"<", pos)
+        run = rest[pos:] if lt < 0 else rest[pos:lt]
+        if run:
+            events += 1
+            if _decoded(run, limits).strip():
+                significant = True
+        if lt < 0:
+            return significant, events
+        pos = _markup_end(rest, lt)
+        if pos is None:  # no comment, PI or CDATA section opens here
+            raise _FALLBACK
+        if rest.startswith(_CDATA_OPEN, lt):
+            start, stop = lt + len(_CDATA_OPEN), pos - len(_CDATA_CLOSE)
+            data = rest[start:stop].decode("utf-8")
+            if max_text is not None and len(data) > max_text:
+                raise _FALLBACK
+            if data:
+                events += 1
+                if data.strip():
+                    significant = True
 
 
 def parse_chunk(chunk, limits, name_id_of):
     """Parse one chunk into an action tuple (the memo-miss path).
 
-    Returns ``(kind, name_id, attr_names, significant_text, has_text)``
+    Returns ``(kind, name_id, attr_names, significant_text, events)``
     where ``kind`` is :data:`START`/:data:`END`/:data:`SELFCLOSE`,
     ``attr_names`` is a frozenset of decoded attribute names (``None``
-    for end tags), ``significant_text`` is True iff the trailing text
-    contains a character that is not whitespace by ``str.isspace``, and
-    ``has_text`` is True iff there is any trailing text (the char parser
-    then yields a text event).  Neither attribute values nor text are
-    decoded: the validator reads only names and these flags.
+    for end tags), ``significant_text`` is True iff the content after
+    the tag holds a character that is not whitespace by ``str.isspace``,
+    and ``events`` is the number of text events the char parser yields
+    for that content (one per non-empty text run or CDATA section).
+    Attribute values and text are decoded only to check them: the
+    validator reads only names and these two figures.
+
+    ASCII content with no ``&`` and no markup, and ASCII attribute
+    values with no ``&``, are judged on their bytes (significance by
+    stripping :data:`_STR_WS`).  Any other content or value is decoded
+    as strict UTF-8 (the rest of a tag matches ASCII patterns only), once
+    per distinct chunk.  Since ``<`` never occurs inside a multibyte
+    sequence, decoding chunk by chunk accepts exactly the documents that
+    decoding the whole input accepts.
 
     Every check the reference parser performs on this shape happens
     here — name grammar, quote closure, duplicate attributes, entity
@@ -150,21 +283,23 @@ def parse_chunk(chunk, limits, name_id_of):
     :class:`FallbackRequired` (the validator does, for names outside the
     schema alphabet).
     """
-    if not chunk.isascii():
-        raise _FALLBACK
+    ascii_only = chunk.isascii()
     gt = chunk.find(b">")
     if gt < 0:
         raise _FALLBACK
     tag = chunk[:gt]
     rest = chunk[gt + 1:]
     max_text = limits.max_text_length
+    significant = False
+    events = 0
     if rest:
-        if b"&" in rest:
-            raise _FALLBACK
-        if max_text is not None and len(rest) > max_text:
-            raise _FALLBACK
-    significant = bool(rest.strip(_STR_WS))
-    has_text = bool(rest)
+        if ascii_only and _AMP not in rest and _LT not in rest:
+            if max_text is not None and len(rest) > max_text:
+                raise _FALLBACK
+            significant = bool(rest.strip(_STR_WS))
+            events = 1
+        else:
+            significant, events = _content(rest, limits)
     max_name = limits.max_name_length
     if tag[:1] == b"/":
         name = tag[1:].rstrip(_WS)
@@ -172,7 +307,7 @@ def parse_chunk(chunk, limits, name_id_of):
             raise _FALLBACK
         if max_name is not None and len(name) > max_name:
             raise _FALLBACK
-        return (END, name_id_of(name), None, significant, has_text)
+        return (END, name_id_of(name), None, significant, events)
     selfclose = tag[-1:] == b"/"
     if selfclose:
         tag = tag[:-1]
@@ -199,10 +334,11 @@ def parse_chunk(chunk, limits, name_id_of):
                 raise _FALLBACK  # duplicate -> careful tier's error
             if max_name is not None and len(attr_name) > max_name:
                 raise _FALLBACK
-            if b"&" in value:
-                raise _FALLBACK
-            if max_text is not None and len(value) > max_text:
-                raise _FALLBACK
+            if ascii_only and _AMP not in value:
+                if max_text is not None and len(value) > max_text:
+                    raise _FALLBACK
+            else:
+                _decoded(value, limits)
             names.append(attr_name)
             pos = attr.end()
         if blob[pos:].strip(_WS):
@@ -212,4 +348,4 @@ def parse_chunk(chunk, limits, name_id_of):
             raise _FALLBACK
         attr_names = frozenset(attr.decode("ascii") for attr in names)
     kind = SELFCLOSE if selfclose else START
-    return (kind, name_id_of(name), attr_names, significant, has_text)
+    return (kind, name_id_of(name), attr_names, significant, events)

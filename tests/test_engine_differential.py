@@ -347,23 +347,34 @@ class TestDenseVsDict:
         document = generator.generate(
             random.Random(11), max_depth=4, max_children=6
         )
-        text = write_document(document)
+        # Markup glued into the dense path's chunks: a comment splits the
+        # note's text into two events, the empty CDATA section yields
+        # none, and references sit in text and in an attribute value.
+        decorated = (
+            '<?xml version="1.0"?>\n<!DOCTYPE inv SYSTEM "inv.dtd">\n'
+            '<inv owner="a&amp;b">&#32;<item><tag/><!-- c --><tag/></item>'
+            '<note>caf\u00e9 &lt;<!-- c -->&#x41;<![CDATA[]]></note>'
+            '<item/></inv>\n<?pi after the root?>\n'
+        )
         validator = StreamingValidator(compiled)
         events_counter = registry.counter("engine.stream.events")
         docs_counter = registry.counter("engine.stream.docs")
+        dense_docs = registry.counter("engine.dense.docs")
+        for text in (write_document(document), decorated):
+            before = (events_counter.value, docs_counter.value,
+                      dense_docs.value)
+            validator.validate(text)  # dense
+            dense_delta = (events_counter.value - before[0],
+                           docs_counter.value - before[1])
+            assert dense_docs.value == before[2] + 1
 
-        before = events_counter.value, docs_counter.value
-        validator.validate(text)  # dense
-        dense_delta = (events_counter.value - before[0],
-                       docs_counter.value - before[1])
+            before = events_counter.value, docs_counter.value
+            validator.validate_events(iter_events(text))  # dict/compat
+            compat_delta = (events_counter.value - before[0],
+                            docs_counter.value - before[1])
 
-        before = events_counter.value, docs_counter.value
-        validator.validate_events(iter_events(text))  # dict/compat
-        compat_delta = (events_counter.value - before[0],
-                        docs_counter.value - before[1])
-
-        assert dense_delta == compat_delta
-        assert dense_delta[1] == 1
+            assert dense_delta == compat_delta
+            assert dense_delta[1] == 1
 
     def test_seeded_10k_dense_vs_dict_sweep(self):
         # The bulk lockdown: ~10k serialized documents (valid bases plus

@@ -1,8 +1,9 @@
 """Hardening suite: the dense scan certifies only what the char parser accepts.
 
 ``StreamingValidator.validate_bytes`` runs the byte fast tier
-(:mod:`repro.xmlmodel.tokenizer`: ``body_start``, ``split_body`` and the
-memoized ``parse_chunk``) fused with the dense table loop, and falls
+(:mod:`repro.xmlmodel.tokenizer`: ``body_start``, ``split_body``, the
+memoized ``parse_chunk`` and ``check_after_root``) fused with the dense
+table loop, and falls
 back to the char parser plus compat loop on anything it cannot certify.
 It promises that for *every* input it returns the report
 ``validate_events(iter_events(text))`` returns — verdict, violations,
@@ -131,7 +132,7 @@ class TestSeededCorpus:
             )
         # The replay must reach the commit path, not agree by falling
         # back every time.
-        assert committed >= 31
+        assert committed >= 76
 
     def test_every_mutation_operator_alone(self):
         rng = random.Random(0xFACADE)
@@ -175,6 +176,19 @@ class TestLimitsPlumbing:
             ("<a " + " ".join(f'k{i}="v"' for i in range(6)) + "/>",
              ParserLimits(max_attributes=3)),
             ("<a k='" + "v" * 40 + "'/>", ParserLimits(max_text_length=16)),
+            ("<a><![CDATA[" + "c" * 17 + "]]></a>",
+             ParserLimits(max_text_length=16)),
+            ("<a><![CDATA[" + "c" * 16 + "]]></a>",
+             ParserLimits(max_text_length=16)),
+            # A comment splits the text into two runs, each within the cap
+            # and their sum over it; then the run before, and the run
+            # after, over the cap alone.
+            ("<a>" + "y" * 10 + "<!-- c -->" + "y" * 10 + "</a>",
+             ParserLimits(max_text_length=16)),
+            ("<a>" + "y" * 17 + "<!-- c -->" + "y" * 10 + "</a>",
+             ParserLimits(max_text_length=16)),
+            ("<a>" + "y" * 10 + "<!-- c -->" + "y" * 17 + "</a>",
+             ParserLimits(max_text_length=16)),
         ]
         for text, limits in cases:
             assert_tokenizer_agreement(text, limits=limits)
@@ -200,13 +214,45 @@ class TestFallbackBoundary:
         "<a><![CDATA[x]]></a>",                  # CDATA in the body
         "<a>&amp;</a>",                          # entity reference
         "<a b='&lt;'/>",                         # entity in attribute
+        "<a><!-- <b>x</b> > --></a>",            # '<' and '>' in a comment
+        "<a><?pi <b/> > ?></a>",                 # ... in a PI
+        "<a><![CDATA[<b>x</b> >]]></a>",         # ... in a CDATA section
+        "<a><![CDATA[]]></a>",                   # empty CDATA: no text event
+        '<!DOCTYPE a SYSTEM "a>b.dtd"><a/>',     # quoted '>' in a DOCTYPE
+        "<a/><!-- c --><?pi?>\n",               # comment and PI after root
+        "<a>caf\u00e9 &#x3000;&lt;</a>",        # non-ASCII text, references
+    ])
+    def test_rich_markup_commits(self, text):
+        # Markup that never changes a verdict stays on the dense path.
+        assert assert_tokenizer_agreement(text) is True
+        assert permissive_validator(text, mixed=True).validate(text).valid
+
+    @pytest.mark.parametrize("text", [
         "<élément/>",                  # non-ASCII name
         "<a b = '1'c='2'/>",                     # no space after quote
+        "<!DOCTYPE a [<!ENTITY e 'v'>]><a/>",    # internal subset
+        "<!DOCTYPE a [ garbage %% ]><a/>",       # ... one without a '>'
     ])
     def test_uncertifiable_inputs_delegate(self, text):
         # Valid under the mixed schema, yet never committed by the scan.
         assert assert_tokenizer_agreement(text) is False
         assert permissive_validator(text, mixed=True).validate(text).valid
+
+    @pytest.mark.parametrize("data", [
+        b"<a>\xff</a>",                          # text
+        b"<a b='\xc3'/>",                        # attribute value
+        b"<a><!-- \xed\xa0\x80 --></a>",         # comment (a surrogate)
+    ])
+    def test_undecodable_body_bytes_delegate(self, data):
+        from repro.engine.streaming import as_events
+
+        validator = permissive_validator("a b", mixed=True)
+        before = _dense_docs()
+        scan = _outcome(lambda: validator.validate_bytes(data))
+        assert _dense_docs() == before
+        assert scan == _outcome(
+            lambda: validator.validate_events(as_events(data)))
+        assert scan[0] == "error" and "not valid UTF-8" in scan[2]
 
     @pytest.mark.parametrize("text", [
         "<?>",                      # '?>' overlapping the opening '<?'
@@ -221,7 +267,14 @@ class TestFallbackBoundary:
     def test_malformed_shapes_produce_reference_errors(self):
         for text in ["<a b/>", "</a>", "<a></b>", "<a", "<>", "<a//>",
                      "<a>text", "x<a/>", "<a/><b/>", "<a 1='x'/>",
-                     "<a b='1' b='2'/>", "<a b='1' c='2' b='1'>t</a>"]:
+                     "<a b='1' b='2'/>", "<a b='1' c='2' b='1'>t</a>",
+                     # str.strip whitespace that the char parser refuses
+                     # after the root
+                     "<a/>\x0b", "<a></a>\x0c", "<a/> \x1f\n",
+                     # markup and references the char parser refuses
+                     "<!DOCTYPE a><!DOCTYPE a><a/>", "<a><!X></a>",
+                     "<a/><![CDATA[x]]>", "<a/><![CDATA[]]>",
+                     "<a>&bogus;</a>", "<a>&#xD800;</a>"]:
             assert assert_tokenizer_agreement(text) is False
 
     @pytest.mark.parametrize("data", [
@@ -242,11 +295,27 @@ class TestFallbackBoundary:
         assert scan == compat
         assert scan[0] == "error" and "not valid UTF-8" in scan[2]
 
+    def test_fallbacks_keep_no_frames(self):
+        # FallbackRequired instances are shared across raises; each raise
+        # would chain its frames (holding the document) onto them.
+        from repro.engine import streaming
+        from repro.xmlmodel import tokenizer
+
+        validator = permissive_validator("a", mixed=True)
+        for text in ("<zz/>",                # name outside the alphabet
+                     "<a>&bogus;</a>"):      # reference the parser rejects
+            _outcome(lambda: validator.validate(text))
+        for instance in (streaming._FALLBACK, tokenizer._FALLBACK):
+            assert instance.__traceback__ is None
+            assert instance.__context__ is None
+
     def test_text_significance_matches_str_strip_on_ascii(self):
-        # The scan tests trailing text bytes against _STR_WS undecoded;
-        # the compat loop tests the decoded run with str.strip.  Every
-        # ASCII character that is not markup, alone and around a letter;
-        # element-only content commits exactly the whitespace runs.
+        # The scan tests ASCII text bytes against _STR_WS undecoded, and
+        # decodes any other text; the compat loop tests the decoded run
+        # with str.strip.  Every ASCII character that is not markup, alone
+        # and around a letter; element-only content commits exactly the
+        # whitespace runs.  Then every other whitespace code point,
+        # written literally and as a character reference.
         for code in range(128):
             char = chr(code)
             if char in "<&":
@@ -256,3 +325,11 @@ class TestFallbackBoundary:
                 assert_tokenizer_agreement(text)
             committed = assert_scan_agreement(f"<a>{char}</a>", mixed=False)
             assert committed == char.isspace(), repr(char)
+        spaces = [chr(code) for code in range(128, 0x110000)
+                  if chr(code).isspace()]
+        for char in spaces:
+            for written in (char, f"&#x{ord(char):X};"):
+                for text in (f"<a>{written}</a>", f"<a><b/>{written}</a>"):
+                    assert assert_tokenizer_agreement(text), repr(text)
+                    assert assert_scan_agreement(text, mixed=False), (
+                        repr(text))
