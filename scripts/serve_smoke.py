@@ -7,6 +7,8 @@ would see them:
 * a well-formed valid document answers **200** with ``valid: true``;
 * a malformed document answers **422** with a structured parse error
   (never a traceback, never a hung worker);
+* both ran on the dense path: ``/metrics`` counts one dense commit and
+  one fallback to the compat loop, which wrote the parse error;
 * a Theorem 9 budget-blowup schema answers **503** while it burns real
   compile budgets, then — past the breaker threshold — **fail-fast 503**
   with the *cached* exhaustion stats and a ``Retry-After`` hint (the
@@ -101,6 +103,14 @@ def main():
         check(status == 422, f"malformed document answered {status}")
         check(body["error"] == "parse", f"expected parse error, got {body}")
 
+        # -- both took the dense scan; the malformed one fell back -----
+        status, text, __ = request(port, "GET", "/metrics")
+        check(status == 200, "metrics scrape failed")
+        series = text.splitlines()
+        for needle in ("engine_dense_docs 1", "engine_dense_fallbacks 1"):
+            check(needle in series,
+                  f"/validate left the dense path: no {needle!r} series")
+
         # -- budget blowup: 503 under budget, then quarantined ---------
         blowup = {
             "schema": blowup_bonxai(), "schema_kind": "bonxai",
@@ -147,7 +157,8 @@ def main():
             process.kill()
             process.wait()
 
-    print("serve-smoke OK: 200 valid / 422 malformed / 503 budget / "
+    print("serve-smoke OK: 200 valid (dense) / 422 malformed (fallback) / "
+          "503 budget / "
           f"quarantine fail-fast {fastfail * 1000:.0f} ms / metrics "
           "scraped / SIGTERM drained with exit 0")
 

@@ -68,7 +68,7 @@ Every subcommand also accepts the observability flags::
                              a size-capped ring, rotating to FILE.1)
     --budget-states N        cap automaton states created by translations
     --budget-seconds S       wall-clock deadline for the command's
-                             constructions
+                             constructions and validation
 
 Budget violations surface as ``error: ...`` with exit status 2 (the
 schema was refused, not proven invalid); the metrics snapshot is still
@@ -225,7 +225,8 @@ def _build_parser():
         type=_positive(float),
         default=None,
         metavar="S",
-        help="wall-clock deadline for the command's constructions",
+        help="wall-clock deadline for the command's constructions and "
+        "validation",
     )
 
     # Parser-limit overrides shared by validate and serve: each maps to

@@ -5,7 +5,17 @@ validates every document against the shared, immutable
 :class:`~repro.engine.compiler.CompiledSchema`.  Workers are threads: the
 compiled tables are read-only, so no per-worker copy is needed, and a
 serving process can overlap validation with I/O (the common case for
-heavy traffic: documents arrive as text over sockets or files).
+heavy traffic: documents arrive as text over sockets or files).  Each
+document takes the route of :meth:`StreamingValidator.validate`: text
+and bytes try the dense scan, falling back to the compat loop.
+
+Under every policy, each document runs in one context, entered inside
+its pool worker (contextvars do not cross pool threads on their own):
+the batch's :class:`~repro.resilience.ParserLimits` and its explicit or
+ambient :class:`~repro.resilience.FaultInjector` are installed, so chaos
+tests exercise the exact serving configuration, and a per-document
+``deadline`` is a :class:`~repro.observability.ResourceBudget` whose
+clock both validation loops check (its trip is a ``DeadlineExceeded``).
 
 Fault isolation (:mod:`repro.resilience`): under ``policy="isolate"`` (or
 ``"fail_fast"``) every input yields a
@@ -15,17 +25,12 @@ that fails to fetch, parse, or validate contributes a structured
 elapsed time) instead of aborting the batch.  Sources may be zero-arg
 callables fetching the text lazily (files, sockets); transient failures
 retry with bounded backoff per the :class:`~repro.resilience.RetryPolicy`.
-A per-document wall-clock ``deadline`` aborts runaway documents (checked
-between events on the streaming engine).  An ambient or explicit
-:class:`~repro.resilience.FaultInjector` is re-installed inside worker
-threads (contextvars do not cross pool threads on their own), so chaos
-tests exercise the exact serving configuration.
 
 Tracing: when a :class:`~repro.observability.Tracer` is ambient, the
 whole call records an ``engine.batch`` span and every document an
 ``engine.batch.doc`` child — the tracer and the batch span are
-re-installed inside pool workers with the same trick used for limits and
-injectors, so worker-side spans (``engine.validate`` included) land in
+re-installed inside pool workers like the per-document context, so
+worker-side spans (``engine.validate`` included) land in
 the caller's trace tree.  With no tracer the batch path is untouched
 (one contextvar read).
 
@@ -43,8 +48,8 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.engine.cache import compile_cached
 from repro.engine.compiler import CompiledSchema
 from repro.engine.streaming import StreamingValidator, as_events
-from repro.errors import DeadlineExceeded
-from repro.observability import default_registry
+from repro.errors import BudgetExceeded, DeadlineExceeded
+from repro.observability import ResourceBudget, default_registry
 from repro.observability.tracing import (
     current_baggage,
     current_tracer,
@@ -57,6 +62,7 @@ from repro.resilience import (
     FailurePolicy,
     NO_RETRY,
     installed_injector,
+    installed_limits,
     resolve_injector,
     resolve_limits,
 )
@@ -95,14 +101,18 @@ def validate_many(schema, sources, engine="streaming", workers=None,
             :class:`~repro.errors.DeadlineExceeded`.  The clock starts
             *before* the source is fetched, so fetch latency — retries
             and backoff sleeps included — counts against the allowance.
+            Checked between fetch attempts, around validation, and
+            inside it by the streaming engine's loops.
         retry: a :class:`~repro.resilience.RetryPolicy` for callable
             sources (default: no retry).
         limits: :class:`~repro.resilience.ParserLimits` for parsing
-            text and bytes sources (explicit wins over ambient wins over
-            the defaults; resolved once, so worker threads see the
-            caller's ambient limits).
+            text and bytes sources, on the dense scan and the char
+            parser alike (explicit wins over ambient wins over the
+            defaults; resolved once and installed for every document,
+            so worker threads see the caller's ambient limits).
         injector: a :class:`~repro.resilience.FaultInjector` (explicit
-            wins over ambient; re-installed inside workers).
+            wins over ambient; installed for every document under every
+            policy, worker threads included).
 
     Returns:
         Under ``policy="raise"``: list of
@@ -137,7 +147,7 @@ def validate_many(schema, sources, engine="streaming", workers=None,
 
 def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
                retry, limits, injector, registry, tracer, batch_span):
-    validate = _make_validator(schema, engine, cache, limits, deadline)
+    validate = _make_validator(schema, engine, cache)
 
     baggage = current_baggage() if tracer is not None else None
 
@@ -153,37 +163,71 @@ def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
             return contextlib.nullcontext()
         return installed_tracer(tracer, batch_span, baggage=baggage)
 
-    def fetch(source, deadline_at=None):
+    @contextlib.contextmanager
+    def document_context():
+        """One document's ambient context, entered by every policy.
+
+        Installs the batch's limits and injector and, when ``deadline``
+        is set, a fresh budget whose clock starts here, before the
+        fetch; yields that budget (else ``None``).  Its trip surfaces
+        as :class:`DeadlineExceeded`.
+        """
+        with installed_limits(limits), installed_injector(injector):
+            if deadline is None:
+                yield None
+                return
+            budget = ResourceBudget(max_seconds=deadline)
+            try:
+                with budget:
+                    yield budget
+            except BudgetExceeded:
+                elapsed = budget.elapsed_seconds()
+                if elapsed <= deadline:  # another budget's limit
+                    raise
+                registry.counter("engine.batch.deadline_exceeded").inc()
+                raise DeadlineExceeded(
+                    f"per-document deadline exceeded "
+                    f"({elapsed:.3f}s > deadline={deadline}s)",
+                    elapsed_seconds=elapsed, deadline_seconds=deadline,
+                ) from None
+
+    def fetch(source, budget):
         """Resolve a callable source with retry; returns (doc, attempts).
 
-        The per-document deadline covers fetching too: the caller
-        starts the clock *before* the first attempt, every backoff
-        checks it (so retries stop the moment the allowance is spent,
-        instead of sleeping through it), and an exhausted source whose
-        retries outlived the deadline reports ``DeadlineExceeded``
-        rather than the final transient error.
+        The document's budget covers fetching too: its clock started
+        before the first attempt, every backoff checks it (so retries
+        stop the moment the allowance is spent, instead of sleeping
+        through it), and an exhausted source whose retries outlived the
+        deadline reports ``DeadlineExceeded`` rather than the final
+        transient error.
         """
         if not callable(source):
             return source, 1
 
         def on_retry(attempt, exc):
             registry.counter("engine.batch.retries").inc()
-            _check_deadline(deadline_at, deadline)
+            _check_clock(budget)
 
         try:
             return retry.call(source, on_retry=on_retry)
         except retry.retry_on:
             registry.counter("engine.batch.retry_exhausted").inc()
-            _check_deadline(deadline_at, deadline)
+            _check_clock(budget)
             raise
+
+    def validate_within(document, budget):
+        """Validate between two checks of the document's clock."""
+        _check_clock(budget)
+        report = validate(document)
+        _check_clock(budget)
+        return report
 
     if policy == FailurePolicy.RAISE:
         def run(source):
             with trace_context(), span("engine.batch.doc"):
-                deadline_at = _deadline_at(deadline)
-                document, __ = fetch(source, deadline_at)
-                _check_deadline(deadline_at, deadline)
-                return validate(document, deadline_at)
+                with document_context() as budget:
+                    document, __ = fetch(source, budget)
+                    return validate_within(document, budget)
 
         if workers is None or workers <= 1 or len(sources) <= 1:
             return [run(source) for source in sources]
@@ -196,11 +240,9 @@ def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
         with trace_context(), span("engine.batch.doc") as doc_span:
             doc_span.set_attribute("index", index)
             try:
-                with installed_injector(injector):
-                    deadline_at = _deadline_at(deadline)
-                    document, attempts = fetch(source, deadline_at)
-                    _check_deadline(deadline_at, deadline)
-                    report = validate(document, deadline_at)
+                with document_context() as budget:
+                    document, attempts = fetch(source, budget)
+                    report = validate_within(document, budget)
                 return DocumentOutcome(
                     index, report=report,
                     elapsed_seconds=time.monotonic() - started,
@@ -247,33 +289,24 @@ def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
         )
 
 
-def _deadline_at(deadline):
-    """Convert a relative allowance to an absolute monotonic instant."""
-    if deadline is None:
-        return None
-    return time.monotonic() + deadline
+def _check_clock(budget):
+    """A document's deadline check between its stages (fetch attempts,
+    validation)."""
+    if budget is not None:
+        budget.check_time("engine.batch")
 
 
-def _make_validator(schema, engine, cache, limits, deadline=None):
-    """Build the per-document ``validate(document, deadline_at)`` callable.
+def _make_validator(schema, engine, cache):
+    """Build the per-document ``validate(document)`` callable.
 
     Schema compilation happens here, once, before any per-document work —
     schema-side failures are the caller's problem, not a per-doc error.
+    The streaming engine is :meth:`StreamingValidator.validate` itself.
     """
     if engine == "streaming":
-        if isinstance(schema, CompiledSchema):
-            compiled = schema
-        else:
-            compiled = compile_cached(schema, cache)
-        validator = StreamingValidator(compiled)
-
-        def validate(document, deadline_at):
-            events = as_events(document, limits)
-            if deadline_at is not None:
-                events = _deadline_events(events, deadline_at, deadline)
-            return validator.validate_events(events)
-
-        return validate
+        if not isinstance(schema, CompiledSchema):
+            schema = compile_cached(schema, cache)
+        return StreamingValidator(schema).validate
     if engine == "tree":
         if isinstance(schema, CompiledSchema):
             raise ValueError("the tree engine needs the formal XSD")
@@ -286,48 +319,13 @@ def _make_validator(schema, engine, cache, limits, deadline=None):
             def check(document):
                 return validate_xsd(schema, document)
 
-        def validate(document, deadline_at):
+        def validate(document):
             if not isinstance(document, (XMLDocument, XMLElement)):
                 # Text, bytes or events: the tree the stream spells.
-                document = XMLElement.from_events(
-                    as_events(document, limits)
-                )
+                document = XMLElement.from_events(as_events(document))
             if isinstance(document, XMLElement):
                 document = XMLDocument(document)
-            _check_deadline(deadline_at, deadline)
-            report = check(document)
-            _check_deadline(deadline_at, deadline)
-            return report
+            return check(document)
 
         return validate
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def _deadline_events(events, deadline_at, allowance, stride=64):
-    """Wrap an event stream with a wall-clock check every ``stride`` events.
-
-    Raising from inside the stream aborts the streaming validator
-    mid-document, so a pathological document cannot hold a worker past
-    its deadline by more than one stride of events.
-    """
-    count = 0
-    for event in events:
-        count += 1
-        if count % stride == 0:
-            _check_deadline(deadline_at, allowance)
-        yield event
-    _check_deadline(deadline_at, allowance)
-
-
-def _check_deadline(deadline_at, allowance):
-    if deadline_at is None:
-        return
-    now = time.monotonic()
-    if now > deadline_at:
-        elapsed = allowance + (now - deadline_at)
-        default_registry().counter("engine.batch.deadline_exceeded").inc()
-        raise DeadlineExceeded(
-            f"per-document deadline exceeded "
-            f"({elapsed:.3f}s > deadline={allowance}s)",
-            elapsed_seconds=elapsed, deadline_seconds=allowance,
-        )

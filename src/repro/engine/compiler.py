@@ -26,7 +26,6 @@ threads; :mod:`repro.engine.cache` memoizes it per schema fingerprint and
 
 from __future__ import annotations
 
-import time
 from array import array
 
 from repro.automata.minimize import minimize
@@ -200,25 +199,13 @@ def compile_regex(regex, alphabet=None):
     if alphabet is None:
         alphabet = regex.symbols()
     symbols = tuple(sorted(alphabet))
-    started = time.perf_counter_ns()
+    # minimize numbers the states 0..n-1 breadth-first from the initial
+    # state in sorted symbol order: the table's canonical order.
     dfa = minimize(to_dfa(regex, alphabet=symbols))
-    default_registry().histogram("engine.compile.minimize_ns").observe(
-        time.perf_counter_ns() - started
-    )
-    # Stable BFS renumbering from the initial state, in symbol order.
-    index = {dfa.initial: 0}
-    order = [dfa.initial]
-    position = 0
-    while position < len(order):
-        state = order[position]
-        position += 1
-        for name in symbols:
-            target = dfa.transitions[(state, name)]
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
+    transitions = dfa.transitions
+    order = range(len(dfa.states))
     table = tuple(
-        tuple(index[dfa.transitions[(state, name)]] for name in symbols)
+        tuple(transitions[(state, name)] for name in symbols)
         for state in order
     )
     accepting = tuple(state in dfa.accepting for state in order)

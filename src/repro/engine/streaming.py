@@ -35,6 +35,7 @@ from itertools import islice
 from repro.engine.compiler import CompiledSchema
 from repro.errors import ParseError
 from repro.observability import default_registry
+from repro.observability.budget import current_budget
 from repro.observability.tracing import span
 from repro.resilience.limits import ParserLimits, resolve_limits
 from repro.xmlmodel.tokenizer import (
@@ -56,6 +57,11 @@ _FALLBACK = FallbackRequired()
 _TYPING_SLOT = XSDValidationReport.typing
 
 _UNLIMITED = ParserLimits.unlimited()
+
+# The loops check an ambient ResourceBudget's clock once per this many
+# chunks (the dense scan) or events (the compat loop), never per step.
+_CHECK_CHUNKS = 4096
+_CHECK_EVENTS = 64
 
 
 class _DenseReport(XSDValidationReport):
@@ -196,11 +202,12 @@ class StreamingValidator:
         """The validation loop; returns ``(report, events_consumed)``.
 
         Steps the same tables as :meth:`_scan_dense`, by interned name
-        id, and writes every diagnostic.
+        id, and writes every diagnostic.  Checks an ambient budget's clock.
         """
         schema = self.schema
         types = schema.types
         name_ids = schema.name_ids
+        budget = current_budget()
         report = XSDValidationReport()
         violations = report.violations
         typing = report.typing
@@ -215,6 +222,8 @@ class StreamingValidator:
         try:
             for event in events:
                 consumed += 1
+                if budget is not None and not consumed % _CHECK_EVENTS:
+                    budget.check_time("engine.validate")
                 kind = event[0]
                 if skip_depth:
                     if kind == "start":
@@ -396,9 +405,10 @@ class StreamingValidator:
         events.  Commits only documents that are well formed, within
         limits, and valid — any violation, anomaly, or uncertainty
         raises :class:`FallbackRequired` and the compat path produces
-        the canonical report/error.
+        the canonical report/error.  Checks an ambient budget's clock.
         """
         schema = self.schema
+        budget = current_budget()
         offset = body_start(data)
         chunks = split_body(data, offset)
         dense_types = schema.dense_types
@@ -432,102 +442,107 @@ class StreamingValidator:
         has_text = False
         open_id = -1
         bag = None
-        for chunk in islice(chunks, 1, None):
-            action = memo_get(chunk)
-            if action is None:
-                action = parse_chunk(chunk, limits, name_id_of)
-                memo[chunk] = action
-            kind = action[0]
-            if kind == START:
-                interned = action[1]
-                if depth:
-                    type_id = child_types[interned]
-                    if type_id < 0:  # not allowed under this type
-                        raise _FALLBACK
-                    if bag is None:
-                        state = rows[state][interned]
-                    else:
-                        bit = bag[0][interned]
-                        if state & bit & bag[1]:  # repeated once-member
+        rest = iter(chunks)
+        next(rest)  # chunks[0] precedes the first tag
+        for first in range(1, len(chunks), _CHECK_CHUNKS):
+            if budget is not None and first > 1:
+                budget.check_time("engine.validate")
+            for chunk in islice(rest, _CHECK_CHUNKS):
+                action = memo_get(chunk)
+                if action is None:
+                    action = parse_chunk(chunk, limits, name_id_of)
+                    memo[chunk] = action
+                kind = action[0]
+                if kind == START:
+                    interned = action[1]
+                    if depth:
+                        type_id = child_types[interned]
+                        if type_id < 0:  # not allowed under this type
                             raise _FALLBACK
-                        state |= bit
-                else:
-                    if root_done:
-                        raise _FALLBACK
-                    type_id = start_types[interned]
-                    if type_id < 0:  # undeclared root
-                        raise _FALLBACK
-                if max_depth is not None and depth >= max_depth:
-                    raise _FALLBACK
-                push((state, rows, child_types, acc_bits, mixed,
-                      has_text, open_id, bag))
-                depth += 1
-                (rows, child_types, acc_bits, mixed, declared,
-                 required, bag) = dense_types[type_id]
-                state = 0
-                open_id = interned
-                has_text = action[3]
-                consumed += 1 + action[4]
-                attrs = action[2]
-                if attrs or required:
-                    if not (required <= attrs and attrs <= declared):
-                        raise _FALLBACK
-            elif kind == END:
-                if action[1] != open_id:  # mismatched end tag (or depth 0)
-                    raise _FALLBACK
-                if bag is None:
-                    if not acc_bits >> state & 1:  # content-model violation
-                        raise _FALLBACK
-                elif state & bag[2] != bag[2]:  # a required member missing
-                    raise _FALLBACK
-                if has_text and not mixed:
-                    raise _FALLBACK
-                depth -= 1
-                (state, rows, child_types, acc_bits, mixed, has_text,
-                 open_id, bag) = pop()
-                if depth:
-                    consumed += 1 + action[4]
-                    if action[3]:
-                        has_text = True
-                else:
-                    consumed += 1
-                    root_done = True
-            else:  # SELFCLOSE
-                interned = action[1]
-                if depth:
-                    type_id = child_types[interned]
-                    if type_id < 0:
-                        raise _FALLBACK
-                    if bag is None:
-                        state = rows[state][interned]
+                        if bag is None:
+                            state = rows[state][interned]
+                        else:
+                            bit = bag[0][interned]
+                            if state & bit & bag[1]:  # repeated once-member
+                                raise _FALLBACK
+                            state |= bit
                     else:
-                        bit = bag[0][interned]
-                        if state & bit & bag[1]:
+                        if root_done:
                             raise _FALLBACK
-                        state |= bit
+                        type_id = start_types[interned]
+                        if type_id < 0:  # undeclared root
+                            raise _FALLBACK
                     if max_depth is not None and depth >= max_depth:
                         raise _FALLBACK
-                else:
-                    if root_done:
+                    push((state, rows, child_types, acc_bits, mixed,
+                          has_text, open_id, bag))
+                    depth += 1
+                    (rows, child_types, acc_bits, mixed, declared,
+                     required, bag) = dense_types[type_id]
+                    state = 0
+                    open_id = interned
+                    has_text = action[3]
+                    consumed += 1 + action[4]
+                    attrs = action[2]
+                    if attrs or required:
+                        if not (required <= attrs and attrs <= declared):
+                            raise _FALLBACK
+                elif kind == END:
+                    if action[1] != open_id:  # mismatched end tag (or depth 0)
                         raise _FALLBACK
-                    type_id = start_types[interned]
-                    if type_id < 0:
+                    if bag is None:
+                        if not acc_bits >> state & 1:  # content mismatch
+                            raise _FALLBACK
+                    elif state & bag[2] != bag[2]:  # a required member missing
                         raise _FALLBACK
-                    root_done = True
-                entry = dense_types[type_id]
-                if not entry[2] & 1:  # empty content word not accepted
-                    raise _FALLBACK  # (bit 0 is the empty mask for bags)
-                attrs = action[2]
-                required = entry[5]
-                if attrs or required:
-                    if not (required <= attrs and attrs <= entry[4]):
+                    if has_text and not mixed:
                         raise _FALLBACK
-                if depth:
-                    consumed += 2 + action[4]
-                    if action[3]:
-                        has_text = True
-                else:
-                    consumed += 2
+                    depth -= 1
+                    (state, rows, child_types, acc_bits, mixed, has_text,
+                     open_id, bag) = pop()
+                    if depth:
+                        consumed += 1 + action[4]
+                        if action[3]:
+                            has_text = True
+                    else:
+                        consumed += 1
+                        root_done = True
+                else:  # SELFCLOSE
+                    interned = action[1]
+                    if depth:
+                        type_id = child_types[interned]
+                        if type_id < 0:
+                            raise _FALLBACK
+                        if bag is None:
+                            state = rows[state][interned]
+                        else:
+                            bit = bag[0][interned]
+                            if state & bit & bag[1]:
+                                raise _FALLBACK
+                            state |= bit
+                        if max_depth is not None and depth >= max_depth:
+                            raise _FALLBACK
+                    else:
+                        if root_done:
+                            raise _FALLBACK
+                        type_id = start_types[interned]
+                        if type_id < 0:
+                            raise _FALLBACK
+                        root_done = True
+                    entry = dense_types[type_id]
+                    if not entry[2] & 1:  # empty content word not accepted
+                        raise _FALLBACK  # (bit 0 is the empty mask for bags)
+                    attrs = action[2]
+                    required = entry[5]
+                    if attrs or required:
+                        if not (required <= attrs and attrs <= entry[4]):
+                            raise _FALLBACK
+                    if depth:
+                        consumed += 2 + action[4]
+                        if action[3]:
+                            has_text = True
+                    else:
+                        consumed += 2
         if depth or not root_done:  # unterminated element / no root
             raise _FALLBACK
         # The last chunk closed the root (a chunk after it fell back).
@@ -543,21 +558,20 @@ def _decode_utf8(data):
         raise ParseError(f"input is not valid UTF-8: {error}")
 
 
-def as_events(source, limits=None):
+def as_events(source):
     """Coerce text / bytes / documents / elements / iterables into an
     event stream.
 
     Bytes decode as UTF-8 (undecodable input raises
-    :class:`~repro.errors.ParseError`); ``limits`` reaches the parser
-    for text and bytes (explicit wins over ambient wins over the
-    defaults).
+    :class:`~repro.errors.ParseError`); text and bytes parse under the
+    ambient (else default) :class:`~repro.resilience.ParserLimits`.
     """
     from repro.xmlmodel.parser import iter_events
 
     if isinstance(source, str):
-        return iter_events(source, limits)
+        return iter_events(source)
     if isinstance(source, (bytes, bytearray, memoryview)):
-        return iter_events(_decode_utf8(source), limits)
+        return iter_events(_decode_utf8(source))
     events = getattr(source, "events", None)
     if events is not None:
         return events()

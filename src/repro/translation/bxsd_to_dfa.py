@@ -94,7 +94,6 @@ def _bxsd_to_dfa_based(schema, full_product, budget, trace):
             order.append(state_tuple)
         return identifier
 
-    worklist = []
     initial = INITIAL_STATE
     start = frozenset(schema.start)
     for name in sorted(start):
@@ -110,20 +109,14 @@ def _bxsd_to_dfa_based(schema, full_product, budget, trace):
         model = assign_for(state_tuple)
         assign[identifier] = model
         if full_product:
+            # The textbook product: the whole alphabet, so the search
+            # covers the reachable part of Q_1 x ... x Q_n (Lemma 6).
             explore = alphabet
         else:
             explore = model.element_names()
         for name in sorted(explore):
             target_tuple = step(state_tuple, name)
             transitions[(identifier, name)] = intern(target_tuple)
-    del worklist
-
-    if full_product:
-        # Materialize every remaining product state (textbook behaviour):
-        # breadth-first over the full alphabet already covers exactly the
-        # reachable part of Q_1 x ... x Q_n, which is what the analysis of
-        # Lemma 6 counts.
-        pass
 
     default_registry().counter("translation.algorithm3.states").inc(
         len(order) + 1

@@ -283,6 +283,30 @@ class TestFaultInjection:
             with pytest.raises(InjectedFault):
                 validate_many(xsd, [FIGURE1_XML])
 
+    # Every policy enters one per-document context: the explicit
+    # injector fires under "raise", and an ambient one reaches its pool
+    # workers (regression: "raise" never installed the injector).
+    def test_explicit_injector_fires_under_every_policy(self, xsd):
+        raising = FaultInjector(seed=1, rates={"parse": 1.0})
+        with pytest.raises(InjectedFault):
+            validate_many(xsd, [FIGURE1_XML] * 3, injector=raising)
+        assert raising.injected("parse") == 1
+        isolating = FaultInjector(seed=1, rates={"parse": 1.0})
+        outcomes = validate_many(xsd, [FIGURE1_XML] * 3, policy="isolate",
+                                 injector=isolating)
+        assert [o.error.kind for o in outcomes] == ["injected"] * 3
+        assert isolating.injected("parse") == 3
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_ambient_injector_fires_under_raise_policy(self, xsd, workers):
+        with FaultInjector(seed=1, rates={"validate": 1.0}) as injector:
+            with pytest.raises(InjectedFault):
+                validate_many(xsd, [FIGURE1_XML] * 4, workers=workers)
+            outcomes = validate_many(xsd, [FIGURE1_XML] * 4,
+                                     policy="isolate", workers=workers)
+        assert all(o.error.kind == "injected" for o in outcomes)
+        assert injector.injected("validate") >= 5
+
 
 class TestLimitsThreading:
     def test_explicit_limits_apply_to_batch_parsing(self, xsd, engine):
