@@ -16,7 +16,11 @@ cache hit (10 microseconds) and the text-to-compiled-schema time of a
 24-member ``xs:all``, a valid record of which must commit on the dense
 path.  So must a copy of the benchmark document decorated with the
 markup the byte tier certifies (a DOCTYPE, comments, PIs, CDATA,
-references and non-ASCII text); it has no floor.
+references and non-ASCII text); it has no floor.  A memory ceiling
+bounds what the compiled form of an ordinary many-type XSD retains
+(``schema_retained_mib_ceiling``: 111 sequence types over 1,111 element
+names, measured with :mod:`tracemalloc`), so per-type tables that grow
+with the schema's whole name set fail here.
 
 Exits nonzero with a diagnostic on any floor violation.  To re-baseline
 after an intentional change, edit the JSON floor file alongside the
@@ -114,6 +118,8 @@ def measure():
 
         bag_compile_ms = _measure_bag()
 
+        schema_retained_mib = _measure_schema_memory()
+
         serve = _measure_serve()
 
     return {
@@ -127,6 +133,7 @@ def measure():
         "incremental_vs_full": incremental_vs_full,
         "diff_vs_tree": diff_vs_tree,
         "bag_compile_ms": bag_compile_ms,
+        "schema_retained_mib": schema_retained_mib,
         **serve,
     }
 
@@ -243,6 +250,36 @@ def _measure_bag():
     return best * 1e3
 
 
+def _measure_schema_memory():
+    """MiB still allocated after compiling an ordinary many-type XSD.
+
+    Compiles the default :func:`~repro.families.ordinary_xsd` (111
+    sequence types, 1,111 element names) under :mod:`tracemalloc` and
+    keeps the result alive while reading what the compile left
+    allocated.  Each type's tables scale with its own children plus one
+    column map over the names, so the committed
+    ``schema_retained_mib_ceiling`` catches a layout that gives every
+    DFA state a row as wide as the schema's name set.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.engine import compile_xsd
+    from repro.families import ordinary_xsd
+    from repro.xsd.reader import read_xsd
+
+    xsd = read_xsd(ordinary_xsd()[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        compiled = compile_xsd(xsd)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained / 2**20
+
+
 def _measure_serve():
     """The E16 miniature: an overload burst against an in-thread daemon.
 
@@ -355,6 +392,14 @@ def main():
             f"schema, above the committed ceiling "
             f"{floors['bag_compile_ms_ceiling']:.1f} ms"
         )
+    if measured["schema_retained_mib"] > (
+            floors["schema_retained_mib_ceiling"]):
+        problems.append(
+            f"schema_retained_mib: the compiled 111-type ordinary XSD "
+            f"retains {measured['schema_retained_mib']:.2f} MiB, above the "
+            f"committed ceiling "
+            f"{floors['schema_retained_mib_ceiling']:.1f} MiB"
+        )
     if measured["cache_hit_us"] > floors["cache_hit_us_ceiling"]:
         problems.append(
             f"cache_hit_us: measured {measured['cache_hit_us']:.2f} us "
@@ -390,7 +435,9 @@ def main():
         f"schema diff {measured['diff_vs_tree']:.1f}x tree pass "
         f"(ceiling {floors['diff_vs_tree_ceiling']:.1f}x), "
         f"24-member xs:all compile {measured['bag_compile_ms']:.1f} ms "
-        f"(ceiling {floors['bag_compile_ms_ceiling']:.0f} ms); "
+        f"(ceiling {floors['bag_compile_ms_ceiling']:.0f} ms), "
+        f"111-type schema retains {measured['schema_retained_mib']:.2f} MiB "
+        f"(ceiling {floors['schema_retained_mib_ceiling']:.1f} MiB); "
         f"serve burst {measured['serve_admitted']}/"
         f"{measured['serve_requests']} admitted, "
         f"shed {measured['serve_shed_rate']:.0%} "

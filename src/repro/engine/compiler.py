@@ -10,14 +10,16 @@ that work *once per schema* instead of once per node:
   erased element names (Definition 3's move: by EDC, matching the erased
   word against the erased expression is equivalent to matching the typed
   word, and by UPA the construction is unambiguous and small);
-* the DFA is renumbered to dense integer tables, so one validation step is
-  ``row[symbol_id]`` — an integer list index;
+* the DFA is renumbered to dense integer tables over the type's own
+  alphabet, so one validation step is ``table[state][column]`` — two
+  tuple indexes;
 * an unordered content model (``xs:all``, BonXai ``&``), whose minimal
   DFA has 2^n states, is compiled to a :class:`ContentBag` instead: a
   seen-mask checked by counting, built in time linear in its members;
-* element names and types are interned to small ints, and every type's
-  automaton becomes rows (or bag masks) indexed by the schema-wide name
-  id: the one runtime encoding every loop steps.
+* element names and types are interned to small ints, and each type maps
+  a schema-wide name id to its column (:attr:`CompiledType.columns`).
+  The type's :class:`ContentDFA` or :class:`ContentBag` is the one copy
+  of its automaton: every loop steps it, and explanations read it.
 
 The result, :class:`CompiledSchema`, is immutable and shareable across
 threads; :mod:`repro.engine.cache` memoizes it per schema fingerprint and
@@ -38,27 +40,32 @@ from repro.xsd.typednames import split_typed_name
 class ContentDFA:
     """A minimal complete DFA over a content model's (erased) alphabet.
 
-    States are dense integers with 0 initial; ``table[state][symbol_id]``
-    is the successor (always defined — the DFA is complete over its
-    alphabet).  Words containing symbols outside the alphabet are rejected,
-    mirroring how a derivative step on a foreign symbol yields the empty
-    language.
+    States are dense integers with 0 initial; ``table[state][column]``
+    is the successor on ``symbols[column]`` (always defined — the DFA is
+    complete over its alphabet).  Words containing symbols outside the
+    alphabet are rejected, mirroring how a derivative step on a foreign
+    symbol yields the empty language.  The validation loops step
+    ``table`` and test ``acc_bits`` directly: this object is the only
+    copy of the automaton.
 
     Attributes:
-        symbols: tuple of alphabet symbols, sorted; ``symbol_ids`` inverts.
-        table: tuple of per-state tuples of successor state ids.
-        accepting: tuple of booleans, indexed by state.
+        symbols: tuple of alphabet symbols, sorted; ``symbol_ids`` inverts
+            (symbol -> column).
+        table: tuple of per-state tuples of successor state ids, one
+            entry per column.
+        acc_bits: the accepting states as a bitset: state ``s`` accepts
+            iff ``acc_bits >> s & 1``.
         live: tuple of booleans; ``live[s]`` iff some accepting state is
             reachable from ``s`` (a dead state can never recover).
     """
 
-    __slots__ = ("symbols", "symbol_ids", "table", "accepting", "live")
+    __slots__ = ("symbols", "symbol_ids", "table", "acc_bits", "live")
 
-    def __init__(self, symbols, table, accepting, live):
+    def __init__(self, symbols, table, acc_bits, live):
         self.symbols = symbols
         self.symbol_ids = {name: i for i, name in enumerate(symbols)}
         self.table = table
-        self.accepting = accepting
+        self.acc_bits = acc_bits
         self.live = live
 
     def accepts(self, word):
@@ -71,14 +78,14 @@ class ContentDFA:
             if symbol is None:
                 return False
             state = table[state][symbol]
-        return self.accepting[state]
+        return self.is_accepting(state)
 
     def step(self, state, symbol):
         """The successor of ``state`` on alphabet index ``symbol``."""
         return self.table[state][symbol]
 
     def is_accepting(self, state):
-        return self.accepting[state]
+        return bool(self.acc_bits >> state & 1)
 
     def is_live(self, state):
         return self.live[state]
@@ -106,33 +113,34 @@ class ContentBag:
 
     The interface mirrors :class:`ContentDFA`'s (``symbols``,
     ``symbol_ids``, ``step``, ``is_accepting``, ``is_live``, ``accepts``,
-    ``len``) with masks for states, the initial state again 0.
+    ``len``) with masks for states, the initial state again 0; the
+    validation loops test the masks below directly.
 
     Attributes:
         symbols: the member names, sorted; member ``i`` owns bit ``1 << i``.
         required: mask of the members that must occur (``1`` and ``+``).
-        repeatable: mask of the members that may recur (``*`` and ``+``).
+        once: mask of the members that may not recur (``1`` and ``?``).
         dead: the bit just above the members', set by a forbidden repeat.
     """
 
-    __slots__ = ("symbols", "symbol_ids", "required", "repeatable", "dead")
+    __slots__ = ("symbols", "symbol_ids", "required", "once", "dead")
 
     def __init__(self, members):
         """``members``: dict name -> ``(required, repeatable)``."""
         self.symbols = tuple(sorted(members))
         self.symbol_ids = {name: i for i, name in enumerate(self.symbols)}
-        self.required = self.repeatable = 0
+        self.required = self.once = 0
         for index, name in enumerate(self.symbols):
             required, repeatable = members[name]
             if required:
                 self.required |= 1 << index
-            if repeatable:
-                self.repeatable |= 1 << index
+            if not repeatable:
+                self.once |= 1 << index
         self.dead = 1 << len(self.symbols)
 
     def step(self, state, symbol):
         bit = 1 << symbol
-        if state & bit & ~self.repeatable:
+        if state & bit & self.once:
             return state | self.dead
         return state | bit
 
@@ -208,12 +216,13 @@ def compile_regex(regex, alphabet=None):
         tuple(transitions[(state, name)] for name in symbols)
         for state in order
     )
-    accepting = tuple(state in dfa.accepting for state in order)
-    live = _live_states(table, accepting)
-    return ContentDFA(symbols, table, accepting, live)
+    acc_bits = 0
+    for state in dfa.accepting:
+        acc_bits |= 1 << state
+    return ContentDFA(symbols, table, acc_bits, _live_states(table, acc_bits))
 
 
-def _live_states(table, accepting):
+def _live_states(table, acc_bits):
     """Backwards reachability from the accepting states."""
     count = len(table)
     predecessors = [[] for __ in range(count)]
@@ -221,7 +230,7 @@ def _live_states(table, accepting):
         for target in row:
             predecessors[target].append(source)
     live = [False] * count
-    worklist = [state for state in range(count) if accepting[state]]
+    worklist = [state for state in range(count) if acc_bits >> state & 1]
     for state in worklist:
         live[state] = True
     while worklist:
@@ -240,34 +249,28 @@ class CompiledType:
         name: the source type name (for diagnostics).
         dfa: the content automaton of the erased content model: its
             :class:`ContentDFA`, or its :class:`ContentBag` when the
-            content has bag shape (:func:`bag_members`).  A compile-time
-            artifact that explanations (``first_divergence``) read; the
-            validation loops step the tables below.
+            content has bag shape (:func:`bag_members`).  The one copy:
+            the validation loops step its table (or test its masks) and
+            explanations (``first_divergence``) replay it.
         bag: that :class:`ContentBag`, or ``None`` for ordered content.
         mixed: whether character data is allowed.
         required_attrs: tuple of required attribute names, in declaration
             order (diagnostic order matches the tree validator).
-        dense_rows: tuple of ``array('i')`` rows, one per DFA state,
-            indexed by *schema-wide* element-name id; ``-1`` marks a name
-            that is not in this type's alphabet.  ``None`` for bags.
-        dense_bag: for bags, ``(bits, once, required, dead)``: a list
-            mapping schema-wide name id to the member's bit (0 for
-            non-members), the mask of non-repeatable members, the
-            required mask and the dead bit (:class:`ContentBag`'s).
-            ``None`` for ordered content.
-        child_types: ``array('i')`` mapping schema-wide name id to the
-            child's type id (EDC: a function of the name), ``-1`` when the
-            name is not a child of this type.
-        acc_bits: accepting-states bitset — ``acc_bits >> state & 1``;
-            for a bag only bit 0 (the empty mask) is meaningful.
+        columns: ``array('i')`` mapping schema-wide element-name id to the
+            name's column, its index in ``dfa.symbols`` (``-1`` when the
+            name is not a child of this type); ``dfa.symbol_ids`` is the
+            same map keyed by name.
+        child_types: tuple mapping column to the child's type id (EDC: a
+            function of the name), then a trailing ``-1`` that a
+            non-child's column ``-1`` reads: ``child_types[column] < 0``
+            is the one "not a child" test, and no loop steps on ``-1``.
         required_set: frozenset of the required attribute names.
         declared_attrs: frozenset of every declared attribute name.
     """
 
     __slots__ = (
-        "name", "dfa", "bag", "mixed", "required_attrs", "dense_rows",
-        "dense_bag", "child_types", "acc_bits", "required_set",
-        "declared_attrs",
+        "name", "dfa", "bag", "mixed", "required_attrs", "columns",
+        "child_types", "required_set", "declared_attrs",
     )
 
     def __init__(self, name, dfa, children, name_ids, mixed, required_attrs,
@@ -276,39 +279,18 @@ class CompiledType:
         ``name_ids``: the schema-wide element-name interning."""
         self.name = name
         self.dfa = dfa
-        self.bag = bag = dfa if isinstance(dfa, ContentBag) else None
+        self.bag = dfa if isinstance(dfa, ContentBag) else None
         self.mixed = mixed
         self.required_attrs = required_attrs
         self.required_set = frozenset(required_attrs)
         self.declared_attrs = declared_attrs
-        width = len(name_ids)
-        self.child_types = array("i", [-1]) * width
-        columns = []  # (schema-wide id, per-type symbol id)
+        self.columns = columns = array("i", [-1]) * len(name_ids)
+        child_types = [-1] * (len(dfa.symbols) + 1)
         for element_name, child_type in children.items():
-            interned = name_ids[element_name]
-            self.child_types[interned] = child_type
-            columns.append((interned, dfa.symbol_ids[element_name]))
-        if bag is not None:
-            bits = [0] * width
-            for interned, symbol in columns:
-                bits[interned] = 1 << symbol
-            once = (bag.dead - 1) & ~bag.repeatable
-            self.dense_rows = None
-            self.dense_bag = (bits, once, bag.required, bag.dead)
-            self.acc_bits = int(bag.is_accepting(0))
-        else:
-            rows = []
-            for row in dfa.table:
-                dense_row = array("i", [-1]) * width
-                for interned, symbol in columns:
-                    dense_row[interned] = row[symbol]
-                rows.append(dense_row)
-            self.dense_rows = tuple(rows)
-            self.dense_bag = None
-            self.acc_bits = 0
-            for state, accepting in enumerate(dfa.accepting):
-                if accepting:
-                    self.acc_bits |= 1 << state
+            column = dfa.symbol_ids[element_name]
+            columns[name_ids[element_name]] = column
+            child_types[column] = child_type
+        self.child_types = tuple(child_types)
 
     # The per-element checks and violation messages both validation loops
     # (the streaming compat loop and ValidatedDocument) write, in the
@@ -381,10 +363,14 @@ class CompiledSchema:
             byte tokenizer looks names up without decoding.
         start_types: ``array('i')`` over the interning: root type id per
             name, ``-1`` for names that cannot be roots.
-        dense_types: tuple, indexed by type id, of
-            ``(dense_rows, child_types, acc_bits, mixed, declared_attrs,
-            required_set, dense_bag)`` — the fused loop unpacks one
-            tuple per start tag instead of touching attributes.
+        dense_types: tuple, indexed by type id, of ``(table, columns,
+            child_types, acc_bits, mixed, declared_attrs, required_set,
+            bag)`` — the fused loop unpacks one tuple per start tag
+            instead of touching attributes.  References, not copies: for
+            ordered content ``table`` and ``acc_bits`` are the
+            :class:`ContentDFA`'s own and ``bag`` is ``None``; for a bag,
+            ``bag`` is the :class:`ContentBag`, ``table`` is ``None`` and
+            ``acc_bits`` is ``1`` iff the empty mask accepts.
     """
 
     __slots__ = (
@@ -411,9 +397,13 @@ class CompiledSchema:
         for name, type_id in start.items():
             self.start_types[name_ids[name]] = type_id
         self.dense_types = tuple(
-            (compiled.dense_rows, compiled.child_types, compiled.acc_bits,
-             compiled.mixed, compiled.declared_attrs, compiled.required_set,
-             compiled.dense_bag)
+            (None, compiled.columns, compiled.child_types,
+             int(compiled.bag.is_accepting(0)), compiled.mixed,
+             compiled.declared_attrs, compiled.required_set, compiled.bag)
+            if compiled.bag is not None else
+            (compiled.dfa.table, compiled.columns, compiled.child_types,
+             compiled.dfa.acc_bits, compiled.mixed, compiled.declared_attrs,
+             compiled.required_set, None)
             for compiled in types
         )
 

@@ -151,9 +151,7 @@ class ValidatedDocument:
         unrecognized children are not typed, matching the reference
         validators).
         """
-        schema = self.schema
-        types = schema.types
-        name_ids = schema.name_ids
+        types = self.schema.types
         nodes = self._nodes
         typed = 0
         stack = [(node, type_id, path)]
@@ -171,12 +169,13 @@ class ValidatedDocument:
             self._check_text(node, compiled, state)
             self._run_content(node, compiled, state, offset=0)
             self._refresh_validity(node, state)
+            symbol_ids = compiled.dfa.symbol_ids
             child_types = compiled.child_types
             for child in node.children:
-                interned = name_ids.get(child.name)
-                if interned is not None and child_types[interned] >= 0:
-                    stack.append((child, child_types[interned],
-                                  f"{path}/{child.name}"))
+                # A non-child's column -1 reads child_types' trailing -1.
+                child_type = child_types[symbol_ids.get(child.name, -1)]
+                if child_type >= 0:
+                    stack.append((child, child_type, f"{path}/{child.name}"))
         # One content replay per typed element, none from the memo
         # (offset 0); counted once per walk, not per element.
         registry = default_registry()
@@ -197,10 +196,11 @@ class ValidatedDocument:
         ``state.states[:offset + 1]`` is reused verbatim when the prefix
         is trustworthy (every earlier child was recognized, so the memo
         aligns with child positions); otherwise the word replays from
-        the initial state.  The forward loop steps the type's dense rows,
-        or for a bag its seen-mask exactly as ``ContentBag.step`` does
-        (the memo is then a list of masks).  Returns True iff the memo
-        supplied the prefix; callers count replays and memo hits.
+        the initial state.  The forward loop steps the type's own
+        ``ContentDFA`` table at each child's column, or for a bag its
+        seen-mask exactly as ``ContentBag.step`` does (the memo is then a
+        list of masks).  Returns True iff the memo supplied the prefix;
+        callers count replays and memo hits.
         """
         children = node.children
         memo_hit = state.recognized and 0 < offset < len(state.states)
@@ -213,28 +213,25 @@ class ValidatedDocument:
         current = states[-1]
         recognized = True
         viols = []
-        rows = compiled.dense_rows
+        dfa = compiled.dfa
+        symbol_ids = dfa.symbol_ids
         child_types = compiled.child_types
-        bag = compiled.dense_bag
-        name_ids = self.schema.name_ids
+        bag = compiled.bag
         for child in children[begin:]:
-            interned = name_ids.get(child.name)
-            if interned is None or child_types[interned] < 0:
+            column = symbol_ids.get(child.name, -1)
+            if child_types[column] < 0:  # -1 reads the trailing -1
                 recognized = False
                 viols.append(compiled.child_not_allowed(
                     state.path, node.name, child.name
                 ))
                 continue
             if bag is None:
-                current = rows[current][interned]
+                current = dfa.table[current][column]
             else:  # a repeated once-member sets the dead bit
-                bit = bag[0][interned]
-                current |= bag[3] if current & bit & bag[1] else bit
+                bit = 1 << column
+                current |= bag.dead if current & bit & bag.once else bit
             states.append(current)
-        if bag is None:
-            accepted = compiled.acc_bits >> current & 1
-        else:
-            accepted = current & (bag[2] | bag[3]) == bag[2]
+        accepted = dfa.is_accepting(current)
         state.states = states
         state.recognized = recognized
         state.child_viols = viols
@@ -380,11 +377,11 @@ class ValidatedDocument:
         self._check_text(parent, compiled, state)
         self._refresh_validity(parent, state)
         if new_child is not None:
-            interned = self.schema.name_ids.get(new_child.name)
-            if interned is not None and compiled.child_types[interned] >= 0:
+            column = compiled.dfa.symbol_ids.get(new_child.name, -1)
+            child_type = compiled.child_types[column]
+            if child_type >= 0:
                 self._type_subtree(
-                    new_child, compiled.child_types[interned],
-                    f"{state.path}/{new_child.name}",
+                    new_child, child_type, f"{state.path}/{new_child.name}"
                 )
 
     def _purge(self, subtree):

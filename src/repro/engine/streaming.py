@@ -109,14 +109,13 @@ def _materialize_typing(schema, chunks):
     names = schema.names
     types = schema.types
     start_types = schema.start_types
-    dense_types = schema.dense_types
     byte_ids = schema.byte_ids
 
     def name_id_of(name_bytes):
         return byte_ids[name_bytes]
 
     typing = {}
-    stack = []  # (typed_path, ordinals, parent child_types)
+    stack = []  # (typed_path, ordinals, compiled type)
     memo = {}
     memo_get = memo.get
     for chunk in islice(chunks, 1, None):
@@ -131,16 +130,17 @@ def _materialize_typing(schema, chunks):
         interned = action[1]
         name = names[interned]
         if stack:
-            typed_path, ordinals, child_types = stack[-1]
-            type_id = child_types[interned]
+            typed_path, ordinals, parent = stack[-1]
+            type_id = parent.child_types[parent.columns[interned]]
             ordinal = ordinals[name] = ordinals.get(name, 0) + 1
             typed_path = f"{typed_path}/{name}[{ordinal}]"
         else:
             type_id = start_types[interned]
             typed_path = f"/{name}[1]"
-        typing[typed_path] = types[type_id].name
+        compiled = types[type_id]
+        typing[typed_path] = compiled.name
         if kind == START:
-            stack.append((typed_path, {}, dense_types[type_id][1]))
+            stack.append((typed_path, {}, compiled))
     return typing
 
 
@@ -201,12 +201,13 @@ class StreamingValidator:
     def _run(self, events):
         """The validation loop; returns ``(report, events_consumed)``.
 
-        Steps the same tables as :meth:`_scan_dense`, by interned name
-        id, and writes every diagnostic.  Checks an ambient budget's clock.
+        Steps the same tables as :meth:`_scan_dense` (a name's column
+        comes from ``dfa.symbol_ids``, the name-keyed twin of
+        ``columns``) and writes every diagnostic.  Checks an ambient
+        budget's clock.
         """
         schema = self.schema
         types = schema.types
-        name_ids = schema.name_ids
         budget = current_budget()
         report = XSDValidationReport()
         violations = report.violations
@@ -244,9 +245,9 @@ class StreamingValidator:
                         frame = stack[-1]
                         frame[5].append(name)
                         compiled = frame[0]
-                        interned = name_ids.get(name)
-                        type_id = (-1 if interned is None
-                                   else compiled.child_types[interned])
+                        # A non-child's column -1 reads child_types' -1.
+                        column = compiled.dfa.symbol_ids.get(name, -1)
+                        type_id = compiled.child_types[column]
                         if type_id < 0:
                             violations.append(compiled.child_not_allowed(
                                 frame[3], frame[2], name
@@ -254,13 +255,14 @@ class StreamingValidator:
                             frame[6] = False
                             skip_depth = 1
                             continue
-                        bag = compiled.dense_bag
+                        bag = compiled.bag
                         state = frame[1]
                         if bag is None:
-                            state = compiled.dense_rows[state][interned]
+                            state = compiled.dfa.table[state][column]
                         else:  # ContentBag.step: a repeated once-member
-                            bit = bag[0][interned]  # sets the dead bit
-                            state |= bag[3] if state & bit & bag[1] else bit
+                            bit = 1 << column  # sets the dead bit
+                            state |= (bag.dead if state & bit & bag.once
+                                      else bit)
                         frame[1] = state
                         ordinals = frame[8]
                         ordinal = ordinals[name] = ordinals.get(name, 0) + 1
@@ -288,12 +290,7 @@ class StreamingValidator:
                     frame = stack.pop()
                     compiled = frame[0]
                     state = frame[1]
-                    bag = compiled.dense_bag
-                    if bag is None:
-                        accepted = compiled.acc_bits >> state & 1
-                    else:  # every required member seen, and not dead
-                        accepted = state & (bag[2] | bag[3]) == bag[2]
-                    if frame[6] and not accepted:
+                    if frame[6] and not compiled.dfa.is_accepting(state):
                         violations.append(compiled.content_mismatch(
                             frame[3], frame[2], frame[5]
                         ))
@@ -432,10 +429,12 @@ class StreamingValidator:
         # Exact compat-event accounting (start/end tags plus each chunk's
         # text events), so ``engine.stream.events`` agrees between paths.
         consumed = 0
-        # Registers of the innermost open element.  ``state`` is a DFA
-        # state, or the seen-mask when ``bag`` (its ``dense_bag``) is set.
+        # Registers of the innermost open element (its ``dense_types``
+        # entry).  ``state`` is a DFA state, or the seen-mask when ``bag``
+        # (its ContentBag) is set.
         state = 0
-        rows = None
+        table = None
+        columns = None
         child_types = None
         acc_bits = 0
         mixed = True
@@ -456,14 +455,15 @@ class StreamingValidator:
                 if kind == START:
                     interned = action[1]
                     if depth:
-                        type_id = child_types[interned]
+                        column = columns[interned]
+                        type_id = child_types[column]
                         if type_id < 0:  # not allowed under this type
                             raise _FALLBACK
                         if bag is None:
-                            state = rows[state][interned]
+                            state = table[state][column]
                         else:
-                            bit = bag[0][interned]
-                            if state & bit & bag[1]:  # repeated once-member
+                            bit = 1 << column
+                            if state & bit & bag.once:  # repeated once-member
                                 raise _FALLBACK
                             state |= bit
                     else:
@@ -474,10 +474,10 @@ class StreamingValidator:
                             raise _FALLBACK
                     if max_depth is not None and depth >= max_depth:
                         raise _FALLBACK
-                    push((state, rows, child_types, acc_bits, mixed,
-                          has_text, open_id, bag))
+                    push((state, table, columns, child_types, acc_bits,
+                          mixed, has_text, open_id, bag))
                     depth += 1
-                    (rows, child_types, acc_bits, mixed, declared,
+                    (table, columns, child_types, acc_bits, mixed, declared,
                      required, bag) = dense_types[type_id]
                     state = 0
                     open_id = interned
@@ -493,13 +493,13 @@ class StreamingValidator:
                     if bag is None:
                         if not acc_bits >> state & 1:  # content mismatch
                             raise _FALLBACK
-                    elif state & bag[2] != bag[2]:  # a required member missing
-                        raise _FALLBACK
+                    elif state & bag.required != bag.required:
+                        raise _FALLBACK  # a required member missing
                     if has_text and not mixed:
                         raise _FALLBACK
                     depth -= 1
-                    (state, rows, child_types, acc_bits, mixed, has_text,
-                     open_id, bag) = pop()
+                    (state, table, columns, child_types, acc_bits, mixed,
+                     has_text, open_id, bag) = pop()
                     if depth:
                         consumed += 1 + action[4]
                         if action[3]:
@@ -510,14 +510,15 @@ class StreamingValidator:
                 else:  # SELFCLOSE
                     interned = action[1]
                     if depth:
-                        type_id = child_types[interned]
+                        column = columns[interned]
+                        type_id = child_types[column]
                         if type_id < 0:
                             raise _FALLBACK
                         if bag is None:
-                            state = rows[state][interned]
+                            state = table[state][column]
                         else:
-                            bit = bag[0][interned]
-                            if state & bit & bag[1]:
+                            bit = 1 << column
+                            if state & bit & bag.once:
                                 raise _FALLBACK
                             state |= bit
                         if max_depth is not None and depth >= max_depth:
@@ -530,12 +531,12 @@ class StreamingValidator:
                             raise _FALLBACK
                         root_done = True
                     entry = dense_types[type_id]
-                    if not entry[2] & 1:  # empty content word not accepted
+                    if not entry[3] & 1:  # empty content word not accepted
                         raise _FALLBACK  # (bit 0 is the empty mask for bags)
                     attrs = action[2]
-                    required = entry[5]
+                    required = entry[6]
                     if attrs or required:
-                        if not (required <= attrs and attrs <= entry[4]):
+                        if not (required <= attrs and attrs <= entry[5]):
                             raise _FALLBACK
                     if depth:
                         consumed += 2 + action[4]

@@ -1,5 +1,6 @@
 """Schema families: worst-case blow-ups (Theorems 8, 9), k-suffix
-fragment generators (Section 4.4) and ``xs:all`` records."""
+fragment generators (Section 4.4), ``xs:all`` records and ordinary
+many-type schemas."""
 
 from repro.families.all_group import all_group_xsd
 from repro.families.ehrenfeucht_zeiger import (
@@ -16,6 +17,7 @@ from repro.families.ksuffix_family import (
     dtd_like_bxsd,
     layered_ksuffix_bxsd,
 )
+from repro.families.ordinary import ordinary_xsd
 from repro.families.theorem9 import (
     expected_child_of_a,
     theorem9_bxsd,
@@ -28,6 +30,7 @@ __all__ = [
     "dtd_like_bxsd",
     "expected_child_of_a",
     "layered_ksuffix_bxsd",
+    "ordinary_xsd",
     "sigma_n",
     "split_symbol",
     "symbol_name",

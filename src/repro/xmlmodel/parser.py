@@ -257,15 +257,25 @@ def _skip_doctype(cursor):
 
 
 def _read_attributes(cursor, owner_name, limits):
-    """Read the attribute list of a start tag into a fresh dict."""
+    """Read the attribute list of a start tag into a fresh dict.
+
+    Whitespace must precede every attribute ([40] STag, [44]
+    EmptyElemTag; before the first one, the element name's end already
+    ensures it), and no value may hold a literal ``<`` ([10] AttValue).
+    """
     max_attributes = limits.max_attributes
     attributes = {}
     while True:
+        value_end = cursor.pos
         cursor.skip_whitespace()
         if cursor.at_end():
             raise cursor.error(f"unterminated start tag <{owner_name}>")
         if cursor.peek() in ("/", ">"):
             return attributes
+        if attributes and cursor.pos == value_end:
+            raise cursor.error(
+                f"missing whitespace before an attribute of <{owner_name}>"
+            )
         attr_name = _read_name(cursor, limits)
         cursor.skip_whitespace()
         if not cursor.startswith("="):
@@ -276,7 +286,11 @@ def _read_attributes(cursor, owner_name, limits):
         if quote not in ("'", '"'):
             raise cursor.error(f"attribute {attr_name!r} value must be quoted")
         cursor.advance()
+        value_start = cursor.pos
         raw = cursor.take_until(quote, f"attribute {attr_name!r}")
+        if "<" in raw:
+            cursor.pos = value_start + raw.index("<")
+            raise cursor.error(f"'<' in the value of attribute {attr_name!r}")
         if attr_name in attributes:
             raise cursor.error(f"duplicate attribute {attr_name!r}")
         if max_attributes is not None and len(attributes) >= max_attributes:

@@ -116,7 +116,7 @@ class TestCompileRegex:
         # after-a, sink); the sink is the only dead state.
         assert len(dfa) == 3
         assert sum(dfa.live) == 2
-        assert dfa.accepting[0]
+        assert dfa.acc_bits & 1 and dfa.is_accepting(0)
 
     def test_empty_language(self):
         dfa = compile_regex(EmptySet())
@@ -250,13 +250,65 @@ class TestCompileXSD:
         compiled = compile_xsd(xsd)
         tdoc = compiled.type_named("Tdoc")
         item = compiled.name_ids["item"]
-        assert compiled.types[tdoc.child_types[item]].name == "Titem"
-        symbol = tdoc.dfa.symbol_ids["item"]
-        for state, row in enumerate(tdoc.dense_rows):
-            assert row[item] == tdoc.dfa.step(state, symbol)
+        column = tdoc.columns[item]
+        assert column == tdoc.dfa.symbol_ids["item"]
+        assert compiled.types[tdoc.child_types[column]].name == "Titem"
+        # The scan steps the DFA's own table at that column.
+        table = compiled.dense_types[compiled.type_ids["Tdoc"]][0]
+        assert table is tdoc.dfa.table
+        # A name interned for another type maps to no column, and column
+        # -1 reads the trailing "not a child" entry.
         note = compiled.name_ids["note"]
-        assert tdoc.child_types[note] == -1
-        assert all(row[note] == -1 for row in tdoc.dense_rows)
+        assert tdoc.columns[note] == -1
+        assert tdoc.child_types[tdoc.columns[note]] == -1
+
+    def test_interned_non_child_is_not_allowed_on_every_route(self, xsd):
+        # <note> is interned (a child of Titem) but is no child of Tdoc
+        # (item+), so its column under Tdoc is -1.  A route that stepped
+        # on column -1 would read it as Tdoc's last child, <item>, and
+        # accept, or type it with the last type id.  Every route must
+        # report it "not allowed" and leave it untyped.
+        from repro.engine import StreamingValidator, ValidatedDocument
+        from repro.observability import default_registry
+        from repro.xmlmodel import parse_document
+        from repro.xmlmodel.parser import iter_events
+        from repro.xmlmodel.tree import XMLElement
+        from repro.xsd.validator import validate_xsd
+
+        compiled = compile_xsd(xsd)
+        expected = (
+            ["/doc: element <note> is not allowed under <doc> (type Tdoc)"],
+            {"/doc[1]": "Tdoc", "/doc[1]/item[1]": "Titem"},
+        )
+
+        def outcome(report):
+            return report.violations, dict(report.typing)
+
+        validator = StreamingValidator(compiled)
+        fallbacks = default_registry().counter("engine.dense.fallbacks")
+        for note in ("<note/>", "<note></note>"):  # both scan sites
+            text = f'<doc version="1"><item/>{note}</doc>'
+            tree = parse_document(text)
+            assert outcome(validate_xsd(xsd, tree)) == expected
+            before = fallbacks.value
+            assert outcome(validator.validate(text)) == expected
+            assert fallbacks.value == before + 1  # the scan refused it
+            assert outcome(validator.validate_events(
+                iter_events(text))) == expected
+            assert outcome(ValidatedDocument(tree, compiled).report()) \
+                == expected
+
+        handle = ValidatedDocument(
+            parse_document('<doc version="1"><item/></doc>'), compiled)
+        handle.insert_child(handle.document.root, 1, XMLElement("note"))
+        assert outcome(handle.report()) == expected
+        assert len(handle) == 2  # <note> was not typed
+        handle = ValidatedDocument(
+            parse_document('<doc version="1"><item/><item/></doc>'), compiled)
+        root = handle.document.root
+        handle.replace_subtree(root.children[1], XMLElement("note"))
+        assert outcome(handle.report()) == expected
+        assert len(handle) == 2 and not handle.valid
 
     def test_start_and_roots(self, xsd):
         compiled = compile_xsd(xsd)

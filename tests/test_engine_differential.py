@@ -293,11 +293,38 @@ class TestDenseVsDict:
     def test_schemas_compile_dense(self):
         for key in sorted(SCHEMAS):
             __, compiled, *___ = _setup(key)
-            for compiled_type in compiled.types:
-                # Rows for ordered content, masks for a bag: never both.
-                assert (compiled_type.dense_rows is None) != (
-                    compiled_type.dense_bag is None
-                ), f"{key}: type {compiled_type.name} has no dense tables"
+            for entry in compiled.dense_types:
+                # A table for ordered content, a bag otherwise: never both.
+                assert (entry[0] is None) != (entry[7] is None), (
+                    f"{key}: a type has no dense tables"
+                )
+
+    def test_dense_entries_reference_the_one_automaton(self):
+        # The scan's per-type tuple holds the type's own ContentDFA table
+        # and accepting bitset, or its ContentBag: references, no copy.
+        # child_types has one entry per column plus the trailing -1 that
+        # a non-child's column reads.
+        for key in sorted(SCHEMAS):
+            __, compiled, *___ = _setup(key)
+            for type_id, compiled_type in enumerate(compiled.types):
+                dfa = compiled_type.dfa
+                entry = compiled.dense_types[type_id]
+                if compiled_type.bag is None:
+                    assert entry[0] is dfa.table
+                    assert entry[3] is dfa.acc_bits
+                    assert entry[7] is None
+                else:
+                    assert entry[7] is compiled_type.bag is dfa
+                    assert entry[0] is None
+                assert entry[1] is compiled_type.columns
+                assert entry[2] is compiled_type.child_types
+                assert len(compiled_type.child_types) == len(dfa.symbols) + 1
+                assert compiled_type.child_types[-1] == -1
+                assert all(
+                    compiled_type.columns[interned]
+                    == dfa.symbol_ids.get(name, -1)
+                    for name, interned in compiled.name_ids.items()
+                ), f"{key}: type {compiled_type.name}"
 
     def test_dense_commits_valid_documents_without_fallback(self):
         from repro.observability import default_registry
@@ -443,7 +470,8 @@ class TestBags:
         assert len(wide.dfa) == 25  # 24 member bits + the dead bit
         assert compiled.type_named("Topt").bag is not None
         assert compiled.type_named("Ttext").bag is None
-        assert wide.dense_bag[3] == wide.bag.dead == 1 << 24
+        entry = compiled.dense_types[compiled.type_ids["Tall"]]
+        assert entry[7] is wide.bag and wide.bag.dead == 1 << 24
 
     def test_valid_record_commits_dense_in_any_order(self):
         xsd, compiled, *__ = _setup("all24")
@@ -567,10 +595,12 @@ class TestOffDensePath:
 
     def test_large_types_compile_dense_tables(self):
         for xsd, states in ((_counter_xsd(), 258), (_interleave_xsd(), 257)):
-            compiled_type = compile_xsd(xsd).type_named("Tr")
+            compiled = compile_xsd(xsd)
+            compiled_type = compiled.type_named("Tr")
             assert compiled_type.bag is None
             assert len(compiled_type.dfa) == states
-            assert len(compiled_type.dense_rows) == states
+            table = compiled.dense_types[compiled.type_ids["Tr"]][0]
+            assert table is compiled_type.dfa.table and len(table) == states
 
     @pytest.mark.parametrize("count", [0, 1, 255, 256, 257])
     def test_text_and_bytes_agree_with_the_tree_validator(self, count):

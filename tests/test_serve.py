@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.families import ordinary_xsd
 from repro.observability import MetricsRegistry
 from repro.serve import ServeConfig, start_in_thread
 
@@ -42,39 +43,6 @@ def counted_all_xsd(members=6):
         f"{particles}</xs:all></xs:complexType></xs:element>"
         "</xs:schema>"
     )
-
-
-def ordinary_xsd(levels=3, width=10):
-    """A tree of ``1 + width + ... + width**(levels - 1)`` complexTypes
-    (111 by default), each a ``width``-element sequence, with a valid
-    document: an ordinary many-type schema for the compile budget."""
-    types, document = [], []
-
-    def build(type_name, depth):
-        leaf = depth == levels - 1
-        particles = []
-        for index in range(width):
-            name = f"{type_name.lower()}_{index}"
-            if leaf:
-                particles.append(f'<xs:element name="{name}" '
-                                 'type="xs:string"/>')
-                document.append(f"<{name}/>")
-            else:
-                child = f"{type_name}_{index}"
-                particles.append(f'<xs:element name="{child.lower()}" '
-                                 f'type="{child}"/>')
-                document.append(f"<{child.lower()}>")
-                build(child, depth + 1)
-                document.append(f"</{child.lower()}>")
-        types.append(f'<xs:complexType name="{type_name}"><xs:sequence>'
-                     f'{"".join(particles)}</xs:sequence></xs:complexType>')
-
-    build("T", 0)
-    schema = (
-        '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">'
-        f'<xs:element name="root" type="T"/>{"".join(types)}</xs:schema>'
-    )
-    return schema, f"<root>{''.join(document)}</root>", len(types)
 
 
 def request(port, method, path, body=None, headers=None, timeout=10.0):

@@ -229,7 +229,6 @@ class TestFallbackBoundary:
 
     @pytest.mark.parametrize("text", [
         "<élément/>",                  # non-ASCII name
-        "<a b = '1'c='2'/>",                     # no space after quote
         "<!DOCTYPE a [<!ENTITY e 'v'>]><a/>",    # internal subset
         "<!DOCTYPE a [ garbage %% ]><a/>",       # ... one without a '>'
     ])
@@ -274,7 +273,9 @@ class TestFallbackBoundary:
                      # markup and references the char parser refuses
                      "<!DOCTYPE a><!DOCTYPE a><a/>", "<a><!X></a>",
                      "<a/><![CDATA[x]]>", "<a/><![CDATA[]]>",
-                     "<a>&bogus;</a>", "<a>&#xD800;</a>"]:
+                     "<a>&bogus;</a>", "<a>&#xD800;</a>",
+                     # attribute lists XML 1.0 refuses ([40], [10])
+                     "<a b = '1'c='2'/>", "<a b='<'/>"]:
             assert assert_tokenizer_agreement(text) is False
 
     @pytest.mark.parametrize("data", [

@@ -50,6 +50,34 @@ class TestCharacterReferences:
         assert parse_document(text).root.text == expected
 
 
+class TestAttributeLists:
+    """XML 1.0 requires whitespace before every attribute ([40] STag,
+    [44] EmptyElemTag) and keeps ``<`` out of values ([10] AttValue)."""
+
+    @pytest.mark.parametrize(
+        ("text", "message", "line", "column"),
+        [
+            ("<a b='1'c='2'/>",
+             "missing whitespace before an attribute of <a>", 1, 9),
+            ("<a b = '1'c='2'>x</a>",
+             "missing whitespace before an attribute of <a>", 1, 11),
+            ('<a b="<"/>', "'<' in the value of attribute 'b'", 1, 7),
+            ("<a\n  b='x<y'/>", "'<' in the value of attribute 'b'", 2, 7),
+        ],
+    )
+    def test_malformed_lists_raise_parse_error(self, text, message, line,
+                                               column):
+        for parse in (parse_document, lambda t: list(iter_events(t))):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.message == message
+            assert (info.value.line, info.value.column) == (line, column)
+
+    def test_whitespace_separated_lists_still_parse(self):
+        doc = parse_document("<a b='1'\tc='&lt;'\n d=\"'\"/>")
+        assert doc.root.attributes == {"b": "1", "c": "<", "d": "'"}
+
+
 class TestDoctypeLiterals:
     def test_gt_inside_system_id_does_not_terminate(self):
         doc = parse_document('<!DOCTYPE a SYSTEM "odd>name.dtd"><a/>')
