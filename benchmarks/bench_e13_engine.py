@@ -9,11 +9,13 @@ Compares, on the E11 corpus (running-example documents of growing size):
   loop driving the compiled dense tables from the document's event
   stream — one name-id lookup and one row index per child;
 * **e2e dict**: the same loop fed from XML text via ``iter_events`` (no
-  tree is ever built), against tree validation including
-  ``parse_document`` — the end-to-end text-to-verdict race on the
+  tree is ever built), against tree validation including the char-tier
+  parse (``XMLElement.from_events(iter_events(text))``, pinned to the
+  char parser so that a faster ``parse_document`` leaves the end-to-end
+  ratios' meaning alone) — the end-to-end text-to-verdict race on the
   compatibility path (the fallback route; the column and its
-  ``e2e_dict_rate`` key keep the name of the dict tables that loop
-  once stepped);
+  ``e2e_dict_rate`` key keep the name of the dict tables that loop once
+  stepped);
 * **e2e dense**: ``validator.validate(text)`` — the fused byte
   tokenizer + dense-table loop (chunk memo, interned name ids, no
   per-event objects), the engine's production text path.
@@ -31,7 +33,7 @@ from repro.observability import default_registry, installed_tracer
 
 from repro.engine import SchemaCache, StreamingValidator, compile_xsd
 from repro.paperdata import figure3_xsd
-from repro.xmlmodel import parse_document, write_document
+from repro.xmlmodel import XMLDocument, XMLElement, write_document
 from repro.xmlmodel.parser import iter_events
 from repro.xsd.validator import validate_xsd
 
@@ -96,7 +98,8 @@ def bench_engine_throughput(benchmark):
                 lambda: validator.validate_events(doc.events()), size
             )
             e2e_tree = _rate(
-                lambda: validate_xsd(xsd, parse_document(text)), size
+                lambda: validate_xsd(xsd, XMLDocument(
+                    XMLElement.from_events(iter_events(text)))), size
             )
             e2e_dict = _rate(
                 lambda: validator.validate_events(iter_events(text)), size

@@ -11,7 +11,14 @@ bench run.
 All throughput floors are *in-run ratios* (dense vs tree, stream vs
 tree), not absolute rates: absolute element/second numbers swing with
 machine load, but the ratio between two pipelines measured back-to-back
-in one process is stable.  The absolute ceilings are the identity
+in one process is stable.  The "tree" pipeline every ratio divides by
+is the char-tier oracle, ``XMLElement.from_events(iter_events(text))``
+then ``validate_xsd``: pinned to the char parser, so that a faster
+``parse_document`` leaves the ratios' meaning alone.
+``tree_fold_vs_char`` is ``parse_document``'s rate over that char-tier
+parse's; the benchmark document and its decorated copy must each build
+on the byte tier (``xmlmodel.parse.byte_docs`` +1, ``fallbacks`` +0)
+and give the char tier's tree.  The absolute ceilings are the identity
 cache hit (10 microseconds) and the text-to-compiled-schema time of a
 24-member ``xs:all``, a valid record of which must commit on the dense
 path.  So must a copy of the benchmark document decorated with the
@@ -63,7 +70,12 @@ def measure():
     from repro.engine import SchemaCache, StreamingValidator, compile_xsd
     from repro.observability import default_registry, installed_tracer
     from repro.paperdata import figure3_xsd
-    from repro.xmlmodel import parse_document, write_document
+    from repro.xmlmodel import (
+        XMLDocument,
+        XMLElement,
+        parse_document,
+        write_document,
+    )
     from repro.xmlmodel.parser import iter_events
     from repro.xsd.validator import validate_xsd
 
@@ -80,8 +92,14 @@ def measure():
         registry = default_registry()
         docs = registry.counter("engine.dense.docs")
         falls = registry.counter("engine.dense.fallbacks")
+        trees = registry.counter("xmlmodel.parse.byte_docs")
+        tree_falls = registry.counter("xmlmodel.parse.fallbacks")
         decorated = RICH_PROLOG + text.split("?>", 1)[1].replace(
             "prose ", RICH_PROSE)
+
+        def char_tree(document):
+            return XMLDocument(XMLElement.from_events(iter_events(document)))
+
         for label, document in (("benchmark document", text),
                                 ("decorated benchmark document", decorated)):
             before = docs.value, falls.value
@@ -94,9 +112,20 @@ def measure():
                 print(f"perfguard FAILED: {label} no longer commits on the "
                       "dense path", file=sys.stderr)
                 sys.exit(1)
+            before = trees.value, tree_falls.value
+            tree = parse_document(document)
+            if (trees.value, tree_falls.value) != (before[0] + 1, before[1]):
+                print(f"perfguard FAILED: {label} no longer builds its tree "
+                      "on the byte tier", file=sys.stderr)
+                sys.exit(1)
+            if tree != char_tree(document):
+                print(f"perfguard FAILED: {label} builds another tree on "
+                      "the byte tier than on the char tier", file=sys.stderr)
+                sys.exit(1)
 
-        e2e_tree = _rate(lambda: validate_xsd(xsd, parse_document(text)),
-                         size)
+        e2e_tree = _rate(lambda: validate_xsd(xsd, char_tree(text)), size)
+        tree_fold = _rate(lambda: parse_document(text), size)
+        tree_char = _rate(lambda: char_tree(text), size)
         e2e_dict = _rate(
             lambda: validator.validate_events(iter_events(text)), size
         )
@@ -129,6 +158,7 @@ def measure():
         "e2e_dense_rate": e2e_dense,
         "dense_vs_tree": e2e_dense / e2e_tree,
         "dict_vs_tree": e2e_dict / e2e_tree,
+        "tree_fold_vs_char": tree_fold / tree_char,
         "cache_hit_us": cache_hit_us,
         "incremental_vs_full": incremental_vs_full,
         "diff_vs_tree": diff_vs_tree,
@@ -372,7 +402,8 @@ def main():
     floors = json.loads(FLOOR_FILE.read_text(encoding="utf-8"))
     measured = measure()
     problems = []
-    for key in ("dense_vs_tree", "dict_vs_tree", "incremental_vs_full"):
+    for key in ("dense_vs_tree", "dict_vs_tree", "incremental_vs_full",
+                "tree_fold_vs_char"):
         if measured[key] < floors[key]:
             problems.append(
                 f"{key}: measured {measured[key]:.2f}x is below the "
@@ -428,6 +459,8 @@ def main():
         f"(floor {floors['dense_vs_tree']:.1f}x), "
         f"dict {measured['dict_vs_tree']:.1f}x tree "
         f"(floor {floors['dict_vs_tree']:.1f}x), "
+        f"byte-tier tree {measured['tree_fold_vs_char']:.1f}x char tier "
+        f"(floor {floors['tree_fold_vs_char']:.1f}x), "
         f"identity cache hit {measured['cache_hit_us']:.2f} us "
         f"(ceiling {floors['cache_hit_us_ceiling']:.1f} us), "
         f"incremental edit {measured['incremental_vs_full']:.0f}x full "

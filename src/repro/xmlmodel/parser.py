@@ -12,8 +12,9 @@ Namespaces are treated lexically: prefixed names are kept verbatim (the
 formal model works over plain element names).
 
 The parser is deliberately strict about well-formedness (mismatched tags,
-unterminated constructs and stray ``<`` are errors) because schema tooling
-should never guess.  Every failure — including malformed numeric
+unterminated constructs, stray ``<``, ``]]>`` in character data and
+``--`` in a comment are errors) because schema tooling should never
+guess.  Every failure — including malformed numeric
 character references and inputs that trip a cap — is a
 :class:`~repro.errors.ParseError`; no other exception type escapes on any
 input (the fuzz suite pins this).
@@ -30,15 +31,22 @@ process with ``RecursionError``.  An ambient
 ``parse`` site (chaos testing).
 
 The grammar is spelled once, as the event generator behind
-:func:`iter_events`; :func:`parse_document` and :func:`parse_fragment`
-fold that stream into a tree (:meth:`XMLElement.from_events`), so the
+:func:`iter_events`: this char tier is the reference, and
+:func:`parse_fragment` folds its stream into a tree
+(:meth:`XMLElement.from_events`).  :func:`parse_document` first folds
+the byte tier's chunks (:mod:`repro.xmlmodel.tokenizer`, the grammar of
+the dense validation scan) into the tree; on any input the byte tier
+cannot certify (an internal subset, a non-ASCII name, a malformed or
+over-limit shape) it folds that stream instead, from the start.  So the
 tree and event entry points accept the same inputs, raise the same
-errors, and agree on every tree by construction.
+errors (always the char tier's), and agree on every tree;
+``tests/test_tree_fold`` holds the byte tier's trees to the char tier's.
 """
 
 from __future__ import annotations
 
 from repro.errors import LimitExceeded, ParseError
+from repro.observability import default_registry
 from repro.resilience.faults import probe
 from repro.resilience.limits import resolve_limits
 from repro.xmlmodel.tree import XMLDocument, XMLElement
@@ -189,6 +197,15 @@ def _decode_entities(raw, cursor, limits):
 def parse_document(text, limits=None):
     """Parse a complete XML document into an :class:`XMLDocument`.
 
+    The byte tier folds the document first
+    (:func:`~repro.xmlmodel.tokenizer.fold_tree`); whatever it cannot
+    certify, the char tier parses from the start.  Both build the same
+    tree and the char tier raises every error, so the two are one
+    parser to the caller.  Each call counts one
+    ``xmlmodel.parse.byte_docs`` or one ``xmlmodel.parse.fallbacks``
+    (none when the input-size cap or the ``parse`` fault probe, both
+    checked first, raises).
+
     Args:
         text: the document source.
         limits: optional :class:`~repro.resilience.ParserLimits`
@@ -199,7 +216,28 @@ def parse_document(text, limits=None):
             :class:`~repro.errors.LimitExceeded` subclass) if it trips a
             parsing limit.
     """
-    return XMLDocument(XMLElement.from_events(iter_events(text, limits)))
+    from repro.xmlmodel.tokenizer import FallbackRequired, fold_tree
+
+    limits = resolve_limits(limits)
+    limits.check_input_size(text)
+    probe("parse")
+    registry = default_registry()
+    try:
+        # A lone surrogate becomes bytes that are not UTF-8, which the
+        # byte tier refuses.
+        root = fold_tree(text.encode("utf-8", "surrogatepass"), limits)
+    except FallbackRequired as fallback:
+        # The raised instances are shared, and a raise chains its frames
+        # onto the instance's traceback: drop them, or every fallback
+        # would keep its fold's frames and document alive.
+        fallback.__traceback__ = fallback.__context__ = None
+    else:
+        registry.counter("xmlmodel.parse.byte_docs").inc()
+        return XMLDocument(root)
+    # The probe fired once for this document; the char tier reruns
+    # without probing again.
+    registry.counter("xmlmodel.parse.fallbacks").inc()
+    return XMLDocument(XMLElement.from_events(_iter_events(text, limits)))
 
 
 def parse_fragment(text, limits=None):
@@ -224,13 +262,26 @@ def _skip_misc(cursor):
     while True:
         cursor.skip_whitespace()
         if cursor.startswith("<!--"):
-            cursor.advance(4)
-            cursor.take_until("-->", "comment")
+            _skip_comment(cursor)
         elif cursor.startswith("<?"):
             cursor.advance(2)
             cursor.take_until("?>", "processing instruction")
         else:
             return
+
+
+def _skip_comment(cursor):
+    """Skip the comment that opens at the cursor.  Its text may hold no
+    ``--`` and may not end in ``-`` ([15]); the error points at the
+    offending ``--``."""
+    cursor.advance(4)
+    start = cursor.pos
+    body = cursor.take_until("-->", "comment")
+    # The text plus the closer's first '-' holds no '--'.
+    dashes = cursor.text.find("--", start, start + len(body) + 1)
+    if dashes >= 0:
+        cursor.pos = dashes
+        raise cursor.error("'--' in a comment")
 
 
 def _skip_doctype(cursor):
@@ -307,12 +358,13 @@ def _read_attributes(cursor, owner_name, limits):
 #
 # ``iter_events`` tokenizes a document into a flat event stream without
 # ever materializing the tree: ``("start", name, attributes)``,
-# ``("text", data)`` and ``("end", name)``.  This is the parser's only
-# grammar: :func:`parse_document` is the fold of this stream, so for
-# every input either both raise :class:`~repro.errors.ParseError` or the
-# event stream spells exactly the tree the parser builds.  The compiled
-# validation engine (:mod:`repro.engine.streaming`) consumes this stream
-# keeping only a stack of DFA states.
+# ``("text", data)`` and ``("end", name)``.  This is the char tier's only
+# grammar: :func:`parse_document` folds this stream whenever the byte
+# tier falls back, so for every input either both raise
+# :class:`~repro.errors.ParseError` or the event stream spells exactly
+# the tree the parser builds.  The compiled validation engine
+# (:mod:`repro.engine.streaming`) consumes this stream keeping only a
+# stack of DFA states.
 
 def iter_events(text, limits=None):
     """Stream SAX-style events from XML ``text`` without building a tree.
@@ -416,8 +468,7 @@ def _element_events(cursor, limits):
                 yield ("end", closing)
                 continue
             if cursor.startswith("<!--"):
-                cursor.advance(4)
-                cursor.take_until("-->", "comment")
+                _skip_comment(cursor)
                 continue
             if cursor.startswith("<![CDATA["):
                 cursor.advance(len("<![CDATA["))
@@ -437,6 +488,9 @@ def _element_events(cursor, limits):
             if index < 0:
                 raise cursor.error(f"unterminated element <{stack[-1]}>")
             raw = cursor.text[cursor.pos : index]
+            if "]]>" in raw:  # [14]
+                cursor.advance(raw.index("]]>"))
+                raise cursor.error("']]>' in character data")
             cursor.pos = index
             data = _decode_entities(raw, cursor, limits)
             if data:

@@ -1,10 +1,11 @@
-"""Byte-level chunk parsing for the dense validation fast path.
+"""Byte-level chunk parsing: the dense validation scan and the tree fold.
 
 The char-based parser (:mod:`repro.xmlmodel.parser`) is the semantic
 reference: strict well-formedness, exact diagnostics, full entity and
 CDATA support.  It is also the dominant cost of text-to-verdict
-validation — per-character cursor movement and per-event object
-construction dwarf the engine's integer table steps.
+validation and of building trees — per-character cursor movement and
+per-event object construction dwarf the engine's integer table steps
+and the tree's node construction.
 
 This module is the *fast tier* that never walks characters.  The body
 of a document is split once on ``b"<"``, except that each comment,
@@ -29,7 +30,8 @@ accept identically.  It falls back on:
   subset of the reference name grammar (text and attribute values may
   hold any UTF-8);
 * references the char parser's own ``_decode_entities`` rejects,
-  over-limit constructs, duplicate attributes, and every malformed shape.
+  ``]]>`` in a text run, ``--`` in a comment, over-limit constructs,
+  duplicate attributes, and every malformed shape.
 
 "Falls back" means :class:`FallbackRequired` is raised and the caller
 re-runs the char-based tier from the start — so errors (type, message,
@@ -41,17 +43,26 @@ Entry points: :func:`body_start`, :func:`split_body`,
 :func:`parse_chunk` and :func:`check_after_root`, driven by the fused
 dense validation loop
 (:meth:`repro.engine.streaming.StreamingValidator._scan_dense`) and its
-lazy typing walk, with schema-interned name ids.
+lazy typing walk, with schema-interned name ids, and by
+:func:`fold_tree`, which builds the tree for
+:func:`repro.xmlmodel.parser.parse_document`.  The chunk grammar is one
+function with two outputs: the scan keeps what validation reads (name
+ids, attribute names, whether the text is significant, undecoded where
+the bytes suffice), the fold decoded names, attribute values and text.
 ``tests/test_tokenizer_hardening`` replays the parser fuzz corpus
-through that loop against the char parser plus compat loop.
+through the scan against the char parser plus compat loop, and
+``tests/test_tree_fold`` through the fold against the char tier's trees.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from itertools import islice
 
 from repro.errors import ParseError
 from repro.xmlmodel.parser import _Cursor, _decode_entities
+from repro.xmlmodel.tree import XMLElement
 
 
 class FallbackRequired(Exception):
@@ -74,10 +85,11 @@ _WS_RUN = re.compile(rb"[ \t\r\n]*")
 # Stripping them from the raw bytes decides significance undecoded.
 _STR_WS = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
-# Byte values for the memo-miss path's membership tests: ``byte in
-# data`` with an int is a memchr, where a bytes needle first fails an
-# int conversion (an exception raised and cleared per test).
-_AMP, _LT = ord("&"), ord("<")
+# Byte values for membership tests: ``byte in data`` with an int is a
+# memchr, where a bytes needle first fails an int conversion (an
+# exception raised and cleared per test).
+_AMP, _LT, _RSQB = ord("&"), ord("<"), ord("]")
+_BANG, _QUESTION = ord("!"), ord("?")
 
 # Conservative ASCII subset of the reference name grammar (isalpha/_:
 # start, isalnum/_:.- continue).  Anything outside falls back.
@@ -100,7 +112,8 @@ _DOCTYPE_RE = re.compile(rb"<!DOCTYPE(?:[^\"'\[\]>]|\"[^\"]*\"|'[^']*')*>")
 # from just past its opener, as the char parser does, so "<?>" and
 # "<!-->" are not closed.  Only comments and PIs may follow the root.
 _CDATA_OPEN, _CDATA_CLOSE = b"<![CDATA[", b"]]>"
-_MISC = ((b"<!--", b"-->"), (b"<?", b"?>"))
+_DASHES = b"--"  # closes a comment when a '>' follows
+_MISC = ((b"<!--", _DASHES), (b"<?", b"?>"))
 _MARKUP = _MISC + ((_CDATA_OPEN, _CDATA_CLOSE),)
 _MARKUP_START = re.compile(rb"<[!?]")
 
@@ -116,13 +129,22 @@ START, END, SELFCLOSE = 0, 1, 2
 
 def _markup_end(data, pos, kinds=_MARKUP):
     """Offset just past the markup of ``kinds`` that opens at
-    ``data[pos]``, or ``None`` if none opens there."""
+    ``data[pos]``, or ``None`` if none opens there.
+
+    A comment's first ``--`` must begin its ``-->``: its text may hold
+    no ``--`` and may not end in ``-`` ([15]).
+    """
     for opener, closer in kinds:
         if data.startswith(opener, pos):
             end = data.find(closer, pos + len(opener))
             if end < 0:  # unterminated: the careful tier's error
                 raise _FALLBACK
-            return end + len(closer)
+            end += len(closer)
+            if closer is _DASHES:
+                if data[end:end + 1] != b">":
+                    raise _FALLBACK
+                end += 1
+            return end
     return None
 
 
@@ -168,7 +190,10 @@ def split_body(data, start):
     unterminated markup.
     """
     body = data[start:] if start else data
-    if b"<!" not in body and b"<?" not in body:
+    # A memchr for '!' and '?' skips the two-byte scans on bodies
+    # without either byte.
+    if ((_BANG not in body or b"<!" not in body)
+            and (_QUESTION not in body or b"<?" not in body)):
         return body.split(b"<")
     chunks = []
     head = 0  # where the chunk that markup may still extend begins
@@ -214,31 +239,30 @@ def _decoded(raw, limits):
 
 
 def _content(rest, limits):
-    """``(significant, events)`` for the content after a chunk's tag.
+    """``(text, events)`` for the content after a chunk's tag.
 
     Walks it as the char parser's content loop does: text runs split by
-    comments, PIs and CDATA sections.  Each non-empty run and non-empty
-    CDATA section is one text event, and the content is significant iff
-    one of them is not empty after ``str.strip``, as the compat loop
-    tests it.  Falls back unless ``rest`` is strict UTF-8.
+    comments, PIs and CDATA sections.  ``text`` joins the decoded runs
+    and CDATA sections (what the tree keeps), and ``events`` counts the
+    non-empty ones, one text event each.  Falls back unless ``rest`` is
+    strict UTF-8, and on a run holding ``]]>`` ([14]).
     """
     try:
         rest.decode("utf-8")
     except UnicodeDecodeError:
         raise _FALLBACK from None
     max_text = limits.max_text_length
-    significant = False
-    events = 0
+    pieces = []
     pos = 0
     while True:
         lt = rest.find(b"<", pos)
         run = rest[pos:] if lt < 0 else rest[pos:lt]
         if run:
-            events += 1
-            if _decoded(run, limits).strip():
-                significant = True
+            if _RSQB in run and _CDATA_CLOSE in run:
+                raise _FALLBACK
+            pieces.append(_decoded(run, limits))
         if lt < 0:
-            return significant, events
+            return "".join(pieces), len(pieces)
         pos = _markup_end(rest, lt)
         if pos is None:  # no comment, PI or CDATA section opens here
             raise _FALLBACK
@@ -248,13 +272,11 @@ def _content(rest, limits):
             if max_text is not None and len(data) > max_text:
                 raise _FALLBACK
             if data:
-                events += 1
-                if data.strip():
-                    significant = True
+                pieces.append(data)
 
 
 def parse_chunk(chunk, limits, name_id_of):
-    """Parse one chunk into an action tuple (the memo-miss path).
+    """Parse one chunk into an action tuple (the scan's memo-miss path).
 
     Returns ``(kind, name_id, attr_names, significant_text, events)``
     where ``kind`` is :data:`START`/:data:`END`/:data:`SELFCLOSE`,
@@ -266,22 +288,111 @@ def parse_chunk(chunk, limits, name_id_of):
     Attribute values and text are decoded only to check them: the
     validator reads only names and these two figures.
 
+    ``name_id_of`` interns a name's bytes to an integer id; it may
+    itself raise :class:`FallbackRequired` (the validator does, for
+    names outside the schema alphabet).  The grammar and its checks are
+    :func:`_parse`'s.
+    """
+    return _parse(chunk, limits, name_id_of, False)
+
+
+def fold_tree(data, limits):
+    """The root :class:`~repro.xmlmodel.tree.XMLElement` of UTF-8
+    ``data``, folded from its chunks (the tree fold of
+    :func:`repro.xmlmodel.parser.parse_document`).
+
+    Folds as :meth:`XMLElement.from_events` folds the char parser's
+    events.  Each distinct chunk is parsed once, with its values
+    decoded, into ``(kind, name, attributes, text)``: the element name
+    (one str per distinct name, so end tags match by identity), a dict
+    of attribute names to values in document order (``None`` for end
+    tags), and the content after the tag, its text runs and CDATA
+    sections joined.  A start tag's content becomes the new node's first
+    text run; the content after an end or self-closing tag is the
+    parent's newest run.  Every element gets its own copy of its chunk's
+    attribute dict, which ``set_attribute`` mutates.  End tags must
+    close the open element, the root may have no sibling, and
+    ``max_depth`` holds as in the char parser.  Raises
+    :class:`FallbackRequired` on anything it cannot certify.
+    """
+    chunks = split_body(data, body_start(data))
+    names = {}
+
+    def name_of(name_bytes):
+        name = names.get(name_bytes)
+        if name is None:
+            name = names[name_bytes] = name_bytes.decode("ascii")
+        return name
+
+    max_depth = limits.max_depth
+    if max_depth is None:
+        max_depth = sys.maxsize
+    memo = {}
+    memo_get = memo.get
+    new = XMLElement.__new__
+    root = node = None  # node: the innermost open element
+    depth = 0
+    for chunk in islice(chunks, 1, None):  # chunks[0] precedes the root
+        action = memo_get(chunk)
+        if action is None:
+            action = memo[chunk] = _parse(chunk, limits, name_of, True)
+        kind, name, attributes, text = action
+        if kind == END:
+            if node is None or name != node.name:
+                raise _FALLBACK
+            depth -= 1
+            node = node.parent
+            if node is not None:
+                node.texts[-1] = text
+            continue
+        if node is None:
+            if root is not None:  # a second root
+                raise _FALLBACK
+        elif depth >= max_depth:
+            raise _FALLBACK
+        child = new(XMLElement)
+        child.name = name
+        child.attributes = attributes.copy()
+        child.children = []
+        child.parent = node
+        if node is None:
+            root = child
+        else:
+            node.children.append(child)
+            node.texts.append("")
+        if kind == START:
+            child.texts = [text]
+            node = child
+            depth += 1
+        else:  # SELFCLOSE
+            child.texts = [""]
+            if node is not None:
+                node.texts[-1] = text
+    if node is not None:  # an element left open
+        raise _FALLBACK
+    check_after_root(chunks[-1])
+    return root
+
+
+def _parse(chunk, limits, name_id_of, decode):
+    """The chunk grammar behind :func:`parse_chunk` (``decode`` false)
+    and :func:`fold_tree` (true), which differ only in what they keep.
+
     ASCII content with no ``&`` and no markup, and ASCII attribute
-    values with no ``&``, are judged on their bytes (significance by
-    stripping :data:`_STR_WS`).  Any other content or value is decoded
-    as strict UTF-8 (the rest of a tag matches ASCII patterns only), once
-    per distinct chunk.  Since ``<`` never occurs inside a multibyte
+    values with no ``&``, are checked on their bytes; without
+    ``decode``, significance is judged undecoded too (by stripping
+    :data:`_STR_WS`).  Any other content or value is decoded as strict
+    UTF-8 (the rest of a tag matches ASCII patterns only), once per
+    distinct chunk.  Since ``<`` never occurs inside a multibyte
     sequence, decoding chunk by chunk accepts exactly the documents that
     decoding the whole input accepts.
 
     Every check the reference parser performs on this shape happens
     here — name grammar, quote closure, duplicate attributes, entity
-    references, and the ambient :class:`~repro.resilience.ParserLimits`
-    caps — and every violation raises :class:`FallbackRequired` so the
-    careful tier can produce the canonical error.  ``name_id_of`` interns
-    a name's bytes to an integer id; it may itself raise
-    :class:`FallbackRequired` (the validator does, for names outside the
-    schema alphabet).
+    references, ``]]>`` in text, ``--`` in comments, and the ambient
+    :class:`~repro.resilience.ParserLimits` caps — and every violation
+    raises :class:`FallbackRequired` so the careful tier can produce the
+    canonical error.
     """
     ascii_only = chunk.isascii()
     gt = chunk.find(b">")
@@ -290,16 +401,23 @@ def parse_chunk(chunk, limits, name_id_of):
     tag = chunk[:gt]
     rest = chunk[gt + 1:]
     max_text = limits.max_text_length
+    text = ""
     significant = False
     events = 0
     if rest:
         if ascii_only and _AMP not in rest and _LT not in rest:
             if max_text is not None and len(rest) > max_text:
                 raise _FALLBACK
-            significant = bool(rest.strip(_STR_WS))
+            if _RSQB in rest and _CDATA_CLOSE in rest:  # [14]
+                raise _FALLBACK
             events = 1
+            if decode:
+                text = rest.decode("ascii")
+            else:
+                significant = bool(rest.strip(_STR_WS))
         else:
-            significant, events = _content(rest, limits)
+            text, events = _content(rest, limits)
+            significant = bool(text.strip())
     max_name = limits.max_name_length
     if tag[:1] == b"/":
         name = tag[1:].rstrip(_WS)
@@ -307,6 +425,8 @@ def parse_chunk(chunk, limits, name_id_of):
             raise _FALLBACK
         if max_name is not None and len(name) > max_name:
             raise _FALLBACK
+        if decode:
+            return (END, name_id_of(name), None, text)
         return (END, name_id_of(name), None, significant, events)
     selfclose = tag[-1:] == b"/"
     if selfclose:
@@ -319,6 +439,7 @@ def parse_chunk(chunk, limits, name_id_of):
     if max_name is not None and end > max_name:
         raise _FALLBACK
     attr_names = _EMPTY_SET
+    attributes = {} if decode else None
     if end < len(tag):
         blob = tag[end:]
         pos = 0
@@ -337,15 +458,22 @@ def parse_chunk(chunk, limits, name_id_of):
             if ascii_only and _AMP not in value:
                 if max_text is not None and len(value) > max_text:
                     raise _FALLBACK
+                if decode:
+                    value = value.decode("ascii")
             else:
-                _decoded(value, limits)
+                value = _decoded(value, limits)
             names.append(attr_name)
+            if decode:
+                attributes[attr_name.decode("ascii")] = value
             pos = attr.end()
         if blob[pos:].strip(_WS):
             raise _FALLBACK
         max_attrs = limits.max_attributes
         if max_attrs is not None and len(names) > max_attrs:
             raise _FALLBACK
-        attr_names = frozenset(attr.decode("ascii") for attr in names)
+        if not decode:  # the names are ASCII: UTF-8 decodes them alike
+            attr_names = frozenset(map(bytes.decode, names))
     kind = SELFCLOSE if selfclose else START
+    if decode:
+        return (kind, name_id_of(name), attributes, text)
     return (kind, name_id_of(name), attr_names, significant, events)

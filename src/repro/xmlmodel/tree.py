@@ -179,9 +179,11 @@ class XMLElement:
     def from_events(cls, events):
         """Fold a SAX-style event stream into the element it spells.
 
-        The inverse of :meth:`events`, and how the parser builds trees
+        The inverse of :meth:`events`, and how the char tier builds trees
         (:func:`repro.xmlmodel.parser.parse_document` folds
-        ``iter_events``): adjacent text events concatenate into one run,
+        ``iter_events`` when the byte tier falls back, and
+        ``parse_fragment`` always): adjacent text events concatenate
+        into one run,
         and text outside the element is ignored.  The stream is drained
         to its end, so an error raised after the element closes still
         propagates.  Each start event's attributes dict is adopted, not

@@ -1,20 +1,22 @@
-"""Fuzz suite: mutated documents never desynchronize the grammar's two
+"""Fuzz suite: mutated documents never desynchronize the parser's two
 entry points.
 
-The XML grammar exists once, as the event generator behind
-``iter_events``; ``parse_document`` is its fold into a tree
-(``XMLElement.from_events``).  The engine's safety story rests on one
-invariant: for *every* input, the two either both accept — with the
-parser's tree equal to an independent rebuild of the tree from the
-events (:func:`tree_from_events`, through the public ``XMLElement``
-API) — or both raise :class:`~repro.errors.ParseError`, never any other
-exception type (``RecursionError``, ``ValueError`` from entity decoding,
-``IndexError`` from cursor math, ...).  The suite mutates well-formed
+The char tier's XML grammar exists once, as the event generator behind
+``iter_events``.  ``parse_document`` builds its tree from the byte
+tier's chunks, or, on any input the byte tier cannot certify, by
+folding that event stream (``XMLElement.from_events``).  The engine's
+safety story rests on one invariant: for *every* input, the two either
+both accept — with the parser's tree equal to an independent rebuild of
+the tree from the events (:func:`tree_from_events`, through the public
+``XMLElement`` API) — or both raise :class:`~repro.errors.ParseError`,
+never any other exception type (``RecursionError``, ``ValueError`` from
+entity decoding, ``IndexError`` from cursor math, ...).  The suite mutates well-formed
 documents (truncate, bit-flip, tag-swap, slice-splice, deep-nest) and
 asserts the invariant on each mutant: a seeded deterministic sweep of
 500+ inputs in tier-1, plus a hypothesis generator for open-ended search.
 ``tests/test_tokenizer_hardening`` replays the same corpus through the
-dense byte scan.
+dense byte scan, and ``tests/test_tree_fold`` through the byte tier's
+tree fold, holding its trees and errors to the char tier's exactly.
 """
 
 import random

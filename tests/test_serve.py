@@ -170,6 +170,25 @@ class TestRoutes:
         assert body["applied"] == 1
         assert 'color="red"' in body["document"]
 
+    def test_explain_and_patch_build_trees_on_the_byte_tier(self, server):
+        from repro.observability import default_registry
+
+        registry = default_registry()
+        trees = registry.counter("xmlmodel.parse.byte_docs")
+        fallbacks = registry.counter("xmlmodel.parse.fallbacks")
+        patch = ('<patch><replace sel="2/1/1" type="@color">red</replace>'
+                 '</patch>')
+        # /patch parses the document and each patch document.
+        for path, extra, parsed in (("/explain", {}, 1),
+                                    ("/patch", {"patches": [patch]}, 2)):
+            request(server.port, "POST", path, validate_body(**extra))
+            before = trees.value, fallbacks.value
+            status, __, __ = request(server.port, "POST", path,
+                                     validate_body(**extra))
+            assert status == 200
+            assert (trees.value, fallbacks.value) == (before[0] + parsed,
+                                                      before[1])
+
     def test_malformed_patch_is_422(self, server):
         status, body, __ = request(
             server.port, "POST", "/patch",

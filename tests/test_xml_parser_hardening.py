@@ -1,5 +1,7 @@
 """Hardening tests: hostile documents against the parser and both engines."""
 
+import xml.etree.ElementTree as ElementTree
+
 import pytest
 
 from repro.errors import LimitExceeded, ParseError
@@ -76,6 +78,60 @@ class TestAttributeLists:
     def test_whitespace_separated_lists_still_parse(self):
         doc = parse_document("<a b='1'\tc='&lt;'\n d=\"'\"/>")
         assert doc.root.attributes == {"b": "1", "c": "<", "d": "'"}
+
+
+class TestCharacterDataAndComments:
+    """``]]>`` may not occur in character data ([14]), nor ``--`` in a
+    comment, whose text may not end in ``-`` either ([15]); the error
+    points at the offending ``]]>`` or ``--``."""
+
+    @pytest.mark.parametrize(
+        ("text", "message", "line", "column"),
+        [
+            ("<a>x]]>y</a>", "']]>' in character data", 1, 5),
+            ("<a>\n  <b/>tail]]></a>", "']]>' in character data", 2, 11),
+            ("<a><!-- a -- b --></a>", "'--' in a comment", 1, 11),
+            ("<a><!-- ok ---></a>", "'--' in a comment", 1, 12),
+            ("<!-- x -- y --><a/>", "'--' in a comment", 1, 8),
+            ("<?xml version='1.0'?>\n<!--x--y--><a/>", "'--' in a comment",
+             2, 6),
+            ("<a/>\n<!-- x -- y -->", "'--' in a comment", 2, 8),
+        ],
+    )
+    def test_malformed_shapes_raise_parse_error(self, text, message, line,
+                                                column):
+        for parse in (parse_document, lambda t: list(iter_events(t))):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.message == message
+            assert (info.value.line, info.value.column) == (line, column)
+
+    def test_near_misses_still_parse(self):
+        doc = parse_document(
+            "<a b=']]>'>]]&gt; ]] ] &gt;<!---->-<!-- - -->"
+            "<![CDATA[]]]]><![CDATA[>]]></a>"
+        )
+        assert doc.root.attributes == {"b": "]]>"}
+        assert doc.root.text == "]]> ]] ] >-]]>"
+
+    @pytest.mark.parametrize("text", [
+        "<a>x]]>y</a>",
+        "<a><!-- a -- b --></a>",
+        "<!-- x -- y --><a/>",
+        "<a><!-- ok ---></a>",
+    ])
+    def test_expat_rejects_the_same_shapes(self, text):
+        with pytest.raises(ElementTree.ParseError):
+            ElementTree.fromstring(text)
+        with pytest.raises(ParseError):
+            parse_document(text)
+
+    def test_expat_accepts_cdata_close_in_an_attribute_value(self):
+        text = "<a b=']]&gt;' c=\"x]]>y\">]]&gt;<!---->-</a>"
+        expected = ElementTree.fromstring(text)
+        root = parse_document(text).root
+        assert root.attributes == expected.attrib
+        assert root.text == expected.text
 
 
 class TestDoctypeLiterals:
