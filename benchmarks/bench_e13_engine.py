@@ -17,8 +17,8 @@ Compares, on the E11 corpus (running-example documents of growing size):
   ``e2e_dict_rate`` key keep the name of the dict tables that loop once
   stepped);
 * **e2e dense**: ``validator.validate(text)`` — the fused byte
-  tokenizer + dense-table loop (chunk memo, interned name ids, no
-  per-event objects), the engine's production text path.
+  tokenizer + dense-table loop (chunk memo, one name object per
+  element name, no per-event objects), the engine's production text path.
 
 Also reports one-off compilation cost and both cache hit tiers
 (identity and structural fingerprint).  Acceptance bars: streaming >=

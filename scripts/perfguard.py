@@ -26,8 +26,11 @@ markup the byte tier certifies (a DOCTYPE, comments, PIs, CDATA,
 references and non-ASCII text); it has no floor.  A memory ceiling
 bounds what the compiled form of an ordinary many-type XSD retains
 (``schema_retained_mib_ceiling``: 111 sequence types over 1,111 element
-names, measured with :mod:`tracemalloc`), so per-type tables that grow
-with the schema's whole name set fail here.
+names, measured with :mod:`tracemalloc`), and a second one what a wider
+schema retains (``wide_schema_retained_mib_ceiling``: 273 sequence types
+over 4,369 names), where a per-type map over the schema's whole name
+set (types x names) outweighs the tables themselves.  So per-type
+tables or maps that grow with the schema's whole name set fail here.
 
 Exits nonzero with a diagnostic on any floor violation.  To re-baseline
 after an intentional change, edit the JSON floor file alongside the
@@ -148,6 +151,7 @@ def measure():
         bag_compile_ms = _measure_bag()
 
         schema_retained_mib = _measure_schema_memory()
+        wide_schema_retained_mib = _measure_schema_memory(width=16)
 
         serve = _measure_serve()
 
@@ -164,6 +168,7 @@ def measure():
         "diff_vs_tree": diff_vs_tree,
         "bag_compile_ms": bag_compile_ms,
         "schema_retained_mib": schema_retained_mib,
+        "wide_schema_retained_mib": wide_schema_retained_mib,
         **serve,
     }
 
@@ -280,16 +285,19 @@ def _measure_bag():
     return best * 1e3
 
 
-def _measure_schema_memory():
+def _measure_schema_memory(width=10):
     """MiB still allocated after compiling an ordinary many-type XSD.
 
-    Compiles the default :func:`~repro.families.ordinary_xsd` (111
-    sequence types, 1,111 element names) under :mod:`tracemalloc` and
-    keeps the result alive while reading what the compile left
-    allocated.  Each type's tables scale with its own children plus one
-    column map over the names, so the committed
+    Compiles :func:`~repro.families.ordinary_xsd` of three levels and
+    ``width`` children a type (the default: 111 sequence types, 1,111
+    element names; ``width=16``: 273 types, 4,369 names) under
+    :mod:`tracemalloc` and keeps the result alive while reading what the
+    compile left allocated.  Each type's tables scale with its own
+    children and states, so the committed
     ``schema_retained_mib_ceiling`` catches a layout that gives every
-    DFA state a row as wide as the schema's name set.
+    DFA state a row as wide as the schema's name set, and
+    ``wide_schema_retained_mib_ceiling`` one that gives every type a
+    column map over the names.
     """
     import gc
     import tracemalloc
@@ -298,7 +306,7 @@ def _measure_schema_memory():
     from repro.families import ordinary_xsd
     from repro.xsd.reader import read_xsd
 
-    xsd = read_xsd(ordinary_xsd()[0])
+    xsd = read_xsd(ordinary_xsd(width=width)[0])
     gc.collect()
     tracemalloc.start()
     try:
@@ -431,6 +439,14 @@ def main():
             f"committed ceiling "
             f"{floors['schema_retained_mib_ceiling']:.1f} MiB"
         )
+    if measured["wide_schema_retained_mib"] > (
+            floors["wide_schema_retained_mib_ceiling"]):
+        problems.append(
+            f"wide_schema_retained_mib: the compiled 273-type ordinary XSD "
+            f"retains {measured['wide_schema_retained_mib']:.2f} MiB, above "
+            f"the committed ceiling "
+            f"{floors['wide_schema_retained_mib_ceiling']:.1f} MiB"
+        )
     if measured["cache_hit_us"] > floors["cache_hit_us_ceiling"]:
         problems.append(
             f"cache_hit_us: measured {measured['cache_hit_us']:.2f} us "
@@ -470,7 +486,10 @@ def main():
         f"24-member xs:all compile {measured['bag_compile_ms']:.1f} ms "
         f"(ceiling {floors['bag_compile_ms_ceiling']:.0f} ms), "
         f"111-type schema retains {measured['schema_retained_mib']:.2f} MiB "
-        f"(ceiling {floors['schema_retained_mib_ceiling']:.1f} MiB); "
+        f"(ceiling {floors['schema_retained_mib_ceiling']:.1f} MiB), "
+        f"273-type schema retains "
+        f"{measured['wide_schema_retained_mib']:.2f} MiB "
+        f"(ceiling {floors['wide_schema_retained_mib_ceiling']:.1f} MiB); "
         f"serve burst {measured['serve_admitted']}/"
         f"{measured['serve_requests']} admitted, "
         f"shed {measured['serve_shed_rate']:.0%} "

@@ -648,7 +648,9 @@ def _build_parser():
 
 
 def _load_text(path):
-    with open(path, encoding="utf-8") as handle:
+    """A file's text; a UTF-8 byte-order mark in front is dropped, so
+    DTD and BonXai files saved with one load too."""
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 

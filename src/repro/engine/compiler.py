@@ -16,10 +16,12 @@ that work *once per schema* instead of once per node:
 * an unordered content model (``xs:all``, BonXai ``&``), whose minimal
   DFA has 2^n states, is compiled to a :class:`ContentBag` instead: a
   seen-mask checked by counting, built in time linear in its members;
-* element names and types are interned to small ints, and each type maps
-  a schema-wide name id to its column (:attr:`CompiledType.columns`).
-  The type's :class:`ContentDFA` or :class:`ContentBag` is the one copy
-  of its automaton: every loop steps it, and explanations read it.
+* each element name is one ``str`` object across the schema, and a
+  type finds a child's column in its automaton's own ``symbol_ids``
+  (EDC makes the child's type a function of that name, kept by column
+  in :attr:`CompiledType.child_types`).  The type's :class:`ContentDFA`
+  or :class:`ContentBag` is the one copy of its automaton and of that
+  map: every loop steps it, and explanations read it.
 
 The result, :class:`CompiledSchema`, is immutable and shareable across
 threads; :mod:`repro.engine.cache` memoizes it per schema fingerprint and
@@ -27,8 +29,6 @@ threads; :mod:`repro.engine.cache` memoizes it per schema fingerprint and
 """
 
 from __future__ import annotations
-
-from array import array
 
 from repro.automata.minimize import minimize
 from repro.observability import default_registry
@@ -256,27 +256,24 @@ class CompiledType:
         mixed: whether character data is allowed.
         required_attrs: tuple of required attribute names, in declaration
             order (diagnostic order matches the tree validator).
-        columns: ``array('i')`` mapping schema-wide element-name id to the
-            name's column, its index in ``dfa.symbols`` (``-1`` when the
-            name is not a child of this type); ``dfa.symbol_ids`` is the
-            same map keyed by name.
-        child_types: tuple mapping column to the child's type id (EDC: a
-            function of the name), then a trailing ``-1`` that a
-            non-child's column ``-1`` reads: ``child_types[column] < 0``
-            is the one "not a child" test, and no loop steps on ``-1``.
+        child_types: tuple mapping column (a child name's index in
+            ``dfa.symbols``, found by ``dfa.symbol_ids.get(name, -1)``)
+            to the child's type id (EDC: a function of the name), then a
+            trailing ``-1`` that a non-child's column ``-1`` reads:
+            ``child_types[column] < 0`` is the one "not a child" test,
+            and no loop steps on ``-1``.
         required_set: frozenset of the required attribute names.
         declared_attrs: frozenset of every declared attribute name.
     """
 
     __slots__ = (
-        "name", "dfa", "bag", "mixed", "required_attrs", "columns",
-        "child_types", "required_set", "declared_attrs",
+        "name", "dfa", "bag", "mixed", "required_attrs", "child_types",
+        "required_set", "declared_attrs",
     )
 
-    def __init__(self, name, dfa, children, name_ids, mixed, required_attrs,
+    def __init__(self, name, dfa, children, mixed, required_attrs,
                  declared_attrs=frozenset()):
-        """``children``: dict element name -> child type id;
-        ``name_ids``: the schema-wide element-name interning."""
+        """``children``: dict element name -> child type id."""
         self.name = name
         self.dfa = dfa
         self.bag = dfa if isinstance(dfa, ContentBag) else None
@@ -284,12 +281,9 @@ class CompiledType:
         self.required_attrs = required_attrs
         self.required_set = frozenset(required_attrs)
         self.declared_attrs = declared_attrs
-        self.columns = columns = array("i", [-1]) * len(name_ids)
         child_types = [-1] * (len(dfa.symbols) + 1)
         for element_name, child_type in children.items():
-            column = dfa.symbol_ids[element_name]
-            columns[name_ids[element_name]] = column
-            child_types[column] = child_type
+            child_types[dfa.symbol_ids[element_name]] = child_type
         self.child_types = tuple(child_types)
 
     # The per-element checks and violation messages both validation loops
@@ -356,54 +350,51 @@ class CompiledSchema:
         type_ids: dict type name -> type id.
         start: dict root element name -> type id (the paper's ``T0``).
         start_names: sorted tuple of allowed root names (diagnostics).
-        names: sorted tuple interning the schema-wide element alphabet
-            (every child name of every type, plus the root names).
-        name_ids: dict name -> interned id (str keys).
-        byte_ids: the same interning with UTF-8 byte-string keys — the
-            byte tokenizer looks names up without decoding.
-        start_types: ``array('i')`` over the interning: root type id per
-            name, ``-1`` for names that cannot be roots.
-        dense_types: tuple, indexed by type id, of ``(table, columns,
+        names: sorted tuple of the schema-wide element alphabet (every
+            child name of every type, plus the root names).  Each name is
+            one ``str`` object, the same one that keys ``start`` and
+            every type's ``dfa.symbol_ids``, so lookups with it hit by
+            identity.
+        byte_ids: dict UTF-8 name bytes -> index in ``names`` — the byte
+            tokenizer resolves a tag's name without decoding it.
+        dense_types: tuple, indexed by type id, of ``(table, symbol_ids,
             child_types, acc_bits, mixed, declared_attrs, required_set,
-            bag)`` — the fused loop unpacks one tuple per start tag
-            instead of touching attributes.  References, not copies: for
-            ordered content ``table`` and ``acc_bits`` are the
-            :class:`ContentDFA`'s own and ``bag`` is ``None``; for a bag,
-            ``bag`` is the :class:`ContentBag`, ``table`` is ``None`` and
-            ``acc_bits`` is ``1`` iff the empty mask accepts.
+            bag)`` — the fused loop unpacks one tuple per tag instead of
+            touching attributes.  References, not copies: ``symbol_ids``
+            is the type's automaton's own; for ordered content ``table``
+            and ``acc_bits`` are the :class:`ContentDFA`'s own and
+            ``bag`` is ``None``; for a bag, ``bag`` is the
+            :class:`ContentBag`, ``table`` is ``None`` and ``acc_bits``
+            is ``1`` iff the empty mask accepts.
     """
 
     __slots__ = (
         "fingerprint", "types", "type_ids", "start", "start_names",
-        "names", "name_ids", "byte_ids", "start_types", "dense_types",
+        "names", "byte_ids", "dense_types",
     )
 
     dense = True
     """Always ``True``: every type has dense tables.  Kept for code that
     still reads the flag (the repository benchmark)."""
 
-    def __init__(self, fingerprint, types, type_ids, start, name_ids):
+    def __init__(self, fingerprint, types, type_ids, start, names):
         self.fingerprint = fingerprint
         self.types = types
         self.type_ids = type_ids
         self.start = start
         self.start_names = tuple(sorted(start))
-        self.names = tuple(name_ids)
-        self.name_ids = name_ids
+        self.names = names
         self.byte_ids = {
-            name.encode("utf-8"): i for i, name in enumerate(self.names)
+            name.encode("utf-8"): i for i, name in enumerate(names)
         }
-        self.start_types = array("i", [-1]) * len(self.names)
-        for name, type_id in start.items():
-            self.start_types[name_ids[name]] = type_id
         self.dense_types = tuple(
-            (None, compiled.columns, compiled.child_types,
+            (None, compiled.dfa.symbol_ids, compiled.child_types,
              int(compiled.bag.is_accepting(0)), compiled.mixed,
              compiled.declared_attrs, compiled.required_set, compiled.bag)
             if compiled.bag is not None else
-            (compiled.dfa.table, compiled.columns, compiled.child_types,
-             compiled.dfa.acc_bits, compiled.mixed, compiled.declared_attrs,
-             compiled.required_set, None)
+            (compiled.dfa.table, compiled.dfa.symbol_ids,
+             compiled.child_types, compiled.dfa.acc_bits, compiled.mixed,
+             compiled.declared_attrs, compiled.required_set, None)
             for compiled in types
         )
 
@@ -445,25 +436,28 @@ def compile_xsd(xsd, fingerprint=None):
             trace.set_attribute("schema", fingerprint[:12])
         type_names = tuple(sorted(xsd.types))
         type_ids = {name: i for i, name in enumerate(type_names)}
-        start = {}
-        for typed in xsd.start:
-            element_name, target_type = split_typed_name(typed)
-            start[element_name] = type_ids[target_type]
+        # One str object per element name, shared by ``names``, the keys
+        # of ``start`` and of every type's children, and the automata's
+        # symbols: the loops' dict probes then hit by identity.
+        canonical = {}
+
+        def split(typed):
+            """``(element name, type id)``, the name canonical."""
+            element_name, type_name = split_typed_name(typed)
+            return (canonical.setdefault(element_name, element_name),
+                    type_ids[type_name])
+
+        start = dict(map(split, xsd.start))
         # By EDC each type's child type is a function of the child name.
-        children = {}
-        alphabet = set(start)
-        for name in type_names:
-            by_name = children[name] = {}
-            for symbol in xsd.rho[name].element_names():
-                element_name, target_type = split_typed_name(symbol)
-                by_name[element_name] = type_ids[target_type]
-            alphabet.update(by_name)
-        name_ids = {name: i for i, name in enumerate(sorted(alphabet))}
+        children = {
+            name: dict(map(split, xsd.rho[name].element_names()))
+            for name in type_names
+        }
         types = []
         dfa_states = 0
         for name in type_names:
             model = xsd.rho[name]
-            erased = model.map_symbols(lambda s: split_typed_name(s)[0])
+            erased = model.map_symbols(lambda typed: split(typed)[0])
             dfa = compile_content(erased.regex)
             dfa_sizes.observe(len(dfa))
             dfa_states += len(dfa)
@@ -472,7 +466,6 @@ def compile_xsd(xsd, fingerprint=None):
                     name=name,
                     dfa=dfa,
                     children=children[name],
-                    name_ids=name_ids,
                     mixed=model.mixed,
                     required_attrs=tuple(
                         use.name for use in model.attributes if use.required
@@ -491,7 +484,7 @@ def compile_xsd(xsd, fingerprint=None):
             types=tuple(types),
             type_ids=type_ids,
             start=start,
-            name_ids=name_ids,
+            names=tuple(sorted(canonical)),
         )
 
 

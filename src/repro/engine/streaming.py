@@ -100,7 +100,8 @@ def _materialize_typing(schema, chunks):
     """Rebuild the typing map the compat path would have produced.
 
     Walks the body chunks again (names only, no validation — the
-    document is already known valid) building the same indexed paths in
+    document is already known valid, so every name is in the schema's
+    alphabet and every lookup hits) building the same indexed paths in
     the same document order as ``_run``.  Runs with unlimited parser
     caps: the document passed the call-time limits when it was
     validated, and materialization must not depend on whatever limits
@@ -108,11 +109,11 @@ def _materialize_typing(schema, chunks):
     """
     names = schema.names
     types = schema.types
-    start_types = schema.start_types
+    start = schema.start
     byte_ids = schema.byte_ids
 
-    def name_id_of(name_bytes):
-        return byte_ids[name_bytes]
+    def name_of(name_bytes):
+        return names[byte_ids[name_bytes]]
 
     typing = {}
     stack = []  # (typed_path, ordinals, compiled type)
@@ -121,21 +122,20 @@ def _materialize_typing(schema, chunks):
     for chunk in islice(chunks, 1, None):
         action = memo_get(chunk)
         if action is None:
-            action = parse_chunk(chunk, _UNLIMITED, name_id_of)
+            action = parse_chunk(chunk, _UNLIMITED, name_of)
             memo[chunk] = action
         kind = action[0]
         if kind == END:
             stack.pop()
             continue
-        interned = action[1]
-        name = names[interned]
+        name = action[1]
         if stack:
             typed_path, ordinals, parent = stack[-1]
-            type_id = parent.child_types[parent.columns[interned]]
+            type_id = parent.child_types[parent.dfa.symbol_ids[name]]
             ordinal = ordinals[name] = ordinals.get(name, 0) + 1
             typed_path = f"{typed_path}/{name}[{ordinal}]"
         else:
-            type_id = start_types[interned]
+            type_id = start[name]
             typed_path = f"/{name}[1]"
         compiled = types[type_id]
         typing[typed_path] = compiled.name
@@ -201,10 +201,9 @@ class StreamingValidator:
     def _run(self, events):
         """The validation loop; returns ``(report, events_consumed)``.
 
-        Steps the same tables as :meth:`_scan_dense` (a name's column
-        comes from ``dfa.symbol_ids``, the name-keyed twin of
-        ``columns``) and writes every diagnostic.  Checks an ambient
-        budget's clock.
+        Steps the same tables as :meth:`_scan_dense`, finding a name's
+        column by the same ``dfa.symbol_ids.get(name, -1)``, and writes
+        every diagnostic.  Checks an ambient budget's clock.
         """
         schema = self.schema
         types = schema.types
@@ -398,7 +397,13 @@ class StreamingValidator:
     def _scan_dense(self, data, limits):
         """The fused tokenizer+validator loop.
 
-        One chunk-memo lookup per tag; integer table steps; *no* object
+        One chunk-memo lookup per tag; the memo-miss path resolves a
+        tag's name bytes to the schema's own name object (a name outside
+        the alphabet falls back there).  A start or self-closing tag
+        then takes one child step: its column in the open type's
+        ``symbol_ids`` (a root's type from ``start``), a table step,
+        the depth and attribute checks; a start tag pushes, and a
+        self-closing one must accept the empty word.  *No* object
         events.  Commits only documents that are well formed, within
         limits, and valid — any violation, anomaly, or uncertainty
         raises :class:`FallbackRequired` and the compat path produces
@@ -409,15 +414,16 @@ class StreamingValidator:
         offset = body_start(data)
         chunks = split_body(data, offset)
         dense_types = schema.dense_types
-        start_types = schema.start_types
+        start_get = schema.start.get
+        names = schema.names
         byte_ids = schema.byte_ids
         max_depth = limits.max_depth
 
-        def name_id_of(name_bytes):
+        def name_of(name_bytes):
             interned = byte_ids.get(name_bytes)
             if interned is None:  # outside the schema alphabet
                 raise _FALLBACK
-            return interned
+            return names[interned]
 
         memo = {}
         memo_get = memo.get
@@ -434,12 +440,12 @@ class StreamingValidator:
         # (its ContentBag) is set.
         state = 0
         table = None
-        columns = None
+        symbol_ids = None
         child_types = None
         acc_bits = 0
         mixed = True
         has_text = False
-        open_id = -1
+        open_name = None
         bag = None
         rest = iter(chunks)
         next(rest)  # chunks[0] precedes the first tag
@@ -449,46 +455,11 @@ class StreamingValidator:
             for chunk in islice(rest, _CHECK_CHUNKS):
                 action = memo_get(chunk)
                 if action is None:
-                    action = parse_chunk(chunk, limits, name_id_of)
+                    action = parse_chunk(chunk, limits, name_of)
                     memo[chunk] = action
                 kind = action[0]
-                if kind == START:
-                    interned = action[1]
-                    if depth:
-                        column = columns[interned]
-                        type_id = child_types[column]
-                        if type_id < 0:  # not allowed under this type
-                            raise _FALLBACK
-                        if bag is None:
-                            state = table[state][column]
-                        else:
-                            bit = 1 << column
-                            if state & bit & bag.once:  # repeated once-member
-                                raise _FALLBACK
-                            state |= bit
-                    else:
-                        if root_done:
-                            raise _FALLBACK
-                        type_id = start_types[interned]
-                        if type_id < 0:  # undeclared root
-                            raise _FALLBACK
-                    if max_depth is not None and depth >= max_depth:
-                        raise _FALLBACK
-                    push((state, table, columns, child_types, acc_bits,
-                          mixed, has_text, open_id, bag))
-                    depth += 1
-                    (table, columns, child_types, acc_bits, mixed, declared,
-                     required, bag) = dense_types[type_id]
-                    state = 0
-                    open_id = interned
-                    has_text = action[3]
-                    consumed += 1 + action[4]
-                    attrs = action[2]
-                    if attrs or required:
-                        if not (required <= attrs and attrs <= declared):
-                            raise _FALLBACK
-                elif kind == END:
-                    if action[1] != open_id:  # mismatched end tag (or depth 0)
+                if kind == END:
+                    if action[1] != open_name:  # mismatched (or depth 0)
                         raise _FALLBACK
                     if bag is None:
                         if not acc_bits >> state & 1:  # content mismatch
@@ -498,8 +469,8 @@ class StreamingValidator:
                     if has_text and not mixed:
                         raise _FALLBACK
                     depth -= 1
-                    (state, table, columns, child_types, acc_bits, mixed,
-                     has_text, open_id, bag) = pop()
+                    (state, table, symbol_ids, child_types, acc_bits, mixed,
+                     has_text, open_name, bag) = pop()
                     if depth:
                         consumed += 1 + action[4]
                         if action[3]:
@@ -507,43 +478,54 @@ class StreamingValidator:
                     else:
                         consumed += 1
                         root_done = True
-                else:  # SELFCLOSE
-                    interned = action[1]
-                    if depth:
-                        column = columns[interned]
-                        type_id = child_types[column]
-                        if type_id < 0:
-                            raise _FALLBACK
-                        if bag is None:
-                            state = table[state][column]
-                        else:
-                            bit = 1 << column
-                            if state & bit & bag.once:
-                                raise _FALLBACK
-                            state |= bit
-                        if max_depth is not None and depth >= max_depth:
-                            raise _FALLBACK
+                    continue
+                # A start or self-closing tag: one child step.
+                name = action[1]
+                if depth:
+                    column = symbol_ids.get(name, -1)
+                    type_id = child_types[column]
+                    if type_id < 0:  # not allowed under this type
+                        raise _FALLBACK
+                    if bag is None:
+                        state = table[state][column]
                     else:
-                        if root_done:
+                        bit = 1 << column
+                        if state & bit & bag.once:  # repeated once-member
                             raise _FALLBACK
-                        type_id = start_types[interned]
-                        if type_id < 0:
-                            raise _FALLBACK
-                        root_done = True
-                    entry = dense_types[type_id]
-                    if not entry[3] & 1:  # empty content word not accepted
-                        raise _FALLBACK  # (bit 0 is the empty mask for bags)
-                    attrs = action[2]
-                    required = entry[6]
-                    if attrs or required:
-                        if not (required <= attrs and attrs <= entry[5]):
-                            raise _FALLBACK
-                    if depth:
-                        consumed += 2 + action[4]
-                        if action[3]:
-                            has_text = True
-                    else:
-                        consumed += 2
+                        state |= bit
+                else:
+                    if root_done:
+                        raise _FALLBACK
+                    type_id = start_get(name, -1)
+                    if type_id < 0:  # undeclared root
+                        raise _FALLBACK
+                if max_depth is not None and depth >= max_depth:
+                    raise _FALLBACK
+                entry = dense_types[type_id]
+                attrs = action[2]
+                required = entry[6]
+                if attrs or required:
+                    if not (required <= attrs and attrs <= entry[5]):
+                        raise _FALLBACK
+                if kind == START:
+                    push((state, table, symbol_ids, child_types, acc_bits,
+                          mixed, has_text, open_name, bag))
+                    depth += 1
+                    (table, symbol_ids, child_types, acc_bits, mixed, __, __,
+                     bag) = entry
+                    state = 0
+                    open_name = name
+                    has_text = action[3]
+                    consumed += 1 + action[4]
+                elif not entry[3] & 1:  # SELFCLOSE: the empty word must
+                    raise _FALLBACK  # match (bit 0: the empty bag mask)
+                elif depth:
+                    consumed += 2 + action[4]
+                    if action[3]:
+                        has_text = True
+                else:
+                    consumed += 2
+                    root_done = True
         if depth or not root_done:  # unterminated element / no root
             raise _FALLBACK
         # The last chunk closed the root (a chunk after it fell back).

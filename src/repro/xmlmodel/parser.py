@@ -3,19 +3,21 @@
 Supports the XML subset the paper's data model needs: elements, attributes
 (single- or double-quoted), character data with the five predefined
 entities, numeric character references, comments, processing instructions,
-CDATA sections, an XML declaration, and a DOCTYPE, which is skipped.  The
-skip checks only that the DOCTYPE's brackets and quotes balance: an
-internal subset's declarations are neither parsed nor applied, so
+CDATA sections, a byte-order mark and an XML declaration, each only at
+the very start, and a DOCTYPE, which is skipped.  The skip checks only
+that the DOCTYPE's brackets and quotes balance: an internal subset's
+declarations are neither parsed nor applied, so
 ``<!DOCTYPE a [ garbage %% ]><a/>`` parses, an entity it declares is an
 unknown entity, and its attribute defaults never reach the tree.
 Namespaces are treated lexically: prefixed names are kept verbatim (the
 formal model works over plain element names).
 
 The parser is deliberately strict about well-formedness (mismatched tags,
-unterminated constructs, stray ``<``, ``]]>`` in character data and
-``--`` in a comment are errors) because schema tooling should never
-guess.  Every failure — including malformed numeric
-character references and inputs that trip a cap — is a
+unterminated constructs, stray ``<``, ``]]>`` in character data, ``--``
+in a comment, and a processing instruction whose target is ``xml`` in
+any case, a misplaced XML declaration included, are errors) because
+schema tooling should never guess.  Every failure — including malformed
+numeric character references and inputs that trip a cap — is a
 :class:`~repro.errors.ParseError`; no other exception type escapes on any
 input (the fuzz suite pins this).
 
@@ -37,10 +39,11 @@ The grammar is spelled once, as the event generator behind
 the byte tier's chunks (:mod:`repro.xmlmodel.tokenizer`, the grammar of
 the dense validation scan) into the tree; on any input the byte tier
 cannot certify (an internal subset, a non-ASCII name, a malformed or
-over-limit shape) it folds that stream instead, from the start.  So the
-tree and event entry points accept the same inputs, raise the same
-errors (always the char tier's), and agree on every tree;
-``tests/test_tree_fold`` holds the byte tier's trees to the char tier's.
+over-limit shape, a PI that may be a misplaced declaration) it folds
+that stream instead, from the start.  So the tree and event entry
+points accept the same inputs, raise the same errors (always the char
+tier's), and agree on every tree; ``tests/test_tree_fold`` holds the
+byte tier's trees to the char tier's.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from repro.xmlmodel.tree import XMLDocument, XMLElement
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+# The whitespace characters ([3] S), one at a time.
+_SPACES = (" ", "\t", "\r", "\n")
 
 
 class _Cursor:
@@ -249,8 +255,12 @@ def parse_fragment(text, limits=None):
 
 
 def _skip_prolog(cursor):
-    cursor.skip_whitespace()
-    if cursor.startswith("<?xml"):
+    """Skip a byte-order mark at offset 0 (§4.3.3), the XML declaration
+    right after it ([22], [23]: ``<?xml`` and whitespace, nowhere else),
+    then misc and one DOCTYPE."""
+    if cursor.startswith("\ufeff"):
+        cursor.advance()
+    if cursor.startswith("<?xml") and cursor.peek(6)[5:] in _SPACES:
         cursor.take_until("?>", "XML declaration")
     _skip_misc(cursor)
     if cursor.startswith("<!DOCTYPE"):
@@ -264,10 +274,26 @@ def _skip_misc(cursor):
         if cursor.startswith("<!--"):
             _skip_comment(cursor)
         elif cursor.startswith("<?"):
-            cursor.advance(2)
-            cursor.take_until("?>", "processing instruction")
+            _skip_pi(cursor)
         else:
             return
+
+
+def _skip_pi(cursor):
+    """Skip the processing instruction that opens at the cursor.  Its
+    target may not be ``xml`` in any case ([17]), so a declaration
+    anywhere but the start is an error; the error points at the ``<?``.
+    """
+    target = cursor.peek(5)[2:]
+    after = cursor.peek(6)[5:]
+    if target.lower() == "xml" and not (after and _is_name_char(after)):
+        raise cursor.error(
+            "XML declaration not at the start of the document"
+            if target == "xml" and after in _SPACES else
+            f"reserved processing instruction target {target!r}"
+        )
+    cursor.advance(2)
+    cursor.take_until("?>", "processing instruction")
 
 
 def _skip_comment(cursor):
@@ -478,8 +504,7 @@ def _element_events(cursor, limits):
                     yield ("text", data)
                 continue
             if cursor.startswith("<?"):
-                cursor.advance(2)
-                cursor.take_until("?>", "processing instruction")
+                _skip_pi(cursor)
                 continue
             if cursor.startswith("<"):
                 descend = True

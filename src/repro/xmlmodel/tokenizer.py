@@ -22,8 +22,12 @@ bytes.
 The fast tier only commits to inputs it can prove the careful tier would
 accept identically.  It falls back on:
 
-* a prolog holding a non-ASCII byte, a DOCTYPE with an internal subset
-  (a ``[`` or ``]`` outside its quoted literals), or a second DOCTYPE;
+* a prolog holding a non-ASCII byte (past a UTF-8 byte-order mark at
+  offset 0, which it skips), a DOCTYPE with an internal subset (a ``[``
+  or ``]`` outside its quoted literals), or a second DOCTYPE;
+* a PI whose target may be ``xml`` in any case ([17]) — the XML
+  declaration, at offset 0 or right after the mark, is the one
+  ``<?xml`` it skips;
 * ``<!`` in the body that opens no comment or CDATA section, and
   anything but whitespace, comments and PIs after the root element;
 * bytes that are not UTF-8, and names outside a conservative ASCII
@@ -43,12 +47,12 @@ Entry points: :func:`body_start`, :func:`split_body`,
 :func:`parse_chunk` and :func:`check_after_root`, driven by the fused
 dense validation loop
 (:meth:`repro.engine.streaming.StreamingValidator._scan_dense`) and its
-lazy typing walk, with schema-interned name ids, and by
-:func:`fold_tree`, which builds the tree for
+lazy typing walk, which resolve names to the schema's own name objects,
+and by :func:`fold_tree`, which builds the tree for
 :func:`repro.xmlmodel.parser.parse_document`.  The chunk grammar is one
-function with two outputs: the scan keeps what validation reads (name
-ids, attribute names, whether the text is significant, undecoded where
-the bytes suffice), the fold decoded names, attribute values and text.
+function with two outputs: the scan keeps what validation reads (names,
+attribute names, whether the text is significant, undecoded where the
+bytes suffice), the fold decoded names, attribute values and text.
 ``tests/test_tokenizer_hardening`` replays the parser fuzz corpus
 through the scan against the char parser plus compat loop, and
 ``tests/test_tree_fold`` through the fold against the char tier's trees.
@@ -113,9 +117,21 @@ _DOCTYPE_RE = re.compile(rb"<!DOCTYPE(?:[^\"'\[\]>]|\"[^\"]*\"|'[^']*')*>")
 # "<!-->" are not closed.  Only comments and PIs may follow the root.
 _CDATA_OPEN, _CDATA_CLOSE = b"<![CDATA[", b"]]>"
 _DASHES = b"--"  # closes a comment when a '>' follows
-_MISC = ((b"<!--", _DASHES), (b"<?", b"?>"))
+_PI_CLOSE = b"?>"
+_MISC = ((b"<!--", _DASHES), (b"<?", _PI_CLOSE))
 _MARKUP = _MISC + ((_CDATA_OPEN, _CDATA_CLOSE),)
 _MARKUP_START = re.compile(rb"<[!?]")
+
+# A PI whose target may be ``xml`` in any case ([17] reserves it): the
+# third byte is tested first, so other PIs pay one compare.  A non-ASCII
+# byte after the three letters matches too (that shape falls back).
+_X_BYTES = (b"x", b"X")
+_RESERVED_PI = re.compile(rb"<\?[Xx][Mm][Ll](?![A-Za-z0-9_:.\-])")
+
+# The byte-order mark a document may open with (§4.3.3), and the XML
+# declaration, which only it may precede ([22], [23]).
+_BOM = b"\xef\xbb\xbf"
+_XML_DECL = re.compile(rb"<\?xml[ \t\r\n]")
 
 # The error locator handed to the char parser's decoding routines; their
 # errors become fallbacks, so no location is ever reported.
@@ -132,7 +148,9 @@ def _markup_end(data, pos, kinds=_MARKUP):
     ``data[pos]``, or ``None`` if none opens there.
 
     A comment's first ``--`` must begin its ``-->``: its text may hold
-    no ``--`` and may not end in ``-`` ([15]).
+    no ``--`` and may not end in ``-`` ([15]).  A PI's target may not
+    be ``xml`` in any case ([17]); :func:`body_start` skips the one
+    declaration a document may hold.
     """
     for opener, closer in kinds:
         if data.startswith(opener, pos):
@@ -144,6 +162,9 @@ def _markup_end(data, pos, kinds=_MARKUP):
                 if data[end:end + 1] != b">":
                     raise _FALLBACK
                 end += 1
+            elif (closer is _PI_CLOSE and data[pos + 2:pos + 3] in _X_BYTES
+                    and _RESERVED_PI.match(data, pos)):
+                raise _FALLBACK
             return end
     return None
 
@@ -162,21 +183,29 @@ def _skip_misc(data, pos):
 def body_start(data):
     """Byte offset of the root element's ``<`` after the prolog.
 
-    Handles whitespace, an XML declaration, comment/PI misc and one
-    DOCTYPE without an internal subset.  Raises
+    Handles a UTF-8 byte-order mark at offset 0, an XML declaration at
+    offset 0 or right after the mark, whitespace, comment/PI misc and
+    one DOCTYPE without an internal subset.  Raises
     :class:`FallbackRequired` whenever the prolog is anything the
     structural scan cannot certify — including malformed shapes, which
     the careful tier then rejects with its exact diagnostics, and
-    non-ASCII bytes, which may not be UTF-8 at all.
+    non-ASCII bytes after the mark, which may not be UTF-8 at all.
     """
-    pos = _skip_misc(data, 0)
+    first = pos = len(_BOM) if data.startswith(_BOM) else 0
+    declaration = _XML_DECL.match(data, pos)
+    if declaration is not None:
+        end = data.find(_PI_CLOSE, declaration.end())
+        if end < 0:  # unterminated: the careful tier's error
+            raise _FALLBACK
+        pos = end + len(_PI_CLOSE)
+    pos = _skip_misc(data, pos)
     if data.startswith(b"<!DOCTYPE", pos):
         doctype = _DOCTYPE_RE.match(data, pos)
         if doctype is None:  # an internal subset, or unterminated
             raise _FALLBACK
         pos = _skip_misc(data, doctype.end())
     if (data[pos:pos + 1] != b"<" or data.startswith(b"<!", pos)
-            or not data[:pos].isascii()):
+            or not data[first:pos].isascii()):
         raise _FALLBACK
     return pos
 
@@ -278,8 +307,9 @@ def _content(rest, limits):
 def parse_chunk(chunk, limits, name_id_of):
     """Parse one chunk into an action tuple (the scan's memo-miss path).
 
-    Returns ``(kind, name_id, attr_names, significant_text, events)``
+    Returns ``(kind, name, attr_names, significant_text, events)``
     where ``kind`` is :data:`START`/:data:`END`/:data:`SELFCLOSE`,
+    ``name`` is what ``name_id_of`` returned for the element name,
     ``attr_names`` is a frozenset of decoded attribute names (``None``
     for end tags), ``significant_text`` is True iff the content after
     the tag holds a character that is not whitespace by ``str.isspace``,
@@ -288,9 +318,11 @@ def parse_chunk(chunk, limits, name_id_of):
     Attribute values and text are decoded only to check them: the
     validator reads only names and these two figures.
 
-    ``name_id_of`` interns a name's bytes to an integer id; it may
-    itself raise :class:`FallbackRequired` (the validator does, for
-    names outside the schema alphabet).  The grammar and its checks are
+    ``name_id_of`` resolves a name's bytes to the caller's key for it
+    (the validator's is the schema's own name object), which this
+    function never looks inside; it may itself raise
+    :class:`FallbackRequired` (the validator does, for names outside
+    the schema alphabet).  The grammar and its checks are
     :func:`_parse`'s.
     """
     return _parse(chunk, limits, name_id_of, False)

@@ -39,6 +39,23 @@ class TestValidate:
     def test_dtd_valid(self, files, capsys):
         assert main(["validate", files["fig2.dtd"], files["fig1.xml"]]) == 0
 
+    @pytest.mark.parametrize("schema", ["fig2.dtd", "fig3.xsd",
+                                        "fig5.bonxai"])
+    @pytest.mark.parametrize("engine", ["tree", "streaming"])
+    def test_files_saved_with_a_byte_order_mark(self, files, tmp_path,
+                                                capsys, schema, engine):
+        # Editors may save UTF-8 with a byte-order mark; every schema
+        # kind and the document must still load.
+        marked = {}
+        for name in (schema, "fig1.xml"):
+            target = tmp_path / f"bom-{name}"
+            target.write_bytes(b"\xef\xbb\xbf"
+                               + (tmp_path / name).read_bytes())
+            marked[name] = str(target)
+        assert main(["validate", marked[schema], marked["fig1.xml"],
+                     "--engine", engine]) == 0
+        assert "VALID" in capsys.readouterr().out
+
     def test_invalid_document(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.xml"
         bad.write_text("<document><content/></document>")

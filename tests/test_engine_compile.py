@@ -249,21 +249,41 @@ class TestCompileXSD:
     def test_child_maps_follow_edc(self, xsd):
         compiled = compile_xsd(xsd)
         tdoc = compiled.type_named("Tdoc")
-        item = compiled.name_ids["item"]
-        column = tdoc.columns[item]
-        assert column == tdoc.dfa.symbol_ids["item"]
+        column = tdoc.dfa.symbol_ids.get("item", -1)
+        assert tdoc.dfa.symbols[column] == "item"
         assert compiled.types[tdoc.child_types[column]].name == "Titem"
         # The scan steps the DFA's own table at that column.
         table = compiled.dense_types[compiled.type_ids["Tdoc"]][0]
         assert table is tdoc.dfa.table
-        # A name interned for another type maps to no column, and column
-        # -1 reads the trailing "not a child" entry.
-        note = compiled.name_ids["note"]
-        assert tdoc.columns[note] == -1
-        assert tdoc.child_types[tdoc.columns[note]] == -1
+        # A name of the schema that is a child of another type maps to
+        # no column, and column -1 reads the trailing "not a child" entry.
+        assert "note" in compiled.names
+        column = tdoc.dfa.symbol_ids.get("note", -1)
+        assert column == -1
+        assert tdoc.child_types[column] == -1
+
+    def test_no_type_holds_a_map_over_the_whole_alphabet(self):
+        # A type's containers grow with its own children and states,
+        # never with the schema's name set: on the 111-type ordinary XSD
+        # (1,111 names, at most 10 children a type) none is that long.
+        from repro.families import ordinary_xsd
+        from repro.xsd.reader import read_xsd
+
+        compiled = compile_xsd(read_xsd(ordinary_xsd()[0]))
+        width = len(compiled.names)
+        assert width == 1111
+        for compiled_type in compiled.types:
+            held = [getattr(compiled_type, slot)
+                    for slot in type(compiled_type).__slots__]
+            dfa = compiled_type.dfa
+            held += [getattr(dfa, slot) for slot in type(dfa).__slots__]
+            held += getattr(dfa, "table", ())
+            for value in held:
+                if hasattr(value, "__len__"):
+                    assert len(value) < width, (compiled_type.name, value)
 
     def test_interned_non_child_is_not_allowed_on_every_route(self, xsd):
-        # <note> is interned (a child of Titem) but is no child of Tdoc
+        # <note> is a schema name (a child of Titem) but no child of Tdoc
         # (item+), so its column under Tdoc is -1.  A route that stepped
         # on column -1 would read it as Tdoc's last child, <item>, and
         # accept, or type it with the last type id.  Every route must
@@ -309,6 +329,42 @@ class TestCompileXSD:
         handle.replace_subtree(root.children[1], XMLElement("note"))
         assert outcome(handle.report()) == expected
         assert len(handle) == 2 and not handle.valid
+
+    @pytest.mark.parametrize(("text", "answer"), [
+        # an end tag naming another declared element (a mismatch)
+        ('<doc version="1"><item></note></doc>', "error"),
+        ('<doc version="1"><item/></item></doc>', "error"),
+        # names outside the schema's alphabet: a child, a root, an end tag
+        ('<doc version="1"><item/><zz/></doc>', "report"),
+        ('<doc version="1"><item><zz>x</zz></item></doc>', "report"),
+        ("<zz/>", "report"),
+        ('<doc version="1"><item></zz></doc>', "error"),
+    ])
+    def test_foreign_names_fall_back_to_the_char_tier(self, xsd, text,
+                                                       answer):
+        # The scan compares end tags by name and finds columns by name;
+        # neither may commit these, and the compat route's report or
+        # error is the answer.
+        from repro.engine import StreamingValidator
+        from repro.errors import ParseError
+        from repro.observability import default_registry
+        from repro.xmlmodel.parser import iter_events
+
+        def outcome(thunk):
+            try:
+                report = thunk()
+            except ParseError as error:
+                return ("error", str(error), error.line, error.column)
+            return ("report", report.violations, dict(report.typing))
+
+        validator = StreamingValidator(compile_xsd(xsd))
+        fallbacks = default_registry().counter("engine.dense.fallbacks")
+        before = fallbacks.value
+        scan = outcome(lambda: validator.validate(text))
+        assert fallbacks.value == before + 1
+        assert scan == outcome(
+            lambda: validator.validate_events(iter_events(text)))
+        assert scan[0] == answer
 
     def test_start_and_roots(self, xsd):
         compiled = compile_xsd(xsd)

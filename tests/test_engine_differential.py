@@ -285,9 +285,9 @@ class TestDenseVsDict:
     ``validate(text)`` / ``validate_bytes`` run the byte tokenizer fused
     with the table loop; ``validate_events(iter_events(text))`` is the
     char parser feeding the event-driven compat loop, which steps the
-    same tables by interned name id.  Everything observable — verdicts,
-    violation multisets, typing, parse/limit errors, metrics counters —
-    must agree.
+    same tables through the same name -> column maps.  Everything
+    observable — verdicts, violation multisets, typing, parse/limit
+    errors, metrics counters — must agree.
     """
 
     def test_schemas_compile_dense(self):
@@ -301,7 +301,8 @@ class TestDenseVsDict:
 
     def test_dense_entries_reference_the_one_automaton(self):
         # The scan's per-type tuple holds the type's own ContentDFA table
-        # and accepting bitset, or its ContentBag: references, no copy.
+        # and accepting bitset, or its ContentBag, and the automaton's
+        # own symbol_ids as its one column map: references, no copy.
         # child_types has one entry per column plus the trailing -1 that
         # a non-child's column reads.
         for key in sorted(SCHEMAS):
@@ -316,15 +317,27 @@ class TestDenseVsDict:
                 else:
                     assert entry[7] is compiled_type.bag is dfa
                     assert entry[0] is None
-                assert entry[1] is compiled_type.columns
+                assert entry[1] is dfa.symbol_ids
                 assert entry[2] is compiled_type.child_types
                 assert len(compiled_type.child_types) == len(dfa.symbols) + 1
                 assert compiled_type.child_types[-1] == -1
-                assert all(
-                    compiled_type.columns[interned]
-                    == dfa.symbol_ids.get(name, -1)
-                    for name, interned in compiled.name_ids.items()
-                ), f"{key}: type {compiled_type.name}"
+                assert dfa.symbol_ids == {
+                    name: column for column, name in enumerate(dfa.symbols)
+                }, f"{key}: type {compiled_type.name}"
+
+    def test_each_name_is_one_object(self):
+        # The scan's probes carry the names entries; every map they probe
+        # is keyed by those very objects, so each probe hits by identity.
+        for key in sorted(SCHEMAS):
+            __, compiled, *___ = _setup(key)
+            canonical = {name: name for name in compiled.names}
+            assert len(canonical) == len(compiled.names)
+            keys = list(compiled.start)
+            for compiled_type in compiled.types:
+                keys += compiled_type.dfa.symbol_ids
+                keys += compiled_type.dfa.symbols
+            for name in keys:
+                assert name is canonical[name], f"{key}: {name!r}"
 
     def test_dense_commits_valid_documents_without_fallback(self):
         from repro.observability import default_registry

@@ -221,6 +221,10 @@ class TestFallbackBoundary:
         '<!DOCTYPE a SYSTEM "a>b.dtd"><a/>',     # quoted '>' in a DOCTYPE
         "<a/><!-- c --><?pi?>\n",               # comment and PI after root
         "<a>caf\u00e9 &#x3000;&lt;</a>",        # non-ASCII text, references
+        "\ufeff<a>x</a>",                        # byte-order mark
+        "\ufeff<?xml version='1.0'?><!DOCTYPE a><a/>",  # ... declaration
+        "<a>\ufeff<b/>\ufeff</a>",               # U+FEFF in text
+        "<?xml-stylesheet h='s'?><a><?xmlfoo?></a>",  # targets past xml
     ])
     def test_rich_markup_commits(self, text):
         # Markup that never changes a verdict stays on the dense path.
@@ -281,7 +285,18 @@ class TestFallbackBoundary:
                      "<a>x]]>y</a>", "<a>x]]></a>", "<a>é]]></a>",
                      "<a><!-- a -- b --></a>", "<a><!-- ok ---></a>",
                      "<!-- x -- y --><a/>", "<a/><!-- x -- y -->",
-                     "<a><!--a><!-- c --></a>"]:
+                     "<a><!--a><!-- c --></a>",
+                     # an XML declaration anywhere but the start, and
+                     # PI targets xml in any case ([17], [22], [23])
+                     " <?xml version='1.0'?><a/>",
+                     "<?xml version='1.0'?><?xml version='1.0'?><a/>",
+                     "<!-- c --><?xml version='1.0'?><a/>",
+                     "<a><?xml version='1.0'?></a>",
+                     "<a/><?xml version='1.0'?>", "<?XML v?><a/>",
+                     "<a><?xMl?></a>", "<?xml?><a/>",
+                     # a byte-order mark anywhere but offset 0
+                     " \ufeff<a/>", "<?xml version='1.0'?>\ufeff<a/>",
+                     "\ufeff\ufeff<a/>"]:
             assert assert_tokenizer_agreement(text) is False
 
     @pytest.mark.parametrize("data", [
@@ -289,6 +304,7 @@ class TestFallbackBoundary:
         b"<?pi \xff?><a/>",                              # PI
         b"<?xml version='1.0' encoding='\xff'?><a/>",    # declaration
         "<!-- caf\xe9 --><a/>".encode("latin-1"),
+        b"\xef\xbb\xbf<!-- \xff --><a/>",                # past a mark
     ])
     def test_undecodable_prolog_bytes_are_refused(self, data):
         # The scan skips the prolog without decoding it, so it must not

@@ -94,8 +94,10 @@ class TestSeededCorpus:
             capped += under_caps
             defaults += under_defaults
         # Agreement must come from commits, not from falling back on
-        # every input.  The fuzz caps refuse the deeper nests.
-        assert capped >= 75 and defaults >= 103
+        # every input.  The fuzz caps refuse the deeper nests, and a
+        # base document nested in <w> elements puts its XML declaration
+        # in content, which [17] forbids.
+        assert capped >= 75 and defaults >= 99
 
     def test_every_mutation_operator_alone(self):
         rng = random.Random(0xFACADE)
@@ -107,7 +109,7 @@ class TestSeededCorpus:
                         assert_agreement_both_limits(mutation(base, rng)))
                     capped += under_caps
                     defaults += under_defaults
-        assert capped >= 58 and defaults >= 77
+        assert capped >= 57 and defaults >= 72
 
 
 class TestCommits:
@@ -126,6 +128,10 @@ class TestCommits:
         "<r><a/><a/><a>t</a><a>t</a></r>",             # repeated chunks
         "<a>wow! why?<b/>!?</a>",                      # '!', '?' in text
         "<a>x<?pi!?></a>",                             # ... in a PI
+        "\ufeff<a>x</a>",                              # byte-order mark
+        "\ufeff<?xml version='1.0'?>\n<!-- c --><a/>",  # ... and a declaration
+        "<a>\ufeff<b>x\ufeff</b></a>",                  # U+FEFF in text
+        "<?xml-stylesheet href='s'?><a><?xmlfoo?></a>",  # PI targets past xml
     ])
     def test_certified_shapes_commit(self, text):
         before = _counts()
@@ -163,6 +169,17 @@ class TestFallbacks:
         "<a><!-- ok ---></a>",                   # ... ending in '-'
         "<!-- x -- y --><a/>",                   # ... in the prolog
         "<a/><!-- x -- y -->",                   # ... after the root
+        " <?xml version='1.0'?><a/>",            # declaration after space
+        "<?xml version='1.0'?><?xml version='1.0'?><a/>",  # a second one
+        "<!-- c --><?xml version='1.0'?><a/>",   # ... after a comment
+        "<a><?xml version='1.0'?></a>",          # ... in content
+        "<a/><?xml version='1.0'?>",             # ... after the root
+        "<?XML v?><a/>",                         # target xml, any case
+        "<a><?xMl?></a>",
+        "<?xml?><a/>",                           # no declaration: no space
+        " \ufeff<a/>",                           # mark after a space
+        "<?xml version='1.0'?>\ufeff<a/>",       # ... after the declaration
+        "\ufeff\ufeff<a/>",                      # a second mark
     ])
     def test_refused_shapes_fall_back(self, text):
         before = _counts()

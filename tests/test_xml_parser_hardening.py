@@ -134,6 +134,70 @@ class TestCharacterDataAndComments:
         assert root.text == expected.text
 
 
+class TestPrologMarks:
+    """A byte-order mark may open a document (§4.3.3) and the XML
+    declaration may come only there or right after it ([22], [23]); a PI
+    whose target is ``xml`` in any case is an error anywhere ([17]).
+    The error points at the ``<?``; expat agrees on every shape."""
+
+    _DECLARATION = "<?xml version='1.0'?>"
+
+    @pytest.mark.parametrize(
+        ("text", "message", "line", "column"),
+        [
+            ("  " + _DECLARATION + "<a/>",
+             "XML declaration not at the start of the document", 1, 3),
+            (_DECLARATION + _DECLARATION + "<a/>",
+             "XML declaration not at the start of the document", 1, 22),
+            ("<!-- c -->" + _DECLARATION + "<a/>",
+             "XML declaration not at the start of the document", 1, 11),
+            ("<!DOCTYPE a>\n" + _DECLARATION + "<a/>",
+             "XML declaration not at the start of the document", 2, 1),
+            ("<a>\n  " + _DECLARATION + "</a>",
+             "XML declaration not at the start of the document", 2, 3),
+            ("<a/>" + _DECLARATION,
+             "XML declaration not at the start of the document", 1, 5),
+            ("\ufeff \ufeff" + _DECLARATION + "<a/>",
+             "expected an element start tag", 1, 3),
+            ("<?XML v?><a/>",
+             "reserved processing instruction target 'XML'", 1, 1),
+            ("<a><?xMl?></a>",
+             "reserved processing instruction target 'xMl'", 1, 4),
+            ("<?xml?><a/>",
+             "reserved processing instruction target 'xml'", 1, 1),
+            (" \ufeff<a/>", "expected an element start tag", 1, 2),
+            (_DECLARATION + "\ufeff<a/>", "expected an element start tag",
+             1, 22),
+            ("\ufeff\ufeff<a/>", "expected an element start tag", 1, 2),
+        ],
+    )
+    def test_misplaced_shapes_raise_parse_error(self, text, message, line,
+                                                column):
+        for parse in (parse_document, lambda t: list(iter_events(t))):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.message == message
+            assert (info.value.line, info.value.column) == (line, column)
+        with pytest.raises(ElementTree.ParseError):
+            ElementTree.fromstring(text)
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff<a>x</a>",
+        "\ufeff" + _DECLARATION + "\n<!-- c --><a b='1'/>",
+        "\ufeff<!DOCTYPE a><a/>",
+        "<a>\ufeff<b>\ufeff</b>\ufeff</a>",
+        "<?xml\tversion='1.0'?><a/>",
+        "<?xml-stylesheet href='s'?><a><?xmlfoo x?></a><?xml-x?>",
+    ])
+    def test_legal_shapes_parse_as_expat_does(self, text):
+        from repro.xmlmodel.parser import from_etree
+        from repro.xmlmodel.tree import XMLElement
+
+        expected = from_etree(ElementTree.fromstring(text))
+        assert parse_document(text).root == expected
+        assert XMLElement.from_events(iter_events(text)) == expected
+
+
 class TestDoctypeLiterals:
     def test_gt_inside_system_id_does_not_terminate(self):
         doc = parse_document('<!DOCTYPE a SYSTEM "odd>name.dtd"><a/>')
