@@ -18,12 +18,21 @@ then ``validate_xsd``: pinned to the char parser, so that a faster
 ``tree_fold_vs_char`` is ``parse_document``'s rate over that char-tier
 parse's; the benchmark document and its decorated copy must each build
 on the byte tier (``xmlmodel.parse.byte_docs`` +1, ``fallbacks`` +0)
-and give the char tier's tree.  The absolute ceilings are the identity
-cache hit (10 microseconds) and the text-to-compiled-schema time of a
-24-member ``xs:all``, a valid record of which must commit on the dense
-path.  So must a copy of the benchmark document decorated with the
-markup the byte tier certifies (a DOCTYPE, comments, PIs, CDATA,
-references and non-ASCII text); it has no floor.  A memory ceiling
+and give the char tier's tree.  ``invalid_fold_vs_char`` is the rate of
+``validate(text)`` over ``validate_events(iter_events(text))`` on a copy
+made invalid by a ``<bogus/>`` in its last ``<content>``: the dense scan
+falls back there, and the compat loop reruns over the byte tier's tree,
+not the char tier's events.  That copy must fall back once and fold
+once (``engine.dense.fallbacks`` +1, ``engine.fold.reruns`` +1) and
+give the char route's violations and typing, and a copy with a wrong
+root must not fold (the char tier answers a root exit at once).  So
+invalid documents drifting back to the char tier fail here.  The
+absolute ceilings are the identity cache hit (10 microseconds) and the
+text-to-compiled-schema time of a 24-member ``xs:all``, a valid record
+of which must commit on the dense path.  So must a copy of the
+benchmark document decorated with the markup the byte tier certifies
+(a DOCTYPE, comments, PIs, CDATA, references and non-ASCII text); it
+has no floor.  A memory ceiling
 bounds what the compiled form of an ordinary many-type XSD retains
 (``schema_retained_mib_ceiling``: 111 sequence types over 1,111 element
 names, measured with :mod:`tracemalloc`), and a second one what a wider
@@ -126,6 +135,12 @@ def measure():
                       "the byte tier than on the char tier", file=sys.stderr)
                 sys.exit(1)
 
+        invalid = _check_fold_route(validator, text)
+        fold_rerun = _rate(lambda: validator.validate(invalid), size)
+        char_rerun = _rate(
+            lambda: validator.validate_events(iter_events(invalid)), size
+        )
+
         e2e_tree = _rate(lambda: validate_xsd(xsd, char_tree(text)), size)
         tree_fold = _rate(lambda: parse_document(text), size)
         tree_char = _rate(lambda: char_tree(text), size)
@@ -163,6 +178,7 @@ def measure():
         "dense_vs_tree": e2e_dense / e2e_tree,
         "dict_vs_tree": e2e_dict / e2e_tree,
         "tree_fold_vs_char": tree_fold / tree_char,
+        "invalid_fold_vs_char": fold_rerun / char_rerun,
         "cache_hit_us": cache_hit_us,
         "incremental_vs_full": incremental_vs_full,
         "diff_vs_tree": diff_vs_tree,
@@ -171,6 +187,45 @@ def measure():
         "wide_schema_retained_mib": wide_schema_retained_mib,
         **serve,
     }
+
+
+def _check_fold_route(validator, text):
+    """The benchmark document made invalid by a ``<bogus/>`` in its last
+    ``<content>``, once checked to rerun on the byte tier's tree.
+
+    That copy must fall back once and fold once, and give the char
+    route's violations and typing; a copy whose root is undeclared must
+    fall back without folding.
+    """
+    from repro.observability import default_registry
+    from repro.xmlmodel.parser import iter_events
+
+    registry = default_registry()
+    falls = registry.counter("engine.dense.fallbacks")
+    folds = registry.counter("engine.fold.reruns")
+    cut = text.rindex("</content>")
+    invalid = text[:cut] + "<bogus/>" + text[cut:]
+    wrong_root = text.replace("<document>", "<nodocument>").replace(
+        "</document>", "</nodocument>")
+    for label, document, folded in (("invalid copy", invalid, 1),
+                                    ("wrong-root copy", wrong_root, 0)):
+        before = falls.value, folds.value
+        report = validator.validate(document)
+        if (falls.value, folds.value) != (before[0] + 1, before[1] + folded):
+            print(f"perfguard FAILED: the benchmark document's {label} "
+                  f"folded {folds.value - before[1]} times (expected "
+                  f"{folded}) over {falls.value - before[0]} fallbacks "
+                  "(expected 1)", file=sys.stderr)
+            sys.exit(1)
+        expected = validator.validate_events(iter_events(document))
+        if (report.valid or report.violations != expected.violations
+                or list(report.typing.items())
+                != list(expected.typing.items())):
+            print(f"perfguard FAILED: the benchmark document's {label} "
+                  "gives another report than the char route",
+                  file=sys.stderr)
+            sys.exit(1)
+    return invalid
 
 
 def _measure_incremental(text, xsd, compiled, full_seconds):
@@ -411,7 +466,7 @@ def main():
     measured = measure()
     problems = []
     for key in ("dense_vs_tree", "dict_vs_tree", "incremental_vs_full",
-                "tree_fold_vs_char"):
+                "tree_fold_vs_char", "invalid_fold_vs_char"):
         if measured[key] < floors[key]:
             problems.append(
                 f"{key}: measured {measured[key]:.2f}x is below the "
@@ -477,6 +532,8 @@ def main():
         f"(floor {floors['dict_vs_tree']:.1f}x), "
         f"byte-tier tree {measured['tree_fold_vs_char']:.1f}x char tier "
         f"(floor {floors['tree_fold_vs_char']:.1f}x), "
+        f"invalid document {measured['invalid_fold_vs_char']:.1f}x its "
+        f"char-tier rerun (floor {floors['invalid_fold_vs_char']:.1f}x), "
         f"identity cache hit {measured['cache_hit_us']:.2f} us "
         f"(ceiling {floors['cache_hit_us_ceiling']:.1f} us), "
         f"incremental edit {measured['incremental_vs_full']:.0f}x full "

@@ -59,10 +59,13 @@ _DEFAULT_NS_RE = _re.compile(r"^\s*default\s+namespace\s+(\S+)\s*$")
 def parse_bonxai(text):
     """Parse BonXai source text into a :class:`BonXaiSchema`.
 
+    The text may open with a byte-order mark (U+FEFF at offset 0 only,
+    as in an XML document).
+
     Raises:
         ParseError: on malformed input.
     """
-    text = _COMMENT_RE.sub("", text)
+    text = _COMMENT_RE.sub("", text.removeprefix("\ufeff"))
     scanner = _BlockScanner(text)
     target_namespace = None
     namespaces = {}

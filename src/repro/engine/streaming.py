@@ -1,12 +1,17 @@
 """Streaming validation against a compiled schema.
 
 The validator consumes SAX-style events (from
-:func:`repro.xmlmodel.parser.iter_events` or ``XMLDocument.events()``) and
-never materializes a tree: its working state is a stack of frames, one per
-open element, each holding the element's compiled type and current
-content-DFA state.  A document is valid iff every frame's DFA ends in an
-accepting state — the event-stream restatement of Definition 2/3's "every
-node's child-string matches its content model".
+:func:`repro.xmlmodel.parser.iter_events` or ``XMLDocument.events()``)
+and builds no tree of its own: its working state is a stack of frames,
+one per open element, each holding the element's compiled type and
+current content-DFA state.  A document is valid iff every frame's DFA
+ends in an accepting state — the event-stream restatement of Definition
+2/3's "every node's child-string matches its content model".  Text and
+bytes first take the dense scan, which commits only valid documents;
+when it falls back, the same loop reruns over the events of the tree
+the byte tier folds from the document
+(:func:`repro.xmlmodel.tokenizer.fold_tree`), and over the char tier's
+events only at a root exit or when the fold refuses the document.
 
 The report is interchangeable with the tree validator's: the same
 :class:`~repro.xsd.validator.XSDValidationReport` class, the same typing
@@ -21,10 +26,11 @@ where explanations come from: this loop records nothing for them.  A
 stream that does not spell one element (empty, ending inside an element,
 or closing one that is not open) is a :class:`~repro.errors.ParseError`.
 
-One deliberate deviation from pure streaming: each frame accumulates its
-child-name list so the mismatch diagnostic can cite the full child-string,
-exactly like the tree validator.  Memory is O(max fanout x depth), not
-O(document).
+Memory: each frame accumulates its child-name list so the mismatch
+diagnostic can cite the full child-string, exactly like the tree
+validator, so the loop holds O(max fanout x depth) beyond its report,
+whose typing map has one entry per element.  A fallback rerun on the
+fold also holds the document's tree until the loop ends (DESIGN §8).
 """
 
 from __future__ import annotations
@@ -38,18 +44,25 @@ from repro.observability import default_registry
 from repro.observability.budget import current_budget
 from repro.observability.tracing import span
 from repro.resilience.limits import ParserLimits, resolve_limits
+from repro.xmlmodel.parser import _iter_events, iter_events
 from repro.xmlmodel.tokenizer import (
+    _CHECK_CHUNKS,
     END,
     START,
     FallbackRequired,
     body_start,
     check_after_root,
+    fold_tree,
     parse_chunk,
     split_body,
 )
 from repro.xsd.validator import XSDValidationReport
 
 _FALLBACK = FallbackRequired()
+# Raised at the scan's root exits (an undeclared or a second root): the
+# char tier answers those at once, where a fold would first build the
+# whole tree.
+_ROOT_FALLBACK = FallbackRequired()
 
 # The parent class's slot descriptor for ``typing``: _DenseReport shadows
 # the attribute with a lazy property, so reads/writes of the underlying
@@ -58,9 +71,9 @@ _TYPING_SLOT = XSDValidationReport.typing
 
 _UNLIMITED = ParserLimits.unlimited()
 
-# The loops check an ambient ResourceBudget's clock once per this many
-# chunks (the dense scan) or events (the compat loop), never per step.
-_CHECK_CHUNKS = 4096
+# The compat loop checks an ambient ResourceBudget's clock once per this
+# many events (the dense scan once per _CHECK_CHUNKS chunks), never per
+# step.
 _CHECK_EVENTS = 64
 
 
@@ -322,7 +335,10 @@ class StreamingValidator:
 
         Text and UTF-8 bytes take the dense fast path; all other inputs —
         and every fast-path fallback — run the event-driven compat loop,
-        so the report is identical either way.
+        so the report is identical either way.  A fallback reruns that
+        loop over the byte tier's tree of the text, or over the char
+        tier's events at a root exit and when the tree fold refuses the
+        text.
         """
         if isinstance(source, str):
             # A lone surrogate has no UTF-8 encoding; "surrogatepass"
@@ -338,8 +354,10 @@ class StreamingValidator:
     def validate_bytes(self, data):
         """Validate UTF-8 document bytes without materializing a str.
 
-        The dense fast path works on the bytes directly; only a fallback
-        decodes them for the char-based parser.
+        The dense fast path and the tree fold a fallback reruns on work
+        on the bytes directly; only a rerun on the char tier (a root
+        exit, or bytes the fold refuses) decodes them for the char-based
+        parser.
 
         Raises:
             ParseError: on malformed documents (including bytes that are
@@ -371,9 +389,14 @@ class StreamingValidator:
 
     def _dense_or_fallback(self, data, text, limits, trace):
         """The dense scan, or the compat loop when the scan falls back;
-        tags ``trace`` with the path taken."""
-        from repro.xmlmodel.parser import _iter_events
+        tags ``trace`` with the path taken.
 
+        The compat loop reruns over the byte tier's tree of the document
+        (:func:`~repro.xmlmodel.tokenizer.fold_tree`), whose events spell
+        the char tier's, and accounts the text events the tree merges.
+        It reruns over the char tier's events only at a root exit, which
+        the char tier answers after one event, and on what the fold
+        refuses; the span's ``rerun`` attribute tells which."""
         registry = default_registry()
         try:
             result = self._scan_dense(data, limits)
@@ -384,11 +407,22 @@ class StreamingValidator:
             fallback.__traceback__ = fallback.__context__ = None
             registry.counter("engine.dense.fallbacks").inc()
             trace.set_attribute("path", "fallback")
-            if text is None:
-                text = _decode_utf8(data)
             # The probes fired once for this document; the compat loop
             # reruns without re-probing (fault injection must see one
             # document, not two).
+            if fallback is not _ROOT_FALLBACK:
+                try:
+                    root, split = fold_tree(data, limits)
+                except FallbackRequired as refused:
+                    refused.__traceback__ = refused.__context__ = None
+                else:
+                    registry.counter("engine.fold.reruns").inc()
+                    trace.set_attribute("rerun", "fold")
+                    report, consumed = self._run(root.events())
+                    return report, consumed + split
+            trace.set_attribute("rerun", "char")
+            if text is None:
+                text = _decode_utf8(data)
             return self._run(_iter_events(text, limits))
         registry.counter("engine.dense.docs").inc()
         trace.set_attribute("path", "dense")
@@ -398,8 +432,9 @@ class StreamingValidator:
         """The fused tokenizer+validator loop.
 
         One chunk-memo lookup per tag; the memo-miss path resolves a
-        tag's name bytes to the schema's own name object (a name outside
-        the alphabet falls back there).  A start or self-closing tag
+        tag's name bytes to the schema's own name object (``None`` for a
+        name outside the alphabet, which no map holds).  A start or
+        self-closing tag
         then takes one child step: its column in the open type's
         ``symbol_ids`` (a root's type from ``start``), a table step,
         the depth and attribute checks; a start tag pushes, and a
@@ -407,7 +442,9 @@ class StreamingValidator:
         events.  Commits only documents that are well formed, within
         limits, and valid — any violation, anomaly, or uncertainty
         raises :class:`FallbackRequired` and the compat path produces
-        the canonical report/error.  Checks an ambient budget's clock.
+        the canonical report/error; an undeclared or second root raises
+        ``_ROOT_FALLBACK``, which the char tier answers at once.  Checks
+        an ambient budget's clock.
         """
         schema = self.schema
         budget = current_budget()
@@ -421,9 +458,9 @@ class StreamingValidator:
 
         def name_of(name_bytes):
             interned = byte_ids.get(name_bytes)
-            if interned is None:  # outside the schema alphabet
-                raise _FALLBACK
-            return names[interned]
+            # A name outside the schema alphabet is None: no type's
+            # child, no root, no open element's name.
+            return None if interned is None else names[interned]
 
         memo = {}
         memo_get = memo.get
@@ -459,7 +496,10 @@ class StreamingValidator:
                     memo[chunk] = action
                 kind = action[0]
                 if kind == END:
-                    if action[1] != open_name:  # mismatched (or depth 0)
+                    # Mismatched, or at depth 0, where an end tag naming
+                    # no schema name meets open_name None and the accept
+                    # test below refuses it (acc_bits is 0 there).
+                    if action[1] != open_name:
                         raise _FALLBACK
                     if bag is None:
                         if not acc_bits >> state & 1:  # content mismatch
@@ -494,11 +534,11 @@ class StreamingValidator:
                             raise _FALLBACK
                         state |= bit
                 else:
-                    if root_done:
-                        raise _FALLBACK
+                    if root_done:  # a second root
+                        raise _ROOT_FALLBACK
                     type_id = start_get(name, -1)
                     if type_id < 0:  # undeclared root
-                        raise _FALLBACK
+                        raise _ROOT_FALLBACK
                 if max_depth is not None and depth >= max_depth:
                     raise _FALLBACK
                 entry = dense_types[type_id]
@@ -549,8 +589,6 @@ def as_events(source):
     :class:`~repro.errors.ParseError`); text and bytes parse under the
     ambient (else default) :class:`~repro.resilience.ParserLimits`.
     """
-    from repro.xmlmodel.parser import iter_events
-
     if isinstance(source, str):
         return iter_events(source)
     if isinstance(source, (bytes, bytearray, memoryview)):

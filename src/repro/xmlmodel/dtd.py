@@ -189,10 +189,12 @@ def parse_dtd(text, root=None):
     """Parse DTD declarations from ``text`` into a :class:`DTD`.
 
     Args:
-        text: the DTD source (an external subset, i.e. bare declarations).
+        text: the DTD source (an external subset, i.e. bare declarations),
+            which may open with a byte-order mark (U+FEFF at offset 0
+            only, as in an XML document).
         root: optional expected root element name.
     """
-    text = _COMMENT_RE.sub(" ", text)
+    text = _COMMENT_RE.sub(" ", text.removeprefix("\ufeff"))
     entities = {}
     dtd = DTD(root=root)
     for kind, body in _iter_declarations(text):

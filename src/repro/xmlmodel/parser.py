@@ -51,7 +51,7 @@ from __future__ import annotations
 from repro.errors import LimitExceeded, ParseError
 from repro.observability import default_registry
 from repro.resilience.faults import probe
-from repro.resilience.limits import resolve_limits
+from repro.resilience.limits import ParserLimits, resolve_limits
 from repro.xmlmodel.tree import XMLDocument, XMLElement
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
@@ -60,6 +60,9 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 # The whitespace characters ([3] S), one at a time.
 _SPACES = (" ", "\t", "\r", "\n")
+
+# Limits that cap nothing, for names no limit applies to.
+_UNCAPPED = ParserLimits.unlimited()
 
 
 class _Cursor:
@@ -221,6 +224,10 @@ def parse_document(text, limits=None):
         ParseError: if the input is not well-formed, or (the
             :class:`~repro.errors.LimitExceeded` subclass) if it trips a
             parsing limit.
+        BudgetExceeded: if an ambient
+            :class:`~repro.observability.ResourceBudget`'s deadline
+            passes during the byte tier's fold, which checks its clock
+            once per 4096 chunks.
     """
     from repro.xmlmodel.tokenizer import FallbackRequired, fold_tree
 
@@ -231,7 +238,7 @@ def parse_document(text, limits=None):
     try:
         # A lone surrogate becomes bytes that are not UTF-8, which the
         # byte tier refuses.
-        root = fold_tree(text.encode("utf-8", "surrogatepass"), limits)
+        root, __ = fold_tree(text.encode("utf-8", "surrogatepass"), limits)
     except FallbackRequired as fallback:
         # The raised instances are shared, and a raise chains its frames
         # onto the instance's traceback: drop them, or every fallback
@@ -280,19 +287,32 @@ def _skip_misc(cursor):
 
 
 def _skip_pi(cursor):
-    """Skip the processing instruction that opens at the cursor.  Its
-    target may not be ``xml`` in any case ([17]), so a declaration
-    anywhere but the start is an error; the error points at the ``<?``.
+    """Skip the processing instruction that opens at the cursor: ``<?``,
+    a target name, then whitespace or ``?>`` ([16]).  The target may not
+    be ``xml`` in any case ([17]), so a declaration anywhere but the
+    start is an error, which points at the ``<?``; a target that is no
+    name points where the name should start, anything but whitespace or
+    ``?>`` after it where it stands, and an unterminated instruction
+    just past the ``<?``.  The target's length is not capped, as the
+    instruction's text is not.
     """
-    target = cursor.peek(5)[2:]
-    after = cursor.peek(6)[5:]
-    if target.lower() == "xml" and not (after and _is_name_char(after)):
+    start = cursor.pos
+    cursor.advance(2)
+    target = _read_name(cursor, _UNCAPPED)
+    after = cursor.peek()
+    if target.lower() == "xml":
+        cursor.pos = start
         raise cursor.error(
             "XML declaration not at the start of the document"
             if target == "xml" and after in _SPACES else
             f"reserved processing instruction target {target!r}"
         )
-    cursor.advance(2)
+    if after and after not in _SPACES and not cursor.startswith("?>"):
+        raise cursor.error(
+            f"processing instruction target {target!r} must be followed "
+            "by whitespace or '?>'"
+        )
+    cursor.pos = start + 2
     cursor.take_until("?>", "processing instruction")
 
 

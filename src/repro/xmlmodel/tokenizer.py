@@ -27,7 +27,8 @@ accept identically.  It falls back on:
   or ``]`` outside its quoted literals), or a second DOCTYPE;
 * a PI whose target may be ``xml`` in any case ([17]) — the XML
   declaration, at offset 0 or right after the mark, is the one
-  ``<?xml`` it skips;
+  ``<?xml`` it skips — and one whose target is not an ASCII name
+  followed by whitespace or ``?>`` ([16]);
 * ``<!`` in the body that opens no comment or CDATA section, and
   anything but whitespace, comments and PIs after the root element;
 * bytes that are not UTF-8, and names outside a conservative ASCII
@@ -49,8 +50,12 @@ dense validation loop
 (:meth:`repro.engine.streaming.StreamingValidator._scan_dense`) and its
 lazy typing walk, which resolve names to the schema's own name objects,
 and by :func:`fold_tree`, which builds the tree for
-:func:`repro.xmlmodel.parser.parse_document`.  The chunk grammar is one
-function with two outputs: the scan keeps what validation reads (names,
+:func:`repro.xmlmodel.parser.parse_document` and for the streaming
+validator's rerun of a document its scan did not commit (with the text
+events the char tier would count, so the rerun's event count is the
+char tier's).  Both chunk loops check an ambient budget's clock once
+per :data:`_CHECK_CHUNKS` chunks.  The chunk grammar is one function
+with two outputs: the scan keeps what validation reads (names,
 attribute names, whether the text is significant, undecoded where the
 bytes suffice), the fold decoded names, attribute values and text.
 ``tests/test_tokenizer_hardening`` replays the parser fuzz corpus
@@ -65,6 +70,7 @@ import sys
 from itertools import islice
 
 from repro.errors import ParseError
+from repro.observability.budget import current_budget
 from repro.xmlmodel.parser import _Cursor, _decode_entities
 from repro.xmlmodel.tree import XMLElement
 
@@ -122,11 +128,15 @@ _MISC = ((b"<!--", _DASHES), (b"<?", _PI_CLOSE))
 _MARKUP = _MISC + ((_CDATA_OPEN, _CDATA_CLOSE),)
 _MARKUP_START = re.compile(rb"<[!?]")
 
-# A PI whose target may be ``xml`` in any case ([17] reserves it): the
-# third byte is tested first, so other PIs pay one compare.  A non-ASCII
-# byte after the three letters matches too (that shape falls back).
-_X_BYTES = (b"x", b"X")
-_RESERVED_PI = re.compile(rb"<\?[Xx][Mm][Ll](?![A-Za-z0-9_:.\-])")
+# The opening of a PI the fast tier certifies ([16], [17]): a target in
+# the ASCII name subset, then whitespace or ``?>``, the target not being
+# ``xml`` in any case ([17] reserves it).  Any other shape falls back: a
+# target that is no name, or is followed by anything else, is the
+# careful tier's error, and a non-ASCII target its to judge.
+_PI_START = re.compile(
+    rb"<\?(?![Xx][Mm][Ll](?:[ \t\r\n]|\?>))"
+    rb"[A-Za-z_:][A-Za-z0-9_:.\-]*(?:[ \t\r\n]|\?>)"
+)
 
 # The byte-order mark a document may open with (§4.3.3), and the XML
 # declaration, which only it may precede ([22], [23]).
@@ -142,15 +152,20 @@ _EMPTY_SET = frozenset()
 # Action kinds.
 START, END, SELFCLOSE = 0, 1, 2
 
+# The chunk loops (the dense scan and the fold) check an ambient
+# ResourceBudget's clock once per this many chunks, never per chunk.
+_CHECK_CHUNKS = 4096
+
 
 def _markup_end(data, pos, kinds=_MARKUP):
     """Offset just past the markup of ``kinds`` that opens at
     ``data[pos]``, or ``None`` if none opens there.
 
     A comment's first ``--`` must begin its ``-->``: its text may hold
-    no ``--`` and may not end in ``-`` ([15]).  A PI's target may not
-    be ``xml`` in any case ([17]); :func:`body_start` skips the one
-    declaration a document may hold.
+    no ``--`` and may not end in ``-`` ([15]).  A PI opens with a target
+    name and whitespace or ``?>`` ([16]), the target not ``xml`` in any
+    case ([17]); :func:`body_start` skips the one declaration a document
+    may hold.
     """
     for opener, closer in kinds:
         if data.startswith(opener, pos):
@@ -162,8 +177,7 @@ def _markup_end(data, pos, kinds=_MARKUP):
                 if data[end:end + 1] != b">":
                     raise _FALLBACK
                 end += 1
-            elif (closer is _PI_CLOSE and data[pos + 2:pos + 3] in _X_BYTES
-                    and _RESERVED_PI.match(data, pos)):
+            elif closer is _PI_CLOSE and _PI_START.match(data, pos) is None:
                 raise _FALLBACK
             return end
     return None
@@ -319,19 +333,18 @@ def parse_chunk(chunk, limits, name_id_of):
     validator reads only names and these two figures.
 
     ``name_id_of`` resolves a name's bytes to the caller's key for it
-    (the validator's is the schema's own name object), which this
-    function never looks inside; it may itself raise
-    :class:`FallbackRequired` (the validator does, for names outside
-    the schema alphabet).  The grammar and its checks are
-    :func:`_parse`'s.
+    (the validator's is the schema's own name object, or ``None`` for a
+    name outside the schema alphabet), which this function never looks
+    inside; it may itself raise :class:`FallbackRequired`.  The grammar
+    and its checks are :func:`_parse`'s.
     """
     return _parse(chunk, limits, name_id_of, False)
 
 
 def fold_tree(data, limits):
-    """The root :class:`~repro.xmlmodel.tree.XMLElement` of UTF-8
-    ``data``, folded from its chunks (the tree fold of
-    :func:`repro.xmlmodel.parser.parse_document`).
+    """``(root, split)``: the root :class:`~repro.xmlmodel.tree.XMLElement`
+    of UTF-8 ``data``, folded from its chunks, and how many more text
+    events the char tier yields for it than the tree spells.
 
     Folds as :meth:`XMLElement.from_events` folds the char parser's
     events.  Each distinct chunk is parsed once, with its values
@@ -346,6 +359,16 @@ def fold_tree(data, limits):
     close the open element, the root may have no sibling, and
     ``max_depth`` holds as in the char parser.  Raises
     :class:`FallbackRequired` on anything it cannot certify.
+
+    The tree yields one text event per non-empty run, where the char
+    tier yields one per run that comments, PIs and CDATA sections split
+    it into; ``split`` counts the difference, so that it plus the events
+    of ``root.events()`` is the char tier's count for the document (the
+    content after the root yields none on either tier).  Two callers:
+    :func:`repro.xmlmodel.parser.parse_document`, which drops ``split``,
+    and the streaming validator's rerun of a document its dense scan
+    could not commit.  Checks an ambient budget's clock once per
+    :data:`_CHECK_CHUNKS` chunks, as the scan does.
     """
     chunks = split_body(data, body_start(data))
     names = {}
@@ -356,59 +379,83 @@ def fold_tree(data, limits):
             name = names[name_bytes] = name_bytes.decode("ascii")
         return name
 
+    budget = current_budget()
     max_depth = limits.max_depth
     if max_depth is None:
         max_depth = sys.maxsize
     memo = {}
     memo_get = memo.get
+    # Chunks whose content the char tier yields as more than one text
+    # event stay out of memo, so that each occurrence counts its extra
+    # events on the miss branch and the hit path pays nothing for them.
+    splits = {}
+    splits_get = splits.get
+    split = 0
     new = XMLElement.__new__
     root = node = None  # node: the innermost open element
     depth = 0
-    for chunk in islice(chunks, 1, None):  # chunks[0] precedes the root
-        action = memo_get(chunk)
-        if action is None:
-            action = memo[chunk] = _parse(chunk, limits, name_of, True)
-        kind, name, attributes, text = action
-        if kind == END:
-            if node is None or name != node.name:
+    rest = iter(chunks)
+    next(rest)  # chunks[0] precedes the root
+    for first in range(1, len(chunks), _CHECK_CHUNKS):
+        if budget is not None and first > 1:
+            budget.check_time("xmlmodel.fold_tree")
+        for chunk in islice(rest, _CHECK_CHUNKS):
+            action = memo_get(chunk)
+            if action is None:
+                parsed = ((splits and splits_get(chunk))
+                          or _parse(chunk, limits, name_of, True))
+                action, events = parsed
+                if events > 1:
+                    splits[chunk] = parsed
+                    split += events - 1
+                else:
+                    memo[chunk] = action
+            kind, name, attributes, text = action
+            if kind == END:
+                if node is None or name != node.name:
+                    raise _FALLBACK
+                depth -= 1
+                node = node.parent
+                if node is not None:
+                    node.texts[-1] = text
+                continue
+            if node is None:
+                if root is not None:  # a second root
+                    raise _FALLBACK
+            elif depth >= max_depth:
                 raise _FALLBACK
-            depth -= 1
-            node = node.parent
-            if node is not None:
-                node.texts[-1] = text
-            continue
-        if node is None:
-            if root is not None:  # a second root
-                raise _FALLBACK
-        elif depth >= max_depth:
-            raise _FALLBACK
-        child = new(XMLElement)
-        child.name = name
-        child.attributes = attributes.copy()
-        child.children = []
-        child.parent = node
-        if node is None:
-            root = child
-        else:
-            node.children.append(child)
-            node.texts.append("")
-        if kind == START:
-            child.texts = [text]
-            node = child
-            depth += 1
-        else:  # SELFCLOSE
-            child.texts = [""]
-            if node is not None:
-                node.texts[-1] = text
+            child = new(XMLElement)
+            child.name = name
+            child.attributes = attributes.copy()
+            child.children = []
+            child.parent = node
+            if node is None:
+                root = child
+            else:
+                node.children.append(child)
+                node.texts.append("")
+            if kind == START:
+                child.texts = [text]
+                node = child
+                depth += 1
+            else:  # SELFCLOSE
+                child.texts = [""]
+                if node is not None:
+                    node.texts[-1] = text
     if node is not None:  # an element left open
         raise _FALLBACK
     check_after_root(chunks[-1])
-    return root
+    # The last chunk closed the root: what follows it is no text.
+    last = splits_get(chunks[-1])
+    if last is not None:
+        split -= last[1] - 1
+    return root, split
 
 
 def _parse(chunk, limits, name_id_of, decode):
     """The chunk grammar behind :func:`parse_chunk` (``decode`` false)
-    and :func:`fold_tree` (true), which differ only in what they keep.
+    and :func:`fold_tree` (true), which differ only in what they keep:
+    with ``decode``, the fold's action and the content's text events.
 
     ASCII content with no ``&`` and no markup, and ASCII attribute
     values with no ``&``, are checked on their bytes; without
@@ -458,7 +505,7 @@ def _parse(chunk, limits, name_id_of, decode):
         if max_name is not None and len(name) > max_name:
             raise _FALLBACK
         if decode:
-            return (END, name_id_of(name), None, text)
+            return (END, name_id_of(name), None, text), events
         return (END, name_id_of(name), None, significant, events)
     selfclose = tag[-1:] == b"/"
     if selfclose:
@@ -507,5 +554,5 @@ def _parse(chunk, limits, name_id_of, decode):
             attr_names = frozenset(map(bytes.decode, names))
     kind = SELFCLOSE if selfclose else START
     if decode:
-        return (kind, name_id_of(name), attributes, text)
+        return (kind, name_id_of(name), attributes, text), events
     return (kind, name_id_of(name), attr_names, significant, events)

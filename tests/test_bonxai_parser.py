@@ -211,3 +211,19 @@ class TestPrinterRoundTrip:
             again = parse_bonxai(printed)
             assert len(schema.rules) == len(again.rules)
             assert print_schema(again) == printed
+
+
+class TestByteOrderMark:
+    """One U+FEFF at offset 0 is skipped, as in an XML document."""
+
+    def test_leading_mark_is_skipped(self):
+        from repro.paperdata import FIGURE5_BONXAI
+
+        plain = parse_bonxai(FIGURE5_BONXAI)
+        marked = parse_bonxai("\ufeff" + FIGURE5_BONXAI)
+        assert print_schema(marked) == print_schema(plain)
+
+    @pytest.mark.parametrize("prefix", [" ", "\n", "\ufeff"])
+    def test_mark_anywhere_else_is_an_error(self, prefix):
+        with pytest.raises(ParseError, match="unexpected content"):
+            parse_bonxai(prefix + "\ufeff" + MINIMAL)

@@ -184,3 +184,33 @@ class TestValidation:
         dtd = parse_dtd("<!ELEMENT a EMPTY><!ELEMENT b EMPTY>", root="a")
         doc = XMLDocument(element("a", element("b")))
         assert any("must be empty" in v for v in dtd.validate(doc))
+
+
+class TestByteOrderMark:
+    """One U+FEFF at offset 0 is skipped, as in an XML document."""
+
+    @staticmethod
+    def _shape(dtd):
+        return {
+            name: (element.category, element.content,
+                   [(a.name, a.kind, a.default, a.fixed_value)
+                    for a in element.attributes.values()])
+            for name, element in dtd.elements.items()
+        }
+
+    def test_leading_mark_is_skipped(self):
+        from repro.paperdata import FIGURE2_DTD
+
+        plain = parse_dtd(FIGURE2_DTD, root="document")
+        marked = parse_dtd("\ufeff" + FIGURE2_DTD, root="document")
+        assert self._shape(marked) == self._shape(plain)
+        assert marked.root == plain.root == "document"
+
+    @pytest.mark.parametrize("text", [
+        " \ufeff<!ELEMENT a EMPTY>",      # after leading whitespace
+        "\ufeff\ufeff<!ELEMENT a EMPTY>",  # a second mark
+        "<!ELEMENT a EMPTY>\ufeff",       # after a declaration
+    ])
+    def test_mark_anywhere_else_is_an_error(self, text):
+        with pytest.raises(ParseError, match="unexpected DTD content"):
+            parse_dtd(text)

@@ -1,0 +1,361 @@
+"""Invalid documents rerun on the byte tier's tree, not the char tier's.
+
+When the dense scan of ``StreamingValidator.validate`` (or
+``validate_bytes``) falls back, the compat loop reruns over the tree
+:func:`repro.xmlmodel.tokenizer.fold_tree` folds from the document's
+bytes (``XMLElement.events()``).  Only a root exit (an undeclared root,
+a root outside the schema alphabet, a second root) and what the fold
+refuses rerun over the char tier's events.  Either way the report or
+error, and ``engine.stream.events``, are those of
+``validate_events(iter_events(text))``; ``engine.fold.reruns`` and the
+``engine.validate`` span's ``rerun`` attribute (``fold`` or ``char``)
+tell the route, and ``path`` stays ``fallback``.
+"""
+
+import random
+
+import pytest
+
+from repro.conformance import load_corpus, schema_from_json
+from repro.conformance.generate import mutate_document
+from repro.engine import StreamingValidator, compile_xsd, streaming
+from repro.errors import BudgetExceeded, ParseError
+from repro.observability import ResourceBudget, Tracer, default_registry
+from repro.resilience import FaultInjector, ParserLimits
+from repro.translation import dfa_based_to_xsd
+from repro.xmlmodel import parse_document, tokenizer
+from repro.xmlmodel import write_document
+from repro.xmlmodel.parser import iter_events
+from repro.xmlmodel.tokenizer import fold_tree
+from repro.xmlmodel.tree import element
+from repro.xsd.dfa_based import DFABasedXSD
+from tests.test_engine_differential import _setup
+from tests.test_engine_batch_route import CORPUS_DIR, HEAD, SECTION, TAIL
+
+#: ``engine.dense.fallbacks``, ``engine.fold.reruns``,
+#: ``engine.stream.docs`` and ``engine.stream.events``, in that order.
+COUNTERS = ("engine.dense.fallbacks", "engine.fold.reruns",
+            "engine.stream.docs", "engine.stream.events")
+
+
+def _counts():
+    registry = default_registry()
+    return [registry.counter(name).value for name in COUNTERS]
+
+
+def _outcome(thunk):
+    """The report (violations and typing, in order), or the error."""
+    try:
+        report = thunk()
+    except ParseError as error:
+        return ("error", type(error).__name__, str(error), error.line,
+                error.column)
+    return ("report", report.valid, list(report.violations),
+            list(report.typing.items()))
+
+
+def _route(thunk):
+    """``(outcome, counter deltas, the engine.validate span's
+    attributes)`` of one validation."""
+    before = _counts()
+    with Tracer() as tracer:
+        outcome = _outcome(thunk)
+    spans = [span for span in tracer.finished_spans()
+             if span.name == "engine.validate"]
+    attributes = spans[0].attributes if len(spans) == 1 else None
+    return (outcome, [after - was for after, was in zip(_counts(), before)],
+            attributes)
+
+
+def _char_route(validator, text):
+    return _route(lambda: validator.validate_events(iter_events(text)))
+
+
+def _text_routes(validator, text):
+    """``validate(text)`` and ``validate_bytes`` of the UTF-8 bytes."""
+    data = text.encode("utf-8")
+    return (_route(lambda: validator.validate(text)),
+            _route(lambda: validator.validate_bytes(data)))
+
+
+def assert_folds(validator, text):
+    """Both text entry points rerun on the fold, with the char route's
+    report and event count; returns that report's outcome."""
+    char, char_deltas, char_span = _char_route(validator, text)
+    assert char[0] == "report" and not char[1], char
+    for outcome, deltas, attributes in _text_routes(validator, text):
+        assert outcome == char, f"the fold rerun diverges on {text!r}"
+        assert deltas == [1, 1, 1, char_deltas[3]], text
+        assert attributes["path"] == "fallback"
+        assert attributes["rerun"] == "fold"
+        assert attributes["events"] == char_span["events"]
+        assert attributes["violations"] == len(char[2])
+    return char
+
+
+def assert_reruns_on_char(validator, text, data=None):
+    """``validate_bytes`` (of ``data``, else of the text's UTF-8 bytes)
+    and, for a text, ``validate(text)`` fall back without folding and
+    give the char route's report or error."""
+    routes = [_route(lambda: validator.validate_bytes(
+        text.encode("utf-8", "surrogatepass") if data is None else data))]
+    if text is not None:
+        routes.append(_route(lambda: validator.validate(text)))
+        char, char_deltas, __ = _char_route(validator, text)
+    else:
+        char, char_deltas, __ = _route(
+            lambda: validator.validate_events(streaming.as_events(data)))
+    for outcome, deltas, attributes in routes:
+        assert outcome == char, f"the char rerun diverges on {text!r}"
+        assert deltas[:2] == [1, 0]
+        assert deltas[2:] == char_deltas[2:]
+        assert attributes["path"] == "fallback"
+        assert attributes["rerun"] == "char"
+    return char
+
+
+class TestReports:
+    """Well-formed invalid documents fold, with the char route's report."""
+
+    def test_committed_corpus_documents_fold(self):
+        folded = 0
+        for case in load_corpus(CORPUS_DIR):
+            if case.case_type != "pinned" or case.document is None:
+                continue
+            schema = schema_from_json(case.schema)
+            if isinstance(schema, DFABasedXSD):
+                schema = dfa_based_to_xsd(schema)
+            validator = StreamingValidator(compile_xsd(schema))
+            if not validator.validate(case.document).valid:
+                assert_folds(validator, case.document)
+                folded += 1
+        assert folded >= 4
+
+    @pytest.mark.parametrize("key", ["figure3", "sections", "inventory",
+                                     "all24"])
+    def test_mutated_documents_fold_unless_the_root_changes(self, key):
+        # Each mutant is one mutate_document step on a generated valid
+        # document (perfbench's invalid class is one such step on one
+        # record of a batch); a relabelled root is a root exit.
+        __, compiled, generator, names, attr_names = _setup(key)
+        validator = StreamingValidator(compiled)
+        rng = random.Random(f"fold-rerun:{key}")
+        folded = 0
+        for __ in range(40):
+            document = generator.generate(rng, max_depth=4, max_children=5)
+            mutant = mutate_document(document, rng, names, attr_names)
+            text = write_document(mutant)
+            if validator.validate(text).valid:
+                continue
+            if mutant.root.name in compiled.start:
+                assert_folds(validator, text)
+                folded += 1
+            else:
+                assert_reruns_on_char(validator, text)
+        assert folded >= 10
+
+    @pytest.mark.parametrize("mutant", [
+        "<item><tag/><note/></item>",      # a child not allowed
+        "<item><tag>x</tag></item>",       # text in element-only content
+        "<item bogus='x'/>",               # an undeclared attribute
+        "<note/><note/>",                  # a content mismatch
+    ])
+    def test_an_invalid_record_in_a_batch_folds(self, mutant):
+        # The shape of perfbench's invalid class: many valid records
+        # and one violation among them.
+        __, compiled, *___ = _setup("inventory")
+        record = "<item><tag/><tag/></item><note>text</note>"
+        text = ("<inv owner='o'>" + record * 500 + mutant + record * 500
+                + "</inv>")
+        outcome = assert_folds(StreamingValidator(compiled), text)
+        assert len(outcome[2]) == 1
+
+
+class TestEventCounts:
+    """``engine.stream.events`` and the span's ``events`` count what the
+    char tier yields, though the tree merges a chunk's text runs."""
+
+    def test_split_text_runs_count_as_the_char_tier_does(self):
+        __, compiled, *___ = _setup("inventory")
+        validator = StreamingValidator(compiled)
+        # A comment, a PI and CDATA sections split text runs (the empty
+        # CDATA section yields no event), and markup after the root
+        # yields none; the stray <zzz/> and the text under <inv> make
+        # the document invalid.
+        text = (
+            '<?xml version="1.0"?>\n<!DOCTYPE inv SYSTEM "inv.dtd">\n'
+            '<inv owner="a&amp;b">&#32;a<!-- c -->b<?pi x?>c<item><tag/>'
+            '<!-- c --><tag/></item>'
+            '<note>café &lt;<!-- c -->&#x41;<![CDATA[]]>'
+            '<![CDATA[d]]>e<?p?></note><zzz/>'
+            '<item/>x<![CDATA[y]]><!-- c -->z</inv>\n<?pi after?>\n'
+            '<!-- c -->\n'
+        )
+        outcome = assert_folds(validator, text)
+        assert any("zzz" in violation for violation in outcome[2])
+        events = list(iter_events(text))
+        tree_events = list(parse_document(text).events())
+        assert len(events) > len(tree_events)
+
+    @pytest.mark.parametrize("text", [
+        "<a>x<![CDATA[]]>y<!---->z<?p?></a>",
+        "<a><b/>x<!-- c -->y<b>z<![CDATA[w]]></b></a>",
+        "<a/>\n<?p?>\n<!-- c -->\n",              # after the root only
+        # The root-closing chunk's bytes also close an inner element.
+        "<a><a>x</a>\n<!-- c -->\n</a>\n<!-- c -->\n",
+    ])
+    def test_fold_counts_the_text_events_its_tree_merges(self, text):
+        root, split = fold_tree(text.encode("utf-8"), ParserLimits())
+        char = sum(event[0] == "text" for event in iter_events(text))
+        tree = sum(event[0] == "text" for event in root.events())
+        assert split == char - tree
+
+    def test_generated_invalid_document_counts_agree_with_compat(self):
+        # Mirrors the dense path's own agreement test, on an invalid copy.
+        __, compiled, generator, *___ = _setup("inventory")
+        document = generator.generate(random.Random(11), max_depth=4,
+                                      max_children=6)
+        document.root.append(element("zzz"), text_after="tail")
+        assert_folds(StreamingValidator(compiled), write_document(document))
+
+
+class TestRootExits:
+    """A root exit goes straight to the char tier, which answers it after
+    one event (or raises on a second root)."""
+
+    @pytest.mark.parametrize("text", [
+        "<section title='t'><section title='u'/></section>",  # undeclared
+        "<zzz><doc/></zzz>",                   # outside the alphabet
+        "<doc><template/><content/></doc><doc/>",  # a second root
+        "<doc><template/><content/></doc><zzz/>",  # ... outside it
+    ])
+    def test_root_exits_rerun_on_the_char_tier(self, text):
+        __, compiled, *___ = _setup("sections")
+        assert_reruns_on_char(StreamingValidator(compiled), text)
+
+    def test_undeclared_root_is_reported_and_second_root_raises(self):
+        __, compiled, *___ = _setup("sections")
+        validator = StreamingValidator(compiled)
+        report = validator.validate("<zzz>" + "<doc/>" * 1000 + "</zzz>")
+        assert not report.valid and "zzz" in report.violations[0]
+        with pytest.raises(ParseError, match="content after the root"):
+            validator.validate("<doc><template/><content/></doc><doc/>")
+
+
+class TestFoldRefused:
+    """What the fold refuses reruns on the char tier, which speaks."""
+
+    def test_invalid_early_and_malformed_late(self):
+        __, compiled, *___ = _setup("sections")
+        outcome = assert_reruns_on_char(
+            StreamingValidator(compiled),
+            "<doc><template/><content><bogus/>"
+            "<section title='t'></content></doc>")
+        assert outcome[0] == "error" and "mismatched" in outcome[2]
+
+    def test_undecodable_bytes(self):
+        __, compiled, *___ = _setup("sections")
+        outcome = assert_reruns_on_char(
+            StreamingValidator(compiled), None,
+            b"<doc><template/><content><bogus/>\xff</content></doc>")
+        assert outcome[0] == "error" and "not valid UTF-8" in outcome[2]
+
+    def test_lone_surrogate_in_text(self):
+        __, compiled, *___ = _setup("sections")
+        text = "<doc><template/><content><bogus/>\ud800</content></doc>"
+        validator = StreamingValidator(compiled)
+        outcome, deltas, attributes = _route(lambda: validator.validate(text))
+        char, char_deltas, __ = _char_route(validator, text)
+        assert outcome == char and outcome[0] == "report"
+        assert deltas[:2] == [1, 0] and deltas[2:] == char_deltas[2:]
+        assert attributes["rerun"] == "char"
+
+    def test_internal_subset(self):
+        __, compiled, *___ = _setup("sections")
+        outcome = assert_reruns_on_char(
+            StreamingValidator(compiled),
+            "<!DOCTYPE doc [<!ENTITY e 'v'>]>"
+            "<doc><template/><content><bogus/></content></doc>")
+        assert outcome[0] == "report" and not outcome[1]
+
+
+class TestBudget:
+    """The fold checks an ambient budget's clock once per block of
+    chunks, as the scan does."""
+
+    @pytest.fixture
+    def expired(self):
+        with ResourceBudget(max_seconds=1e-6) as budget:
+            while budget.elapsed_seconds() <= budget.max_seconds:
+                pass
+            yield budget
+
+    @staticmethod
+    def _long_early_invalid():
+        # The scan falls back at <bogus/>, long before its first block
+        # ends; the fold's second block starts past chunk 4096.
+        return HEAD + "<bogus/>" + SECTION * (
+            streaming._CHECK_CHUNKS // 3 + 1) + TAIL
+
+    def test_the_fold_trips_after_one_block(self, expired):
+        __, compiled, *___ = _setup("figure3")
+        before = _counts()
+        with pytest.raises(BudgetExceeded, match="xmlmodel.fold_tree"):
+            StreamingValidator(compiled).validate(self._long_early_invalid())
+        deltas = [after - was for after, was in zip(_counts(), before)]
+        assert deltas[:3] == [1, 0, 0]
+
+    def test_parse_document_trips_too(self, expired):
+        with pytest.raises(BudgetExceeded, match="xmlmodel.fold_tree"):
+            parse_document(self._long_early_invalid())
+
+    def test_short_documents_fold_under_an_expired_budget(self, expired):
+        # One block: the clock is never read.
+        __, compiled, *___ = _setup("figure3")
+        root = parse_document(HEAD + SECTION * 3 + TAIL).root
+        assert root.name == "document"
+        report = StreamingValidator(compiled).validate(
+            HEAD + "<bogus/>" + TAIL)
+        assert not report.valid
+
+
+class TestSharedInstances:
+    def test_no_route_leaves_frames_on_a_shared_fallback(self):
+        # Each raise would chain its frames, and with them the document,
+        # onto the shared instance's traceback.
+        __, compiled, *___ = _setup("sections")
+        validator = StreamingValidator(compiled)
+        body = "<section title='t'>text</section>" * 20_000
+        for text in (
+                "<doc><template/><content><bogus/>" + body
+                + "</content></doc>",                  # fold
+                "<doc><template/><content>" + body
+                + "<bogus/></content></doc>",          # fold, late exit
+                "<section title='t'>" + body + "</section>",  # root exit
+                "<doc><template/><content>" + body
+                + "</content></doc><doc/>",            # second root
+                "<doc><template/><content><bogus/>" + body
+                + "</content></q>"):                   # fold refused
+            _outcome(lambda: validator.validate(text))
+            for instance in (streaming._FALLBACK, streaming._ROOT_FALLBACK,
+                             tokenizer._FALLBACK):
+                assert instance.__traceback__ is None
+                assert instance.__context__ is None
+
+
+class TestProbes:
+    @pytest.mark.parametrize("text", [
+        "<doc><template/><content><bogus/></content></doc>",   # fold
+        "<zzz/>",                                              # root exit
+        "<doc><template/><content><bogus/></q>",               # refused
+    ])
+    def test_each_probe_fires_once_per_document(self, text):
+        __, compiled, *___ = _setup("sections")
+        validator = StreamingValidator(compiled)
+        for validate, source in ((validator.validate, text),
+                                 (validator.validate_bytes,
+                                  text.encode("utf-8"))):
+            with FaultInjector() as injector:
+                _outcome(lambda: validate(source))
+            assert injector.checks("parse") == 1
+            assert injector.checks("validate") == 1

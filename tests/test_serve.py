@@ -118,6 +118,25 @@ class TestRoutes:
         assert status == 422
         assert body["error"] == "schema"
 
+    @pytest.mark.parametrize("kind", ["dtd", "bonxai"])
+    def test_schema_with_a_byte_order_mark_answers_as_without(self, server,
+                                                              kind):
+        from repro.paperdata import FIGURE2_DTD, FIGURE5_BONXAI
+
+        schema = FIGURE2_DTD if kind == "dtd" else FIGURE5_BONXAI
+        answers = []
+        for text in (schema, "\ufeff" + schema):
+            for document in (FIGURE1_XML, INVALID_XML):
+                status, body, __ = request(
+                    server.port, "POST", "/validate",
+                    validate_body(document=document, schema=text, kind=kind),
+                )
+                answers.append((status, body.get("valid"),
+                                body.get("violations")))
+        assert answers[2:] == answers[:2]
+        assert [answer[:2] for answer in answers[:2]] == [
+            (200, True), (200, False)]
+
     def test_unknown_schema_kind_is_400(self, server):
         status, body, __ = request(
             server.port, "POST", "/validate",

@@ -131,8 +131,9 @@ class TestSeededCorpus:
                 mutate(base, rng), limits=LIMITS
             )
         # The replay must reach the commit path, not agree by falling
-        # back every time.
-        assert committed >= 75
+        # back every time (four mutants hold a PI whose target is no
+        # name or runs into another character, which [16] forbids).
+        assert committed >= 71
 
     def test_every_mutation_operator_alone(self):
         rng = random.Random(0xFACADE)
@@ -225,6 +226,7 @@ class TestFallbackBoundary:
         "\ufeff<?xml version='1.0'?><!DOCTYPE a><a/>",  # ... declaration
         "<a>\ufeff<b/>\ufeff</a>",               # U+FEFF in text
         "<?xml-stylesheet h='s'?><a><?xmlfoo?></a>",  # targets past xml
+        "<a><?x y?><?x\ty?><?x-y z?><?x ?><?x:y?></a>",  # PI targets
     ])
     def test_rich_markup_commits(self, text):
         # Markup that never changes a verdict stays on the dense path.
@@ -296,7 +298,11 @@ class TestFallbackBoundary:
                      "<a><?xMl?></a>", "<?xml?><a/>",
                      # a byte-order mark anywhere but offset 0
                      " \ufeff<a/>", "<?xml version='1.0'?>\ufeff<a/>",
-                     "\ufeff\ufeff<a/>"]:
+                     "\ufeff\ufeff<a/>",
+                     # a PI target that is no name, or runs on ([16])
+                     "<a><? x?></a>", "<a><?1?></a>", "<?-x?><a/>",
+                     "<a><??></a>", "<a><?x?y?></a>", "<a><?x]?></a>",
+                     "<a><?x\x0b?></a>", "<a/><? y?>", "<a>x<?pi!?></a>"]:
             assert assert_tokenizer_agreement(text) is False
 
     @pytest.mark.parametrize("data", [

@@ -198,6 +198,73 @@ class TestPrologMarks:
         assert XMLElement.from_events(iter_events(text)) == expected
 
 
+class TestProcessingInstructionTargets:
+    """A PI is ``<?``, a target name, then whitespace or ``?>`` ([16]).
+    A target that is no name is an error where the name should start;
+    anything else after the name is one where it stands.  Both tiers
+    raise the same error (the byte tier refuses these shapes), and expat
+    refuses each."""
+
+    _AFTER = "processing instruction target 'x' must be followed by " \
+        "whitespace or '?>'"
+
+    @pytest.mark.parametrize(
+        ("text", "message", "line", "column"),
+        [
+            ("<a><? x?></a>", "expected a name", 1, 6),
+            ("<a><?1?></a>", "expected a name", 1, 6),
+            ("<?-x?><a/>", "expected a name", 1, 3),
+            ("<a><??></a>", "expected a name", 1, 6),
+            ("<a/><? y?>", "expected a name", 1, 7),
+            ("<a>\n<?x?y?></a>", _AFTER, 2, 4),
+            ("<a><?x]?></a>", _AFTER, 1, 7),
+            ("<a><?x\x0b?></a>", _AFTER, 1, 7),
+        ],
+    )
+    def test_malformed_targets_raise_parse_error(self, text, message, line,
+                                                 column):
+        from repro.observability import default_registry
+
+        byte_docs = default_registry().counter("xmlmodel.parse.byte_docs")
+        before = byte_docs.value
+        for parse in (parse_document, lambda t: list(iter_events(t))):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.message == message
+            assert (info.value.line, info.value.column) == (line, column)
+        assert byte_docs.value == before
+        with pytest.raises(ElementTree.ParseError):
+            ElementTree.fromstring(text)
+
+    @pytest.mark.parametrize("text", [
+        "<a><?x y?></a>", "<a><?x\ty?></a>", "<a><?x-y z?></a>",
+        "<a><?x ?></a>", "<?x?><a><?x\n?></a>",
+    ])
+    def test_legal_targets_parse_as_expat_does(self, text):
+        from repro.xmlmodel.parser import from_etree
+        from repro.xmlmodel.tree import XMLElement
+
+        expected = from_etree(ElementTree.fromstring(text))
+        assert parse_document(text).root == expected
+        assert XMLElement.from_events(iter_events(text)) == expected
+
+    def test_prefixed_target_is_legal_though_expat_refuses_it(self):
+        # XML 1.0 allows ':' in a target; namespace-aware expat refuses
+        # it, as it refuses '<?xml:a?>' (DESIGN §8).
+        text = "<a><?x:y?></a>"
+        assert parse_document(text).root.name == "a"
+        assert [event[0] for event in iter_events(text)] == ["start", "end"]
+        with pytest.raises(ElementTree.ParseError):
+            ElementTree.fromstring(text)
+
+    def test_unterminated_instruction_points_past_its_opening(self):
+        for text in ("<a><?x", "<a><?x y"):
+            with pytest.raises(ParseError) as info:
+                list(iter_events(text))
+            assert info.value.message == "unterminated processing instruction"
+            assert (info.value.line, info.value.column) == (1, 6)
+
+
 class TestDoctypeLiterals:
     def test_gt_inside_system_id_does_not_terminate(self):
         doc = parse_document('<!DOCTYPE a SYSTEM "odd>name.dtd"><a/>')
