@@ -40,6 +40,10 @@ schema retains (``wide_schema_retained_mib_ceiling``: 273 sequence types
 over 4,369 names), where a per-type map over the schema's whole name
 set (types x names) outweighs the tables themselves.  So per-type
 tables or maps that grow with the schema's whole name set fail here.
+Two keys hold the ``ValidatedDocument`` open walk on the benchmark
+document: ``memo_bytes_per_el_ceiling`` bounds what the opened handle
+retains per element (:mod:`tracemalloc`), and ``build_vs_compat`` is
+the open walk's rate over the compat loop's on the same tree.
 
 Exits nonzero with a diagnostic on any floor violation.  To re-baseline
 after an intentional change, edit the JSON floor file alongside the
@@ -161,6 +165,10 @@ def measure():
             text, xsd, compiled, full_seconds=size / e2e_tree
         )
 
+        memo_bytes_per_el, build_vs_compat = _measure_build(
+            text, compiled, validator
+        )
+
         diff_vs_tree = _measure_diff(full_seconds=size / e2e_tree)
 
         bag_compile_ms = _measure_bag()
@@ -181,6 +189,8 @@ def measure():
         "invalid_fold_vs_char": fold_rerun / char_rerun,
         "cache_hit_us": cache_hit_us,
         "incremental_vs_full": incremental_vs_full,
+        "memo_bytes_per_el": memo_bytes_per_el,
+        "build_vs_compat": build_vs_compat,
         "diff_vs_tree": diff_vs_tree,
         "bag_compile_ms": bag_compile_ms,
         "schema_retained_mib": schema_retained_mib,
@@ -262,6 +272,45 @@ def _measure_incremental(text, xsd, compiled, full_seconds):
             edit_seconds += time.perf_counter() - started
         applied += 1
     return full_seconds / (edit_seconds / applied)
+
+
+def _measure_build(text, compiled, validator):
+    """The open walk on the E13 small tier: memory kept, and speed.
+
+    Returns ``(bytes per element, rate ratio)``.  The bytes are what a
+    :class:`~repro.engine.incremental.ValidatedDocument` over the parsed
+    tree still holds under :mod:`tracemalloc` (the per-element memo),
+    divided by the element count: deterministic, so the committed
+    ``memo_bytes_per_el_ceiling`` catches a per-element slash path or
+    per-element empty lists coming back.  The ratio is the rate of
+    ``ValidatedDocument(tree, compiled)`` over the compat loop's
+    ``validate_events(tree.root.events())`` on the same tree; the
+    committed ``build_vs_compat`` floor catches the open walk falling
+    back to two passes over each element's children.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.engine import ValidatedDocument
+    from repro.xmlmodel import parse_document
+
+    tree = parse_document(text)
+    size = tree.size()
+    ValidatedDocument(tree, compiled)  # first-use counters stay out
+    gc.collect()
+    tracemalloc.start()
+    try:
+        handle = ValidatedDocument(tree, compiled)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del handle
+    build = _rate(lambda: ValidatedDocument(tree, compiled), size,
+                  repeats=20)
+    compat = _rate(lambda: validator.validate_events(tree.root.events()),
+                   size, repeats=20)
+    return retained / size, build / compat
 
 
 def _measure_diff(full_seconds):
@@ -466,12 +515,20 @@ def main():
     measured = measure()
     problems = []
     for key in ("dense_vs_tree", "dict_vs_tree", "incremental_vs_full",
-                "tree_fold_vs_char", "invalid_fold_vs_char"):
+                "tree_fold_vs_char", "invalid_fold_vs_char",
+                "build_vs_compat"):
         if measured[key] < floors[key]:
             problems.append(
                 f"{key}: measured {measured[key]:.2f}x is below the "
                 f"committed floor {floors[key]:.2f}x"
             )
+    if measured["memo_bytes_per_el"] > floors["memo_bytes_per_el_ceiling"]:
+        problems.append(
+            f"memo_bytes_per_el: an opened ValidatedDocument retains "
+            f"{measured['memo_bytes_per_el']:.0f} bytes per element, above "
+            f"the committed ceiling "
+            f"{floors['memo_bytes_per_el_ceiling']:.0f} bytes"
+        )
     if measured["diff_vs_tree"] > floors["diff_vs_tree_ceiling"]:
         problems.append(
             f"diff_vs_tree: the Figure-family schema diff took "
@@ -538,6 +595,10 @@ def main():
         f"(ceiling {floors['cache_hit_us_ceiling']:.1f} us), "
         f"incremental edit {measured['incremental_vs_full']:.0f}x full "
         f"(floor {floors['incremental_vs_full']:.0f}x), "
+        f"open walk {measured['build_vs_compat']:.2f}x the compat loop "
+        f"(floor {floors['build_vs_compat']:.2f}x) retaining "
+        f"{measured['memo_bytes_per_el']:.0f} B/element "
+        f"(ceiling {floors['memo_bytes_per_el_ceiling']:.0f} B), "
         f"schema diff {measured['diff_vs_tree']:.1f}x tree pass "
         f"(ceiling {floors['diff_vs_tree_ceiling']:.1f}x), "
         f"24-member xs:all compile {measured['bag_compile_ms']:.1f} ms "

@@ -14,8 +14,9 @@ anything outside that element's content word and the new subtree itself:
   path recorded at validation time (the memo ``explain`` reads its
   records from) lets even that be partial: states up to the edit offset
   replay from the memo, and only the suffix runs the dense row loop.
-* **a new subtree** is typed and checked by the ordinary validator walk —
-  its root's type is forced by the parent's type and its label, so the
+* **a new subtree** is typed and checked by the same one-pass walk that
+  opens a document: the column a parent's content step reads names the
+  child's type, so the step that checks a child also types it, and the
   walk never looks outside the subtree.
 * **attribute and text edits** recheck one element's attribute masks or
   mixedness flag; the content word is untouched.
@@ -24,8 +25,11 @@ anything outside that element's content word and the new subtree itself:
 :class:`~repro.xmlmodel.tree.XMLDocument` with its
 :class:`~repro.engine.compiler.CompiledSchema` and the per-element
 provenance (type assignment + DFA state path + locally attributed
-violations).  All edits MUST go through its API — mutating the underlying
-tree directly leaves the memo stale.  After every edit the handle's
+violations).  A clean record holds shared immutable empties, and no
+record holds a slash path: a violation message derives its element's
+path from ``parent`` links when it is written.  All edits MUST go
+through its API — mutating the underlying tree directly leaves the memo
+stale.  After every edit the handle's
 :meth:`report` agrees with a from-scratch run of the tree or streaming
 validator on verdict, violation multiset, and typing (the conformance
 harness's ``incremental`` leg enforces this on seeded edit storms), and
@@ -45,44 +49,48 @@ from repro.engine.compiler import CompiledSchema
 from repro.errors import SchemaError
 from repro.observability import default_registry
 from repro.observability.provenance import ElementProvenance, first_divergence
-from repro.observability.tracing import span
+from repro.observability.tracing import NULL_SPAN, span
 from repro.xmlmodel.patch import resolve
 from repro.xmlmodel.tree import XMLDocument, XMLElement
 from repro.xsd.validator import XSDValidationReport
+
+_LEAF_STATES = (0,)
+"""The state path every element without children shares (the empty
+word's).  Writers replace a record's fields, never mutate them; the
+memo branch of :meth:`ValidatedDocument._run_content` needs
+``0 < offset < len(states)``, which this path never meets."""
 
 
 class _NodeState:
     """Per-element provenance: the memo incremental revalidation replays.
 
+    Records are built without ``__init__`` (the open walk sets every
+    slot).  A clean record shares immutable empties: ``()`` for
+    ``child_viols`` and ``attr_viols``, and :data:`_LEAF_STATES` for an
+    element without children.  Every writer replaces a field, never
+    mutates it.  No record holds the element's slash path; messages
+    derive it from ``parent`` links (:meth:`ValidatedDocument._path`).
+
     Attributes:
         type_id: the element's compiled type id (unique typing, Def. 2).
-        path: the element's slash path (stable: labels never change in
-            place — ``replace_subtree`` swaps whole nodes).
         states: content-DFA state path (seen-masks for a bag type);
             ``states[0] == 0`` and one state is appended per *recognized*
             child; the ``dfa_states`` of the element's provenance entry.
+            A list, or the shared ``(0,)`` for an element without
+            children.
         recognized: True iff every child's label is declared under this
             type (only then is the content word checked for acceptance,
             mirroring both reference validators).
         child_viols: "not allowed under" messages, one per unrecognized
-            child.
+            child (a list), or ``()``.
         content_viol: the children-don't-match message, or ``None``.
         text_viol: the may-not-contain-text message, or ``None``.
-        attr_viols: missing-required / undeclared attribute messages.
+        attr_viols: missing-required / undeclared attribute messages (a
+            list), or ``()``.
     """
 
-    __slots__ = ("type_id", "path", "states", "recognized", "child_viols",
+    __slots__ = ("type_id", "states", "recognized", "child_viols",
                  "content_viol", "text_viol", "attr_viols")
-
-    def __init__(self, type_id, path):
-        self.type_id = type_id
-        self.path = path
-        self.states = [0]
-        self.recognized = True
-        self.child_viols = []
-        self.content_viol = None
-        self.text_viol = None
-        self.attr_viols = []
 
     def local_violations(self):
         """This element's violations, in the tree validator's order."""
@@ -106,9 +114,13 @@ class ValidatedDocument:
             :class:`~repro.xsd.model.XSD` compiled through the default
             schema cache.
 
-    The initial construction performs one full validation walk (the same
-    cost as a single from-scratch validation); every subsequent edit
-    revalidates only its footprint.
+    The initial construction performs one walk that checks and types
+    each element from its parent's content step: about 1.2 µs per
+    element on the 6,879-element Figure 3 document (CPython 3.11.7,
+    two-core x86-64 host), close to what the byte tier's fold takes to
+    build that tree, and 1.8-3x the streaming compat loop's rate over
+    the same tree (perfguard's ``build_vs_compat``).  Every subsequent
+    edit revalidates only its footprint.
     """
 
     __slots__ = ("document", "schema", "_nodes", "_invalid",
@@ -140,42 +152,76 @@ class ValidatedDocument:
         type_id = self.schema.start.get(root.name)
         self._root_declared = type_id is not None
         if self._root_declared:
-            self._type_subtree(root, type_id, "/" + root.name)
+            self._type_subtree(root, type_id)
 
-    def _type_subtree(self, node, type_id, path):
-        """Validate and record one subtree top-down (iterative).
+    def _type_subtree(self, node, type_id):
+        """Validate and record one subtree top-down, in one pass.
 
         The subtree's root type is forced by the caller (parent type +
-        label, per EDC); children resolve through the compiled tables.
-        Returns the number of elements typed (skipped subtrees under
-        unrecognized children are not typed, matching the reference
-        validators).
+        label, per EDC); every other element is pushed with its type by
+        the content step that reads its column
+        (:meth:`_run_content`).  Returns the number of elements typed
+        (skipped subtrees under unrecognized children are not typed,
+        matching the reference validators).  Every id it records is
+        fresh (the index was just cleared, or the subtree is new), so an
+        invalid element is added to the index without a discard.
         """
         types = self.schema.types
         nodes = self._nodes
+        invalid = self._invalid
+        run_content = self._run_content
+        new = _NodeState.__new__
         typed = 0
-        stack = [(node, type_id, path)]
+        stack = [(node, type_id)]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            node, type_id, path = stack.pop()
-            state = _NodeState(type_id, path)
-            nodes[id(node)] = state
+            node, type_id = pop()
             typed += 1
             compiled = types[type_id]
+            state = new(_NodeState)
+            state.type_id = type_id
+            nodes[id(node)] = state
+            path = None
             attributes = node.attributes
-            if attributes or compiled.required_attrs:
+            if (attributes or compiled.required_attrs) and \
+                    compiled.attribute_problems(attributes):
+                path = self._path(node)
                 state.attr_viols = compiled.attribute_violations(
                     path, node.name, attributes
                 )
-            self._check_text(node, compiled, state)
-            self._run_content(node, compiled, state, offset=0)
-            self._refresh_validity(node, state)
-            symbol_ids = compiled.dfa.symbol_ids
-            child_types = compiled.child_types
-            for child in node.children:
-                # A non-child's column -1 reads child_types' trailing -1.
-                child_type = child_types[symbol_ids.get(child.name, -1)]
-                if child_type >= 0:
-                    stack.append((child, child_type, f"{path}/{child.name}"))
+                bad = True
+            else:
+                state.attr_viols = ()
+                bad = False
+            state.text_viol = None
+            if not compiled.mixed:
+                for run in node.texts:
+                    if run.strip():
+                        if path is None:
+                            path = self._path(node)
+                        state.text_viol = compiled.text_not_allowed(
+                            path, node.name
+                        )
+                        bad = True
+                        break
+            if node.children:
+                run_content(node, compiled, state, 0, push, path)
+                if not state.recognized or state.content_viol is not None:
+                    bad = True
+            else:
+                state.states = _LEAF_STATES
+                state.recognized = True
+                state.child_viols = ()
+                if compiled.dfa.is_accepting(0):
+                    state.content_viol = None
+                else:
+                    state.content_viol = compiled.content_mismatch(
+                        path or self._path(node), node.name, ()
+                    )
+                    bad = True
+            if bad:
+                invalid.add(id(node))
         # One content replay per typed element, none from the memo
         # (offset 0); counted once per walk, not per element.
         registry = default_registry()
@@ -183,14 +229,33 @@ class ValidatedDocument:
         registry.counter("engine.incremental.content_replays").inc(typed)
         return typed
 
-    # -- per-element checks (shared with the streaming compat loop) -------
+    def _path(self, node):
+        """``node``'s slash path, from the handle's root down.
+
+        Derived from ``parent`` links when a violation message needs
+        it; the walk stops at ``document.root``, which may itself have a
+        parent outside the handle.
+        """
+        root = self.document.root
+        names = [node.name]
+        while node is not root:
+            node = node.parent
+            names.append(node.name)
+        names.reverse()
+        return "/" + "/".join(names)
+
+    # -- per-element checks (the open walk inlines all but the content
+    # step; the edit API calls them) ------------------------------------
     def _check_text(self, node, compiled, state):
         if not compiled.mixed and node.has_text():
-            state.text_viol = compiled.text_not_allowed(state.path, node.name)
+            state.text_viol = compiled.text_not_allowed(
+                self._path(node), node.name
+            )
         else:
             state.text_viol = None
 
-    def _run_content(self, node, compiled, state, offset):
+    def _run_content(self, node, compiled, state, offset, push=None,
+                     path=None):
         """Re-run the content word from ``offset``, replaying the memo.
 
         ``state.states[:offset + 1]`` is reused verbatim when the prefix
@@ -199,48 +264,75 @@ class ValidatedDocument:
         the initial state.  The forward loop steps the type's own
         ``ContentDFA`` table at each child's column, or for a bag its
         seen-mask exactly as ``ContentBag.step`` does (the memo is then a
-        list of masks).  Returns True iff the memo supplied the prefix;
-        callers count replays and memo hits.
+        list of masks); the two kinds run separate loops, so neither
+        tests the kind per child.  With ``push`` (the open walk's stack
+        append) each recognized child is pushed with its type, read from
+        the same column.  ``path`` is the element's slash path if the
+        caller derived it already.  Returns True iff the memo supplied
+        the prefix; callers count replays and memo hits.
         """
         children = node.children
-        memo_hit = state.recognized and 0 < offset < len(state.states)
-        if memo_hit:
+        if offset and state.recognized and offset < len(state.states):
+            memo_hit = True
             states = state.states[:offset + 1]
-            begin = offset
+            rest = children[offset:]
         else:
+            memo_hit = False
             states = [0]
-            begin = 0
+            rest = children
         current = states[-1]
-        recognized = True
-        viols = []
+        append = states.append
+        strays = []  # the names of unrecognized children
         dfa = compiled.dfa
         symbol_ids = dfa.symbol_ids
         child_types = compiled.child_types
         bag = compiled.bag
-        for child in children[begin:]:
-            column = symbol_ids.get(child.name, -1)
-            if child_types[column] < 0:  # -1 reads the trailing -1
-                recognized = False
-                viols.append(compiled.child_not_allowed(
-                    state.path, node.name, child.name
-                ))
-                continue
-            if bag is None:
-                current = dfa.table[current][column]
-            else:  # a repeated once-member sets the dead bit
-                bit = 1 << column
-                current |= bag.dead if current & bit & bag.once else bit
-            states.append(current)
-        accepted = dfa.is_accepting(current)
-        state.states = states
-        state.recognized = recognized
-        state.child_viols = viols
-        if recognized and not accepted:
-            state.content_viol = compiled.content_mismatch(
-                state.path, node.name, [child.name for child in children]
-            )
+        if bag is None:
+            table = dfa.table
+            for child in rest:
+                column = symbol_ids.get(child.name, -1)
+                child_type = child_types[column]
+                if child_type < 0:  # -1 reads the trailing -1
+                    strays.append(child.name)
+                    continue
+                current = table[current][column]
+                append(current)
+                if push is not None:
+                    push((child, child_type))
         else:
+            dead = bag.dead
+            once = bag.once
+            for child in rest:
+                column = symbol_ids.get(child.name, -1)
+                child_type = child_types[column]
+                if child_type < 0:
+                    strays.append(child.name)
+                    continue
+                # A repeated once-member sets the dead bit.
+                bit = 1 << column
+                current |= dead if current & bit & once else bit
+                append(current)
+                if push is not None:
+                    push((child, child_type))
+        state.states = states
+        if strays:
+            path = path or self._path(node)
+            state.recognized = False
+            state.child_viols = [
+                compiled.child_not_allowed(path, node.name, name)
+                for name in strays
+            ]
             state.content_viol = None
+            return memo_hit
+        state.recognized = True
+        state.child_viols = ()
+        if dfa.is_accepting(current):
+            state.content_viol = None
+        else:
+            state.content_viol = compiled.content_mismatch(
+                path or self._path(node), node.name,
+                [child.name for child in children]
+            )
         return memo_hit
 
     # -- edit API ----------------------------------------------------------
@@ -262,8 +354,11 @@ class ValidatedDocument:
         """
         with self._edit("insert_child") as trace:
             parent.insert(index, child, text_after)
-            trace.set_attribute("subtree", sum(1 for __ in child.iter()))
-            self._after_child_edit(parent, index, new_child=child)
+            if trace is not NULL_SPAN:
+                trace.set_attribute(
+                    "subtree", sum(1 for __ in child.iter())
+                )
+            self._after_child_edit(parent, index, child, text_after)
 
     def delete_child(self, parent, index):
         """Delete the child at ``index``; revalidate the parent's word.
@@ -285,9 +380,10 @@ class ValidatedDocument:
         plus the new subtree.  Returns the detached old subtree.
         """
         with self._edit("replace_subtree") as trace:
-            trace.set_attribute(
-                "subtree", sum(1 for __ in replacement.iter())
-            )
+            if trace is not NULL_SPAN:
+                trace.set_attribute(
+                    "subtree", sum(1 for __ in replacement.iter())
+                )
             parent = node.parent
             if parent is None:
                 if node is not self.document.root:
@@ -306,7 +402,7 @@ class ValidatedDocument:
                 return node
             self._purge(node)
             index = parent.replace_child(node, replacement)
-            self._after_child_edit(parent, index, new_child=replacement)
+            self._after_child_edit(parent, index, replacement)
         return node
 
     def set_attribute(self, node, name, value):
@@ -316,16 +412,20 @@ class ValidatedDocument:
         word and every other element are untouched.
         """
         with self._edit("set_attribute"):
+            attributes = node.attributes
             if value is None:
-                node.attributes.pop(name, None)
+                attributes.pop(name, None)
             else:
-                node.attributes[name] = value
+                attributes[name] = value
             state = self._nodes.get(id(node))
             if state is not None:
                 compiled = self.schema.types[state.type_id]
-                state.attr_viols = compiled.attribute_violations(
-                    state.path, node.name, node.attributes
-                )
+                if compiled.attribute_problems(attributes):
+                    state.attr_viols = compiled.attribute_violations(
+                        self._path(node), node.name, attributes
+                    )
+                else:
+                    state.attr_viols = ()
                 self._refresh_validity(node, state)
 
     def set_text(self, node, text, index=0):
@@ -361,8 +461,15 @@ class ValidatedDocument:
             time.perf_counter_ns() - started
         )
 
-    def _after_child_edit(self, parent, index, new_child=None):
-        """Revalidate the footprint of a child insert/delete/replace."""
+    def _after_child_edit(self, parent, index, new_child=None,
+                          text_after=""):
+        """Revalidate the footprint of a child insert/delete/replace.
+
+        Whether some text run is non-blank survives each of these edits
+        (a delete merges two runs, a replace keeps them, an insert adds
+        ``text_after``), so the parent's text is re-checked only when an
+        insert brings a non-blank run.
+        """
         state = self._nodes.get(id(parent))
         if state is None:
             # The parent lives in a skipped subtree (or under an
@@ -371,18 +478,18 @@ class ValidatedDocument:
         compiled = self.schema.types[state.type_id]
         registry = default_registry()
         registry.counter("engine.incremental.content_replays").inc()
-        if self._run_content(parent, compiled, state, offset=index):
+        path = None
+        if not compiled.mixed and text_after.strip():
+            path = self._path(parent)
+            state.text_viol = compiled.text_not_allowed(path, parent.name)
+        if self._run_content(parent, compiled, state, index, None, path):
             registry.counter("engine.incremental.memo_hits").inc()
-        # insert/delete may move character data between runs.
-        self._check_text(parent, compiled, state)
         self._refresh_validity(parent, state)
         if new_child is not None:
             column = compiled.dfa.symbol_ids.get(new_child.name, -1)
             child_type = compiled.child_types[column]
             if child_type >= 0:
-                self._type_subtree(
-                    new_child, child_type, f"{state.path}/{new_child.name}"
-                )
+                self._type_subtree(new_child, child_type)
 
     def _purge(self, subtree):
         nodes = self._nodes
@@ -426,7 +533,7 @@ class ValidatedDocument:
             )
             return report
         types = self.schema.types
-        for __, typed_path, state in self._typed_nodes():
+        for __, ___, typed_path, state in self._typed_nodes():
             report.typing[typed_path] = types[state.type_id].name
             report.violations.extend(state.local_violations())
         return report
@@ -452,10 +559,10 @@ class ValidatedDocument:
         types = self.schema.types
         invalid = self._invalid
         entries = []
-        for node, typed_path, state in self._typed_nodes():
+        for node, path, typed_path, state in self._typed_nodes():
             compiled = types[state.type_id]
             entry = ElementProvenance(
-                state.path, typed_path, node.name, compiled.name
+                path, typed_path, node.name, compiled.name
             )
             entry.dfa_states = tuple(state.states)
             if rule_of is not None:
@@ -488,29 +595,30 @@ class ValidatedDocument:
         return f"contains text but type {compiled.name} is not mixed"
 
     def _typed_nodes(self):
-        """``(node, typed path, state)`` for every typed element, in
-        document order (pre-order; the root must be declared).
+        """``(node, slash path, typed path, state)`` for every typed
+        element, in document order (pre-order; the root must be
+        declared).
 
         Sibling ordinals count typed (recognized) children only, exactly
         as the reference validators assign them.
         """
         nodes = self._nodes
         root = self.document.root
-        stack = [(root, f"/{root.name}[1]")]
+        stack = [(root, "/" + root.name, f"/{root.name}[1]")]
         while stack:
-            node, typed_path = stack.pop()
-            yield node, typed_path, nodes[id(node)]
+            node, path, typed_path = stack.pop()
+            yield node, path, typed_path, nodes[id(node)]
             ordinals = {}
             typed_children = []
             for child in node.children:
                 if id(child) not in nodes:
                     continue
-                ordinal = ordinals[child.name] = (
-                    ordinals.get(child.name, 0) + 1
-                )
-                typed_children.append(
-                    (child, f"{typed_path}/{child.name}[{ordinal}]")
-                )
+                name = child.name
+                ordinal = ordinals[name] = ordinals.get(name, 0) + 1
+                typed_children.append((
+                    child, f"{path}/{name}",
+                    f"{typed_path}/{name}[{ordinal}]",
+                ))
             stack.extend(reversed(typed_children))
 
     def provenance_of(self, node):

@@ -44,7 +44,7 @@ from repro.observability import default_registry
 from repro.observability.budget import current_budget
 from repro.observability.tracing import span
 from repro.resilience.limits import ParserLimits, resolve_limits
-from repro.xmlmodel.parser import _iter_events, iter_events
+from repro.xmlmodel.parser import _CHECK_EVENTS, _iter_events, iter_events
 from repro.xmlmodel.tokenizer import (
     _CHECK_CHUNKS,
     END,
@@ -70,11 +70,6 @@ _ROOT_FALLBACK = FallbackRequired()
 _TYPING_SLOT = XSDValidationReport.typing
 
 _UNLIMITED = ParserLimits.unlimited()
-
-# The compat loop checks an ambient ResourceBudget's clock once per this
-# many events (the dense scan once per _CHECK_CHUNKS chunks), never per
-# step.
-_CHECK_EVENTS = 64
 
 
 class _DenseReport(XSDValidationReport):

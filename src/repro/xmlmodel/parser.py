@@ -48,8 +48,11 @@ byte tier's trees to the char tier's.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.errors import LimitExceeded, ParseError
 from repro.observability import default_registry
+from repro.observability.budget import current_budget
 from repro.resilience.faults import probe
 from repro.resilience.limits import ParserLimits, resolve_limits
 from repro.xmlmodel.tree import XMLDocument, XMLElement
@@ -63,6 +66,11 @@ _SPACES = (" ", "\t", "\r", "\n")
 
 # Limits that cap nothing, for names no limit applies to.
 _UNCAPPED = ParserLimits.unlimited()
+
+# An event loop checks an ambient ResourceBudget's clock once per this
+# many events, never per event: parse_document's char-tier fold and the
+# streaming compat loop both.
+_CHECK_EVENTS = 64
 
 
 class _Cursor:
@@ -227,7 +235,8 @@ def parse_document(text, limits=None):
         BudgetExceeded: if an ambient
             :class:`~repro.observability.ResourceBudget`'s deadline
             passes during the byte tier's fold, which checks its clock
-            once per 4096 chunks.
+            once per 4096 chunks, or during the char tier's, which
+            checks it once per 64 events.
     """
     from repro.xmlmodel.tokenizer import FallbackRequired, fold_tree
 
@@ -250,7 +259,23 @@ def parse_document(text, limits=None):
     # The probe fired once for this document; the char tier reruns
     # without probing again.
     registry.counter("xmlmodel.parse.fallbacks").inc()
-    return XMLDocument(XMLElement.from_events(_iter_events(text, limits)))
+    events = _iter_events(text, limits)
+    budget = current_budget()
+    if budget is not None:
+        events = _clocked(events, budget)
+    return XMLDocument(XMLElement.from_events(events))
+
+
+def _clocked(events, budget):
+    """``events``, with ``budget``'s clock read before every block of
+    :data:`_CHECK_EVENTS` events but the first (so a short document
+    never reads it, as with the byte tier's fold)."""
+    block = list(islice(events, _CHECK_EVENTS))
+    while block:
+        yield from block
+        block = list(islice(events, _CHECK_EVENTS))
+        if block:
+            budget.check_time("xmlmodel.parse_document")
 
 
 def parse_fragment(text, limits=None):

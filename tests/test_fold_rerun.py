@@ -309,6 +309,26 @@ class TestBudget:
         with pytest.raises(BudgetExceeded, match="xmlmodel.fold_tree"):
             parse_document(self._long_early_invalid())
 
+    def test_parse_documents_char_tier_trips_too(self, expired):
+        # The fold refuses an internal subset, so the char tier builds
+        # the tree, reading the clock once per block of events.
+        body = "".join(f"<record id='{i}'>v{i}</record>"
+                       for i in range(20_000))
+        fallbacks = default_registry().counter("xmlmodel.parse.fallbacks")
+        before = fallbacks.value
+        with pytest.raises(BudgetExceeded, match="xmlmodel.parse_document"):
+            parse_document("<!DOCTYPE batch [<!ELEMENT batch ANY>]><batch>"
+                           + body + "</batch>")
+        assert fallbacks.value == before + 1
+
+    def test_short_refused_documents_parse_under_an_expired_budget(
+            self, expired):
+        # One block of events: the clock is never read.
+        text = ("<!DOCTYPE batch [<!ELEMENT batch ANY>]><batch>"
+                + "<r/>" * (streaming._CHECK_EVENTS // 2 - 2) + "</batch>")
+        assert len(parse_document(text).root.children) == (
+            streaming._CHECK_EVENTS // 2 - 2)
+
     def test_short_documents_fold_under_an_expired_budget(self, expired):
         # One block: the clock is never read.
         __, compiled, *___ = _setup("figure3")
