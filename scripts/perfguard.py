@@ -43,7 +43,15 @@ tables or maps that grow with the schema's whole name set fail here.
 Two keys hold the ``ValidatedDocument`` open walk on the benchmark
 document: ``memo_bytes_per_el_ceiling`` bounds what the opened handle
 retains per element (:mod:`tracemalloc`), and ``build_vs_compat`` is
-the open walk's rate over the compat loop's on the same tree.
+the open walk's rate over the compat loop's on the same tree.  One
+ceiling holds child edits to the cost of the edit rather than the
+parent's width: ``wide_edit_vs_narrow`` is the median latency of a
+replace, and of an insert plus a delete, near the end of a
+10,000-child ``<content>`` that holds one unrecognized child near its
+front, over the same ops under a 6-child ``section`` of the same
+document (the larger of the two ratios, one process).  A replay that
+runs to the end of the word, or from its start, scales with the width
+and fails here.
 
 Exits nonzero with a diagnostic on any floor violation.  To re-baseline
 after an intentional change, edit the JSON floor file alongside the
@@ -169,6 +177,8 @@ def measure():
             text, compiled, validator
         )
 
+        wide_edit_vs_narrow = _measure_wide_edit(compiled)
+
         diff_vs_tree = _measure_diff(full_seconds=size / e2e_tree)
 
         bag_compile_ms = _measure_bag()
@@ -191,6 +201,7 @@ def measure():
         "incremental_vs_full": incremental_vs_full,
         "memo_bytes_per_el": memo_bytes_per_el,
         "build_vs_compat": build_vs_compat,
+        "wide_edit_vs_narrow": wide_edit_vs_narrow,
         "diff_vs_tree": diff_vs_tree,
         "bag_compile_ms": bag_compile_ms,
         "schema_retained_mib": schema_retained_mib,
@@ -311,6 +322,64 @@ def _measure_build(text, compiled, validator):
     compat = _rate(lambda: validator.validate_events(tree.root.events()),
                    size, repeats=20)
     return retained / size, build / compat
+
+
+def _measure_wide_edit(compiled, repeats=301):
+    """Child edits under a wide parent over the same under a narrow one.
+
+    One Figure 3 document: ``<content>`` holds a 6-child ``section``
+    (the narrow parent), an unrecognized ``<stranger/>``, then 9,998
+    sections.  Each round times, one op at a time, a replace by index
+    (as ``ReplaceChild`` hands it over) and an insert plus a delete, at
+    child 9,990 of ``<content>`` and at the narrow section's last
+    child.  Returns the larger of the two ratios of median latencies,
+    wide over narrow.
+    """
+    import statistics
+
+    from repro.engine import ValidatedDocument
+    from repro.xmlmodel import element
+
+    def section(title, *children):
+        return element("section", *children, attributes={"title": title})
+
+    narrow = section(
+        "narrow", element("bold"), element("italic"), element("font"),
+        element("style", attributes={"name": "s"}),
+        element("color", attributes={"color": "red"}), section("inner"),
+    )
+    content = element("content", narrow, element("stranger"),
+                      *[section(f"s{i}") for i in range(9_998)])
+    handle = ValidatedDocument(
+        element("document", element("template"), element("userstyles"),
+                content),
+        compiled,
+    )
+
+    def replace(parent, index):
+        replacement = section("replaced")
+        started = time.perf_counter_ns()
+        handle.replace_child(parent, index, replacement)
+        return time.perf_counter_ns() - started
+
+    def insert_delete(parent, index):
+        inserted = section("inserted")
+        started = time.perf_counter_ns()
+        handle.insert_child(parent, index, inserted)
+        handle.delete_child(parent, index)
+        return time.perf_counter_ns() - started
+
+    timings = {key: [] for key in ("wide replace", "narrow replace",
+                                   "wide insert", "narrow insert")}
+    for __ in range(repeats):
+        timings["wide replace"].append(replace(content, 9_990))
+        timings["narrow replace"].append(replace(narrow, 5))
+        timings["wide insert"].append(insert_delete(content, 9_990))
+        timings["narrow insert"].append(insert_delete(narrow, 5))
+    median = {key: statistics.median(values)
+              for key, values in timings.items()}
+    return max(median["wide replace"] / median["narrow replace"],
+               median["wide insert"] / median["narrow insert"])
 
 
 def _measure_diff(full_seconds):
@@ -529,6 +598,13 @@ def main():
             f"the committed ceiling "
             f"{floors['memo_bytes_per_el_ceiling']:.0f} bytes"
         )
+    if measured["wide_edit_vs_narrow"] > floors["wide_edit_vs_narrow"]:
+        problems.append(
+            f"wide_edit_vs_narrow: a child edit near the end of a "
+            f"10,000-child parent took {measured['wide_edit_vs_narrow']:.2f}x "
+            f"the same edit under a 6-child parent, above the committed "
+            f"ceiling {floors['wide_edit_vs_narrow']:.2f}x"
+        )
     if measured["diff_vs_tree"] > floors["diff_vs_tree_ceiling"]:
         problems.append(
             f"diff_vs_tree: the Figure-family schema diff took "
@@ -599,6 +675,9 @@ def main():
         f"(floor {floors['build_vs_compat']:.2f}x) retaining "
         f"{measured['memo_bytes_per_el']:.0f} B/element "
         f"(ceiling {floors['memo_bytes_per_el_ceiling']:.0f} B), "
+        f"child edit under 10,000 children "
+        f"{measured['wide_edit_vs_narrow']:.2f}x under 6 "
+        f"(ceiling {floors['wide_edit_vs_narrow']:.1f}x), "
         f"schema diff {measured['diff_vs_tree']:.1f}x tree pass "
         f"(ceiling {floors['diff_vs_tree_ceiling']:.1f}x), "
         f"24-member xs:all compile {measured['bag_compile_ms']:.1f} ms "

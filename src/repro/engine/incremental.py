@@ -10,10 +10,15 @@ children of one element can never change the type (or the verdict) of
 anything outside that element's content word and the new subtree itself:
 
 * **insert/delete/replace of a child** re-runs only the touched parent's
-  content word against its content-model DFA.  The per-element DFA state
-  path recorded at validation time (the memo ``explain`` reads its
-  records from) lets even that be partial: states up to the edit offset
-  replay from the memo, and only the suffix runs the dense row loop.
+  content word against its content-model DFA, and only until the run
+  rejoins the memo.  The per-element DFA state path recorded at
+  validation time (the memo ``explain`` reads its records from) holds
+  one state per child position, so the states up to the edit offset are
+  reused as they are; the replay steps the type's table from there and
+  stops as soon as its state equals the memo's state before the same
+  child (the DFA is deterministic, so equal states before equal suffixes
+  give equal runs), splicing the memo's tail back in.  A bag's masks
+  only grow, so a bag replays to the end of its (narrow) word.
 * **a new subtree** is typed and checked by the same one-pass walk that
   opens a document: the column a parent's content step reads names the
   child's type, so the step that checks a child also types it, and the
@@ -26,10 +31,12 @@ anything outside that element's content word and the new subtree itself:
 :class:`~repro.engine.compiler.CompiledSchema` and the per-element
 provenance (type assignment + DFA state path + locally attributed
 violations).  A clean record holds shared immutable empties, and no
-record holds a slash path: a violation message derives its element's
-path from ``parent`` links when it is written.  All edits MUST go
-through its API — mutating the underlying tree directly leaves the memo
-stale.  After every edit the handle's
+record holds a slash path or a message whose size grows with the content
+word: a record counts its unrecognized children and notes whether its
+word is rejected, and :meth:`~ValidatedDocument.report` writes those
+messages, deriving each element's path from ``parent`` links.  All edits
+MUST go through its API — mutating the underlying tree directly leaves
+the memo stale.  After every edit the handle's
 :meth:`report` agrees with a from-scratch run of the tree or streaming
 validator on verdict, violation multiset, and typing (the conformance
 harness's ``incremental`` leg enforces this on seeded edit storms), and
@@ -56,9 +63,9 @@ from repro.xsd.validator import XSDValidationReport
 
 _LEAF_STATES = (0,)
 """The state path every element without children shares (the empty
-word's).  Writers replace a record's fields, never mutate them; the
-memo branch of :meth:`ValidatedDocument._run_content` needs
-``0 < offset < len(states)``, which this path never meets."""
+word's).  A child edit splices a record's own list in place, so an edit
+that gives a leaf a child first swaps this tuple for a fresh list
+(:meth:`ValidatedDocument._replay_content`)."""
 
 
 class _NodeState:
@@ -66,41 +73,36 @@ class _NodeState:
 
     Records are built without ``__init__`` (the open walk sets every
     slot).  A clean record shares immutable empties: ``()`` for
-    ``child_viols`` and ``attr_viols``, and :data:`_LEAF_STATES` for an
-    element without children.  Every writer replaces a field, never
-    mutates it.  No record holds the element's slash path; messages
-    derive it from ``parent`` links (:meth:`ValidatedDocument._path`).
+    ``attr_viols``, and :data:`_LEAF_STATES` for an element without
+    children.  Every writer replaces a field, except that a child edit
+    splices the record's own ``states`` list in place.  No record holds
+    the element's slash path or a message about its content word; those
+    are written when a report needs them, the path derived from
+    ``parent`` links (:meth:`ValidatedDocument._path`).
 
     Attributes:
         type_id: the element's compiled type id (unique typing, Def. 2).
-        states: content-DFA state path (seen-masks for a bag type);
-            ``states[0] == 0`` and one state is appended per *recognized*
-            child; the ``dfa_states`` of the element's provenance entry.
-            A list, or the shared ``(0,)`` for an element without
-            children.
-        recognized: True iff every child's label is declared under this
-            type (only then is the content word checked for acceptance,
-            mirroring both reference validators).
-        child_viols: "not allowed under" messages, one per unrecognized
-            child (a list), or ``()``.
-        content_viol: the children-don't-match message, or ``None``.
+        states: content-DFA state path (seen-masks for a bag type),
+            aligned with the children: ``states[0] == 0`` and
+            ``states[i + 1]`` is the state after child ``i``, where an
+            unrecognized child repeats the state before it.  A list, or
+            the shared ``(0,)`` for an element without children.  The
+            ``dfa_states`` of the element's provenance entry are
+            ``states[0]`` plus the entries after its recognized children
+            (:meth:`ValidatedDocument._reported_states`).
+        strays: the number of children whose label this type declares
+            no type for; each is "not allowed under" the element, and
+            only a word without them is checked for acceptance,
+            mirroring both reference validators.
+        rejected: True iff the word has no strays and the content model
+            rejects it.
         text_viol: the may-not-contain-text message, or ``None``.
         attr_viols: missing-required / undeclared attribute messages (a
             list), or ``()``.
     """
 
-    __slots__ = ("type_id", "states", "recognized", "child_viols",
-                 "content_viol", "text_viol", "attr_viols")
-
-    def local_violations(self):
-        """This element's violations, in the tree validator's order."""
-        out = list(self.child_viols)
-        if self.content_viol is not None:
-            out.append(self.content_viol)
-        if self.text_viol is not None:
-            out.append(self.text_viol)
-        out.extend(self.attr_viols)
-        return out
+    __slots__ = ("type_id", "states", "strays", "rejected", "text_viol",
+                 "attr_viols")
 
 
 class ValidatedDocument:
@@ -206,20 +208,15 @@ class ValidatedDocument:
                         bad = True
                         break
             if node.children:
-                run_content(node, compiled, state, 0, push, path)
-                if not state.recognized or state.content_viol is not None:
+                if run_content(node, compiled, state, push):
                     bad = True
             else:
                 state.states = _LEAF_STATES
-                state.recognized = True
-                state.child_viols = ()
+                state.strays = 0
                 if compiled.dfa.is_accepting(0):
-                    state.content_viol = None
+                    state.rejected = False
                 else:
-                    state.content_viol = compiled.content_mismatch(
-                        path or self._path(node), node.name, ()
-                    )
-                    bad = True
+                    state.rejected = bad = True
             if bad:
                 invalid.add(id(node))
         # One content replay per typed element, none from the memo
@@ -254,86 +251,114 @@ class ValidatedDocument:
         else:
             state.text_viol = None
 
-    def _run_content(self, node, compiled, state, offset, push=None,
-                     path=None):
-        """Re-run the content word from ``offset``, replaying the memo.
+    def _run_content(self, node, compiled, state, push):
+        """Run ``node``'s content word from the initial state (opens).
 
-        ``state.states[:offset + 1]`` is reused verbatim when the prefix
-        is trustworthy (every earlier child was recognized, so the memo
-        aligns with child positions); otherwise the word replays from
-        the initial state.  The forward loop steps the type's own
-        ``ContentDFA`` table at each child's column, or for a bag its
-        seen-mask exactly as ``ContentBag.step`` does (the memo is then a
-        list of masks); the two kinds run separate loops, so neither
-        tests the kind per child.  With ``push`` (the open walk's stack
-        append) each recognized child is pushed with its type, read from
-        the same column.  ``path`` is the element's slash path if the
-        caller derived it already.  Returns True iff the memo supplied
-        the prefix; callers count replays and memo hits.
+        Steps the type's own ``ContentDFA`` table at each child's column,
+        or for a bag its seen-mask exactly as ``ContentBag.step`` does
+        (the path is then a list of masks); the two kinds run separate
+        loops, so neither tests the kind per child.  Each recognized
+        child is pushed (``push``, the open walk's stack append) with its
+        type, read from the same column; an unrecognized child repeats
+        the state before it, which keeps the path aligned with child
+        positions.  Sets the record's ``states``, ``strays`` and
+        ``rejected``; returns True iff the word holds a stray or is
+        rejected.
         """
-        children = node.children
-        if offset and state.recognized and offset < len(state.states):
-            memo_hit = True
-            states = state.states[:offset + 1]
-            rest = children[offset:]
-        else:
-            memo_hit = False
-            states = [0]
-            rest = children
-        current = states[-1]
+        states = [0]
         append = states.append
-        strays = []  # the names of unrecognized children
+        current = 0
+        strays = 0
         dfa = compiled.dfa
         symbol_ids = dfa.symbol_ids
         child_types = compiled.child_types
         bag = compiled.bag
         if bag is None:
             table = dfa.table
-            for child in rest:
+            for child in node.children:
                 column = symbol_ids.get(child.name, -1)
                 child_type = child_types[column]
                 if child_type < 0:  # -1 reads the trailing -1
-                    strays.append(child.name)
-                    continue
-                current = table[current][column]
-                append(current)
-                if push is not None:
+                    strays += 1
+                else:
+                    current = table[current][column]
                     push((child, child_type))
+                append(current)
         else:
             dead = bag.dead
             once = bag.once
-            for child in rest:
+            for child in node.children:
                 column = symbol_ids.get(child.name, -1)
                 child_type = child_types[column]
                 if child_type < 0:
-                    strays.append(child.name)
-                    continue
-                # A repeated once-member sets the dead bit.
-                bit = 1 << column
-                current |= dead if current & bit & once else bit
-                append(current)
-                if push is not None:
+                    strays += 1
+                else:
+                    # A repeated once-member sets the dead bit.
+                    bit = 1 << column
+                    current |= dead if current & bit & once else bit
                     push((child, child_type))
+                append(current)
         state.states = states
+        state.strays = strays
         if strays:
-            path = path or self._path(node)
-            state.recognized = False
-            state.child_viols = [
-                compiled.child_not_allowed(path, node.name, name)
-                for name in strays
-            ]
-            state.content_viol = None
-            return memo_hit
-        state.recognized = True
-        state.child_viols = ()
-        if dfa.is_accepting(current):
-            state.content_viol = None
+            state.rejected = False
+            return True
+        state.rejected = rejected = not dfa.is_accepting(current)
+        return rejected
+
+    def _replay_content(self, node, compiled, state, index, delta):
+        """Re-step ``node``'s content word after a child edit at ``index``.
+
+        ``delta`` is the edit's change in width: +1 for an insert, 0 for
+        a replace, -1 for a delete.  With ``S`` the old (aligned) path,
+        ``S[:index + 1]`` still holds; the replay steps the new children
+        from ``S[index]`` and, for ordered content, stops at the first
+        new position ``i`` (from ``index + 1``, or ``index`` for a
+        delete) whose state equals ``S[i - delta]``: the DFA is
+        deterministic and the children from there on are the old ones,
+        so the rest of the run is ``S[i - delta:]``.  The replayed
+        states are spliced into the record's own list in place; a leaf's
+        shared :data:`_LEAF_STATES` is first swapped for a fresh list.
+        A bag's masks only grow, so a bag replays to the end of its
+        word.  Returns the number of children re-stepped.
+        """
+        states = state.states
+        if states is _LEAF_STATES:
+            states = state.states = [0]
+        children = node.children
+        current = states[index]
+        fresh = []
+        append = fresh.append
+        stop = len(states)  # the old path's end, unless the run rejoins
+        dfa = compiled.dfa
+        symbol_ids = dfa.symbol_ids
+        child_types = compiled.child_types
+        bag = compiled.bag
+        if bag is None:
+            table = dfa.table
+            shift = 1 - delta  # new path index + shift = old path index
+            if delta < 0 and current == states[index + 1]:
+                stop = index + 2
+            else:
+                for position in range(index, len(children)):
+                    column = symbol_ids.get(children[position].name, -1)
+                    if child_types[column] >= 0:
+                        current = table[current][column]
+                    append(current)
+                    if current == states[position + shift]:
+                        stop = position + shift + 1
+                        break
         else:
-            state.content_viol = compiled.content_mismatch(
-                path or self._path(node), node.name,
-                [child.name for child in children]
-            )
-        return memo_hit
+            dead = bag.dead
+            once = bag.once
+            for position in range(index, len(children)):
+                column = symbol_ids.get(children[position].name, -1)
+                if child_types[column] >= 0:
+                    bit = 1 << column
+                    current |= dead if current & bit & once else bit
+                append(current)
+        states[index + 1:stop] = fresh
+        return len(fresh)
 
     # -- edit API ----------------------------------------------------------
     def node_at(self, path):
@@ -348,17 +373,19 @@ class ValidatedDocument:
     def insert_child(self, parent, index, child, text_after=""):
         """Insert ``child`` under ``parent`` at ``index``; revalidate.
 
-        Only the parent's content word (from ``index`` on) and the new
-        subtree are revalidated; every element outside that footprint
-        keeps its provenance verbatim.
+        Only the parent's content word (from ``index`` until the run
+        rejoins the memo) and the new subtree are revalidated; every
+        element outside that footprint keeps its provenance verbatim.
         """
         with self._edit("insert_child") as trace:
             parent.insert(index, child, text_after)
+            replayed = self._after_child_edit(parent, index, child,
+                                              text_after=text_after)
             if trace is not NULL_SPAN:
                 trace.set_attribute(
                     "subtree", sum(1 for __ in child.iter())
                 )
-            self._after_child_edit(parent, index, child, text_after)
+                trace.set_attribute("replayed", replayed)
 
     def delete_child(self, parent, index):
         """Delete the child at ``index``; revalidate the parent's word.
@@ -366,43 +393,58 @@ class ValidatedDocument:
         Returns the detached subtree (its provenance is dropped — a
         re-inserted subtree is retyped like any new one).
         """
-        with self._edit("delete_child"):
+        with self._edit("delete_child") as trace:
             removed = parent.remove_child(index)
             self._purge(removed)
-            self._after_child_edit(parent, index)
+            replayed = self._after_child_edit(parent, index,
+                                              old_child=removed)
+            if trace is not NULL_SPAN:
+                trace.set_attribute("replayed", replayed)
         return removed
+
+    def replace_child(self, parent, index, replacement):
+        """Replace ``parent``'s child at ``index`` with ``replacement``.
+
+        Revalidates the parent's word (from ``index`` until the run
+        rejoins the memo) plus the new subtree.  Returns the detached
+        old subtree.
+        """
+        with self._edit("replace_subtree") as trace:
+            node = parent.replace_child_at(index, replacement)
+            self._after_replace(parent, index, node, replacement, trace)
+        return node
 
     def replace_subtree(self, node, replacement):
         """Replace ``node`` (possibly the root) with ``replacement``.
 
-        Replacing the root re-runs the whole initial walk (the footprint
-        *is* the document); anything else revalidates one content word
-        plus the new subtree.  Returns the detached old subtree.
+        Replacing ``document.root`` re-runs the whole initial walk (the
+        footprint *is* the document; a parent outside the handle keeps
+        the old root); anything else finds ``node`` among its siblings by
+        identity and then revalidates as :meth:`replace_child` does.
+        Returns the detached old subtree.
         """
         with self._edit("replace_subtree") as trace:
-            if trace is not NULL_SPAN:
-                trace.set_attribute(
-                    "subtree", sum(1 for __ in replacement.iter())
-                )
-            parent = node.parent
-            if parent is None:
-                if node is not self.document.root:
-                    raise SchemaError(
-                        "replace_subtree target is not part of this "
-                        "document"
-                    )
+            if node is self.document.root:
                 if replacement.parent is not None:
                     raise SchemaError(
                         f"element <{replacement.name}> already has a "
                         f"parent <{replacement.parent.name}>"
                     )
+                if trace is not NULL_SPAN:
+                    trace.set_attribute(
+                        "subtree", sum(1 for __ in replacement.iter())
+                    )
                 self.document.root = replacement
                 self._purge(node)
                 self._build()
                 return node
-            self._purge(node)
+            parent = node.parent
+            if parent is None:
+                raise SchemaError(
+                    "replace_subtree target is not part of this document"
+                )
             index = parent.replace_child(node, replacement)
-            self._after_child_edit(parent, index, replacement)
+            self._after_replace(parent, index, node, replacement, trace)
         return node
 
     def set_attribute(self, node, name, value):
@@ -461,35 +503,68 @@ class ValidatedDocument:
             time.perf_counter_ns() - started
         )
 
+    def _after_replace(self, parent, index, node, replacement, trace):
+        """Revalidate after ``node`` gave way to ``replacement`` at
+        ``index`` under ``parent``."""
+        self._purge(node)
+        replayed = self._after_child_edit(parent, index, replacement, node)
+        if trace is not NULL_SPAN:
+            trace.set_attribute(
+                "subtree", sum(1 for __ in replacement.iter())
+            )
+            trace.set_attribute("replayed", replayed)
+
     def _after_child_edit(self, parent, index, new_child=None,
-                          text_after=""):
+                          old_child=None, text_after=""):
         """Revalidate the footprint of a child insert/delete/replace.
 
-        Whether some text run is non-blank survives each of these edits
-        (a delete merges two runs, a replace keeps them, an insert adds
-        ``text_after``), so the parent's text is re-checked only when an
-        insert brings a non-blank run.
+        ``new_child`` is the inserted or replacing child and
+        ``old_child`` the deleted or replaced one (a replace passes
+        both).  The stray count changes by those two children alone:
+        every child the replay re-steps is the same object under the
+        same label.  Whether some text run is non-blank survives
+        each of these edits (a delete merges two runs, a replace keeps
+        them, an insert adds ``text_after``), so the parent's text is
+        re-checked only when an insert brings a non-blank run.  Returns
+        the number of children the replay re-stepped.
         """
         state = self._nodes.get(id(parent))
         if state is None:
             # The parent lives in a skipped subtree (or under an
             # undeclared root): structurally applied, nothing to check.
-            return
+            return 0
         compiled = self.schema.types[state.type_id]
         registry = default_registry()
         registry.counter("engine.incremental.content_replays").inc()
-        path = None
-        if not compiled.mixed and text_after.strip():
-            path = self._path(parent)
-            state.text_viol = compiled.text_not_allowed(path, parent.name)
-        if self._run_content(parent, compiled, state, index, None, path):
+        if index:
             registry.counter("engine.incremental.memo_hits").inc()
-        self._refresh_validity(parent, state)
+        if not compiled.mixed and text_after.strip():
+            state.text_viol = compiled.text_not_allowed(
+                self._path(parent), parent.name
+            )
+        symbol_ids = compiled.dfa.symbol_ids
+        child_types = compiled.child_types
+        strays = state.strays
+        if old_child is not None and \
+                child_types[symbol_ids.get(old_child.name, -1)] < 0:
+            strays -= 1
+        child_type = -1
         if new_child is not None:
-            column = compiled.dfa.symbol_ids.get(new_child.name, -1)
-            child_type = compiled.child_types[column]
-            if child_type >= 0:
-                self._type_subtree(new_child, child_type)
+            child_type = child_types[symbol_ids.get(new_child.name, -1)]
+            if child_type < 0:
+                strays += 1
+        state.strays = strays
+        replayed = self._replay_content(
+            parent, compiled, state, index,
+            (new_child is not None) - (old_child is not None),
+        )
+        state.rejected = not strays and not compiled.dfa.is_accepting(
+            state.states[-1]
+        )
+        self._refresh_validity(parent, state)
+        if child_type >= 0:
+            self._type_subtree(new_child, child_type)
+        return replayed
 
     def _purge(self, subtree):
         nodes = self._nodes
@@ -501,13 +576,8 @@ class ValidatedDocument:
 
     def _refresh_validity(self, node, state):
         """Keep the invalid-element index in step with ``state``."""
-        bad = (
-            not state.recognized
-            or state.content_viol is not None
-            or state.text_viol is not None
-            or bool(state.attr_viols)
-        )
-        if bad:
+        if state.strays or state.rejected or state.text_viol is not None \
+                or state.attr_viols:
             self._invalid.add(id(node))
         else:
             self._invalid.discard(id(node))
@@ -533,10 +603,42 @@ class ValidatedDocument:
             )
             return report
         types = self.schema.types
-        for __, ___, typed_path, state in self._typed_nodes():
-            report.typing[typed_path] = types[state.type_id].name
-            report.violations.extend(state.local_violations())
+        invalid = self._invalid
+        typing = report.typing
+        violations = report.violations
+        for node, path, typed_path, state in self._typed_nodes():
+            compiled = types[state.type_id]
+            typing[typed_path] = compiled.name
+            if id(node) in invalid:
+                violations.extend(
+                    self._violations(node, path, compiled, state)
+                )
         return report
+
+    def _violations(self, node, path, compiled, state):
+        """``node``'s violations, in the tree validator's order.
+
+        The messages about its content word (one per unrecognized child,
+        in child order, or the mismatch that lists every child) are
+        written here; the text and attribute ones were written by the
+        check that found them.
+        """
+        out = []
+        if state.strays:
+            nodes = self._nodes
+            name = node.name
+            out.extend(
+                compiled.child_not_allowed(path, name, child.name)
+                for child in node.children if id(child) not in nodes
+            )
+        elif state.rejected:
+            out.append(compiled.content_mismatch(
+                path, node.name, [child.name for child in node.children]
+            ))
+        if state.text_viol is not None:
+            out.append(state.text_viol)
+        out.extend(state.attr_viols)
+        return out
 
     def provenance(self, rule_of=None):
         """One :class:`~repro.observability.ElementProvenance` per typed
@@ -564,7 +666,7 @@ class ValidatedDocument:
             entry = ElementProvenance(
                 path, typed_path, node.name, compiled.name
             )
-            entry.dfa_states = tuple(state.states)
+            entry.dfa_states = self._reported_states(node, state)
             if rule_of is not None:
                 entry.rule_index = rule_of.get(id(node))
             if id(node) in invalid:
@@ -579,7 +681,7 @@ class ValidatedDocument:
             if missing:
                 return f"missing required attribute {name!r}"
             return f"undeclared attribute {name!r}"
-        if not state.recognized:
+        if state.strays:
             nodes = self._nodes
             child = next(
                 child for child in node.children if id(child) not in nodes
@@ -588,7 +690,7 @@ class ValidatedDocument:
                 f"child <{child.name}> is not allowed under <{node.name}> "
                 f"(type {compiled.name})"
             )
-        if state.content_viol is not None:
+        if state.rejected:
             return first_divergence(
                 compiled.dfa, [child.name for child in node.children]
             )
@@ -632,8 +734,22 @@ class ValidatedDocument:
         if state is None:
             return None
         return (
-            self.schema.types[state.type_id].name, tuple(state.states)
+            self.schema.types[state.type_id].name,
+            self._reported_states(node, state),
         )
+
+    def _reported_states(self, node, state):
+        """The state path ``node``'s provenance reports: ``states[0]``
+        and the entry after each recognized (typed) child, so one state
+        per recognized child."""
+        states = state.states
+        if not state.strays:
+            return tuple(states)
+        nodes = self._nodes
+        return (states[0], *[
+            after for child, after in zip(node.children, states[1:])
+            if id(child) in nodes
+        ])
 
     def __len__(self):
         """The number of typed elements."""

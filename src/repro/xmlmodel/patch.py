@@ -203,15 +203,18 @@ class ReplaceChild(PatchOp):
     def apply_full(self, document):
         node = resolve(document.root, self.sel)
         replacement = clone_element(self.child)
-        if node.parent is None:
-            document.root = replacement
+        if self.sel:
+            node.parent.replace_child_at(self.sel[-1], replacement)
         else:
-            node.parent.replace_child(node, replacement)
+            document.root = replacement
 
     def apply_incremental(self, handle):
-        handle.replace_subtree(
-            handle.node_at(self.sel), clone_element(self.child)
-        )
+        node = handle.node_at(self.sel)
+        replacement = clone_element(self.child)
+        if self.sel:
+            handle.replace_child(node.parent, self.sel[-1], replacement)
+        else:
+            handle.replace_subtree(node, replacement)
 
     def to_element(self):
         node = XMLElement(

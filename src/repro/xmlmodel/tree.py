@@ -97,21 +97,39 @@ class XMLElement:
         self.texts[index] += self.texts.pop(index + 1)
         return child
 
+    def replace_child_at(self, index, replacement):
+        """Put ``replacement`` in the child at ``index``'s place.
+
+        Returns the detached child.  The text runs around it stay
+        exactly as they were, and nothing shifts: O(1).
+        """
+        if replacement.parent is not None:
+            raise SchemaError(
+                f"element <{replacement.name}> already has a parent "
+                f"<{replacement.parent.name}>"
+            )
+        if not 0 <= index < len(self.children):
+            raise IndexError(
+                f"replace index {index} out of range for "
+                f"{len(self.children)} children"
+            )
+        child = self.children[index]
+        child.parent = None
+        replacement.parent = self
+        self.children[index] = replacement
+        return child
+
     def replace_child(self, child, replacement):
         """Put ``replacement`` in ``child``'s place; returns the index.
 
         ``child`` is found by identity (value equality could pick an
-        equal-valued sibling at another position), and the text runs
-        around it stay exactly as they were.
+        equal-valued sibling at another position); callers that know the
+        index use :meth:`replace_child_at`, which this delegates to.
         """
         index = next(
             i for i, sibling in enumerate(self.children) if sibling is child
         )
-        before = self.texts[index]
-        text_after = self.texts[index + 1]
-        self.remove_child(index)
-        self.texts[index] = before
-        self.insert(index, replacement, text_after)
+        self.replace_child_at(index, replacement)
         return index
 
     # -- the paper's string notions --------------------------------------

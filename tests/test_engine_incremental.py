@@ -19,7 +19,9 @@ from repro.conformance import load_corpus, schema_from_json
 from repro.engine import ValidatedDocument, compile_xsd, incremental
 from repro.errors import ParseError, PatchError, SchemaError
 from repro.observability import Tracer, default_registry, installed_tracer
+from repro.observability.tracing import NULL_SPAN
 from repro.paperdata import FIGURE1_XML, figure3_xsd
+from repro.regex.ast import EPSILON, concat, interleave, optional, star, sym
 from repro.translation import dfa_based_to_xsd
 from repro.xmlmodel import (
     AddChild,
@@ -38,7 +40,9 @@ from repro.xmlmodel import (
     write_patch,
 )
 from repro.xmlmodel.tree import XMLElement
+from repro.xsd.content import ContentModel
 from repro.xsd.model import XSD
+from repro.xsd.typednames import TypedName
 from repro.xsd.validator import validate_xsd
 from tests.test_engine_batch_route import CORPUS_DIR
 from tests.test_engine_differential import _setup
@@ -157,6 +161,49 @@ class TestEditOps:
             "twin", "unique"
         ]
         assert handle.provenance_of(replacement) is not None
+        assert_agrees(handle, xsd)
+
+    def test_replace_child_by_index(self, xsd, compiled):
+        content = element(
+            "content",
+            element("section", attributes={"title": "twin"}),
+            element("section", attributes={"title": "twin"}),
+            "between",
+        )
+        handle = ValidatedDocument(
+            element("document", element("template"), element("userstyles"),
+                    content),
+            compiled,
+        )
+        old = content.children[1]
+        texts = list(content.texts)
+        replacement = element("stranger")
+        assert handle.replace_child(content, 1, replacement) is old
+        assert old.parent is None and replacement.parent is content
+        assert content.children[1] is replacement and content.texts == texts
+        assert handle.provenance_of(old) is None
+        assert_agrees(handle, xsd)
+        assert handle.replace_child(content, 1, _section("back")) is \
+            replacement
+        assert_agrees(handle, xsd)
+        with pytest.raises(IndexError):
+            handle.replace_child(content, 2, _section())
+        with pytest.raises(SchemaError, match="already has a parent"):
+            handle.replace_child(content, 0, content.children[1])
+        assert [c.attributes["title"] for c in content.children] == [
+            "twin", "back"]
+        assert_agrees(handle, xsd)
+
+    def test_replace_of_a_root_with_an_outside_parent(self, xsd, compiled):
+        root = parse_document(FIGURE1_XML).root
+        outer = element("wrapper", root)
+        handle = ValidatedDocument(root, compiled)
+        replacement = element("document", element("template"),
+                              element("userstyles"), element("content"))
+        assert handle.replace_subtree(root, replacement) is root
+        assert handle.document.root is replacement
+        assert outer.children == [root]
+        assert handle.valid
         assert_agrees(handle, xsd)
 
     def test_set_attribute_add_and_remove(self, xsd, compiled):
@@ -297,6 +344,24 @@ class TestPatchLayer:
         handle = ValidatedDocument(parse_document(FIGURE1_XML), compiled)
         with pytest.raises(PatchError, match="does not exist"):
             patch.apply_incremental(handle)
+
+    def test_replace_ops_address_their_target_by_index(self, xsd, compiled,
+                                                       monkeypatch):
+        def scan(*__):
+            raise AssertionError("ReplaceChild scanned for its target")
+
+        monkeypatch.setattr(XMLElement, "replace_child", scan)
+        patch = Patch([ReplaceChild((2, 1), _section("swapped")),
+                       ReplaceChild((2, 0, 1), element("stranger")),
+                       ReplaceChild((), parse_document(FIGURE1_XML).root)])
+        for ops in (patch.ops[:2], patch.ops):
+            full_doc = parse_document(FIGURE1_XML)
+            handle = ValidatedDocument(parse_document(FIGURE1_XML), compiled)
+            Patch(ops).apply_full(full_doc)
+            Patch(ops).apply_incremental(handle)
+            assert write_document(handle.document) == write_document(
+                full_doc)
+            assert_agrees(handle, xsd)
 
     def test_clone_element_is_deep_and_parentless(self):
         original = parse_document(FIGURE1_XML).root
@@ -445,15 +510,138 @@ class TestEditSpans:
                  if span.name == "engine.incremental.edit"]
         assert edits == [("insert_child", 2), ("replace_subtree", 3)]
 
+    @staticmethod
+    def _replayed(tracer):
+        return [(span.attributes["op"], span.attributes.get("replayed"))
+                for span in tracer.finished_spans()
+                if span.name == "engine.incremental.edit"]
+
+    def test_edits_under_a_wide_parent_replay_at_most_two(self, compiled):
+        root, content = _sections(3_000)
+        handle = ValidatedDocument(root, compiled)
+        handle.insert_child(content, 1, element("stranger"))
+        tracer = Tracer()
+        with installed_tracer(tracer):
+            handle.replace_child(content, 2_990, _section("swapped"))
+            handle.replace_subtree(content.children[5], element("stranger"))
+            handle.insert_child(content, 1_500, _section("inserted"))
+            handle.delete_child(content, 1)
+            handle.delete_child(content, 2_000)
+        replayed = self._replayed(tracer)
+        assert [op for op, __ in replayed] == [
+            "replace_subtree", "replace_subtree", "insert_child",
+            "delete_child", "delete_child"]
+        assert all(count <= 2 for __, count in replayed)
+
+    def test_a_member_inserted_into_a_bag_replays_the_rest(self):
+        xsd, compiled = _wide_schema()
+        root = _wide_root("bag", 40)
+        handle = ValidatedDocument(root, compiled)
+        tracer = Tracer()
+        with installed_tracer(tracer):
+            handle.insert_child(root, 10, element("c"))
+            handle.delete_child(root, 30)
+        assert self._replayed(tracer) == [("insert_child", 31),
+                                          ("delete_child", 10)]
+        assert_agrees(handle, xsd)
+
+    def test_no_replay_count_without_a_tracer(self, compiled, monkeypatch):
+        root, content = _sections(50)
+        handle = ValidatedDocument(root, compiled)
+        keys = []
+        monkeypatch.setattr(type(NULL_SPAN), "set_attribute",
+                            lambda span, key, value: keys.append(key))
+        handle.insert_child(content, 10, _section())
+        handle.replace_child(content, 10, element("stranger"))
+        handle.replace_subtree(content.children[20], _section())
+        handle.delete_child(content, 10)
+        assert keys == ["op"] * 4
+
+
+def _empty(name):
+    return sym(TypedName(name, "Te"))
+
+
+_WIDE = {}
+
+
+def _wide_schema():
+    """``(formal XSD, compiled)`` with two roots: ``p`` holds ``(a, b)*``
+    (an insert shifts the parity, and the run never rejoins) and ``g``
+    the bag ``a* & b* & c?``."""
+    if not _WIDE:
+        xsd = XSD(
+            ename={"p", "g", "a", "b", "c"},
+            types={"Tpar", "Tbag", "Te"},
+            rho={
+                "Tpar": ContentModel(star(concat(_empty("a"),
+                                                 _empty("b")))),
+                "Tbag": ContentModel(interleave(star(_empty("a")),
+                                                star(_empty("b")),
+                                                optional(_empty("c")))),
+                "Te": ContentModel(EPSILON),
+            },
+            start={TypedName("p", "Tpar"), TypedName("g", "Tbag")},
+        )
+        _WIDE["schema"] = xsd, compile_xsd(xsd)
+    return _WIDE["schema"]
+
+
+def _wide_root(kind, width, strays=()):
+    """``<p>`` (``kind`` "parity") or ``<g>`` ("bag") over ``a b a b ...``
+    (the bag's fourth child a ``c``), with a ``<z/>`` stray inserted at
+    each of the ``strays`` positions in turn."""
+    names = ["a", "b"] * (width // 2)
+    if kind == "bag":
+        names[3] = "c"
+    for index in strays:
+        names.insert(index, "z")
+    return element("g" if kind == "bag" else "p",
+                   *(element(name) for name in names))
+
+
+def _recognized_path(compiled_type, node):
+    """The run over ``node``'s recognized children alone, stepped by
+    the automaton's own ``step``."""
+    content = compiled_type.dfa
+    path = [0]
+    for child in node.children:
+        column = content.symbol_ids.get(child.name, -1)
+        if compiled_type.child_types[column] >= 0:
+            path.append(content.step(path[-1], column))
+    return tuple(path)
+
+
+def _assert_derived_paths(handle):
+    """Both provenance readers report one state per recognized child."""
+    nodes = handle._nodes
+    typed = [node for node in handle.document.root.iter()
+             if id(node) in nodes]
+    entries = handle.provenance()
+    assert len(entries) == len(typed)
+    for node, entry in zip(typed, entries):
+        expected = _recognized_path(
+            handle.schema.types[nodes[id(node)].type_id], node)
+        assert handle.provenance_of(node)[1] == entry.dfa_states == expected
+
 
 def _assert_lean(handle):
-    """Clean records hold the shared empties, which stay empty."""
+    """Clean records hold the shared empties, which stay empty; every
+    record counts its strays over a path aligned with its children."""
     assert incremental._LEAF_STATES == (0,)
-    for state in handle._nodes.values():
-        if not state.child_viols:
-            assert state.child_viols == ()
+    nodes = handle._nodes
+    for node in handle.document.root.iter():
+        state = nodes.get(id(node))
+        if state is None:
+            continue
+        assert state.strays == sum(
+            id(child) not in nodes for child in node.children)
+        assert len(state.states) == len(node.children) + 1
         if not state.attr_viols:
             assert state.attr_viols == ()
+        if id(node) not in handle._invalid:
+            assert state.strays == 0 and state.rejected is False
+            assert state.attr_viols == () and state.text_viol is None
 
 
 class TestLeanRecords:
@@ -467,9 +655,11 @@ class TestLeanRecords:
         for leaf in leaves:
             state = handle._nodes[id(leaf)]
             assert state.states is incremental._LEAF_STATES
-            assert state.child_viols == () and state.attr_viols == ()
-        assert not any(hasattr(state, "path")
-                       for state in handle._nodes.values())
+            assert state.strays == 0 and state.attr_viols == ()
+        assert not any(hasattr(state, field)
+                       for state in handle._nodes.values()
+                       for field in ("path", "child_viols", "content_viol"))
+        _assert_lean(handle)
 
     def test_shared_empties_survive_edits_on_leaves(self, xsd, compiled):
         handle = ValidatedDocument(parse_document(FIGURE1_XML), compiled)
@@ -590,6 +780,133 @@ class TestLeanRecords:
             "required attribute 'name'"
         ]
         self._assert_paths(handle, xsd)
+
+
+class TestRejoin:
+    """Child edits replay until the run rejoins the memo.
+
+    Seeded storms over a parent with 2,000 children and eight strays:
+    insert, delete and replace at the first, middle and last positions
+    and on a stray, then every stray deleted, then the same again.
+    After every op the report equals ``validate_xsd``'s in order, the
+    provenance equals a fresh open's, and the records stay lean.
+    """
+
+    WIDTH = 2_000
+
+    def _strays(self):
+        width = self.WIDTH
+        return (1, 2, width // 4, width // 2, width // 2 + 1,
+                3 * width // 4, width - 2, width + 7)
+
+    def _storm(self, xsd, compiled, root, parent_path, labels, seed):
+        rng = random.Random(f"rejoin:{seed}")
+        handle = ValidatedDocument(root, compiled)
+        parent = handle.node_at(parent_path)
+        nodes = handle._nodes
+
+        def check():
+            reference = validate_xsd(xsd, handle.document)
+            report = handle.report()
+            assert handle.valid == reference.valid
+            assert report.violations == [
+                str(v) for v in reference.violations]
+            assert report.typing == reference.typing
+            fresh = ValidatedDocument(
+                clone_element(handle.document.root), compiled)
+            assert [entry.to_dict() for entry in handle.provenance()] == [
+                entry.to_dict() for entry in fresh.provenance()]
+            _assert_lean(handle)
+
+        def apply(kind, where):
+            children = parent.children
+            strays = [index for index, child in enumerate(children)
+                      if id(child) not in nodes]
+            if where == "stray" and strays:
+                index = rng.choice(strays)
+            elif where == "first":
+                index = 0
+            elif where == "last":
+                index = len(children) - (kind != "insert")
+            else:
+                index = len(children) // 2
+            new = element(rng.choice(labels))
+            if kind == "insert":
+                handle.insert_child(parent, index, new)
+            elif kind == "delete":
+                handle.delete_child(parent, index)
+            else:
+                handle.replace_child(parent, index, new)
+            check()
+
+        check()
+        plan = [(kind, where) for kind in ("insert", "delete", "replace")
+                for where in ("first", "middle", "last", "stray")]
+        for __ in range(2):
+            rng.shuffle(plan)
+            for kind, where in plan:
+                apply(kind, where)
+            while any(id(child) not in nodes for child in parent.children):
+                apply("delete", "stray")
+            assert nodes[id(parent)].strays == 0
+        return handle
+
+    def test_section_star_rejoins_at_once(self, xsd, compiled):
+        root, content = _sections(self.WIDTH)
+        for index in self._strays():
+            content.insert(index, element("stranger"))
+        self._storm(xsd, compiled, root, (2,), ["section", "stranger"],
+                    "section*")
+
+    def test_parity_rejoins_late_or_never(self):
+        xsd, compiled = _wide_schema()
+        root = _wide_root("parity", self.WIDTH, self._strays())
+        self._storm(xsd, compiled, root, (), ["a", "b", "z"], "parity")
+
+    def test_a_bag_replays_to_the_end(self):
+        xsd, compiled = _wide_schema()
+        assert compiled.types[compiled.start["g"]].bag is not None
+        root = _wide_root("bag", self.WIDTH, self._strays())
+        self._storm(xsd, compiled, root, (), ["a", "b", "c", "z"], "bag")
+
+
+class TestDerivedPaths:
+    """On words with strays, provenance reports the recognized-only
+    path: ``states[0]`` and the state after each typed child."""
+
+    def _edits(self, handle, parent, recognized, stray):
+        _assert_derived_paths(handle)
+        steps = [
+            lambda: handle.insert_child(parent, 1, element(stray)),
+            lambda: handle.insert_child(parent, len(parent.children),
+                                        element(stray)),
+            lambda: handle.replace_child(parent, 2, element(stray)),
+            lambda: handle.replace_child(parent, 1, element(recognized)),
+            lambda: handle.replace_child(parent, 2, element(stray)),
+            lambda: handle.delete_child(parent, 2),
+            lambda: handle.insert_child(parent, 0, element(stray)),
+            lambda: handle.delete_child(parent, len(parent.children) - 1),
+            lambda: handle.delete_child(parent, 0),
+        ]
+        for step in steps:
+            step()
+            _assert_derived_paths(handle)
+        return handle
+
+    def test_figure3(self, xsd, compiled):
+        handle = ValidatedDocument(parse_document(FIGURE1_XML), compiled)
+        section = handle.node_at((2, 0))  # mixed, five children
+        self._edits(handle, section, "bold", "stranger")
+        assert_agrees(handle, xsd)
+        self._edits(handle, handle.node_at((2,)), "section", "stranger")
+        assert_agrees(handle, xsd)
+
+    @pytest.mark.parametrize("kind", ["parity", "bag"])
+    def test_wide_models(self, kind):
+        xsd, compiled = _wide_schema()
+        handle = ValidatedDocument(_wide_root(kind, 12, (5,)), compiled)
+        self._edits(handle, handle.document.root, "b", "z")
+        assert_agrees(handle, xsd)
 
 
 def _compiled_corpus():
