@@ -5,17 +5,19 @@ Compares, on the E11 corpus (running-example documents of growing size):
 * **tree**: ``validate_xsd`` on a parsed document — per node it re-runs
   the derivative matcher over regex ASTs and scans content-model symbol
   lists for child types;
-* **streaming**: :class:`repro.engine.StreamingValidator`'s compat
-  loop driving the compiled dense tables from the document's event
-  stream — one name-id lookup and one row index per child;
-* **e2e dict**: the same loop fed from XML text via ``iter_events`` (no
-  tree is ever built), against tree validation including the char-tier
-  parse (``XMLElement.from_events(iter_events(text))``, pinned to the
-  char parser so that a faster ``parse_document`` leaves the end-to-end
+* **streaming**: :class:`repro.engine.StreamingValidator`'s event
+  route — the document's event stream folded into a tree of the
+  validator's own, which ``ValidatedDocument``'s one-pass walk checks
+  and types over the compiled tables, one name lookup and one row
+  index per child;
+* **e2e dict**: the same route fed from XML text via ``iter_events``,
+  against tree validation including the char-tier parse
+  (``XMLElement.from_events(iter_events(text))``, pinned to the char
+  parser so that a faster ``parse_document`` leaves the end-to-end
   ratios' meaning alone) — the end-to-end text-to-verdict race on the
-  compatibility path (the fallback route; the column and its
-  ``e2e_dict_rate`` key keep the name of the dict tables that loop once
-  stepped);
+  route a root exit falls back to (the column and its
+  ``e2e_dict_rate`` key keep the name of the dict tables an event loop
+  once stepped);
 * **e2e dense**: ``validator.validate(text)`` — the fused byte
   tokenizer + dense-table loop (chunk memo, one name object per
   element name, no per-event objects), the engine's production text path.
@@ -79,7 +81,7 @@ def bench_engine_throughput(benchmark):
             "figure-3 documents must commit on the dense path"
         )
         rows = [
-            f"{'elements':>9} | {'tree el/s':>10} | {'stream el/s':>11} | "
+            f"{'elements':>9} | {'tree el/s':>10} | {'event el/s':>11} | "
             f"{'speedup':>7} | {'e2e tree':>9} | {'e2e dict':>9} | "
             f"{'e2e dense':>10} | {'dense x':>7}"
         ]
@@ -128,7 +130,7 @@ def bench_engine_throughput(benchmark):
             )
         rows.append(
             "expected shape: speedups grow with table/memo reuse; floors "
-            f"{SPEEDUP_FLOOR:.0f}x (stream vs tree) and "
+            f"{SPEEDUP_FLOOR:.0f}x (event route vs tree) and "
             f"{DENSE_SPEEDUP_FLOOR:.0f}x (dense vs e2e tree) on the "
             "largest document"
         )

@@ -18,16 +18,22 @@ then ``validate_xsd``: pinned to the char parser, so that a faster
 ``tree_fold_vs_char`` is ``parse_document``'s rate over that char-tier
 parse's; the benchmark document and its decorated copy must each build
 on the byte tier (``xmlmodel.parse.byte_docs`` +1, ``fallbacks`` +0)
-and give the char tier's tree.  ``invalid_fold_vs_char`` is the rate of
-``validate(text)`` over ``validate_events(iter_events(text))`` on a copy
-made invalid by a ``<bogus/>`` in its last ``<content>``: the dense scan
-falls back there, and the compat loop reruns over the byte tier's tree,
-not the char tier's events.  That copy must fall back once and fold
-once (``engine.dense.fallbacks`` +1, ``engine.fold.reruns`` +1) and
-give the char route's violations and typing, and a copy with a wrong
-root must not fold (the char tier answers a root exit at once).  So
-invalid documents drifting back to the char tier fail here.  The
-absolute ceilings are the identity cache hit (10 microseconds) and the
+and give the char tier's tree.  ``dict_vs_tree`` is the rate of
+``validate_events(iter_events(text))``: the char tier's events, folded
+into a tree that ``ValidatedDocument``'s walk validates.
+``invalid_fold_vs_char`` is the rate of ``validate(text)`` over that
+same char route on a copy made invalid by a ``<bogus/>`` in its last
+``<content>``: the dense scan falls back there, and the walk reruns
+over the byte tier's tree, not over a tree of the char tier's events.
+That copy must fall back once and fold once (``engine.dense.fallbacks``
++1, ``engine.fold.reruns`` +1) and give the char route's violations and
+typing, and a copy with a wrong root must not fold (the char tier
+answers a root exit at once).  So invalid documents drifting back to
+the char tier fail here.  ``fallback_report_bytes_per_el_ceiling``
+bounds what an unread ``validate(text)`` report of that copy retains
+per element (:mod:`tracemalloc`): the document's bytes, for its typing
+is built on first read, so a fallback report that keeps its tree, its
+memo or an eager typing map fails here.  The absolute ceilings are the identity cache hit (10 microseconds) and the
 text-to-compiled-schema time of a 24-member ``xs:all``, a valid record
 of which must commit on the dense path.  So must a copy of the
 benchmark document decorated with the markup the byte tier certifies
@@ -43,7 +49,8 @@ tables or maps that grow with the schema's whole name set fail here.
 Two keys hold the ``ValidatedDocument`` open walk on the benchmark
 document: ``memo_bytes_per_el_ceiling`` bounds what the opened handle
 retains per element (:mod:`tracemalloc`), and ``build_vs_compat`` is
-the open walk's rate over the compat loop's on the same tree.  One
+the open's rate over ``validate_events`` of the same tree's events,
+which folds them into a tree and runs the same walk.  One
 ceiling holds child edits to the cost of the edit rather than the
 parent's width: ``wide_edit_vs_narrow`` is the median latency of a
 replace, and of an insert plus a delete, near the end of a
@@ -148,6 +155,9 @@ def measure():
                 sys.exit(1)
 
         invalid = _check_fold_route(validator, text)
+        fallback_report_bytes_per_el = _measure_fallback_report(
+            validator, invalid, size
+        )
         fold_rerun = _rate(lambda: validator.validate(invalid), size)
         char_rerun = _rate(
             lambda: validator.validate_events(iter_events(invalid)), size
@@ -197,6 +207,7 @@ def measure():
         "dict_vs_tree": e2e_dict / e2e_tree,
         "tree_fold_vs_char": tree_fold / tree_char,
         "invalid_fold_vs_char": fold_rerun / char_rerun,
+        "fallback_report_bytes_per_el": fallback_report_bytes_per_el,
         "cache_hit_us": cache_hit_us,
         "incremental_vs_full": incremental_vs_full,
         "memo_bytes_per_el": memo_bytes_per_el,
@@ -249,6 +260,25 @@ def _check_fold_route(validator, text):
     return invalid
 
 
+def _measure_fallback_report(validator, invalid, size):
+    """Bytes per element that an unread ``validate(text)`` report of the
+    invalid copy retains, under :mod:`tracemalloc` (deterministic)."""
+    import gc
+    import tracemalloc
+
+    validator.validate(invalid)  # first-use allocations stay out
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = validator.validate(invalid)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del report
+    return retained / size
+
+
 def _measure_incremental(text, xsd, compiled, full_seconds):
     """The E15 miniature: per-edit incremental cost vs a full revalidate.
 
@@ -294,10 +324,13 @@ def _measure_build(text, compiled, validator):
     divided by the element count: deterministic, so the committed
     ``memo_bytes_per_el_ceiling`` catches a per-element slash path or
     per-element empty lists coming back.  The ratio is the rate of
-    ``ValidatedDocument(tree, compiled)`` over the compat loop's
-    ``validate_events(tree.root.events())`` on the same tree; the
-    committed ``build_vs_compat`` floor catches the open walk falling
-    back to two passes over each element's children.
+    ``ValidatedDocument(tree, compiled)`` over
+    ``validate_events(tree.root.events())`` on the same tree, which pays
+    for ``events()``, a fold of the events into a tree and the same
+    walk; the committed ``build_vs_compat`` floor catches the open walk
+    falling back to two passes over each element's children, and
+    validation paying for what it does not need, such as an eager
+    typing map.
     """
     import gc
     import tracemalloc
@@ -598,6 +631,14 @@ def main():
             f"the committed ceiling "
             f"{floors['memo_bytes_per_el_ceiling']:.0f} bytes"
         )
+    if measured["fallback_report_bytes_per_el"] > (
+            floors["fallback_report_bytes_per_el_ceiling"]):
+        problems.append(
+            f"fallback_report_bytes_per_el: an unread fallback report "
+            f"retains {measured['fallback_report_bytes_per_el']:.0f} bytes "
+            f"per element, above the committed ceiling "
+            f"{floors['fallback_report_bytes_per_el_ceiling']:.0f} bytes"
+        )
     if measured["wide_edit_vs_narrow"] > floors["wide_edit_vs_narrow"]:
         problems.append(
             f"wide_edit_vs_narrow: a child edit near the end of a "
@@ -666,12 +707,15 @@ def main():
         f"byte-tier tree {measured['tree_fold_vs_char']:.1f}x char tier "
         f"(floor {floors['tree_fold_vs_char']:.1f}x), "
         f"invalid document {measured['invalid_fold_vs_char']:.1f}x its "
-        f"char-tier rerun (floor {floors['invalid_fold_vs_char']:.1f}x), "
+        f"char-tier rerun (floor {floors['invalid_fold_vs_char']:.1f}x) "
+        f"retaining {measured['fallback_report_bytes_per_el']:.0f} "
+        f"B/element unread (ceiling "
+        f"{floors['fallback_report_bytes_per_el_ceiling']:.0f} B), "
         f"identity cache hit {measured['cache_hit_us']:.2f} us "
         f"(ceiling {floors['cache_hit_us_ceiling']:.1f} us), "
         f"incremental edit {measured['incremental_vs_full']:.0f}x full "
         f"(floor {floors['incremental_vs_full']:.0f}x), "
-        f"open walk {measured['build_vs_compat']:.2f}x the compat loop "
+        f"open walk {measured['build_vs_compat']:.2f}x validate_events "
         f"(floor {floors['build_vs_compat']:.2f}x) retaining "
         f"{measured['memo_bytes_per_el']:.0f} B/element "
         f"(ceiling {floors['memo_bytes_per_el_ceiling']:.0f} B), "

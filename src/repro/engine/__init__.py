@@ -6,8 +6,10 @@ The pipeline is ``compile -> cache -> stream``:
   tables, or seen-mask bags for unordered content (:class:`CompiledSchema`);
 * :class:`SchemaCache` / :func:`compile_cached` memoize compilation per
   schema fingerprint;
-* :class:`StreamingValidator` / :func:`validate_streaming` run SAX-style
-  event streams against the tables with a stack of (type, state) pairs;
+* :class:`StreamingValidator` / :func:`validate_streaming` validate text
+  and bytes on a fused byte scan of the tables, and everything else
+  (fallbacks, trees, event streams) with the one-pass tree walk of
+  :class:`ValidatedDocument`, which also serves edits;
 * :func:`validate_many` fans a batch of documents across a worker pool,
   with per-document fault isolation, deadlines, and retry
   (:mod:`repro.resilience`).

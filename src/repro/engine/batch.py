@@ -7,7 +7,7 @@ compiled tables are read-only, so no per-worker copy is needed, and a
 serving process can overlap validation with I/O (the common case for
 heavy traffic: documents arrive as text over sockets or files).  Each
 document takes the route of :meth:`StreamingValidator.validate`: text
-and bytes try the dense scan, falling back to the compat loop.
+and bytes try the dense scan, falling back to the walk.
 
 Under every policy, each document runs in one context, entered inside
 its pool worker (contextvars do not cross pool threads on their own):

@@ -286,9 +286,10 @@ class CompiledType:
             child_types[dfa.symbol_ids[element_name]] = child_type
         self.child_types = tuple(child_types)
 
-    # The per-element checks and violation messages both validation loops
-    # (the streaming compat loop and ValidatedDocument) write, in the
-    # wording of the tree validator.  ``path`` is the element's slash path.
+    # The per-element checks and violation messages ValidatedDocument's
+    # walk writes (for opens, edits, and every validation the dense scan
+    # does not commit), in the wording of the tree validator.  ``path``
+    # is the element's slash path.
     def attribute_problems(self, attributes):
         """The attribute check, as ``(missing, attribute name)`` pairs.
 

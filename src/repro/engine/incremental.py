@@ -38,9 +38,13 @@ messages, deriving each element's path from ``parent`` links.  All edits
 MUST go through its API — mutating the underlying tree directly leaves
 the memo stale.  After every edit the handle's
 :meth:`report` agrees with a from-scratch run of the tree or streaming
-validator on verdict, violation multiset, and typing (the conformance
+validator on verdict, violations in order, and typing (the conformance
 harness's ``incremental`` leg enforces this on seeded edit storms), and
 :meth:`provenance` lists the per-element records ``explain`` prints.
+The walk that opens a handle is also the streaming validator's for
+every document its dense scan does not commit
+(:meth:`ValidatedDocument._walked`), so the two share every check and
+message.
 
 Observability: ``engine.incremental.*`` counters (documents, edits by
 operation, nodes typed, memo hits) and ``engine.incremental.build`` /
@@ -55,17 +59,33 @@ import time
 from repro.engine.compiler import CompiledSchema
 from repro.errors import SchemaError
 from repro.observability import default_registry
+from repro.observability.budget import current_budget
 from repro.observability.provenance import ElementProvenance, first_divergence
 from repro.observability.tracing import NULL_SPAN, span
+from repro.xmlmodel.parser import _CHECK_EVENTS
 from repro.xmlmodel.patch import resolve
 from repro.xmlmodel.tree import XMLDocument, XMLElement
 from repro.xsd.validator import XSDValidationReport
+
+# The walk reads an ambient ResourceBudget's clock once per this many
+# elements: an element is two events (start and end), so this is the
+# event loops' stride.
+_CHECK_ELEMENTS = _CHECK_EVENTS // 2
 
 _LEAF_STATES = (0,)
 """The state path every element without children shares (the empty
 word's).  A child edit splices a record's own list in place, so an edit
 that gives a leaf a child first swaps this tuple for a fresh list
 (:meth:`ValidatedDocument._replay_content`)."""
+
+
+def _count_typed(typed):
+    """Count an open's or an edit's walk of ``typed`` elements: one
+    content replay per typed element, none from the memo (offset 0);
+    once per walk, not per element."""
+    registry = default_registry()
+    registry.counter("engine.incremental.nodes_typed").inc(typed)
+    registry.counter("engine.incremental.content_replays").inc(typed)
 
 
 class _NodeState:
@@ -120,9 +140,14 @@ class ValidatedDocument:
     each element from its parent's content step: about 1.2 µs per
     element on the 6,879-element Figure 3 document (CPython 3.11.7,
     two-core x86-64 host), close to what the byte tier's fold takes to
-    build that tree, and 1.8-3x the streaming compat loop's rate over
-    the same tree (perfguard's ``build_vs_compat``).  Every subsequent
-    edit revalidates only its footprint.
+    build that tree, and 1.9-2.6x the rate of the streaming validator's
+    event route over the same tree's events, which folds them into a
+    tree and runs the same walk (perfguard's ``build_vs_compat``).
+    Every subsequent edit revalidates only its footprint.  The walk reads
+    an ambient :class:`~repro.observability.ResourceBudget`'s clock once
+    per 32 elements, so a runaway open or insert stops with
+    ``BudgetExceeded``; a handle whose edit raised it is stale and must
+    be reopened.
     """
 
     __slots__ = ("document", "schema", "_nodes", "_invalid",
@@ -139,22 +164,38 @@ class ValidatedDocument:
         self.schema = schema
         self._nodes = {}
         self._invalid = set()
-        self._root_declared = False
         registry = default_registry()
         registry.counter("engine.incremental.documents").inc()
         with span("engine.incremental.build") as trace:
-            self._build()
+            _count_typed(self._build())
             trace.set_attribute("nodes", len(self._nodes))
+
+    @classmethod
+    def _walked(cls, root, schema):
+        """A handle over ``root`` made by the one-pass walk alone.
+
+        The streaming validator's entry (it owns ``root``): no
+        ``engine.incremental.*`` counter moves and no build span opens,
+        for validating a document is not opening one.
+        """
+        handle = cls.__new__(cls)
+        handle.document = XMLDocument(root)
+        handle.schema = schema
+        handle._nodes = {}
+        handle._invalid = set()
+        handle._build()
+        return handle
 
     # -- initial walk ------------------------------------------------------
     def _build(self):
+        """Walk the whole tree afresh; returns the number of elements
+        typed, which the caller counts."""
         self._nodes.clear()
         self._invalid.clear()
         root = self.document.root
         type_id = self.schema.start.get(root.name)
         self._root_declared = type_id is not None
-        if self._root_declared:
-            self._type_subtree(root, type_id)
+        return 0 if type_id is None else self._type_subtree(root, type_id)
 
     def _type_subtree(self, node, type_id):
         """Validate and record one subtree top-down, in one pass.
@@ -164,15 +205,18 @@ class ValidatedDocument:
         the content step that reads its column
         (:meth:`_run_content`).  Returns the number of elements typed
         (skipped subtrees under unrecognized children are not typed,
-        matching the reference validators).  Every id it records is
-        fresh (the index was just cleared, or the subtree is new), so an
-        invalid element is added to the index without a discard.
+        matching the reference validators), which the caller counts.
+        Every id it records is fresh (the index was just cleared, or the
+        subtree is new), so an invalid element is added to the index
+        without a discard.  Reads an ambient budget's clock once per
+        :data:`_CHECK_ELEMENTS` elements.
         """
         types = self.schema.types
         nodes = self._nodes
         invalid = self._invalid
         run_content = self._run_content
         new = _NodeState.__new__
+        budget = current_budget()
         typed = 0
         stack = [(node, type_id)]
         pop = stack.pop
@@ -180,6 +224,8 @@ class ValidatedDocument:
         while stack:
             node, type_id = pop()
             typed += 1
+            if budget is not None and not typed % _CHECK_ELEMENTS:
+                budget.check_time("engine.validate")
             compiled = types[type_id]
             state = new(_NodeState)
             state.type_id = type_id
@@ -219,11 +265,6 @@ class ValidatedDocument:
                     state.rejected = bad = True
             if bad:
                 invalid.add(id(node))
-        # One content replay per typed element, none from the memo
-        # (offset 0); counted once per walk, not per element.
-        registry = default_registry()
-        registry.counter("engine.incremental.nodes_typed").inc(typed)
-        registry.counter("engine.incremental.content_replays").inc(typed)
         return typed
 
     def _path(self, node):
@@ -436,7 +477,7 @@ class ValidatedDocument:
                     )
                 self.document.root = replacement
                 self._purge(node)
-                self._build()
+                _count_typed(self._build())
                 return node
             parent = node.parent
             if parent is None:
@@ -563,7 +604,7 @@ class ValidatedDocument:
         )
         self._refresh_validity(parent, state)
         if child_type >= 0:
-            self._type_subtree(new_child, child_type)
+            _count_typed(self._type_subtree(new_child, child_type))
         return replayed
 
     def _purge(self, subtree):
@@ -592,9 +633,8 @@ class ValidatedDocument:
         """An :class:`XSDValidationReport` for the *current* tree.
 
         Violations and typing agree with a from-scratch run of the tree
-        validator (violation order included: both walk the typed nodes
-        pre-order and emit each element's violations before its
-        children's).  The streaming validator agrees on the multiset.
+        validator, violation order included (:meth:`_write_violations`,
+        which also writes the streaming validator's reports).
         """
         report = XSDValidationReport()
         if not self._root_declared:
@@ -602,27 +642,54 @@ class ValidatedDocument:
                 self.schema.undeclared_root(self.document.root.name)
             )
             return report
-        types = self.schema.types
-        invalid = self._invalid
-        typing = report.typing
-        violations = report.violations
-        for node, path, typed_path, state in self._typed_nodes():
-            compiled = types[state.type_id]
-            typing[typed_path] = compiled.name
-            if id(node) in invalid:
-                violations.extend(
-                    self._violations(node, path, compiled, state)
-                )
+        report.typing = self._typing()
+        self._write_violations(report.violations)
         return report
 
-    def _violations(self, node, path, compiled, state):
-        """``node``'s violations, in the tree validator's order.
+    def _typing(self):
+        """The typing map: each typed element's indexed path to its type
+        name, in document order."""
+        types = self.schema.types
+        return {typed_path: types[state.type_id].name
+                for __, __, typed_path, state in self._typed_nodes()}
+
+    def _write_violations(self, out):
+        """Append the violations of the current tree to ``out``, in the
+        tree validator's order: typed elements pre-order, each one's own
+        violations before its children's.
+
+        One pass, with an iterator per open element, that stops after
+        the last invalid element (an untyped subtree holds none); a
+        clean handle costs one check.
+        """
+        invalid = self._invalid
+        remaining = len(invalid)
+        stack = [iter((self.document.root,))] if remaining else []
+        while stack:
+            for node in stack[-1]:
+                if id(node) in invalid:
+                    out.extend(self._violations(node))
+                    remaining -= 1
+                    if not remaining:
+                        return
+                if node.children:
+                    stack.append(iter(node.children))
+                    break
+            else:
+                stack.pop()
+
+    def _violations(self, node):
+        """An invalid element's violations, in the tree validator's
+        order, under the slash path derived from its ``parent`` links.
 
         The messages about its content word (one per unrecognized child,
         in child order, or the mismatch that lists every child) are
         written here; the text and attribute ones were written by the
         check that found them.
         """
+        state = self._nodes[id(node)]
+        compiled = self.schema.types[state.type_id]
+        path = self._path(node)
         out = []
         if state.strays:
             nodes = self._nodes

@@ -1,50 +1,62 @@
 """Streaming validation against a compiled schema.
 
-The validator consumes SAX-style events (from
-:func:`repro.xmlmodel.parser.iter_events` or ``XMLDocument.events()``)
-and builds no tree of its own: its working state is a stack of frames,
-one per open element, each holding the element's compiled type and
-current content-DFA state.  A document is valid iff every frame's DFA
-ends in an accepting state — the event-stream restatement of Definition
-2/3's "every node's child-string matches its content model".  Text and
-bytes first take the dense scan, which commits only valid documents;
-when it falls back, the same loop reruns over the events of the tree
-the byte tier folds from the document
-(:func:`repro.xmlmodel.tokenizer.fold_tree`), and over the char tier's
-events only at a root exit or when the fold refuses the document.
+Text and bytes first take the dense scan
+(:meth:`StreamingValidator._scan_dense`): one pass over the document's
+byte chunks that steps each open element's content model on the
+compiled tables and builds neither a tree nor an event.  It commits
+only valid documents.  Everything else is validated by
+:class:`~repro.engine.incremental.ValidatedDocument`'s one-pass walk,
+the loop that also opens documents for editing: by Definition 2's
+single-type restriction an element's type is a function of its parent's
+type and its own label, so the content step that reads a child's column
+checks the child and types it.  The walk runs over
+
+* the tree the byte tier folds from the document
+  (:func:`repro.xmlmodel.tokenizer.fold_tree`) when the scan falls back;
+* a tree the validator folds from an event stream
+  (:meth:`StreamingValidator.validate_events`): the char tier's events
+  at a root exit or when the fold refuses the document, and the events
+  of a document or element passed in, which is refolded, never walked in
+  place.
 
 The report is interchangeable with the tree validator's: the same
 :class:`~repro.xsd.validator.XSDValidationReport` class, the same typing
-keys, and the same violation strings (the *multiset* of violations is
-equal; the order differs because streaming discovers a node's
-child-word mismatch at its end tag, after its children's violations,
-whereas the tree validator reports parents first).  The differential test
-suite pins this down.  The per-element checks and messages are the
-compiled type's, shared with
-:class:`~repro.engine.incremental.ValidatedDocument`, whose memo is also
-where explanations come from: this loop records nothing for them.  A
-stream that does not spell one element (empty, ending inside an element,
-or closing one that is not open) is a :class:`~repro.errors.ParseError`.
+keys in the same order, and the same violation strings in the same order
+(typed elements pre-order, each one's own violations before its
+children's; on an event stream a second root's violation comes last).
+The differential test suites pin this down.  The per-element checks and
+messages are the compiled type's and the walk's, shared with the edit
+API.  A stream that does not spell one element (empty, ending inside an
+element, or closing one that is not open) is a
+:class:`~repro.errors.ParseError`.
 
-Memory: each frame accumulates its child-name list so the mismatch
-diagnostic can cite the full child-string, exactly like the tree
-validator, so the loop holds O(max fanout x depth) beyond its report,
-whose typing map has one entry per element.  A fallback rerun on the
-fold also holds the document's tree until the loop ends (DESIGN §8).
+Reports write their violations eagerly and build their typing map on
+its first read: from the document's bytes after a dense commit or a
+fold rerun, and from the walk's memo after an event stream.
+
+Memory: the dense scan holds one register tuple per open element.  A
+fold rerun holds the document's tree and the walk's memo until
+``validate`` returns; its report keeps the document's bytes.  An event
+stream's report keeps the validator's tree and memo until its typing is
+read (DESIGN §8).
 """
 
 from __future__ import annotations
 
 import time
-from itertools import islice
+from itertools import chain, islice
 
 from repro.engine.compiler import CompiledSchema
+from repro.engine.incremental import ValidatedDocument
 from repro.errors import ParseError
 from repro.observability import default_registry
 from repro.observability.budget import current_budget
 from repro.observability.tracing import span
+from repro.resilience.faults import probe
 from repro.resilience.limits import ParserLimits, resolve_limits
-from repro.xmlmodel.parser import _CHECK_EVENTS, _iter_events, iter_events
+# _CHECK_EVENTS: the event fold's clock stride, read by the docs and tests.
+from repro.xmlmodel.parser import _CHECK_EVENTS  # noqa: F401
+from repro.xmlmodel.parser import _clocked, _iter_events, iter_events
 from repro.xmlmodel.tokenizer import (
     _CHECK_CHUNKS,
     END,
@@ -56,6 +68,7 @@ from repro.xmlmodel.tokenizer import (
     parse_chunk,
     split_body,
 )
+from repro.xmlmodel.tree import XMLElement
 from repro.xsd.validator import XSDValidationReport
 
 _FALLBACK = FallbackRequired()
@@ -64,96 +77,73 @@ _FALLBACK = FallbackRequired()
 # whole tree.
 _ROOT_FALLBACK = FallbackRequired()
 
-# The parent class's slot descriptor for ``typing``: _DenseReport shadows
-# the attribute with a lazy property, so reads/writes of the underlying
-# storage must go through the descriptor explicitly.
-_TYPING_SLOT = XSDValidationReport.typing
-
 _UNLIMITED = ParserLimits.unlimited()
 
 
-class _DenseReport(XSDValidationReport):
-    """A clean report from the dense fast path, with *lazy* typing.
+class _LazyReport(XSDValidationReport):
+    """A report whose typing map is built on its first read.
 
-    The fast path only ever commits valid documents (anything else falls
-    back to the compatibility path for full diagnostics), so violations
-    are always empty.  The typing map — per-element indexed paths, a
-    dict and two f-strings per element — costs more to build than the
-    validation itself, and throughput-oriented callers never read it;
-    it is materialized on first access by re-walking the already-
-    validated document bytes (the chunk memo makes the re-walk cheap).
+    Violations are written eagerly.  The typing map (a dict entry and
+    an indexed path per element) costs about as much as validation
+    itself, and throughput-oriented callers never read it, so
+    ``build(source)`` makes it on first access and the source is then
+    dropped: :meth:`StreamingValidator._materialize_typing` re-walks the
+    document bytes of a dense commit or a fold rerun (the chunk memo
+    makes the re-walk cheap), and
+    :meth:`ValidatedDocument._typing <repro.engine.incremental.ValidatedDocument._typing>`
+    reads the walk's memo over the validator's own tree of an event
+    stream.
     """
 
-    __slots__ = ("_schema", "_data", "_offset")
+    __slots__ = ("_typing", "_build", "_source")
 
-    def __init__(self, schema, data, offset):
+    def __init__(self, build, source):
         self.violations = []
-        _TYPING_SLOT.__set__(self, None)
-        self._schema = schema
-        self._data = data
-        self._offset = offset
+        self._typing = None
+        self._build = build
+        self._source = source
 
     @property
     def typing(self):
-        value = _TYPING_SLOT.__get__(self, XSDValidationReport)
-        if value is None:
-            chunks = split_body(self._data, self._offset)
-            value = _materialize_typing(self._schema, chunks)
-            _TYPING_SLOT.__set__(self, value)
-            self._data = None
-        return value
+        if self._typing is None:
+            self._typing = self._build(self._source)
+            self._build = self._source = None
+        return self._typing
 
 
-def _materialize_typing(schema, chunks):
-    """Rebuild the typing map the compat path would have produced.
-
-    Walks the body chunks again (names only, no validation — the
-    document is already known valid, so every name is in the schema's
-    alphabet and every lookup hits) building the same indexed paths in
-    the same document order as ``_run``.  Runs with unlimited parser
-    caps: the document passed the call-time limits when it was
-    validated, and materialization must not depend on whatever limits
-    are ambient later.
-    """
+def _name_resolver(schema):
+    """The chunk grammar's name lookup for ``schema``: a name's bytes to
+    the schema's own name object, or ``None`` for a name outside its
+    alphabet (no type's child, no root, no open element's name)."""
     names = schema.names
-    types = schema.types
-    start = schema.start
     byte_ids = schema.byte_ids
 
     def name_of(name_bytes):
-        return names[byte_ids[name_bytes]]
+        interned = byte_ids.get(name_bytes)
+        return None if interned is None else names[interned]
 
-    typing = {}
-    stack = []  # (typed_path, ordinals, compiled type)
-    memo = {}
-    memo_get = memo.get
-    for chunk in islice(chunks, 1, None):
-        action = memo_get(chunk)
-        if action is None:
-            action = parse_chunk(chunk, _UNLIMITED, name_of)
-            memo[chunk] = action
-        kind = action[0]
-        if kind == END:
-            stack.pop()
-            continue
-        name = action[1]
-        if stack:
-            typed_path, ordinals, parent = stack[-1]
-            type_id = parent.child_types[parent.dfa.symbol_ids[name]]
-            ordinal = ordinals[name] = ordinals.get(name, 0) + 1
-            typed_path = f"{typed_path}/{name}[{ordinal}]"
-        else:
-            type_id = start[name]
-            typed_path = f"/{name}[1]"
-        compiled = types[type_id]
-        typing[typed_path] = compiled.name
-        if kind == START:
-            stack.append((typed_path, {}, compiled))
-    return typing
+    return name_of
+
+
+def _event_count(root):
+    """How many events ``root.events()`` yields, counted without making
+    them: a start and an end per element, and one text event per
+    non-empty run."""
+    count = 0
+    stack = [root]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        node = pop()
+        texts = node.texts
+        count += 2 + len(texts) - texts.count("")
+        extend(node.children)
+    return count
 
 
 class StreamingValidator:
-    """Validates event streams against one :class:`CompiledSchema`.
+    """Validates documents and event streams against one
+    :class:`CompiledSchema`.
 
     Stateless between calls; one instance may be shared across threads.
     """
@@ -166,21 +156,25 @@ class StreamingValidator:
     def validate_events(self, events):
         """Consume an event iterable; return an XSDValidationReport.
 
-        Stops consuming as soon as the outcome is decided (undeclared
-        root), mirroring the tree validator's early return.  After the
-        root element closes, the remainder of the stream is drained and
-        any further element event is reported as a violation — a
-        malformed stream carrying a second root must not validate clean,
-        matching what the tree parser would reject outright.
+        Folds the stream into a tree of the validator's own
+        (:meth:`XMLElement.from_events
+        <repro.xmlmodel.tree.XMLElement.from_events>`) and walks it.
+        Stops at the root's start event when the root is undeclared,
+        without advancing the stream further, mirroring the tree
+        validator's early return.  Otherwise the stream is drained:
+        each further root is a violation, listed last, and its subtree
+        is skipped, so a malformed stream carrying a second root does
+        not validate clean.  The fold reads an ambient budget's clock
+        once per :data:`_CHECK_EVENTS` events, the walk once per half as
+        many elements.  Errors the stream's producer raises pass
+        through unchanged.
 
         Raises:
             ParseError: when the stream holds no element, ends inside
                 one, or closes an element that is not open.
         """
-        from repro.resilience.faults import probe
-
         probe("validate")
-        return self._observed(lambda trace: self._run(events))
+        return self._observed(lambda trace: self._walk_events(events))
 
     def _observed(self, run):
         """One document under one ``engine.validate`` span, with its
@@ -206,134 +200,53 @@ class StreamingValidator:
         )
         return report
 
-    def _run(self, events):
-        """The validation loop; returns ``(report, events_consumed)``.
+    def _walk_events(self, events):
+        """Fold ``events`` into a tree and walk it; returns ``(report,
+        events consumed)``.
 
-        Steps the same tables as :meth:`_scan_dense`, finding a name's
-        column by the same ``dfa.symbol_ids.get(name, -1)``, and writes
-        every diagnostic.  Checks an ambient budget's clock.
+        The stream is read one event at a time up to its first start or
+        end event, so that an undeclared root stops it there.  The fold
+        then reads it in clocked blocks
+        (:func:`~repro.xmlmodel.parser._clocked`), from its first event,
+        and raises every malformed-stream error.
         """
         schema = self.schema
-        types = schema.types
-        budget = current_budget()
-        report = XSDValidationReport()
-        violations = report.violations
-        typing = report.typing
-        # Frame layout (a mutable list, tuples would cost re-allocation):
-        # [compiled_type, state, name, path, typed_path, child_names,
-        #  recognized, has_text, ordinals] (``state`` is a DFA state, or
-        # the seen-mask for bag types).
-        stack = []
-        skip_depth = 0
-        root_closed = False
-        consumed = 0
-        try:
-            for event in events:
-                consumed += 1
-                if budget is not None and not consumed % _CHECK_EVENTS:
-                    budget.check_time("engine.validate")
-                kind = event[0]
-                if skip_depth:
-                    if kind == "start":
-                        skip_depth += 1
-                    elif kind == "end":
-                        skip_depth -= 1
-                    continue
-                if kind == "start":
-                    name = event[1]
-                    if root_closed:
-                        violations.append(
-                            f"/{name}: document has more than one root "
-                            f"element (<{name}> follows the closed root)"
-                        )
-                        skip_depth = 1
-                        continue
-                    if stack:
-                        frame = stack[-1]
-                        frame[5].append(name)
-                        compiled = frame[0]
-                        # A non-child's column -1 reads child_types' -1.
-                        column = compiled.dfa.symbol_ids.get(name, -1)
-                        type_id = compiled.child_types[column]
-                        if type_id < 0:
-                            violations.append(compiled.child_not_allowed(
-                                frame[3], frame[2], name
-                            ))
-                            frame[6] = False
-                            skip_depth = 1
-                            continue
-                        bag = compiled.bag
-                        state = frame[1]
-                        if bag is None:
-                            state = compiled.dfa.table[state][column]
-                        else:  # ContentBag.step: a repeated once-member
-                            bit = 1 << column  # sets the dead bit
-                            state |= (bag.dead if state & bit & bag.once
-                                      else bit)
-                        frame[1] = state
-                        ordinals = frame[8]
-                        ordinal = ordinals[name] = ordinals.get(name, 0) + 1
-                        path = f"{frame[3]}/{name}"
-                        typed_path = f"{frame[4]}/{name}[{ordinal}]"
-                    else:
-                        type_id = schema.start.get(name)
-                        if type_id is None:
-                            violations.append(schema.undeclared_root(name))
-                            return report, consumed
-                        path = "/" + name
-                        typed_path = f"/{name}[1]"
-                    compiled = types[type_id]
-                    typing[typed_path] = compiled.name
-                    stack.append([
-                        compiled, 0, name, path, typed_path, [], True, False,
-                        {},
-                    ])
-                    attributes = event[2]
-                    if attributes or compiled.required_attrs:
-                        violations.extend(compiled.attribute_violations(
-                            path, name, attributes
-                        ))
-                elif kind == "end":
-                    frame = stack.pop()
-                    compiled = frame[0]
-                    state = frame[1]
-                    if frame[6] and not compiled.dfa.is_accepting(state):
-                        violations.append(compiled.content_mismatch(
-                            frame[3], frame[2], frame[5]
-                        ))
-                    if frame[7] and not compiled.mixed:
-                        violations.append(
-                            compiled.text_not_allowed(frame[3], frame[2])
-                        )
-                    if not stack:
-                        # Keep draining: trailing element events (a second
-                        # root) must surface as violations, not be ignored.
-                        root_closed = True
-                else:  # text
-                    if stack and event[1].strip():
-                        stack[-1][7] = True
-        except IndexError as error:
-            # An end event with nothing open pops the empty stack (an
-            # IndexError raised inside the stream's producer is not ours).
-            ours = error.__traceback__.tb_next is None
-            if not ours or stack or kind != "end":
-                raise
-            raise ParseError("end event closes no open element") from None
-        if stack or skip_depth:
-            raise ParseError("event stream ends inside an open element")
-        if not root_closed:
-            raise ParseError("event stream holds no element")
-        return report, consumed
+        events = iter(events)
+        head = []
+        for event in events:
+            head.append(event)
+            if event[0] != "text":
+                break
+        if head and event[0] == "start" and event[1] not in schema.start:
+            report = XSDValidationReport()
+            report.violations.append(schema.undeclared_root(event[1]))
+            return report, len(head)
+        tally = [0]
+        strays = []
+        root = XMLElement.from_events(
+            _clocked(chain(head, events), current_budget(),
+                     "engine.validate", tally),
+            strays,
+        )
+        handle = ValidatedDocument._walked(root, schema)
+        report = _LazyReport(ValidatedDocument._typing, handle)
+        handle._write_violations(report.violations)
+        report.violations.extend(
+            f"/{stray.name}: document has more than one root element "
+            f"(<{stray.name}> follows the closed root)" for stray in strays
+        )
+        return report, tally[0]
 
     def validate(self, source):
         """Validate ``source``: XML text/bytes, a document/element, or events.
 
-        Text and UTF-8 bytes take the dense fast path; all other inputs —
-        and every fast-path fallback — run the event-driven compat loop,
-        so the report is identical either way.  A fallback reruns that
-        loop over the byte tier's tree of the text, or over the char
-        tier's events at a root exit and when the tree fold refuses the
-        text.
+        Text and UTF-8 bytes take the dense scan.  When it falls back,
+        :class:`~repro.engine.incremental.ValidatedDocument`'s walk
+        validates the byte tier's tree of the text, or the char tier's
+        events at a root exit and when the tree fold refuses the text.
+        Every other input is validated as its events
+        (:meth:`validate_events`), so a tree is refolded, never walked in
+        place.  The report is the same on every route.
         """
         if isinstance(source, str):
             # A lone surrogate has no UTF-8 encoding; "surrogatepass"
@@ -362,13 +275,12 @@ class StreamingValidator:
         return self._validate_dense(bytes(data), None)
 
     def _validate_dense(self, data, text):
-        """Dense attempt with compat fallback; mirrors the compat path's
-        eager input-size check and ``parse``/``validate`` probe order.
+        """Dense attempt with a walk on fallback; mirrors the char
+        parser's eager input-size check and ``parse``/``validate`` probe
+        order.
 
         One ``engine.validate`` span covers the document, its ``path``
         attribute ``dense`` or ``fallback``."""
-        from repro.resilience.faults import probe
-
         limits = resolve_limits(None)
         limit = limits.max_input_bytes
         if limit is not None and len(data) > limit:
@@ -383,15 +295,18 @@ class StreamingValidator:
         )
 
     def _dense_or_fallback(self, data, text, limits, trace):
-        """The dense scan, or the compat loop when the scan falls back;
-        tags ``trace`` with the path taken.
+        """The dense scan, or the walk when the scan falls back; tags
+        ``trace`` with the path taken.
 
-        The compat loop reruns over the byte tier's tree of the document
-        (:func:`~repro.xmlmodel.tokenizer.fold_tree`), whose events spell
-        the char tier's, and accounts the text events the tree merges.
-        It reruns over the char tier's events only at a root exit, which
-        the char tier answers after one event, and on what the fold
-        refuses; the span's ``rerun`` attribute tells which."""
+        A fallback walks the byte tier's tree of the document
+        (:func:`~repro.xmlmodel.tokenizer.fold_tree`) and counts the
+        char tier's events for it: the tree's, skipped subtrees
+        included, plus the text events the tree merges.  The report
+        keeps the bytes for its typing, and the tree and the walk's memo
+        go when this returns.  It reruns on the char tier's events only
+        at a root exit, which the char tier answers after one event, and
+        on what the fold refuses; the span's ``rerun`` attribute tells
+        which."""
         registry = default_registry()
         try:
             result = self._scan_dense(data, limits)
@@ -402,9 +317,9 @@ class StreamingValidator:
             fallback.__traceback__ = fallback.__context__ = None
             registry.counter("engine.dense.fallbacks").inc()
             trace.set_attribute("path", "fallback")
-            # The probes fired once for this document; the compat loop
-            # reruns without re-probing (fault injection must see one
-            # document, not two).
+            # The probes fired once for this document; the rerun does
+            # not probe again (fault injection must see one document,
+            # not two).
             if fallback is not _ROOT_FALLBACK:
                 try:
                     root, split = fold_tree(data, limits)
@@ -413,15 +328,75 @@ class StreamingValidator:
                 else:
                     registry.counter("engine.fold.reruns").inc()
                     trace.set_attribute("rerun", "fold")
-                    report, consumed = self._run(root.events())
-                    return report, consumed + split
+                    report = _LazyReport(self._materialize_typing, data)
+                    ValidatedDocument._walked(
+                        root, self.schema
+                    )._write_violations(report.violations)
+                    return report, _event_count(root) + split
             trace.set_attribute("rerun", "char")
             if text is None:
                 text = _decode_utf8(data)
-            return self._run(_iter_events(text, limits))
+            return self._walk_events(_iter_events(text, limits))
         registry.counter("engine.dense.docs").inc()
         trace.set_attribute("path", "dense")
         return result
+
+    def _materialize_typing(self, data):
+        """The typing map of document bytes the validator walked.
+
+        Walks the body chunks again (names only, no validation) and
+        builds the walk's indexed paths in document order: an
+        unrecognized child's subtree is skipped, untyped, as the
+        reference validators skip it.  The root is declared, since a
+        root exit never gets here.  Runs with unlimited parser caps: the
+        document passed the call-time limits when it was validated, and
+        materialization must not depend on whatever limits are ambient
+        later.
+        """
+        schema = self.schema
+        types = schema.types
+        start = schema.start
+        name_of = _name_resolver(schema)
+        typing = {}
+        stack = []  # (typed_path, ordinals, compiled type)
+        skip = 0  # the open elements of a skipped subtree
+        memo = {}
+        memo_get = memo.get
+        for chunk in islice(split_body(data, body_start(data)), 1, None):
+            action = memo_get(chunk)
+            if action is None:
+                action = parse_chunk(chunk, _UNLIMITED, name_of)
+                memo[chunk] = action
+            kind = action[0]
+            if skip:
+                if kind == START:
+                    skip += 1
+                elif kind == END:
+                    skip -= 1
+                continue
+            if kind == END:
+                stack.pop()
+                continue
+            name = action[1]
+            if stack:
+                typed_path, ordinals, parent = stack[-1]
+                type_id = parent.child_types[
+                    parent.dfa.symbol_ids.get(name, -1)
+                ]
+                if type_id < 0:  # not allowed: its subtree is untyped
+                    if kind == START:
+                        skip = 1
+                    continue
+                ordinal = ordinals[name] = ordinals.get(name, 0) + 1
+                typed_path = f"{typed_path}/{name}[{ordinal}]"
+            else:
+                type_id = start[name]
+                typed_path = f"/{name}[1]"
+            compiled = types[type_id]
+            typing[typed_path] = compiled.name
+            if kind == START:
+                stack.append((typed_path, {}, compiled))
+        return typing
 
     def _scan_dense(self, data, limits):
         """The fused tokenizer+validator loop.
@@ -436,27 +411,18 @@ class StreamingValidator:
         self-closing one must accept the empty word.  *No* object
         events.  Commits only documents that are well formed, within
         limits, and valid — any violation, anomaly, or uncertainty
-        raises :class:`FallbackRequired` and the compat path produces
-        the canonical report/error; an undeclared or second root raises
-        ``_ROOT_FALLBACK``, which the char tier answers at once.  Checks
-        an ambient budget's clock.
+        raises :class:`FallbackRequired` and the walk (or the char
+        tier) produces the canonical report/error; an undeclared or
+        second root raises ``_ROOT_FALLBACK``, which the char tier
+        answers at once.  Checks an ambient budget's clock.
         """
         schema = self.schema
         budget = current_budget()
-        offset = body_start(data)
-        chunks = split_body(data, offset)
+        chunks = split_body(data, body_start(data))
         dense_types = schema.dense_types
         start_get = schema.start.get
-        names = schema.names
-        byte_ids = schema.byte_ids
+        name_of = _name_resolver(schema)
         max_depth = limits.max_depth
-
-        def name_of(name_bytes):
-            interned = byte_ids.get(name_bytes)
-            # A name outside the schema alphabet is None: no type's
-            # child, no root, no open element's name.
-            return None if interned is None else names[interned]
-
         memo = {}
         memo_get = memo.get
         stack = []
@@ -464,8 +430,9 @@ class StreamingValidator:
         pop = stack.pop
         depth = 0
         root_done = False
-        # Exact compat-event accounting (start/end tags plus each chunk's
-        # text events), so ``engine.stream.events`` agrees between paths.
+        # Exact char-tier event accounting (start/end tags plus each
+        # chunk's text events), so ``engine.stream.events`` agrees
+        # between paths.
         consumed = 0
         # Registers of the innermost open element (its ``dense_types``
         # entry).  ``state`` is a DFA state, or the seen-mask when ``bag``
@@ -565,7 +532,7 @@ class StreamingValidator:
             raise _FALLBACK
         # The last chunk closed the root (a chunk after it fell back).
         check_after_root(chunks[-1])
-        return _DenseReport(schema, data, offset), consumed
+        return _LazyReport(self._materialize_typing, data), consumed
 
 
 def _decode_utf8(data):
@@ -608,7 +575,7 @@ def validate_streaming(schema, source, cache=None):
     Returns:
         An :class:`~repro.xsd.validator.XSDValidationReport` agreeing with
         :func:`repro.xsd.validator.validate_xsd` on validity, typing, and
-        the multiset of violation messages.
+        the list of violation messages.
     """
     if not isinstance(schema, CompiledSchema):
         from repro.engine.cache import compile_cached

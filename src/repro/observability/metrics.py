@@ -332,13 +332,6 @@ class MetricsRegistry:
     def to_json(self, indent=2):
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    def reset(self):
-        """Drop every instrument (tests; metric objects held by callers
-        keep counting but are no longer reported)."""
-        with self._lock:
-            self._instruments.clear()
-            self._help.clear()
-
     def __len__(self):
         with self._lock:
             return len(self._instruments)

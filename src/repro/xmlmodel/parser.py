@@ -48,7 +48,7 @@ byte tier's trees to the char tier's.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 
 from repro.errors import LimitExceeded, ParseError
 from repro.observability import default_registry
@@ -67,9 +67,10 @@ _SPACES = (" ", "\t", "\r", "\n")
 # Limits that cap nothing, for names no limit applies to.
 _UNCAPPED = ParserLimits.unlimited()
 
-# An event loop checks an ambient ResourceBudget's clock once per this
-# many events, never per event: parse_document's char-tier fold and the
-# streaming compat loop both.
+# An event fold checks an ambient ResourceBudget's clock once per this
+# many events, never per event (:func:`_clocked`): parse_document's
+# char-tier fold and the streaming validator's event fold both.  The
+# validation walk reads it once per half as many elements.
 _CHECK_EVENTS = 64
 
 
@@ -262,20 +263,30 @@ def parse_document(text, limits=None):
     events = _iter_events(text, limits)
     budget = current_budget()
     if budget is not None:
-        events = _clocked(events, budget)
+        events = _clocked(events, budget, "xmlmodel.parse_document")
     return XMLDocument(XMLElement.from_events(events))
 
 
-def _clocked(events, budget):
-    """``events``, with ``budget``'s clock read before every block of
-    :data:`_CHECK_EVENTS` events but the first (so a short document
-    never reads it, as with the byte tier's fold)."""
-    block = list(islice(events, _CHECK_EVENTS))
-    while block:
-        yield from block
+def _clocked(events, budget, site, tally=None):
+    """``events``, read in blocks of :data:`_CHECK_EVENTS`.
+
+    ``budget``'s clock (none when ``budget`` is ``None``) is read under
+    ``site`` before every block but the first, so a short document
+    never reads it, as with the byte tier's fold; ``tally[0]``, when a
+    tally list is given, grows by each block's length.  Python code runs
+    once per block, not per event.
+    """
+    def blocks():
         block = list(islice(events, _CHECK_EVENTS))
-        if block:
-            budget.check_time("xmlmodel.parse_document")
+        while block:
+            if tally is not None:
+                tally[0] += len(block)
+            yield block
+            block = list(islice(events, _CHECK_EVENTS))
+            if block and budget is not None:
+                budget.check_time(site)
+
+    return chain.from_iterable(blocks())
 
 
 def parse_fragment(text, limits=None):

@@ -59,8 +59,9 @@ with two outputs: the scan keeps what validation reads (names,
 attribute names, whether the text is significant, undecoded where the
 bytes suffice), the fold decoded names, attribute values and text.
 ``tests/test_tokenizer_hardening`` replays the parser fuzz corpus
-through the scan against the char parser plus compat loop, and
-``tests/test_tree_fold`` through the fold against the char tier's trees.
+through the scan against the char parser plus the validator's event
+route, and ``tests/test_tree_fold`` through the fold against the char
+tier's trees.
 """
 
 from __future__ import annotations

@@ -194,24 +194,29 @@ class XMLElement:
             stack.append((child, 0))
 
     @classmethod
-    def from_events(cls, events):
+    def from_events(cls, events, strays=None):
         """Fold a SAX-style event stream into the element it spells.
 
         The inverse of :meth:`events`, and how the char tier builds trees
         (:func:`repro.xmlmodel.parser.parse_document` folds
         ``iter_events`` when the byte tier falls back, and
-        ``parse_fragment`` always): adjacent text events concatenate
-        into one run,
-        and text outside the element is ignored.  The stream is drained
-        to its end, so an error raised after the element closes still
-        propagates.  Each start event's attributes dict is adopted, not
-        copied.  The fold fills the node slots directly (this class owns
-        them) and walks back up by ``parent``.
+        ``parse_fragment`` always) and the streaming validator its own
+        tree of an event stream: adjacent text events concatenate into
+        one run, and text outside the element is ignored.  The stream is
+        drained to its end, so an error raised after the element closes
+        still propagates.  Each start event's attributes dict is
+        adopted, not copied.  The fold fills the node slots directly
+        (this class owns them) and walks back up by ``parent``.
+
+        Args:
+            events: the stream.
+            strays: a list to append each further root to, folded whole
+                (the validator reports them), instead of raising.
 
         Raises:
-            ParseError: when the stream holds no element or a second
-                one, ends inside an element, or closes an element that
-                is not open.
+            ParseError: when the stream holds no element or (without
+                ``strays``) a second one, ends inside an element, or
+                closes an element that is not open.
         """
         new = cls.__new__
         root = node = None
@@ -228,11 +233,14 @@ class XMLElement:
                         child.texts = [""]
                         child.parent = node
                         if node is None:
-                            if root is not None:
+                            if root is None:
+                                root = child
+                            elif strays is None:
                                 raise ParseError(
                                     "document has more than one root element"
                                 )
-                            root = child
+                            else:
+                                strays.append(child)
                         else:
                             node.children.append(child)
                             node.texts.append("")
