@@ -3,7 +3,9 @@
 Runs ``bonxai validate --engine streaming --metrics`` on the paper's
 running example (Figure 3 XSD, Figure 1 document) and checks that the
 snapshot written to stderr is valid JSON with nonzero cache and DFA-size
-metrics, and that ``--budget-states`` refuses a Theorem-9 instance.
+metrics and an ``engine.stream.elements`` count equal to Figure 1's
+element count, and that ``--budget-states`` refuses a Theorem-9
+instance.
 Exits nonzero (with a diagnostic) on any failure, so it can gate
 ``make check``.
 """
@@ -19,6 +21,7 @@ import pathlib
 
 from repro.cli import main
 from repro.paperdata import FIGURE1_XML, figure3_xsd
+from repro.xmlmodel import parse_document
 from repro.xsd import write_xsd
 
 
@@ -73,6 +76,12 @@ def main_smoke():
         check(
             counters.get("engine.stream.docs", 0) > 0,
             f"no streaming metrics in snapshot: {counters}",
+        )
+        elements = parse_document(FIGURE1_XML).size()
+        check(
+            counters.get("engine.stream.elements") == elements,
+            f"engine.stream.elements is not Figure 1's {elements} "
+            f"elements: {counters}",
         )
 
         # The budget flags must refuse adversarial translation work.

@@ -137,10 +137,20 @@ class BXSD:
             return report
         matchers = [DerivativeMatcher(rule.pattern) for rule in self.rules]
         initial = tuple(matcher.start() for matcher in matchers)
-        self._match_node(root, initial, matchers, "/" + root.name, report)
+        # Pre-order from an explicit stack, children pushed in reverse,
+        # so any depth is matched without recursion.
+        stack = [(root, initial, "/" + root.name)]
+        while stack:
+            node, states, path = stack.pop()
+            next_states = self._match_node(node, states, matchers, path,
+                                           report)
+            for child in reversed(node.children):
+                stack.append((child, next_states, f"{path}/{child.name}"))
         return report
 
     def _match_node(self, node, states, matchers, path, report):
+        """Record and check one node; returns its matchers' states,
+        which its children start from."""
         # Advance every pattern matcher by this node's label (incremental:
         # each ancestor string extends its parent's by one symbol).
         next_states = tuple(
@@ -158,10 +168,7 @@ class BXSD:
             report.violations.extend(
                 self.rules[relevant].content.check_node(node, path=path)
             )
-        for child in node.children:
-            self._match_node(
-                child, next_states, matchers, f"{path}/{child.name}", report
-            )
+        return next_states
 
     # -- metadata ----------------------------------------------------------
     @property

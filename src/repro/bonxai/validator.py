@@ -96,16 +96,14 @@ def _check_attribute_values(compiled, document, core, report):
 
 
 def _check_constraints(compiled, document, report):
-    # Pre-compute ancestor strings once.
+    # Pre-compute ancestor strings once, from an explicit stack (any
+    # depth, no recursion).
     ancestor_strings = {}
-
-    def walk(node, prefix):
-        path = prefix + [node.name]
-        ancestor_strings[id(node)] = path
-        for child in node.children:
-            walk(child, path)
-
-    walk(document.root, [])
+    stack = [(document.root, [])]
+    while stack:
+        node, prefix = stack.pop()
+        path = ancestor_strings[id(node)] = prefix + [node.name]
+        stack.extend((child, path) for child in reversed(node.children))
 
     key_tables = {}
     keyref_checks = []

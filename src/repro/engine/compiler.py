@@ -403,10 +403,6 @@ class CompiledSchema:
         """The :class:`CompiledType` for a source type name."""
         return self.types[self.type_ids[name]]
 
-    def root_type_id(self, element_name):
-        """The start type id of a root element name, or ``None``."""
-        return self.start.get(element_name)
-
     def undeclared_root(self, element_name):
         """The violation for a root element that is not declared."""
         return (

@@ -54,8 +54,6 @@ from repro.observability.budget import current_budget
 from repro.observability.tracing import span
 from repro.resilience.faults import probe
 from repro.resilience.limits import ParserLimits, resolve_limits
-# _CHECK_EVENTS: the event fold's clock stride, read by the docs and tests.
-from repro.xmlmodel.parser import _CHECK_EVENTS  # noqa: F401
 from repro.xmlmodel.parser import _clocked, _iter_events, iter_events
 from repro.xmlmodel.tokenizer import (
     _CHECK_CHUNKS,
@@ -125,22 +123,6 @@ def _name_resolver(schema):
     return name_of
 
 
-def _event_count(root):
-    """How many events ``root.events()`` yields, counted without making
-    them: a start and an end per element, and one text event per
-    non-empty run."""
-    count = 0
-    stack = [root]
-    pop = stack.pop
-    extend = stack.extend
-    while stack:
-        node = pop()
-        texts = node.texts
-        count += 2 + len(texts) - texts.count("")
-        extend(node.children)
-    return count
-
-
 class StreamingValidator:
     """Validates documents and event streams against one
     :class:`CompiledSchema`.
@@ -165,9 +147,9 @@ class StreamingValidator:
         each further root is a violation, listed last, and its subtree
         is skipped, so a malformed stream carrying a second root does
         not validate clean.  The fold reads an ambient budget's clock
-        once per :data:`_CHECK_EVENTS` events, the walk once per half as
-        many elements.  Errors the stream's producer raises pass
-        through unchanged.
+        once per :data:`~repro.xmlmodel.parser._CHECK_EVENTS` events,
+        the walk once per half as many elements.  Errors the stream's
+        producer raises pass through unchanged.
 
         Raises:
             ParseError: when the stream holds no element, ends inside
@@ -179,17 +161,23 @@ class StreamingValidator:
     def _observed(self, run):
         """One document under one ``engine.validate`` span, with its
         ``engine.stream.*`` metrics; ``run(span)`` returns ``(report,
-        events consumed)`` (the probes have already fired)."""
+        elements typed)`` (the probes have already fired).
+
+        The elements typed are ``len(report.typing)``: every element of
+        a dense commit, and on a walk route the walk's records, so an
+        undeclared root, the subtree of an unrecognized child and an
+        event stream's further roots count none.
+        """
         registry = default_registry()
         started = time.perf_counter_ns()
         with span("engine.validate") as trace:
             fingerprint = self.schema.fingerprint
             if fingerprint is not None:
                 trace.set_attribute("schema", fingerprint[:12])
-            report, consumed = run(trace)
-            trace.set_attribute("events", consumed)
+            report, elements = run(trace)
+            trace.set_attribute("elements", elements)
             trace.set_attribute("violations", len(report.violations))
-        registry.counter("engine.stream.events").inc(consumed)
+        registry.counter("engine.stream.elements").inc(elements)
         registry.counter("engine.stream.docs").inc()
         if report.violations:
             registry.counter("engine.stream.violations").inc(
@@ -202,13 +190,13 @@ class StreamingValidator:
 
     def _walk_events(self, events):
         """Fold ``events`` into a tree and walk it; returns ``(report,
-        events consumed)``.
+        elements typed)``.
 
         The stream is read one event at a time up to its first start or
         end event, so that an undeclared root stops it there.  The fold
-        then reads it in clocked blocks
-        (:func:`~repro.xmlmodel.parser._clocked`), from its first event,
-        and raises every malformed-stream error.
+        then reads it from its first event, under an ambient budget's
+        clock (:func:`~repro.xmlmodel.parser._clocked`), and raises
+        every malformed-stream error.
         """
         schema = self.schema
         events = iter(events)
@@ -220,13 +208,10 @@ class StreamingValidator:
         if head and event[0] == "start" and event[1] not in schema.start:
             report = XSDValidationReport()
             report.violations.append(schema.undeclared_root(event[1]))
-            return report, len(head)
-        tally = [0]
+            return report, 0
         strays = []
         root = XMLElement.from_events(
-            _clocked(chain(head, events), current_budget(),
-                     "engine.validate", tally),
-            strays,
+            _clocked(chain(head, events), "engine.validate"), strays
         )
         handle = ValidatedDocument._walked(root, schema)
         report = _LazyReport(ValidatedDocument._typing, handle)
@@ -235,7 +220,7 @@ class StreamingValidator:
             f"/{stray.name}: document has more than one root element "
             f"(<{stray.name}> follows the closed root)" for stray in strays
         )
-        return report, tally[0]
+        return report, len(handle)
 
     def validate(self, source):
         """Validate ``source``: XML text/bytes, a document/element, or events.
@@ -299,13 +284,11 @@ class StreamingValidator:
         ``trace`` with the path taken.
 
         A fallback walks the byte tier's tree of the document
-        (:func:`~repro.xmlmodel.tokenizer.fold_tree`) and counts the
-        char tier's events for it: the tree's, skipped subtrees
-        included, plus the text events the tree merges.  The report
-        keeps the bytes for its typing, and the tree and the walk's memo
-        go when this returns.  It reruns on the char tier's events only
-        at a root exit, which the char tier answers after one event, and
-        on what the fold refuses; the span's ``rerun`` attribute tells
+        (:func:`~repro.xmlmodel.tokenizer.fold_tree`).  The report keeps
+        the bytes for its typing, and the tree and the walk's memo go
+        when this returns.  It reruns on the char tier's events only at
+        a root exit, which the char tier answers after one event, and on
+        what the fold refuses; the span's ``rerun`` attribute tells
         which."""
         registry = default_registry()
         try:
@@ -322,17 +305,16 @@ class StreamingValidator:
             # not two).
             if fallback is not _ROOT_FALLBACK:
                 try:
-                    root, split = fold_tree(data, limits)
+                    root = fold_tree(data, limits)
                 except FallbackRequired as refused:
                     refused.__traceback__ = refused.__context__ = None
                 else:
                     registry.counter("engine.fold.reruns").inc()
                     trace.set_attribute("rerun", "fold")
                     report = _LazyReport(self._materialize_typing, data)
-                    ValidatedDocument._walked(
-                        root, self.schema
-                    )._write_violations(report.violations)
-                    return report, _event_count(root) + split
+                    handle = ValidatedDocument._walked(root, self.schema)
+                    handle._write_violations(report.violations)
+                    return report, len(handle)
             trace.set_attribute("rerun", "char")
             if text is None:
                 text = _decode_utf8(data)
@@ -430,10 +412,7 @@ class StreamingValidator:
         pop = stack.pop
         depth = 0
         root_done = False
-        # Exact char-tier event accounting (start/end tags plus each
-        # chunk's text events), so ``engine.stream.events`` agrees
-        # between paths.
-        consumed = 0
+        elements = 0
         # Registers of the innermost open element (its ``dense_types``
         # entry).  ``state`` is a DFA state, or the seen-mask when ``bag``
         # (its ContentBag) is set.
@@ -473,13 +452,10 @@ class StreamingValidator:
                     depth -= 1
                     (state, table, symbol_ids, child_types, acc_bits, mixed,
                      has_text, open_name, bag) = pop()
-                    if depth:
-                        consumed += 1 + action[4]
-                        if action[3]:
-                            has_text = True
-                    else:
-                        consumed += 1
+                    if not depth:
                         root_done = True
+                    elif action[3]:
+                        has_text = True
                     continue
                 # A start or self-closing tag: one child step.
                 name = action[1]
@@ -509,6 +485,7 @@ class StreamingValidator:
                 if attrs or required:
                     if not (required <= attrs and attrs <= entry[5]):
                         raise _FALLBACK
+                elements += 1
                 if kind == START:
                     push((state, table, symbol_ids, child_types, acc_bits,
                           mixed, has_text, open_name, bag))
@@ -518,21 +495,17 @@ class StreamingValidator:
                     state = 0
                     open_name = name
                     has_text = action[3]
-                    consumed += 1 + action[4]
                 elif not entry[3] & 1:  # SELFCLOSE: the empty word must
                     raise _FALLBACK  # match (bit 0: the empty bag mask)
-                elif depth:
-                    consumed += 2 + action[4]
-                    if action[3]:
-                        has_text = True
-                else:
-                    consumed += 2
+                elif not depth:
                     root_done = True
+                elif action[3]:
+                    has_text = True
         if depth or not root_done:  # unterminated element / no root
             raise _FALLBACK
         # The last chunk closed the root (a chunk after it fell back).
         check_after_root(chunks[-1])
-        return _LazyReport(self._materialize_typing, data), consumed
+        return _LazyReport(self._materialize_typing, data), elements
 
 
 def _decode_utf8(data):

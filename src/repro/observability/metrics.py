@@ -12,7 +12,8 @@ Design constraints:
 
 * **Thread safety.**  Every instrument guards its state with one lock;
   hot loops should aggregate locally and publish once per unit of work
-  (the streaming validator counts events per document, not per event).
+  (the streaming validator counts the elements it typed once per
+  document, not per element).
 * **Stable names.**  Instruments are keyed by dotted names
   (``engine.cache.hits``); asking the registry for an existing name
   returns the existing instrument, so modules never need to coordinate

@@ -248,7 +248,7 @@ def parse_document(text, limits=None):
     try:
         # A lone surrogate becomes bytes that are not UTF-8, which the
         # byte tier refuses.
-        root, __ = fold_tree(text.encode("utf-8", "surrogatepass"), limits)
+        root = fold_tree(text.encode("utf-8", "surrogatepass"), limits)
     except FallbackRequired as fallback:
         # The raised instances are shared, and a raise chains its frames
         # onto the instance's traceback: drop them, or every fallback
@@ -260,30 +260,30 @@ def parse_document(text, limits=None):
     # The probe fired once for this document; the char tier reruns
     # without probing again.
     registry.counter("xmlmodel.parse.fallbacks").inc()
-    events = _iter_events(text, limits)
-    budget = current_budget()
-    if budget is not None:
-        events = _clocked(events, budget, "xmlmodel.parse_document")
+    events = _clocked(_iter_events(text, limits), "xmlmodel.parse_document")
     return XMLDocument(XMLElement.from_events(events))
 
 
-def _clocked(events, budget, site, tally=None):
-    """``events``, read in blocks of :data:`_CHECK_EVENTS`.
+def _clocked(events, site):
+    """``events`` under an ambient budget's clock, read under ``site``
+    once per :data:`_CHECK_EVENTS` events.
 
-    ``budget``'s clock (none when ``budget`` is ``None``) is read under
-    ``site`` before every block but the first, so a short document
-    never reads it, as with the byte tier's fold; ``tally[0]``, when a
-    tally list is given, grows by each block's length.  Python code runs
-    once per block, not per event.
+    Without an ambient budget, ``events`` itself.  With one, the stream
+    is read in blocks of :data:`_CHECK_EVENTS` and the clock before
+    every block but the first, so a short document never reads it, as
+    with the byte tier's fold; Python code runs once per block, not per
+    event.
     """
+    budget = current_budget()
+    if budget is None:
+        return events
+
     def blocks():
         block = list(islice(events, _CHECK_EVENTS))
         while block:
-            if tally is not None:
-                tally[0] += len(block)
             yield block
             block = list(islice(events, _CHECK_EVENTS))
-            if block and budget is not None:
+            if block:
                 budget.check_time(site)
 
     return chain.from_iterable(blocks())

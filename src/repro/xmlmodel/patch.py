@@ -93,12 +93,20 @@ def resolve(root, path):
 
 
 def clone_element(node):
-    """A deep, parentless copy of ``node`` (attributes, texts, children)."""
-    copy = XMLElement(node.name, attributes=node.attributes)
-    copy.texts[0] = node.texts[0]
-    for index, child in enumerate(node.children):
-        copy.append(clone_element(child), node.texts[index + 1])
-    return copy
+    """A deep, parentless copy of ``node`` (attributes, texts, children),
+    made with an explicit stack, so any depth is copied."""
+    root = XMLElement(node.name, node.attributes, text=node.texts[0])
+    stack = [(node, root)]
+    while stack:
+        source, copy = stack.pop()
+        texts = source.texts
+        for index, child in enumerate(source.children, 1):
+            child_copy = XMLElement(child.name, child.attributes,
+                                    text=child.texts[0])
+            copy.append(child_copy, texts[index])
+            if child.children:
+                stack.append((child, child_copy))
+    return root
 
 
 class PatchOp:

@@ -39,9 +39,12 @@ accept identically.  It falls back on:
   duplicate attributes, and every malformed shape.
 
 "Falls back" means :class:`FallbackRequired` is raised and the caller
-re-runs the char-based tier from the start — so errors (type, message,
-line/column) and reports are *identical by construction*: the fast tier
-either certifies exactly what the careful tier would accept, or it
+turns to a slower tier: a dense scan that falls back is rerun on
+:func:`fold_tree`'s tree (on the char-based tier at a root exit), and
+what the fold refuses, its callers hand to the char-based tier from the
+start.  So errors (type, message, line/column) are always the char
+tier's, and trees and reports are *identical by construction*: the fast
+tier either certifies exactly what the careful tier would accept, or it
 certifies nothing and the careful tier speaks.
 
 Entry points: :func:`body_start`, :func:`split_body`,
@@ -51,13 +54,12 @@ dense validation loop
 lazy typing walk, which resolve names to the schema's own name objects,
 and by :func:`fold_tree`, which builds the tree for
 :func:`repro.xmlmodel.parser.parse_document` and for the streaming
-validator's rerun of a document its scan did not commit (with the text
-events the char tier would count, so the rerun's event count is the
-char tier's).  Both chunk loops check an ambient budget's clock once
-per :data:`_CHECK_CHUNKS` chunks.  The chunk grammar is one function
-with two outputs: the scan keeps what validation reads (names,
-attribute names, whether the text is significant, undecoded where the
-bytes suffice), the fold decoded names, attribute values and text.
+validator's rerun of a document its scan did not commit.  Both chunk
+loops check an ambient budget's clock once per :data:`_CHECK_CHUNKS`
+chunks.  The chunk grammar is one function with two outputs: the scan
+keeps what validation reads (names, attribute names, whether the text
+is significant, undecoded where the bytes suffice), the fold decoded
+names, attribute values and text.
 ``tests/test_tokenizer_hardening`` replays the parser fuzz corpus
 through the scan against the char parser plus the validator's event
 route, and ``tests/test_tree_fold`` through the fold against the char
@@ -283,12 +285,11 @@ def _decoded(raw, limits):
 
 
 def _content(rest, limits):
-    """``(text, events)`` for the content after a chunk's tag.
+    """The text of the content after a chunk's tag: its decoded text
+    runs and CDATA sections, joined (what the tree keeps).
 
     Walks it as the char parser's content loop does: text runs split by
-    comments, PIs and CDATA sections.  ``text`` joins the decoded runs
-    and CDATA sections (what the tree keeps), and ``events`` counts the
-    non-empty ones, one text event each.  Falls back unless ``rest`` is
+    comments, PIs and CDATA sections.  Falls back unless ``rest`` is
     strict UTF-8, and on a run holding ``]]>`` ([14]).
     """
     try:
@@ -306,7 +307,7 @@ def _content(rest, limits):
                 raise _FALLBACK
             pieces.append(_decoded(run, limits))
         if lt < 0:
-            return "".join(pieces), len(pieces)
+            return "".join(pieces)
         pos = _markup_end(rest, lt)
         if pos is None:  # no comment, PI or CDATA section opens here
             raise _FALLBACK
@@ -315,23 +316,20 @@ def _content(rest, limits):
             data = rest[start:stop].decode("utf-8")
             if max_text is not None and len(data) > max_text:
                 raise _FALLBACK
-            if data:
-                pieces.append(data)
+            pieces.append(data)
 
 
 def parse_chunk(chunk, limits, name_id_of):
     """Parse one chunk into an action tuple (the scan's memo-miss path).
 
-    Returns ``(kind, name, attr_names, significant_text, events)``
-    where ``kind`` is :data:`START`/:data:`END`/:data:`SELFCLOSE`,
-    ``name`` is what ``name_id_of`` returned for the element name,
-    ``attr_names`` is a frozenset of decoded attribute names (``None``
-    for end tags), ``significant_text`` is True iff the content after
-    the tag holds a character that is not whitespace by ``str.isspace``,
-    and ``events`` is the number of text events the char parser yields
-    for that content (one per non-empty text run or CDATA section).
-    Attribute values and text are decoded only to check them: the
-    validator reads only names and these two figures.
+    Returns ``(kind, name, attr_names, significant_text)`` where
+    ``kind`` is :data:`START`/:data:`END`/:data:`SELFCLOSE`, ``name`` is
+    what ``name_id_of`` returned for the element name, ``attr_names`` is
+    a frozenset of decoded attribute names (``None`` for end tags), and
+    ``significant_text`` is True iff the content after the tag holds a
+    character that is not whitespace by ``str.isspace``.  Attribute
+    values and text are decoded only to check them: the validator reads
+    only names and whether the text is significant.
 
     ``name_id_of`` resolves a name's bytes to the caller's key for it
     (the validator's is the schema's own name object, or ``None`` for a
@@ -343,9 +341,8 @@ def parse_chunk(chunk, limits, name_id_of):
 
 
 def fold_tree(data, limits):
-    """``(root, split)``: the root :class:`~repro.xmlmodel.tree.XMLElement`
-    of UTF-8 ``data``, folded from its chunks, and how many more text
-    events the char tier yields for it than the tree spells.
+    """The root :class:`~repro.xmlmodel.tree.XMLElement` of UTF-8
+    ``data``, folded from its chunks.
 
     Folds as :meth:`XMLElement.from_events` folds the char parser's
     events.  Each distinct chunk is parsed once, with its values
@@ -361,14 +358,9 @@ def fold_tree(data, limits):
     ``max_depth`` holds as in the char parser.  Raises
     :class:`FallbackRequired` on anything it cannot certify.
 
-    The tree yields one text event per non-empty run, where the char
-    tier yields one per run that comments, PIs and CDATA sections split
-    it into; ``split`` counts the difference, so that it plus the events
-    of ``root.events()`` is the char tier's count for the document (the
-    content after the root yields none on either tier).  Two callers:
-    :func:`repro.xmlmodel.parser.parse_document`, which drops ``split``,
-    and the streaming validator's rerun of a document its dense scan
-    could not commit.  Checks an ambient budget's clock once per
+    Two callers: :func:`repro.xmlmodel.parser.parse_document` and the
+    streaming validator's rerun of a document its dense scan could not
+    commit.  Checks an ambient budget's clock once per
     :data:`_CHECK_CHUNKS` chunks, as the scan does.
     """
     chunks = split_body(data, body_start(data))
@@ -386,12 +378,6 @@ def fold_tree(data, limits):
         max_depth = sys.maxsize
     memo = {}
     memo_get = memo.get
-    # Chunks whose content the char tier yields as more than one text
-    # event stay out of memo, so that each occurrence counts its extra
-    # events on the miss branch and the hit path pays nothing for them.
-    splits = {}
-    splits_get = splits.get
-    split = 0
     new = XMLElement.__new__
     root = node = None  # node: the innermost open element
     depth = 0
@@ -403,14 +389,7 @@ def fold_tree(data, limits):
         for chunk in islice(rest, _CHECK_CHUNKS):
             action = memo_get(chunk)
             if action is None:
-                parsed = ((splits and splits_get(chunk))
-                          or _parse(chunk, limits, name_of, True))
-                action, events = parsed
-                if events > 1:
-                    splits[chunk] = parsed
-                    split += events - 1
-                else:
-                    memo[chunk] = action
+                action = memo[chunk] = _parse(chunk, limits, name_of, True)
             kind, name, attributes, text = action
             if kind == END:
                 if node is None or name != node.name:
@@ -446,17 +425,13 @@ def fold_tree(data, limits):
     if node is not None:  # an element left open
         raise _FALLBACK
     check_after_root(chunks[-1])
-    # The last chunk closed the root: what follows it is no text.
-    last = splits_get(chunks[-1])
-    if last is not None:
-        split -= last[1] - 1
-    return root, split
+    return root
 
 
 def _parse(chunk, limits, name_id_of, decode):
     """The chunk grammar behind :func:`parse_chunk` (``decode`` false)
     and :func:`fold_tree` (true), which differ only in what they keep:
-    with ``decode``, the fold's action and the content's text events.
+    with ``decode``, the fold's action.
 
     ASCII content with no ``&`` and no markup, and ASCII attribute
     values with no ``&``, are checked on their bytes; without
@@ -483,20 +458,18 @@ def _parse(chunk, limits, name_id_of, decode):
     max_text = limits.max_text_length
     text = ""
     significant = False
-    events = 0
     if rest:
         if ascii_only and _AMP not in rest and _LT not in rest:
             if max_text is not None and len(rest) > max_text:
                 raise _FALLBACK
             if _RSQB in rest and _CDATA_CLOSE in rest:  # [14]
                 raise _FALLBACK
-            events = 1
             if decode:
                 text = rest.decode("ascii")
             else:
                 significant = bool(rest.strip(_STR_WS))
         else:
-            text, events = _content(rest, limits)
+            text = _content(rest, limits)
             significant = bool(text.strip())
     max_name = limits.max_name_length
     if tag[:1] == b"/":
@@ -506,8 +479,8 @@ def _parse(chunk, limits, name_id_of, decode):
         if max_name is not None and len(name) > max_name:
             raise _FALLBACK
         if decode:
-            return (END, name_id_of(name), None, text), events
-        return (END, name_id_of(name), None, significant, events)
+            return (END, name_id_of(name), None, text)
+        return (END, name_id_of(name), None, significant)
     selfclose = tag[-1:] == b"/"
     if selfclose:
         tag = tag[:-1]
@@ -555,5 +528,5 @@ def _parse(chunk, limits, name_id_of, decode):
             attr_names = frozenset(map(bytes.decode, names))
     kind = SELFCLOSE if selfclose else START
     if decode:
-        return (kind, name_id_of(name), attributes, text), events
-    return (kind, name_id_of(name), attr_names, significant, events)
+        return (kind, name_id_of(name), attributes, text)
+    return (kind, name_id_of(name), attr_names, significant)

@@ -158,10 +158,17 @@ class XMLElement:
         return any(run.strip() for run in self.texts)
 
     def iter(self):
-        """Yield this element and every descendant in document order."""
-        yield self
-        for child in self.children:
-            yield from child.iter()
+        """Yield this element and every descendant in document order.
+
+        Walks an explicit stack, so any depth the parser accepts is
+        walked without recursion.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack.extend(reversed(node.children))
 
     def events(self):
         """Yield this subtree as SAX-style events.
@@ -290,14 +297,22 @@ class XMLElement:
         return f"<XMLElement {self.name} children={len(self.children)}>"
 
     def __eq__(self, other):
+        """Equal name, attributes, text runs and children, compared
+        pairwise down both subtrees with an explicit stack."""
         if not isinstance(other, XMLElement):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.attributes == other.attributes
-            and self.texts == other.texts
-            and self.children == other.children
-        )
+        stack = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            if mine is theirs:
+                continue
+            if (mine.name != theirs.name
+                    or mine.attributes != theirs.attributes
+                    or mine.texts != theirs.texts
+                    or len(mine.children) != len(theirs.children)):
+                return False
+            stack.extend(zip(mine.children, theirs.children))
+        return True
 
     def __hash__(self):
         return hash((self.name, tuple(sorted(self.attributes.items()))))

@@ -25,32 +25,45 @@ def write_element(node, indent=None, level=0):
             ``None`` for compact output.  Pretty printing is only applied to
             elements without mixed content (so round trips are lossless).
         level: current nesting depth (used with ``indent``).
-    """
-    attributes = "".join(
-        f' {name}="{escape_attribute(value)}"'
-        for name, value in node.attributes.items()
-    )
-    has_content = bool(node.children) or node.has_text()
-    if not has_content:
-        return f"<{node.name}{attributes}/>"
 
-    pieces = [f"<{node.name}{attributes}>"]
-    pretty = indent is not None and not node.has_text() and node.children
-    child_prefix = ""
-    closing_prefix = ""
-    if pretty:
-        child_prefix = "\n" + indent * (level + 1)
-        closing_prefix = "\n" + indent * level
-    for index, child in enumerate(node.children):
-        pieces.append(escape_text(node.texts[index]))
-        if pretty:
-            pieces.append(child_prefix)
-        pieces.append(write_element(child, indent=indent, level=level + 1))
-    pieces.append(escape_text(node.texts[len(node.children)]))
-    if pretty:
-        pieces.append(closing_prefix)
-    pieces.append(f"</{node.name}>")
-    return "".join(pieces)
+    The subtree is written in document order from an explicit stack of
+    open elements, so any depth is written without recursion.
+    """
+    pieces = []
+    append = pieces.append
+    stack = []  # per open element: [element, level, pretty, next child]
+    while True:
+        # ``node``'s start tag, or the whole of an element without content.
+        attributes = "".join(
+            f' {name}="{escape_attribute(value)}"'
+            for name, value in node.attributes.items()
+        )
+        has_text = node.has_text()
+        if node.children or has_text:
+            append(f"<{node.name}{attributes}>")
+            stack.append([node, level, indent is not None and not has_text,
+                          0])
+        else:
+            append(f"<{node.name}{attributes}/>")
+        # The text before the next child of the innermost open element
+        # and that child, or its trailing text and end tag.
+        while stack:
+            frame = stack[-1]
+            parent, level, pretty, index = frame
+            append(escape_text(parent.texts[index]))
+            if index < len(parent.children):
+                frame[3] = index + 1
+                if pretty:
+                    append("\n" + indent * (level + 1))
+                node = parent.children[index]
+                level += 1
+                break
+            stack.pop()
+            if pretty:
+                append("\n" + indent * level)
+            append(f"</{parent.name}>")
+        else:
+            return "".join(pieces)
 
 
 def write_document(document, indent="  ", declaration=True):

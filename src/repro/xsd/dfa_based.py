@@ -109,21 +109,26 @@ class DFABasedXSD:
                 f"no state for root element <{root.name}>"
             )
             return violations
-        self._validate_node(root, state, "/" + root.name, violations)
+        # Pre-order from explicit stacks, children pushed in reverse, so
+        # any depth is validated without recursion.  Three parallel stacks,
+        # not one of tuples: a tuple per element would be a container the
+        # cyclic collector tracks, and a large live tree makes its
+        # collections costly.
+        nodes, states, paths = [root], [state], ["/" + root.name]
+        while nodes:
+            node, state, path = nodes.pop(), states.pop(), paths.pop()
+            violations.extend(self.assign[state].check_node(node, path=path))
+            for child in reversed(node.children):
+                child_state = self.transitions.get((state, child.name))
+                if child_state is None:
+                    # The content-model check above already flagged this
+                    # child (Definition 3 guarantees transitions for
+                    # allowed names).
+                    continue
+                nodes.append(child)
+                states.append(child_state)
+                paths.append(f"{path}/{child.name}")
         return violations
-
-    def _validate_node(self, node, state, path, violations):
-        model = self.assign[state]
-        violations.extend(model.check_node(node, path=path))
-        for child in node.children:
-            child_state = self.transitions.get((state, child.name))
-            if child_state is None:
-                # The content-model check above already flagged this child
-                # (Definition 3 guarantees transitions for allowed names).
-                continue
-            self._validate_node(
-                child, child_state, f"{path}/{child.name}", violations
-            )
 
     def is_valid(self, document):
         """True iff the document satisfies this schema."""

@@ -61,9 +61,65 @@ def validate_xsd(xsd, document):
             f"(allowed: {sorted(_start_names(xsd))})"
         )
         return report
-    _validate_node(
-        xsd, root, root_type, "/" + root.name, f"/{root.name}[1]", report
-    )
+    # Pre-order from an explicit stack, children pushed in reverse, so
+    # any depth is validated without recursion.
+    stack = [(root, root_type, "/" + root.name, f"/{root.name}[1]")]
+    while stack:
+        node, type_name, path, typed_path = stack.pop()
+        report.typing[typed_path] = type_name
+        model = xsd.rho[type_name]
+
+        # Children must spell a word of the *typed* content model.  By EDC
+        # the typed word is determined by the child names, so it suffices
+        # to match the erased word against the erased expression -- but we
+        # build the typed word anyway so nodes whose name has no type in
+        # this model are reported precisely.  Each typed child's entry
+        # carries its slash path and its indexed typing path.
+        entries = []
+        ordinals = {}
+        recognized = True
+        for child in node.children:
+            name = child.name
+            child_type = xsd.child_type(type_name, name)
+            if child_type is None:
+                report.violations.append(
+                    f"{path}: element <{name}> is not allowed under "
+                    f"<{node.name}> (type {type_name})"
+                )
+                recognized = False
+                continue
+            ordinal = ordinals[name] = ordinals.get(name, 0) + 1
+            entries.append((child, child_type, f"{path}/{name}",
+                            f"{typed_path}/{name}[{ordinal}]"))
+        if recognized:
+            word = [
+                str(TypedName(entry[0].name, entry[1])) for entry in entries
+            ]
+            if not model.matches_children(word):
+                shown = " ".join(child.name for child in node.children)
+                report.violations.append(
+                    f"{path}: children of <{node.name}> [{shown or 'none'}] "
+                    f"do not match the content model of type {type_name}"
+                )
+        if not model.mixed and node.has_text():
+            report.violations.append(
+                f"{path}: element <{node.name}> (type {type_name}) may not "
+                f"contain text"
+            )
+        declared = {use.name for use in model.attributes}
+        for use in model.attributes:
+            if use.required and use.name not in node.attributes:
+                report.violations.append(
+                    f"{path}: element <{node.name}> is missing required "
+                    f"attribute {use.name!r}"
+                )
+        for attr_name in node.attributes:
+            if attr_name not in declared:
+                report.violations.append(
+                    f"{path}: element <{node.name}> has undeclared "
+                    f"attribute {attr_name!r}"
+                )
+        stack.extend(reversed(entries))
     return report
 
 
@@ -73,66 +129,3 @@ def _start_names(xsd):
         names.add(typed.element_name if isinstance(typed, TypedName)
                   else typed.split("[", 1)[0])
     return names
-
-
-def _validate_node(xsd, node, type_name, path, typed_path, report):
-    report.typing[typed_path] = type_name
-    model = xsd.rho[type_name]
-
-    # Children must spell a word of the *typed* content model.  By EDC the
-    # typed word is determined by the child names, so it suffices to match
-    # the erased word against the erased expression -- but we build the
-    # typed word anyway so nodes whose name has no type in this model are
-    # reported precisely.
-    child_types = []
-    recognized = True
-    for child in node.children:
-        child_type = xsd.child_type(type_name, child.name)
-        if child_type is None:
-            report.violations.append(
-                f"{path}: element <{child.name}> is not allowed under "
-                f"<{node.name}> (type {type_name})"
-            )
-            recognized = False
-            continue
-        child_types.append((child, child_type))
-    if recognized:
-        word = [
-            str(TypedName(child.name, child_type))
-            for child, child_type in child_types
-        ]
-        if not model.matches_children(word):
-            shown = " ".join(child.name for child in node.children)
-            report.violations.append(
-                f"{path}: children of <{node.name}> [{shown or 'none'}] do "
-                f"not match the content model of type {type_name}"
-            )
-    if not model.mixed and node.has_text():
-        report.violations.append(
-            f"{path}: element <{node.name}> (type {type_name}) may not "
-            f"contain text"
-        )
-    declared = {use.name for use in model.attributes}
-    for use in model.attributes:
-        if use.required and use.name not in node.attributes:
-            report.violations.append(
-                f"{path}: element <{node.name}> is missing required "
-                f"attribute {use.name!r}"
-            )
-    for attr_name in node.attributes:
-        if attr_name not in declared:
-            report.violations.append(
-                f"{path}: element <{node.name}> has undeclared attribute "
-                f"{attr_name!r}"
-            )
-    ordinals = {}
-    for child, child_type in child_types:
-        ordinal = ordinals[child.name] = ordinals.get(child.name, 0) + 1
-        _validate_node(
-            xsd,
-            child,
-            child_type,
-            f"{path}/{child.name}",
-            f"{typed_path}/{child.name}[{ordinal}]",
-            report,
-        )

@@ -1,0 +1,160 @@
+"""Documents as deep as the default limits accept.
+
+The parsers take nesting up to ``ParserLimits().max_depth`` (iterative,
+with an explicit stack of open elements), so everything that walks a
+tree must too: the tree's own walks (``iter``, ``size``, equality), the
+writer, patch payload clones, the edit API's purge, and the reference
+validators behind ``repro validate`` and ``repro explain``.  Each walks
+an explicit stack here, in the order its recursive form did.
+"""
+
+import pytest
+
+from repro.cli import main
+from repro.engine import StreamingValidator, ValidatedDocument, compile_xsd
+from repro.regex.ast import optional, sym
+from repro.resilience import ParserLimits
+from repro.translation import xsd_to_dfa_based
+from repro.xmlmodel import parse_document, write_document
+from repro.xmlmodel.patch import AddChild, ReplaceChild
+from repro.xsd import XSD, ContentModel, TypedName, validate_xsd, write_xsd
+
+DEPTH = ParserLimits().max_depth
+
+#: ``a`` of type ``T``, whose content is an optional ``a`` of type ``T``.
+XSD_A = XSD(
+    ename={"a"},
+    types={"T"},
+    rho={"T": ContentModel(optional(sym(TypedName("a", "T"))))},
+    start={TypedName("a", "T")},
+)
+DTD_A = "<!ELEMENT a (a?)>\n"
+BONXAI_A = "global { a }\ngrammar {\n  a = { element a? }\n}\n"
+
+
+def chain(depth, attributes=None):
+    """``depth`` nested ``a`` elements; ``attributes`` maps a level (1
+    is the root) to the attribute text its start tag carries."""
+    attributes = attributes or {}
+    return "".join(
+        f"<a{attributes.get(level, '')}>" for level in range(1, depth + 1)
+    ) + "</a>" * depth
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    return compile_xsd(XSD_A)
+
+
+def assert_reports_agree(handle, document):
+    """``handle.report()`` equals the reference validator's on
+    ``document`` (violations in order, typing keys in order)."""
+    report = handle.report()
+    expected = validate_xsd(XSD_A, document)
+    assert report.violations == expected.violations
+    assert list(report.typing.items()) == list(expected.typing.items())
+
+
+def provenance(handle):
+    return [entry.to_dict() for entry in handle.provenance()]
+
+
+class TestTreeWalks:
+    def test_iter_size_and_equality(self):
+        document = parse_document(chain(DEPTH))
+        nodes = list(document.iter())
+        assert document.size() == len(nodes) == DEPTH
+        assert all(node.parent is parent
+                   for parent, node in zip(nodes, nodes[1:]))
+        assert document == parse_document(chain(DEPTH))
+        # A difference at the deepest level is seen.
+        assert document != parse_document(chain(DEPTH, {DEPTH: " x='1'"}))
+        assert document != parse_document(chain(DEPTH - 1))
+
+    def test_write_document_round_trips(self):
+        document = parse_document(chain(DEPTH))
+        compact = write_document(document, indent=None, declaration=False)
+        assert compact == (
+            "<a>" * (DEPTH - 1) + "<a/>" + "</a>" * (DEPTH - 1) + "\n")
+        assert parse_document(compact) == document
+        pretty = write_document(document)
+        expected = "<a/>"
+        for level in range(DEPTH - 2, -1, -1):
+            expected = (f"<a>\n{'  ' * (level + 1)}{expected}\n"
+                        f"{'  ' * level}</a>")
+        assert pretty == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n' + expected + "\n")
+        assert parse_document(pretty).size() == DEPTH
+
+    def test_mixed_content_is_written_in_order(self):
+        text = '<r k="&amp;">t0<a>u<b/>v</a>t1<c/>t2</r>'
+        document = parse_document(text)
+        assert write_document(document, indent=None,
+                              declaration=False) == text + "\n"
+        assert write_document(document) == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n' + text + "\n")
+
+    @pytest.mark.parametrize("op, base", [
+        (AddChild((), None), "<a/>"),
+        (ReplaceChild((0,), None), "<a><a/></a>"),
+    ], ids=["add", "replace"])
+    def test_patches_clone_a_deep_payload(self, compiled, op, base):
+        op.child = parse_document(chain(DEPTH - 1)).root
+        handle = ValidatedDocument(parse_document(base), compiled)
+        op.apply_incremental(handle)
+        full = parse_document(base)
+        op.apply_full(full)
+        assert full == handle.document
+        assert full.size() == len(handle) == DEPTH
+        assert handle.document.root.children[0] is not op.child
+        assert handle.valid
+        assert_reports_agree(handle, full)
+
+    def test_delete_child_purges_the_whole_subtree(self, compiled):
+        handle = ValidatedDocument(parse_document(chain(DEPTH)), compiled)
+        assert len(handle) == DEPTH
+        handle.delete_child(handle.document.root, 0)
+        fresh = ValidatedDocument(parse_document("<a/>"), compiled)
+        assert len(handle) == len(fresh) == 1
+        assert_reports_agree(handle, handle.document)
+        assert provenance(handle) == provenance(fresh)
+        assert provenance(handle)[0]["dfa_states"] == [0]
+
+
+class TestReferenceValidators:
+    def test_violations_in_order_agree_with_the_engine(self, compiled):
+        # Undeclared attributes at three depths: pre-order, as the
+        # engine's walk and the DFA-based validator report them.
+        text = chain(DEPTH, {1: " x='1'", DEPTH // 2: " x='2'",
+                             DEPTH: " x='3'"})
+        document = parse_document(text)
+        expected = validate_xsd(XSD_A, document)
+        assert len(expected.violations) == 3
+        assert len(expected.typing) == DEPTH
+        report = StreamingValidator(compiled).validate(text)
+        assert report.violations == expected.violations
+        assert list(report.typing.items()) == list(expected.typing.items())
+        assert xsd_to_dfa_based(XSD_A).validate(document) == (
+            expected.violations)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, content in (("deep.xml", chain(DEPTH)),
+                              ("a.xsd", write_xsd(XSD_A)),
+                              ("a.dtd", DTD_A),
+                              ("a.bonxai", BONXAI_A)):
+            target = tmp_path / name
+            target.write_text(content)
+            paths[name] = str(target)
+        return paths
+
+    @pytest.mark.parametrize("schema", ["a.xsd", "a.dtd", "a.bonxai"])
+    def test_validate_and_explain(self, files, capsys, schema):
+        assert main(["validate", files[schema], files["deep.xml"]]) == 0
+        assert capsys.readouterr().out == "VALID\n"
+        assert main(["explain", files["deep.xml"],
+                     "--schema", files[schema]]) == 0
+        out = capsys.readouterr().out
+        assert out.count("type=") == DEPTH
+        assert out.rstrip().endswith("CONFORMING")

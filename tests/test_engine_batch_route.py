@@ -16,7 +16,8 @@ import pytest
 from benchmarks.bench_e11_validation import build_corpus
 from repro.conformance import load_corpus, schema_from_json
 from repro.engine import StreamingValidator, compile_xsd, validate_many
-from repro.engine.streaming import _CHECK_CHUNKS, _CHECK_EVENTS
+from repro.engine.incremental import _CHECK_ELEMENTS
+from repro.engine.streaming import _CHECK_CHUNKS
 from repro.errors import BudgetExceeded, DeadlineExceeded, LimitExceeded
 from repro.observability import ResourceBudget, default_registry
 from repro.observability import budget as budget_module
@@ -56,9 +57,9 @@ def long_valid():
 
 def early_invalid():
     """An invalid document whose scan falls back at its fifth chunk,
-    long before its first block ends, and whose compat rerun runs past
-    its first stride of events."""
-    return HEAD + "<bogus/>" + SECTION * (_CHECK_EVENTS // 4 + 1) + TAIL
+    long before its first block ends, and whose rerun walks past its
+    first stride of elements."""
+    return HEAD + "<bogus/>" + SECTION * (_CHECK_ELEMENTS // 2 + 1) + TAIL
 
 
 class _SteppedClock:

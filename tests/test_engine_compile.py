@@ -369,8 +369,8 @@ class TestCompileXSD:
     def test_start_and_roots(self, xsd):
         compiled = compile_xsd(xsd)
         assert compiled.start_names == ("doc",)
-        assert compiled.types[compiled.root_type_id("doc")].name == "Tdoc"
-        assert compiled.root_type_id("item") is None
+        assert compiled.types[compiled.start["doc"]].name == "Tdoc"
+        assert "item" not in compiled.start
 
     def test_attribute_bitsets(self, xsd):
         compiled = compile_xsd(xsd)

@@ -378,7 +378,8 @@ class TestDenseVsDict:
         assert report.typing == expected.typing
 
     def test_dense_metrics_agree_with_compat(self):
-        # Both paths account the same docs/events into the registry.
+        # Both paths account the same docs and elements into the
+        # registry: every element of the document, each one typed.
         from repro.observability import default_registry
         from repro.xmlmodel.parser import iter_events
 
@@ -397,24 +398,24 @@ class TestDenseVsDict:
             '<item/></inv>\n<?pi after the root?>\n'
         )
         validator = StreamingValidator(compiled)
-        events_counter = registry.counter("engine.stream.events")
+        elements_counter = registry.counter("engine.stream.elements")
         docs_counter = registry.counter("engine.stream.docs")
         dense_docs = registry.counter("engine.dense.docs")
         for text in (write_document(document), decorated):
-            before = (events_counter.value, docs_counter.value,
+            before = (elements_counter.value, docs_counter.value,
                       dense_docs.value)
             validator.validate(text)  # dense
-            dense_delta = (events_counter.value - before[0],
+            dense_delta = (elements_counter.value - before[0],
                            docs_counter.value - before[1])
             assert dense_docs.value == before[2] + 1
 
-            before = events_counter.value, docs_counter.value
+            before = elements_counter.value, docs_counter.value
             validator.validate_events(iter_events(text))  # dict/compat
-            compat_delta = (events_counter.value - before[0],
+            compat_delta = (elements_counter.value - before[0],
                             docs_counter.value - before[1])
 
             assert dense_delta == compat_delta
-            assert dense_delta[1] == 1
+            assert dense_delta == (parse_document(text).size(), 1)
 
     def test_seeded_10k_dense_vs_dict_sweep(self):
         # The bulk lockdown: ~10k serialized documents (valid bases plus

@@ -1,15 +1,17 @@
 """Invalid documents rerun on the byte tier's tree, not the char tier's.
 
 When the dense scan of ``StreamingValidator.validate`` (or
-``validate_bytes``) falls back, the compat loop reruns over the tree
+``validate_bytes``) falls back, the validation walk reruns over the tree
 :func:`repro.xmlmodel.tokenizer.fold_tree` folds from the document's
-bytes (``XMLElement.events()``).  Only a root exit (an undeclared root,
-a root outside the schema alphabet, a second root) and what the fold
-refuses rerun over the char tier's events.  Either way the report or
-error, and ``engine.stream.events``, are those of
+bytes.  Only a root exit (an undeclared root, a root outside the schema
+alphabet, a second root) and what the fold refuses rerun over the char
+tier's events.  Either way the report or error, and
+``engine.stream.elements``, are those of
 ``validate_events(iter_events(text))``; ``engine.fold.reruns`` and the
 ``engine.validate`` span's ``rerun`` attribute (``fold`` or ``char``)
-tell the route, and ``path`` stays ``fallback``.
+tell the route, and ``path`` stays ``fallback``.  On every route
+``engine.stream.elements`` counts the elements the reference validator
+types.
 """
 
 import random
@@ -21,21 +23,20 @@ from repro.conformance.generate import mutate_document
 from repro.engine import StreamingValidator, compile_xsd, streaming
 from repro.errors import BudgetExceeded, ParseError
 from repro.observability import ResourceBudget, Tracer, default_registry
-from repro.resilience import FaultInjector, ParserLimits
+from repro.resilience import FaultInjector
 from repro.translation import dfa_based_to_xsd
 from repro.xmlmodel import parse_document, tokenizer
 from repro.xmlmodel import write_document
-from repro.xmlmodel.parser import iter_events
-from repro.xmlmodel.tokenizer import fold_tree
-from repro.xmlmodel.tree import element
+from repro.xmlmodel.parser import _CHECK_EVENTS, iter_events
+from repro.xsd import validate_xsd
 from repro.xsd.dfa_based import DFABasedXSD
 from tests.test_engine_differential import _setup
 from tests.test_engine_batch_route import CORPUS_DIR, HEAD, SECTION, TAIL
 
 #: ``engine.dense.fallbacks``, ``engine.fold.reruns``,
-#: ``engine.stream.docs`` and ``engine.stream.events``, in that order.
+#: ``engine.stream.docs`` and ``engine.stream.elements``, in that order.
 COUNTERS = ("engine.dense.fallbacks", "engine.fold.reruns",
-            "engine.stream.docs", "engine.stream.events")
+            "engine.stream.docs", "engine.stream.elements")
 
 
 def _counts():
@@ -80,7 +81,7 @@ def _text_routes(validator, text):
 
 def assert_folds(validator, text):
     """Both text entry points rerun on the fold, with the char route's
-    report and event count; returns that report's outcome."""
+    report and element count; returns that report's outcome."""
     char, char_deltas, char_span = _char_route(validator, text)
     assert char[0] == "report" and not char[1], char
     for outcome, deltas, attributes in _text_routes(validator, text):
@@ -88,7 +89,7 @@ def assert_folds(validator, text):
         assert deltas == [1, 1, 1, char_deltas[3]], text
         assert attributes["path"] == "fallback"
         assert attributes["rerun"] == "fold"
-        assert attributes["events"] == char_span["events"]
+        assert attributes["elements"] == char_span["elements"]
         assert attributes["violations"] == len(char[2])
     return char
 
@@ -171,52 +172,118 @@ class TestReports:
         assert len(outcome[2]) == 1
 
 
-class TestEventCounts:
-    """``engine.stream.events`` and the span's ``events`` count what the
-    char tier yields, though the tree merges a chunk's text runs."""
+#: The inventory schema's document with every kind of markup the byte
+#: tier certifies: a comment, a PI and CDATA sections split text runs
+#: (the empty CDATA section yields no text), references sit in text and
+#: in an attribute value, and whitespace, a PI and a comment follow the
+#: root.  ``{prolog}`` is its DOCTYPE, and ``{stray}`` markup added to
+#: ``<inv>``'s content.
+DECORATED = (
+    '<?xml version="1.0"?>\n{prolog}\n'
+    '<inv owner="a&amp;b">&#32;<item><tag/><!-- c --><tag/></item>'
+    '<note>caf\u00e9 &lt;<!-- c -->&#x41;<![CDATA[]]>'
+    '<![CDATA[d]]>e<?p?></note><item/>{stray}</inv>\n<?pi after?>\n'
+    '<!-- c -->\n'
+)
+SYSTEM = '<!DOCTYPE inv SYSTEM "inv.dtd">'
+#: An internal subset: the scan and the fold both refuse it.
+SUBSET = "<!DOCTYPE inv [<!ELEMENT inv ANY>]>"
+#: Text in element-only content and a child not allowed under
+#: ``<inv>``, whose subtree goes untyped.
+STRAY = "x<![CDATA[y]]><!-- c -->z<zzz><item><tag/></item></zzz>"
 
-    def test_split_text_runs_count_as_the_char_tier_does(self):
-        __, compiled, *___ = _setup("inventory")
+
+class TestElementCounts:
+    """``engine.stream.elements`` and the ``engine.validate`` span's
+    ``elements`` equal the size of the reference validator's typing on
+    every route."""
+
+    @staticmethod
+    def _counted(thunk):
+        """``(counter delta, span's elements, route)`` of one
+        validation; the route is the span's ``rerun`` attribute, else
+        its ``path`` (``None`` on the event route)."""
+        counter = default_registry().counter("engine.stream.elements")
+        before = counter.value
+        with Tracer() as tracer:
+            thunk()
+        [trace] = [span for span in tracer.finished_spans()
+                   if span.name == "engine.validate"]
+        attributes = trace.attributes
+        return (counter.value - before, attributes["elements"],
+                attributes.get("rerun", attributes.get("path")))
+
+    def assert_counted(self, key, text, route):
+        """Each route counts what ``validate_xsd`` types in ``text``:
+        ``validate(text)`` and ``validate_bytes`` take ``route``
+        (``dense``, ``fold`` or ``char``), then the event route and
+        ``validate(document)``.  Returns the count."""
+        xsd, compiled, *___ = _setup(key)
         validator = StreamingValidator(compiled)
-        # A comment, a PI and CDATA sections split text runs (the empty
-        # CDATA section yields no event), and markup after the root
-        # yields none; the stray <zzz/> and the text under <inv> make
-        # the document invalid.
-        text = (
-            '<?xml version="1.0"?>\n<!DOCTYPE inv SYSTEM "inv.dtd">\n'
-            '<inv owner="a&amp;b">&#32;a<!-- c -->b<?pi x?>c<item><tag/>'
-            '<!-- c --><tag/></item>'
-            '<note>café &lt;<!-- c -->&#x41;<![CDATA[]]>'
-            '<![CDATA[d]]>e<?p?></note><zzz/>'
-            '<item/>x<![CDATA[y]]><!-- c -->z</inv>\n<?pi after?>\n'
-            '<!-- c -->\n'
-        )
-        outcome = assert_folds(validator, text)
-        assert any("zzz" in violation for violation in outcome[2])
-        events = list(iter_events(text))
-        tree_events = list(parse_document(text).events())
-        assert len(events) > len(tree_events)
+        expected = len(validate_xsd(xsd, parse_document(text)).typing)
+        data = text.encode("utf-8")
+        counts = [
+            self._counted(lambda: validator.validate(text)),
+            self._counted(lambda: validator.validate_bytes(data)),
+        ]
+        assert [count[2] for count in counts] == [route, route], text
+        counts += [
+            self._counted(
+                lambda: validator.validate_events(iter_events(text))),
+            self._counted(
+                lambda: validator.validate(parse_document(text))),
+        ]
+        assert counts[2][2] is None and counts[3][2] is None
+        for delta, elements, __ in counts:
+            assert delta == elements == expected, text
+        return expected
 
-    @pytest.mark.parametrize("text", [
-        "<a>x<![CDATA[]]>y<!---->z<?p?></a>",
-        "<a><b/>x<!-- c -->y<b>z<![CDATA[w]]></b></a>",
-        "<a/>\n<?p?>\n<!-- c -->\n",              # after the root only
-        # The root-closing chunk's bytes also close an inner element.
-        "<a><a>x</a>\n<!-- c -->\n</a>\n<!-- c -->\n",
-    ])
-    def test_fold_counts_the_text_events_its_tree_merges(self, text):
-        root, split = fold_tree(text.encode("utf-8"), ParserLimits())
-        char = sum(event[0] == "text" for event in iter_events(text))
-        tree = sum(event[0] == "text" for event in root.events())
-        assert split == char - tree
+    @pytest.mark.parametrize("prolog, stray, route", [
+        (SYSTEM, "", "dense"),
+        (SYSTEM, STRAY, "fold"),
+        (SUBSET, "", "char"),
+        (SUBSET, STRAY, "char"),
+    ], ids=["dense", "fold", "char-valid", "char-invalid"])
+    def test_the_decorated_document(self, prolog, stray, route):
+        text = DECORATED.format(prolog=prolog, stray=stray)
+        # inv, two items, two tags and a note; zzz and its subtree are
+        # not typed.
+        assert self.assert_counted("inventory", text, route) == 6
 
-    def test_generated_invalid_document_counts_agree_with_compat(self):
-        # Mirrors the dense path's own agreement test, on an invalid copy.
-        __, compiled, generator, *___ = _setup("inventory")
-        document = generator.generate(random.Random(11), max_depth=4,
-                                      max_children=6)
-        document.root.append(element("zzz"), text_after="tail")
-        assert_folds(StreamingValidator(compiled), write_document(document))
+    def test_an_undeclared_root_counts_none(self):
+        assert self.assert_counted(
+            "inventory", "<item><tag/><tag/></item>", "char") == 0
+
+    def test_an_event_streams_second_root_is_not_counted(self):
+        xsd, compiled, *___ = _setup("inventory")
+        first = DECORATED.format(prolog=SYSTEM, stray="")
+        events = (list(iter_events(first))
+                  + list(iter_events("<inv owner='o'><item/></inv>")))
+        delta, elements, __ = self._counted(
+            lambda: StreamingValidator(compiled).validate_events(events))
+        expected = len(validate_xsd(xsd, parse_document(first)).typing)
+        assert delta == elements == expected == 6
+
+    @pytest.mark.parametrize("key", ["figure3", "sections", "inventory",
+                                     "all24"])
+    def test_seeded_invalid_documents(self, key):
+        __, compiled, generator, names, attr_names = _setup(key)
+        validator = StreamingValidator(compiled)
+        rng = random.Random(f"element-counts:{key}")
+        routes = set()
+        for __ in range(20):
+            document = generator.generate(rng, max_depth=4, max_children=5)
+            mutant = mutate_document(document, rng, names, attr_names)
+            text = write_document(mutant)
+            if validator.validate(text).valid:
+                route = "dense"
+            elif mutant.root.name in compiled.start:
+                route = "fold"
+            else:
+                route = "char"
+            routes.add(route)
+            self.assert_counted(key, text, route)
+        assert "fold" in routes
 
 
 class TestRootExits:
@@ -332,9 +399,9 @@ class TestBudget:
             self, expired):
         # One block of events: the clock is never read.
         text = ("<!DOCTYPE batch [<!ELEMENT batch ANY>]><batch>"
-                + "<r/>" * (streaming._CHECK_EVENTS // 2 - 2) + "</batch>")
+                + "<r/>" * (_CHECK_EVENTS // 2 - 2) + "</batch>")
         assert len(parse_document(text).root.children) == (
-            streaming._CHECK_EVENTS // 2 - 2)
+            _CHECK_EVENTS // 2 - 2)
 
     def test_short_documents_fold_under_an_expired_budget(self, figure3,
                                                           expired):

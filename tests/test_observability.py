@@ -278,13 +278,15 @@ class TestInstrumentation:
 
         registry = default_registry()
         docs_before = registry.counter("engine.stream.docs").value
-        events_before = registry.counter("engine.stream.events").value
+        elements_before = registry.counter("engine.stream.elements").value
         report = StreamingValidator(compile_xsd(figure3_xsd())).validate(
             FIGURE1_XML
         )
         assert report.valid
         assert registry.counter("engine.stream.docs").value == docs_before + 1
-        assert registry.counter("engine.stream.events").value > events_before
+        assert registry.counter("engine.stream.elements").value == (
+            elements_before + len(report.typing)
+        )
         assert registry.histogram("engine.stream.doc_ns").count > 0
 
     def test_cache_publishes_hit_miss_metrics(self):
