@@ -4,7 +4,11 @@ Runs ``bonxai validate --engine streaming --metrics`` on the paper's
 running example (Figure 3 XSD, Figure 1 document) and checks that the
 snapshot written to stderr is valid JSON with nonzero cache and DFA-size
 metrics and an ``engine.stream.elements`` count equal to Figure 1's
-element count, and that ``--budget-states`` refuses a Theorem-9
+element count; runs ``bonxai patch --metrics`` with an add, a
+set-attribute and a set-text on Figure 1 and checks that the edit
+counters agree (``engine.incremental.edits`` is the sum of its per-op
+counters and the ``edit_ns`` count) and that the step opened exactly one
+document; and checks that ``--budget-states`` refuses a Theorem-9
 instance.
 Exits nonzero (with a diagnostic) on any failure, so it can gate
 ``make check``.
@@ -20,6 +24,7 @@ import tempfile
 import pathlib
 
 from repro.cli import main
+from repro.observability import default_registry
 from repro.paperdata import FIGURE1_XML, figure3_xsd
 from repro.xmlmodel import parse_document
 from repro.xsd import write_xsd
@@ -83,6 +88,42 @@ def main_smoke():
             f"engine.stream.elements is not Figure 1's {elements} "
             f"elements: {counters}",
         )
+
+        # The CLI runs share this process and its registry: compare the
+        # patch step's snapshot with the registry's before it.
+        patch = root / "edits.xml"
+        patch.write_text(
+            "<patch>"
+            '<add sel="2/0"><bold>added</bold></add>'
+            '<replace sel="2/0" type="@title">Preface</replace>'
+            '<replace sel="2/0" type="text()" index="0">Opening </replace>'
+            "</patch>"
+        )
+        before = default_registry().snapshot()["counters"]
+        code, out, err = run_cli(
+            ["patch", str(document), str(patch), "--schema", str(schema),
+             "--metrics"]
+        )
+        check(code == 0, f"patch exited {code}; stderr:\n{err}")
+        check("VALID after 3 op(s)" in out, f"unexpected stdout: {out!r}")
+        snapshot = json.loads(err)
+        counters = snapshot["counters"]
+        edits = counters.get("engine.incremental.edits", 0)
+        by_op = sum(
+            value for name, value in counters.items()
+            if name.startswith("engine.incremental.edits.")
+        )
+        timed = snapshot["histograms"].get(
+            "engine.incremental.edit_ns", {}).get("count", 0)
+        check(
+            edits - before.get("engine.incremental.edits", 0) == 3,
+            f"the patch step counted {edits} edits in all: {counters}",
+        )
+        check(edits == by_op, f"edits {edits} != per-op sum {by_op}")
+        check(edits == timed, f"edits {edits} != edit_ns count {timed}")
+        opened = counters.get("engine.incremental.documents", 0) - before.get(
+            "engine.incremental.documents", 0)
+        check(opened == 1, f"the patch step opened {opened} documents")
 
         # The budget flags must refuse adversarial translation work.
         from repro.families.theorem9 import theorem9_bxsd

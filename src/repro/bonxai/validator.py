@@ -95,25 +95,49 @@ def _check_attribute_values(compiled, document, core, report):
                 )
 
 
-def _check_constraints(compiled, document, report):
-    # Pre-compute ancestor strings once, from an explicit stack (any
-    # depth, no recursion).
-    ancestor_strings = {}
-    stack = [(document.root, [])]
-    while stack:
-        node, prefix = stack.pop()
-        path = ancestor_strings[id(node)] = prefix + [node.name]
-        stack.extend((child, path) for child in reversed(node.children))
+def _select(constraints, root):
+    """The nodes each constraint's selector selects, in document order.
 
+    A node is selected when its ancestor string (the names from the root
+    down to it) is in the selector's language.  One pre-order walk, on
+    an explicit stack (any depth, no recursion), steps each selector's
+    matcher once per node from its parent's state; a dead state prunes
+    that selector below the node, and a subtree no selector can reach is
+    not entered.
+    """
+    matchers = [DerivativeMatcher(selector) for __, selector in constraints]
+    selected = [[] for __ in constraints]
+    stack = [(root, tuple(matcher.start() for matcher in matchers))]
+    while stack:
+        node, states = stack.pop()
+        name = node.name
+        after = []
+        live = False
+        for matcher, state, chosen in zip(matchers, states, selected):
+            if state is not None:
+                state = matcher.step(state, name)
+                if matcher.is_dead(state):
+                    state = None
+                else:
+                    live = True
+                    if matcher.is_accepting(state):
+                        chosen.append(node)
+            after.append(state)
+        if live:
+            after = tuple(after)
+            stack.extend((child, after) for child in reversed(node.children))
+    return selected
+
+
+def _check_constraints(compiled, document, report):
+    constraints = compiled.constraints
+    if not constraints:
+        return
     key_tables = {}
     keyref_checks = []
-    for constraint, selector_regex in compiled.constraints:
-        matcher = DerivativeMatcher(selector_regex)
-        selected = [
-            node
-            for node in document.iter()
-            if matcher.matches(ancestor_strings[id(node)])
-        ]
+    for (constraint, __), selected in zip(
+        constraints, _select(constraints, document.root)
+    ):
         tuples = []
         for node in selected:
             values = tuple(

@@ -67,6 +67,12 @@ from repro.resilience import (
     resolve_limits,
 )
 
+# Every call counts into these, bound once from the default registry;
+# the rarer failure counters are looked up where they fire.
+_metrics = default_registry()
+_CALLS = _metrics.counter("engine.batch.calls")
+_DOCS = _metrics.counter("engine.batch.docs")
+
 
 def validate_many(schema, sources, engine="streaming", workers=None,
                   cache=None, policy=FailurePolicy.RAISE, deadline=None,
@@ -128,9 +134,8 @@ def validate_many(schema, sources, engine="streaming", workers=None,
     retry = retry if retry is not None else NO_RETRY
     limits = resolve_limits(limits)
     injector = resolve_injector(injector)
-    registry = default_registry()
-    registry.counter("engine.batch.calls").inc()
-    registry.counter("engine.batch.docs").inc(len(sources))
+    _CALLS.inc()
+    _DOCS.inc(len(sources))
 
     tracer = current_tracer()
     with span("engine.batch") as batch_span:
@@ -140,13 +145,13 @@ def validate_many(schema, sources, engine="streaming", workers=None,
         batch_span.set_attribute("workers", workers or 1)
         return _run_batch(
             schema, sources, engine, workers, cache, policy, deadline,
-            retry, limits, injector, registry,
+            retry, limits, injector,
             tracer, batch_span if tracer is not None else None,
         )
 
 
 def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
-               retry, limits, injector, registry, tracer, batch_span):
+               retry, limits, injector, tracer, batch_span):
     validate = _make_validator(schema, engine, cache)
 
     baggage = current_baggage() if tracer is not None else None
@@ -184,7 +189,7 @@ def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
                 elapsed = budget.elapsed_seconds()
                 if elapsed <= deadline:  # another budget's limit
                     raise
-                registry.counter("engine.batch.deadline_exceeded").inc()
+                _metrics.counter("engine.batch.deadline_exceeded").inc()
                 raise DeadlineExceeded(
                     f"per-document deadline exceeded "
                     f"({elapsed:.3f}s > deadline={deadline}s)",
@@ -205,13 +210,13 @@ def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
             return source, 1
 
         def on_retry(attempt, exc):
-            registry.counter("engine.batch.retries").inc()
+            _metrics.counter("engine.batch.retries").inc()
             _check_clock(budget)
 
         try:
             return retry.call(source, on_retry=on_retry)
         except retry.retry_on:
-            registry.counter("engine.batch.retry_exhausted").inc()
+            _metrics.counter("engine.batch.retry_exhausted").inc()
             _check_clock(budget)
             raise
 
@@ -252,9 +257,9 @@ def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
                 error = DocumentError.from_exception(exc)
                 doc_span.set_status("error")
                 doc_span.set_attribute("error_kind", error.kind)
-                registry.counter("engine.batch.failed_docs").inc()
-                registry.counter("engine.batch.isolated_errors").inc()
-                registry.counter(f"engine.batch.errors.{error.kind}").inc()
+                _metrics.counter("engine.batch.failed_docs").inc()
+                _metrics.counter("engine.batch.isolated_errors").inc()
+                _metrics.counter(f"engine.batch.errors.{error.kind}").inc()
                 return DocumentOutcome(
                     index, error=error,
                     elapsed_seconds=time.monotonic() - started,
@@ -268,7 +273,7 @@ def _run_batch(schema, sources, engine, workers, cache, policy, deadline,
         failed = False
         for index, source in enumerate(sources):
             if failed:
-                registry.counter("engine.batch.skipped_docs").inc()
+                _metrics.counter("engine.batch.skipped_docs").inc()
                 outcomes.append(
                     DocumentOutcome(index, error=DocumentError.skipped())
                 )

@@ -12,7 +12,9 @@ independently parsed copies of the same ``.xsd`` share one compiled form.
 Cache behaviour is observable: every :class:`SchemaCache` owns thread-safe
 hit/miss/eviction counters and a compile-time histogram, and mirrors them
 into a :class:`~repro.observability.MetricsRegistry` (the process default
-unless one is injected) under ``engine.cache.*``.
+unless one is injected) under ``engine.cache.*``.  The mirrors are bound
+once, when the cache is made, from that cache's registry, so a lookup
+looks up no metric by name.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class SchemaCache:
     """
 
     __slots__ = ("maxsize", "_hits", "_misses", "_evictions", "_compile_ns",
-                 "_registry", "_entries", "_lock", "_identity")
+                 "_shared", "_entries", "_lock", "_identity")
 
     def __init__(self, maxsize=64, registry=None):
         if maxsize < 1:
@@ -88,7 +90,16 @@ class SchemaCache:
         self._misses = Counter("misses")
         self._evictions = Counter("evictions")
         self._compile_ns = Histogram("compile_ns")
-        self._registry = resolve_registry(registry)
+        registry = resolve_registry(registry)
+        # The registry's mirrors, bound once: (hits, misses, evictions,
+        # compile_ns, size).
+        self._shared = (
+            registry.counter("engine.cache.hits"),
+            registry.counter("engine.cache.misses"),
+            registry.counter("engine.cache.evictions"),
+            registry.histogram("engine.cache.compile_ns"),
+            registry.gauge("engine.cache.size"),
+        )
         self._entries = OrderedDict()
         # Re-entrant: weakref kill callbacks fire at arbitrary points
         # (any allocation can trigger GC), including while the *same*
@@ -142,7 +153,7 @@ class SchemaCache:
            form forever.  Call :meth:`invalidate` around the mutation;
            the next ``get`` then re-fingerprints and recompiles.
         """
-        registry = self._registry
+        hits, misses, evictions, compile_ns, size = self._shared
         key = id(xsd)
         with self._lock:
             entry = self._identity.get(key)
@@ -155,7 +166,7 @@ class SchemaCache:
         if entry is not None:
             compiled = entry[1]
             self._hits.inc()
-            registry.counter("engine.cache.hits").inc()
+            hits.inc()
             with span("engine.cache.get") as trace:
                 trace.set_attribute("outcome", "identity-hit")
                 if compiled.fingerprint is not None:
@@ -175,12 +186,12 @@ class SchemaCache:
                 if compiled is not None:
                     self._entries.move_to_end(fingerprint)
                     self._hits.inc()
-                    registry.counter("engine.cache.hits").inc()
+                    hits.inc()
                     trace.set_attribute("outcome", "hit")
                     self._remember(xsd, compiled)
                     return compiled
                 self._misses.inc()
-                registry.counter("engine.cache.misses").inc()
+                misses.inc()
             trace.set_attribute("outcome", "miss")
             # Compile outside the lock: compilation can be slow and is
             # idempotent — a racing duplicate is harmless and rare.
@@ -188,7 +199,7 @@ class SchemaCache:
             compiled = compile_xsd(xsd, fingerprint=fingerprint)
             elapsed = time.perf_counter_ns() - started
             self._compile_ns.observe(elapsed)
-            registry.histogram("engine.cache.compile_ns").observe(elapsed)
+            compile_ns.observe(elapsed)
             evicted = 0
             with self._lock:
                 self._entries[fingerprint] = compiled
@@ -196,12 +207,10 @@ class SchemaCache:
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
                     evicted += 1
-                self._registry.gauge("engine.cache.size").set(
-                    len(self._entries)
-                )
+                size.set(len(self._entries))
             if evicted:
                 self._evictions.inc(evicted)
-                registry.counter("engine.cache.evictions").inc(evicted)
+                evictions.inc(evicted)
             self._remember(xsd, compiled)
             return compiled
 

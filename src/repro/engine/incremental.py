@@ -46,15 +46,19 @@ every document its dense scan does not commit
 (:meth:`ValidatedDocument._walked`), so the two share every check and
 message.
 
-Observability: ``engine.incremental.*`` counters (documents, edits by
-operation, nodes typed, memo hits) and ``engine.incremental.build`` /
-``engine.incremental.edit`` spans.
+Observability: ``engine.incremental.*`` counters (documents, edits and
+edits by operation, nodes typed, content replays, memo hits), the
+``edit_ns`` histogram, and ``engine.incremental.build`` /
+``engine.incremental.edit`` spans.  The instruments are bound once, at
+import, from the default registry (so they are registered, at 0, before
+their first use), and an edit's plumbing is one slotted scope
+(:class:`_EditScope`): an open or an edit looks up no metric by name,
+and an edit reads one clock, its span's when a tracer records it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import time
+from time import perf_counter_ns
 
 from repro.engine.compiler import CompiledSchema
 from repro.errors import SchemaError
@@ -79,13 +83,69 @@ that gives a leaf a child first swaps this tuple for a fresh list
 (:meth:`ValidatedDocument._replay_content`)."""
 
 
+# Every open and edit counts into these, bound once from the default
+# registry: an open or an edit looks up no metric by name.
+_metrics = default_registry()
+_DOCUMENTS = _metrics.counter("engine.incremental.documents")
+_NODES_TYPED = _metrics.counter("engine.incremental.nodes_typed")
+_CONTENT_REPLAYS = _metrics.counter("engine.incremental.content_replays")
+_MEMO_HITS = _metrics.counter("engine.incremental.memo_hits")
+_EDITS = _metrics.counter("engine.incremental.edits")
+_EDITS_BY_OP = {
+    op: _metrics.counter(f"engine.incremental.edits.{op}")
+    for op in ("insert_child", "delete_child", "replace_subtree",
+               "set_attribute", "set_text")
+}
+_EDIT_NS = _metrics.histogram("engine.incremental.edit_ns")
+
+
 def _count_typed(typed):
-    """Count an open's or an edit's walk of ``typed`` elements: one
-    content replay per typed element, none from the memo (offset 0);
-    once per walk, not per element."""
-    registry = default_registry()
-    registry.counter("engine.incremental.nodes_typed").inc(typed)
-    registry.counter("engine.incremental.content_replays").inc(typed)
+    """Count an open's walk of ``typed`` elements (or a root replace's):
+    one content replay per typed element, none from the memo (offset
+    0); once per walk, not per element."""
+    _NODES_TYPED.inc(typed)
+    _CONTENT_REPLAYS.inc(typed)
+
+
+class _EditScope:
+    """One edit's plumbing: ``with _EditScope(op) as trace:`` around the
+    edit's body.
+
+    Counts ``edits`` and ``edits.{op}`` before the body runs and opens
+    the ``engine.incremental.edit`` span, tagged with ``op``.  A clean
+    exit observes ``edit_ns`` from one clock: the span's
+    ``duration_ns`` when a tracer records it, else two
+    ``perf_counter_ns`` reads of its own.  An exit by exception marks
+    the span ``error`` and observes nothing.
+    """
+
+    __slots__ = ("_span", "_started")
+
+    def __init__(self, op):
+        _EDITS.inc()
+        _EDITS_BY_OP[op].inc()
+        self._span = trace = span("engine.incremental.edit")
+        trace.set_attribute("op", op)
+
+    def __enter__(self):
+        trace = self._span
+        if trace is NULL_SPAN:
+            self._started = perf_counter_ns()
+            return trace
+        self._started = None
+        return trace.__enter__()
+
+    def __exit__(self, exc_type, exc, traceback):
+        started = self._started
+        if started is not None:
+            if exc_type is None:
+                _EDIT_NS.observe(perf_counter_ns() - started)
+            return False
+        trace = self._span
+        trace.__exit__(exc_type, exc, traceback)
+        if exc_type is None:
+            _EDIT_NS.observe(trace.duration_ns)
+        return False
 
 
 class _NodeState:
@@ -164,8 +224,7 @@ class ValidatedDocument:
         self.schema = schema
         self._nodes = {}
         self._invalid = set()
-        registry = default_registry()
-        registry.counter("engine.incremental.documents").inc()
+        _DOCUMENTS.inc()
         with span("engine.incremental.build") as trace:
             _count_typed(self._build())
             trace.set_attribute("nodes", len(self._nodes))
@@ -418,7 +477,7 @@ class ValidatedDocument:
         rejoins the memo) and the new subtree are revalidated; every
         element outside that footprint keeps its provenance verbatim.
         """
-        with self._edit("insert_child") as trace:
+        with _EditScope("insert_child") as trace:
             parent.insert(index, child, text_after)
             replayed = self._after_child_edit(parent, index, child,
                                               text_after=text_after)
@@ -434,7 +493,7 @@ class ValidatedDocument:
         Returns the detached subtree (its provenance is dropped — a
         re-inserted subtree is retyped like any new one).
         """
-        with self._edit("delete_child") as trace:
+        with _EditScope("delete_child") as trace:
             removed = parent.remove_child(index)
             self._purge(removed)
             replayed = self._after_child_edit(parent, index,
@@ -450,7 +509,7 @@ class ValidatedDocument:
         rejoins the memo) plus the new subtree.  Returns the detached
         old subtree.
         """
-        with self._edit("replace_subtree") as trace:
+        with _EditScope("replace_subtree") as trace:
             node = parent.replace_child_at(index, replacement)
             self._after_replace(parent, index, node, replacement, trace)
         return node
@@ -464,7 +523,7 @@ class ValidatedDocument:
         identity and then revalidates as :meth:`replace_child` does.
         Returns the detached old subtree.
         """
-        with self._edit("replace_subtree") as trace:
+        with _EditScope("replace_subtree") as trace:
             if node is self.document.root:
                 if replacement.parent is not None:
                     raise SchemaError(
@@ -494,7 +553,7 @@ class ValidatedDocument:
         Only the touched element's attribute checks re-run; the content
         word and every other element are untouched.
         """
-        with self._edit("set_attribute"):
+        with _EditScope("set_attribute"):
             attributes = node.attributes
             if value is None:
                 attributes.pop(name, None)
@@ -516,7 +575,7 @@ class ValidatedDocument:
 
         Only the touched element's mixedness check re-runs.
         """
-        with self._edit("set_text"):
+        with _EditScope("set_text"):
             if not 0 <= index < len(node.texts):
                 raise SchemaError(
                     f"text index {index} out of range for element "
@@ -531,19 +590,6 @@ class ValidatedDocument:
                 self._refresh_validity(node, state)
 
     # -- edit plumbing -----------------------------------------------------
-    @contextlib.contextmanager
-    def _edit(self, op):
-        registry = default_registry()
-        registry.counter("engine.incremental.edits").inc()
-        registry.counter(f"engine.incremental.edits.{op}").inc()
-        started = time.perf_counter_ns()
-        with span("engine.incremental.edit") as trace:
-            trace.set_attribute("op", op)
-            yield trace
-        registry.histogram("engine.incremental.edit_ns").observe(
-            time.perf_counter_ns() - started
-        )
-
     def _after_replace(self, parent, index, node, replacement, trace):
         """Revalidate after ``node`` gave way to ``replacement`` at
         ``index`` under ``parent``."""
@@ -566,8 +612,10 @@ class ValidatedDocument:
         same label.  Whether some text run is non-blank survives
         each of these edits (a delete merges two runs, a replace keeps
         them, an insert adds ``text_after``), so the parent's text is
-        re-checked only when an insert brings a non-blank run.  Returns
-        the number of children the replay re-stepped.
+        re-checked only when an insert brings a non-blank run.  Counts
+        one content replay for the parent's word plus one per element
+        of the new subtree it types, once.  Returns the number of
+        children the replay re-stepped.
         """
         state = self._nodes.get(id(parent))
         if state is None:
@@ -575,10 +623,8 @@ class ValidatedDocument:
             # undeclared root): structurally applied, nothing to check.
             return 0
         compiled = self.schema.types[state.type_id]
-        registry = default_registry()
-        registry.counter("engine.incremental.content_replays").inc()
         if index:
-            registry.counter("engine.incremental.memo_hits").inc()
+            _MEMO_HITS.inc()
         if not compiled.mixed and text_after.strip():
             state.text_viol = compiled.text_not_allowed(
                 self._path(parent), parent.name
@@ -603,8 +649,12 @@ class ValidatedDocument:
             state.states[-1]
         )
         self._refresh_validity(parent, state)
-        if child_type >= 0:
-            _count_typed(self._type_subtree(new_child, child_type))
+        if child_type < 0:
+            _CONTENT_REPLAYS.inc()
+        else:
+            typed = self._type_subtree(new_child, child_type)
+            _NODES_TYPED.inc(typed)
+            _CONTENT_REPLAYS.inc(1 + typed)
         return replayed
 
     def _purge(self, subtree):

@@ -43,15 +43,15 @@ read (DESIGN §8).
 
 from __future__ import annotations
 
-import time
 from itertools import chain, islice
+from time import perf_counter_ns
 
 from repro.engine.compiler import CompiledSchema
 from repro.engine.incremental import ValidatedDocument
 from repro.errors import ParseError
 from repro.observability import default_registry
 from repro.observability.budget import current_budget
-from repro.observability.tracing import span
+from repro.observability.tracing import NULL_SPAN, span
 from repro.resilience.faults import probe
 from repro.resilience.limits import ParserLimits, resolve_limits
 from repro.xmlmodel.parser import _clocked, _iter_events, iter_events
@@ -76,6 +76,17 @@ _FALLBACK = FallbackRequired()
 _ROOT_FALLBACK = FallbackRequired()
 
 _UNLIMITED = ParserLimits.unlimited()
+
+# Every validated document counts into these, bound once from the
+# default registry: a document looks up no metric by name.
+_metrics = default_registry()
+_ELEMENTS = _metrics.counter("engine.stream.elements")
+_DOCS = _metrics.counter("engine.stream.docs")
+_VIOLATIONS = _metrics.counter("engine.stream.violations")
+_DOC_NS = _metrics.histogram("engine.stream.doc_ns")
+_DENSE_DOCS = _metrics.counter("engine.dense.docs")
+_DENSE_FALLBACKS = _metrics.counter("engine.dense.fallbacks")
+_FOLD_RERUNS = _metrics.counter("engine.fold.reruns")
 
 
 class _LazyReport(XSDValidationReport):
@@ -166,26 +177,26 @@ class StreamingValidator:
         The elements typed are ``len(report.typing)``: every element of
         a dense commit, and on a walk route the walk's records, so an
         undeclared root, the subtree of an unrecognized child and an
-        event stream's further roots count none.
+        event stream's further roots count none.  ``doc_ns`` observes
+        one clock: the span's ``duration_ns`` when a tracer records it,
+        else two ``perf_counter_ns`` reads.
         """
-        registry = default_registry()
-        started = time.perf_counter_ns()
-        with span("engine.validate") as trace:
+        trace = span("engine.validate")
+        started = perf_counter_ns() if trace is NULL_SPAN else None
+        with trace:
             fingerprint = self.schema.fingerprint
             if fingerprint is not None:
                 trace.set_attribute("schema", fingerprint[:12])
             report, elements = run(trace)
+            violations = len(report.violations)
             trace.set_attribute("elements", elements)
-            trace.set_attribute("violations", len(report.violations))
-        registry.counter("engine.stream.elements").inc(elements)
-        registry.counter("engine.stream.docs").inc()
-        if report.violations:
-            registry.counter("engine.stream.violations").inc(
-                len(report.violations)
-            )
-        registry.histogram("engine.stream.doc_ns").observe(
-            time.perf_counter_ns() - started
-        )
+            trace.set_attribute("violations", violations)
+        _ELEMENTS.inc(elements)
+        _DOCS.inc()
+        if violations:
+            _VIOLATIONS.inc(violations)
+        _DOC_NS.observe(trace.duration_ns if started is None
+                        else perf_counter_ns() - started)
         return report
 
     def _walk_events(self, events):
@@ -290,7 +301,6 @@ class StreamingValidator:
         a root exit, which the char tier answers after one event, and on
         what the fold refuses; the span's ``rerun`` attribute tells
         which."""
-        registry = default_registry()
         try:
             result = self._scan_dense(data, limits)
         except FallbackRequired as fallback:
@@ -298,7 +308,7 @@ class StreamingValidator:
             # frames onto the instance's traceback: drop them, or every
             # fallback would keep its scan's frames and document alive.
             fallback.__traceback__ = fallback.__context__ = None
-            registry.counter("engine.dense.fallbacks").inc()
+            _DENSE_FALLBACKS.inc()
             trace.set_attribute("path", "fallback")
             # The probes fired once for this document; the rerun does
             # not probe again (fault injection must see one document,
@@ -309,7 +319,7 @@ class StreamingValidator:
                 except FallbackRequired as refused:
                     refused.__traceback__ = refused.__context__ = None
                 else:
-                    registry.counter("engine.fold.reruns").inc()
+                    _FOLD_RERUNS.inc()
                     trace.set_attribute("rerun", "fold")
                     report = _LazyReport(self._materialize_typing, data)
                     handle = ValidatedDocument._walked(root, self.schema)
@@ -319,7 +329,7 @@ class StreamingValidator:
             if text is None:
                 text = _decode_utf8(data)
             return self._walk_events(_iter_events(text, limits))
-        registry.counter("engine.dense.docs").inc()
+        _DENSE_DOCS.inc()
         trace.set_attribute("path", "dense")
         return result
 

@@ -13,11 +13,21 @@ Design constraints:
 * **Thread safety.**  Every instrument guards its state with one lock;
   hot loops should aggregate locally and publish once per unit of work
   (the streaming validator counts the elements it typed once per
-  document, not per element).
+  document, not per element).  The locks stay even where the GIL would
+  make an update atomic: :meth:`MetricsRegistry.snapshot` holds every
+  instrument's lock to take its point-in-time cut.
 * **Stable names.**  Instruments are keyed by dotted names
   (``engine.cache.hits``); asking the registry for an existing name
   returns the existing instrument, so modules never need to coordinate
   creation order.
+* **Bind hot-path instruments once.**  A lookup by name takes the
+  registry lock and may build the name, so code that counts per
+  document, per edit or per parse binds its instruments once: at
+  import from :func:`default_registry` (one module global that nothing
+  replaces), or when an object that takes a ``registry`` is made.
+  Binding registers an instrument at 0, so snapshots list it before its
+  first use.  Labeled series, whose names depend on the call, stay
+  lookups.
 * **No global coupling.**  Instrumented code resolves its registry through
   :func:`default_registry` but accepts an explicit one, so tests can use a
   private registry.

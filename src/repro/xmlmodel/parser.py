@@ -50,16 +50,13 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from repro.errors import LimitExceeded, ParseError
 from repro.observability import default_registry
 from repro.observability.budget import current_budget
 from repro.resilience.faults import probe
 from repro.resilience.limits import ParserLimits, resolve_limits
+from repro.xmlmodel.lexical import _Cursor, _check_text, _decode_entities
+from repro.xmlmodel.tokenizer import FallbackRequired, fold_tree
 from repro.xmlmodel.tree import XMLDocument, XMLElement
-
-_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
-
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 # The whitespace characters ([3] S), one at a time.
 _SPACES = (" ", "\t", "\r", "\n")
@@ -73,56 +70,11 @@ _UNCAPPED = ParserLimits.unlimited()
 # validation walk reads it once per half as many elements.
 _CHECK_EVENTS = 64
 
-
-class _Cursor:
-    """Tracks position in the input and provides line/column diagnostics."""
-
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def location(self):
-        consumed = self.text[: self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
-
-    def error(self, message):
-        line, column = self.location()
-        return ParseError(message, line=line, column=column)
-
-    def limit_error(self, message, limit, value):
-        line, column = self.location()
-        return LimitExceeded(
-            message, line=line, column=column, limit=limit, value=value
-        )
-
-    def at_end(self):
-        return self.pos >= len(self.text)
-
-    def peek(self, width=1):
-        return self.text[self.pos : self.pos + width]
-
-    def startswith(self, token):
-        return self.text.startswith(token, self.pos)
-
-    def advance(self, amount=1):
-        self.pos += amount
-
-    def skip_whitespace(self):
-        text = self.text
-        while self.pos < len(text) and text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def take_until(self, token, construct):
-        index = self.text.find(token, self.pos)
-        if index < 0:
-            raise self.error(f"unterminated {construct}")
-        chunk = self.text[self.pos : index]
-        self.pos = index + len(token)
-        return chunk
+# Each parse_document call counts into one of these, bound once from the
+# default registry.
+_metrics = default_registry()
+_BYTE_DOCS = _metrics.counter("xmlmodel.parse.byte_docs")
+_FALLBACKS = _metrics.counter("xmlmodel.parse.fallbacks")
 
 
 def _is_name_start(char):
@@ -149,67 +101,6 @@ def _read_name(cursor, limits):
             "max_name_length", len(name),
         )
     return name
-
-
-def _check_text(data, cursor, limits):
-    """Enforce the per-run text cap (character data, CDATA, attributes)."""
-    limit = limits.max_text_length
-    if limit is not None and len(data) > limit:
-        raise cursor.limit_error(
-            f"text run limit exceeded ({len(data)} chars > "
-            f"max_text_length={limit})",
-            "max_text_length", len(data),
-        )
-
-
-def _decode_character_reference(body, cursor):
-    """Decode a numeric character reference body (``#10`` / ``#x1F600``).
-
-    Malformed digits, out-of-range code points, and surrogates all raise
-    :class:`ParseError` with the cursor's line/column — never a raw
-    ``ValueError`` from ``int``/``chr``.
-    """
-    if body[1:2] in ("x", "X"):
-        digits = body[2:]
-        if not digits or not all(c in _HEX_DIGITS for c in digits):
-            raise cursor.error(f"invalid character reference &{body};")
-        code = int(digits, 16)
-    else:
-        digits = body[1:]
-        if not digits or not (digits.isascii() and digits.isdigit()):
-            raise cursor.error(f"invalid character reference &{body};")
-        code = int(digits)
-    if code == 0 or code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-        raise cursor.error(
-            f"character reference &{body}; is not a valid XML character"
-        )
-    return chr(code)
-
-
-def _decode_entities(raw, cursor, limits):
-    _check_text(raw, cursor, limits)
-    if "&" not in raw:
-        return raw
-    out = []
-    index = 0
-    while index < len(raw):
-        char = raw[index]
-        if char != "&":
-            out.append(char)
-            index += 1
-            continue
-        end = raw.find(";", index)
-        if end < 0:
-            raise cursor.error("unterminated entity reference")
-        body = raw[index + 1 : end]
-        if body.startswith("#"):
-            out.append(_decode_character_reference(body, cursor))
-        elif body in _ENTITIES:
-            out.append(_ENTITIES[body])
-        else:
-            raise cursor.error(f"unknown entity &{body};")
-        index = end + 1
-    return "".join(out)
 
 
 def parse_document(text, limits=None):
@@ -239,12 +130,9 @@ def parse_document(text, limits=None):
             once per 4096 chunks, or during the char tier's, which
             checks it once per 64 events.
     """
-    from repro.xmlmodel.tokenizer import FallbackRequired, fold_tree
-
     limits = resolve_limits(limits)
     limits.check_input_size(text)
     probe("parse")
-    registry = default_registry()
     try:
         # A lone surrogate becomes bytes that are not UTF-8, which the
         # byte tier refuses.
@@ -255,11 +143,11 @@ def parse_document(text, limits=None):
         # would keep its fold's frames and document alive.
         fallback.__traceback__ = fallback.__context__ = None
     else:
-        registry.counter("xmlmodel.parse.byte_docs").inc()
+        _BYTE_DOCS.inc()
         return XMLDocument(root)
     # The probe fired once for this document; the char tier reruns
     # without probing again.
-    registry.counter("xmlmodel.parse.fallbacks").inc()
+    _FALLBACKS.inc()
     events = _clocked(_iter_events(text, limits), "xmlmodel.parse_document")
     return XMLDocument(XMLElement.from_events(events))
 

@@ -50,7 +50,12 @@ Element payloads are deep-copied at apply time, so one parsed
 from __future__ import annotations
 
 from repro.errors import PatchError
+from repro.resilience.limits import ParserLimits, resolve_limits
 from repro.xmlmodel.tree import XMLElement
+
+# The levels a payload sits below the patch document's root: <patch>
+# and the operation element (<add>, <replace>).
+_WRAPPER_DEPTH = 2
 
 
 def parse_sel(sel):
@@ -421,9 +426,23 @@ def patch_from_document(document):
 
 
 def parse_patch(text, limits=None):
-    """Parse patch-document text into a :class:`Patch`."""
+    """Parse patch-document text into a :class:`Patch`.
+
+    ``limits`` (explicit, else ambient, else the defaults) cap the patch
+    document as :func:`~repro.xmlmodel.parser.parse_document` caps any
+    document, except that ``max_depth`` caps each payload: the
+    ``<patch>`` and operation wrappers put a payload's root two levels
+    down, so the document parses with ``max_depth + 2``.  So a payload
+    may be as deep as a document, as when the op is built in memory; a
+    deeper one's ``LimitExceeded`` names the patch document's depth.
+    """
     from repro.xmlmodel.parser import parse_document
 
+    limits = resolve_limits(limits)
+    if limits.max_depth is not None:
+        caps = limits.to_dict()
+        caps["max_depth"] += _WRAPPER_DEPTH
+        limits = ParserLimits(**caps)
     return patch_from_document(parse_document(text, limits=limits))
 
 

@@ -74,7 +74,7 @@ from itertools import islice
 
 from repro.errors import ParseError
 from repro.observability.budget import current_budget
-from repro.xmlmodel.parser import _Cursor, _decode_entities
+from repro.xmlmodel.lexical import _Cursor, _decode_entities
 from repro.xmlmodel.tree import XMLElement
 
 
@@ -146,7 +146,7 @@ _PI_START = re.compile(
 _BOM = b"\xef\xbb\xbf"
 _XML_DECL = re.compile(rb"<\?xml[ \t\r\n]")
 
-# The error locator handed to the char parser's decoding routines; their
+# The error locator handed to the shared decoding routine; its
 # errors become fallbacks, so no location is ever reported.
 _NOWHERE = _Cursor("")
 
@@ -276,8 +276,9 @@ def check_after_root(chunk):
 
 def _decoded(raw, limits):
     """``raw`` (a text run or attribute value) decoded as strict UTF-8,
-    then by the char parser's own ``_decode_entities``, which checks its
-    references and the run-length cap; what either rejects falls back."""
+    then by the char parser's ``_decode_entities``
+    (:mod:`repro.xmlmodel.lexical`), which checks its references and the
+    run-length cap; what either rejects falls back."""
     try:
         return _decode_entities(raw.decode("utf-8"), _NOWHERE, limits)
     except (UnicodeDecodeError, ParseError):  # LimitExceeded included

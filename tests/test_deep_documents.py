@@ -5,17 +5,33 @@ with an explicit stack of open elements), so everything that walks a
 tree must too: the tree's own walks (``iter``, ``size``, equality), the
 writer, patch payload clones, the edit API's purge, and the reference
 validators behind ``repro validate`` and ``repro explain``.  Each walks
-an explicit stack here, in the order its recursive form did.
+an explicit stack here, in the order its recursive form did.  BonXai's
+key and unique checks step each selector once per element, so their
+cost is linear in depth, and a patch payload as deep as a document may
+be travels as patch text.
 """
+
+import time
+import tracemalloc
 
 import pytest
 
+from repro.bonxai.compile import compile_schema
+from repro.bonxai.parser import parse_bonxai
+from repro.bonxai.validator import BonXaiReport, _check_constraints
 from repro.cli import main
 from repro.engine import StreamingValidator, ValidatedDocument, compile_xsd
+from repro.errors import LimitExceeded
 from repro.regex.ast import optional, sym
 from repro.resilience import ParserLimits
 from repro.translation import xsd_to_dfa_based
-from repro.xmlmodel import parse_document, write_document
+from repro.xmlmodel import (
+    Patch,
+    parse_document,
+    parse_patch,
+    write_document,
+    write_patch,
+)
 from repro.xmlmodel.patch import AddChild, ReplaceChild
 from repro.xsd import XSD, ContentModel, TypedName, validate_xsd, write_xsd
 
@@ -158,3 +174,88 @@ class TestReferenceValidators:
         out = capsys.readouterr().out
         assert out.count("type=") == DEPTH
         assert out.rstrip().endswith("CONFORMING")
+
+
+class TestBonXaiConstraints:
+    """``unique``/``key`` selection steps each selector's matcher once
+    per element, down one pre-order walk: a ``max_depth`` chain costs
+    linear time and no per-element ancestor list."""
+
+    BOUND_BYTES = 512 * 1024
+    BOUND_SECONDS = 2.0
+
+    @staticmethod
+    def _schema(constraints=""):
+        return compile_schema(parse_bonxai(
+            "global { a }\ngrammar {\n  a = { attribute id?, element a? }"
+            "\n}\n" + constraints
+        ))
+
+    @staticmethod
+    def _measured(schema, document):
+        """``_check_constraints``' violations, peak traced bytes and
+        seconds."""
+        report = BonXaiReport()
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            _check_constraints(schema, document, report)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return report.violations, peak, elapsed
+
+    @pytest.mark.parametrize("selector", ["//a", "a//a"])
+    def test_a_deep_chain_is_checked_in_linear_time(self, selector):
+        # Every id is its level, except that the deepest repeats level
+        # 2's: both selectors select levels 2 and DEPTH.
+        ids = {level: f" id='{level}'" for level in range(1, DEPTH)}
+        ids[DEPTH] = " id='2'"
+        document = parse_document(chain(DEPTH, ids))
+        schema = self._schema(f"constraints {{ unique {selector} (@id) }}")
+        violations, peak, elapsed = self._measured(schema, document)
+        assert len(violations) == 1
+        assert violations[0].endswith("duplicate value ('2',)")
+        assert schema.validate(document).violations == violations
+        assert peak < self.BOUND_BYTES
+        assert elapsed < self.BOUND_SECONDS
+
+    def test_no_constraint_costs_nothing(self):
+        document = parse_document(chain(DEPTH))
+        violations, peak, __ = self._measured(self._schema(), document)
+        assert violations == []
+        assert peak < self.BOUND_BYTES
+
+
+class TestDeepPatchPayloads:
+    """``parse_patch`` gives a payload the depth a document may have:
+    the ``<patch>`` and ``<add>`` wrappers do not count against it."""
+
+    def test_a_max_depth_payload_round_trips_and_applies(self, compiled):
+        op = AddChild((), parse_document(chain(DEPTH)).root)
+        text = write_patch(Patch([op]))
+        [parsed] = parse_patch(text).ops
+        assert parsed.child == op.child
+        handle = ValidatedDocument(parse_document("<a/>"), compiled)
+        parse_patch(text).apply_incremental(handle)
+        full = parse_patch(text).apply_full(parse_document("<a/>"))
+        assert full == handle.document
+        assert full.size() == len(handle) == DEPTH + 1
+        assert handle.valid
+        assert_reports_agree(handle, full)
+
+    def test_a_payload_one_level_deeper_is_refused(self):
+        deeper = ParserLimits(max_depth=DEPTH + 1)
+        payload = parse_document(chain(DEPTH + 1), limits=deeper).root
+        with pytest.raises(LimitExceeded):
+            parse_patch(write_patch(Patch([AddChild((), payload)])))
+
+    def test_explicit_limits_bound_the_payload(self):
+        payload = parse_document(chain(3)).root
+        text = write_patch(Patch([AddChild((), payload)]))
+        assert parse_patch(text, limits=ParserLimits(max_depth=3)).ops
+        with pytest.raises(LimitExceeded):
+            parse_patch(text, limits=ParserLimits(max_depth=2))
+        unlimited = ParserLimits.unlimited()
+        assert parse_patch(text, limits=unlimited).ops
