@@ -50,7 +50,13 @@ Two keys hold the ``ValidatedDocument`` open walk on the benchmark
 document: ``memo_bytes_per_el_ceiling`` bounds what the opened handle
 retains per element (:mod:`tracemalloc`), and ``build_vs_compat`` is
 the open's rate over ``validate_events`` of the same tree's events,
-which folds them into a tree and runs the same walk.  One
+which folds them into a tree and runs the same walk.
+``tracked_per_el_ceiling`` bounds the containers the cyclic collector
+tracks per element after ``parse_document`` plus an open of the
+benchmark document (the :func:`gc.get_objects` count before and after,
+each taken after :func:`gc.collect`): deterministic, so a tree that
+gives every leaf its own empty lists, or an open that gives every clean
+leaf its own record, fails here.  One
 ceiling holds child edits to the cost of the edit rather than the
 parent's width: ``wide_edit_vs_narrow`` is the median latency of a
 replace, and of an insert plus a delete, near the end of a
@@ -186,6 +192,7 @@ def measure():
         memo_bytes_per_el, build_vs_compat = _measure_build(
             text, compiled, validator
         )
+        tracked_per_el = _measure_tracked(text, compiled)
 
         wide_edit_vs_narrow = _measure_wide_edit(compiled)
 
@@ -212,6 +219,7 @@ def measure():
         "incremental_vs_full": incremental_vs_full,
         "memo_bytes_per_el": memo_bytes_per_el,
         "build_vs_compat": build_vs_compat,
+        "tracked_per_el": tracked_per_el,
         "wide_edit_vs_narrow": wide_edit_vs_narrow,
         "diff_vs_tree": diff_vs_tree,
         "bag_compile_ms": bag_compile_ms,
@@ -355,6 +363,30 @@ def _measure_build(text, compiled, validator):
     compat = _rate(lambda: validator.validate_events(tree.root.events()),
                    size, repeats=20)
     return retained / size, build / compat
+
+
+def _measure_tracked(text, compiled):
+    """Containers the collector tracks per element after
+    ``parse_document(text)`` plus a
+    :class:`~repro.engine.incremental.ValidatedDocument` open of it.
+
+    Counts :func:`gc.get_objects` before and after, each after
+    :func:`gc.collect`, so the count is deterministic: the tree's nodes
+    and lists, the records and their state lists, and nothing a
+    collection would free.
+    """
+    import gc
+
+    from repro.engine import ValidatedDocument
+    from repro.xmlmodel import parse_document
+
+    ValidatedDocument(parse_document(text), compiled)  # first-use objects
+    gc.collect()
+    before = len(gc.get_objects())
+    handle = ValidatedDocument(parse_document(text), compiled)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    return tracked / handle.document.size()
 
 
 def _measure_wide_edit(compiled, repeats=301):
@@ -631,6 +663,13 @@ def main():
             f"the committed ceiling "
             f"{floors['memo_bytes_per_el_ceiling']:.0f} bytes"
         )
+    if measured["tracked_per_el"] > floors["tracked_per_el_ceiling"]:
+        problems.append(
+            f"tracked_per_el: a parsed and opened document holds "
+            f"{measured['tracked_per_el']:.2f} collector-tracked containers "
+            f"per element, above the committed ceiling "
+            f"{floors['tracked_per_el_ceiling']:.2f}"
+        )
     if measured["fallback_report_bytes_per_el"] > (
             floors["fallback_report_bytes_per_el_ceiling"]):
         problems.append(
@@ -718,7 +757,9 @@ def main():
         f"open walk {measured['build_vs_compat']:.2f}x validate_events "
         f"(floor {floors['build_vs_compat']:.2f}x) retaining "
         f"{measured['memo_bytes_per_el']:.0f} B/element "
-        f"(ceiling {floors['memo_bytes_per_el_ceiling']:.0f} B), "
+        f"(ceiling {floors['memo_bytes_per_el_ceiling']:.0f} B) and "
+        f"{measured['tracked_per_el']:.2f} tracked containers/element "
+        f"with its tree (ceiling {floors['tracked_per_el_ceiling']:.1f}), "
         f"child edit under 10,000 children "
         f"{measured['wide_edit_vs_narrow']:.2f}x under 6 "
         f"(ceiling {floors['wide_edit_vs_narrow']:.1f}x), "

@@ -14,7 +14,8 @@ hit/miss/eviction counters and a compile-time histogram, and mirrors them
 into a :class:`~repro.observability.MetricsRegistry` (the process default
 unless one is injected) under ``engine.cache.*``.  The mirrors are bound
 once, when the cache is made, from that cache's registry, so a lookup
-looks up no metric by name.
+looks up no metric by name.  ``engine.cache.size`` is the number of
+schemas held by all of that registry's live caches together.
 """
 
 from __future__ import annotations
@@ -76,11 +77,16 @@ class SchemaCache:
     ``hits`` / ``misses`` / ``evictions`` are per-instance thread-safe
     counters (plain ints before the observability layer existed); the
     ``compile_ns`` histogram records per-compilation wall time.  All four
-    also feed the shared registry's ``engine.cache.*`` metrics.
+    also feed the shared registry's ``engine.cache.*`` metrics.  The
+    registry's ``engine.cache.size`` gauge sums its live caches: each
+    cache adds its change in length on every insert, eviction and
+    :meth:`clear`, and takes what it still holds back out when it is
+    collected.
     """
 
     __slots__ = ("maxsize", "_hits", "_misses", "_evictions", "_compile_ns",
-                 "_shared", "_entries", "_lock", "_identity")
+                 "_shared", "_held", "_entries", "_lock", "_identity",
+                 "__weakref__")
 
     def __init__(self, maxsize=64, registry=None):
         if maxsize < 1:
@@ -100,6 +106,10 @@ class SchemaCache:
             registry.histogram("engine.cache.compile_ns"),
             registry.gauge("engine.cache.size"),
         )
+        # The length this cache has added to the shared size gauge.  Its
+        # finalizer holds the gauge and this cell, not the cache.
+        self._held = [0]
+        weakref.finalize(self, _release, self._shared[4], self._held)
         self._entries = OrderedDict()
         # Re-entrant: weakref kill callbacks fire at arbitrary points
         # (any allocation can trigger GC), including while the *same*
@@ -153,7 +163,7 @@ class SchemaCache:
            form forever.  Call :meth:`invalidate` around the mutation;
            the next ``get`` then re-fingerprints and recompiles.
         """
-        hits, misses, evictions, compile_ns, size = self._shared
+        hits, misses, evictions, compile_ns, __ = self._shared
         key = id(xsd)
         with self._lock:
             entry = self._identity.get(key)
@@ -207,12 +217,21 @@ class SchemaCache:
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
                     evicted += 1
-                size.set(len(self._entries))
+                self._count_size()
             if evicted:
                 self._evictions.inc(evicted)
                 evictions.inc(evicted)
             self._remember(xsd, compiled)
             return compiled
+
+    def _count_size(self):
+        """Move the registry's size gauge by this cache's change in
+        length since it last counted; the caller holds ``self._lock``."""
+        held = self._held
+        change = len(self._entries) - held[0]
+        if change:
+            held[0] += change
+            self._shared[4].add(change)
 
     def _remember(self, xsd, compiled):
         """Register ``xsd`` in the identity map (best effort).
@@ -259,6 +278,13 @@ class SchemaCache:
         with self._lock:
             self._entries.clear()
             self._identity.clear()
+            self._count_size()
+
+
+def _release(size, held):
+    """A collected cache's finalizer: take the length it still held out
+    of its registry's size gauge, without waiting on the gauge's lock."""
+    size.release(held[0])
 
 
 _default_cache = SchemaCache(maxsize=64)

@@ -30,11 +30,16 @@ anything outside that element's content word and the new subtree itself:
 :class:`~repro.xmlmodel.tree.XMLDocument` with its
 :class:`~repro.engine.compiler.CompiledSchema` and the per-element
 provenance (type assignment + DFA state path + locally attributed
-violations).  A clean record holds shared immutable empties, and no
-record holds a slash path or a message whose size grows with the content
-word: a record counts its unrecognized children and notes whether its
-word is rejected, and :meth:`~ValidatedDocument.report` writes those
-messages, deriving each element's path from ``parent`` links.  All edits
+violations).  A clean record holds shared immutable empties, and a leaf
+whose attributes and text pass shares one read-only record with every
+such leaf of its type (:class:`_LeafRecord`): under EDC its content word
+is the empty word, so its record is fixed by its type alone.  An edit
+that must write a shared record first gives its element a record of its
+own (:meth:`~ValidatedDocument._unshare`).  No record holds a slash path
+or a message whose size grows with the content word: a record counts its
+unrecognized children and notes whether its word is rejected, and
+:meth:`~ValidatedDocument.report` writes those messages, deriving each
+element's path from ``parent`` links.  All edits
 MUST go through its API — mutating the underlying tree directly leaves
 the memo stale.  After every edit the handle's
 :meth:`report` agrees with a from-scratch run of the tree or streaming
@@ -99,6 +104,18 @@ _EDITS_BY_OP = {
 _EDIT_NS = _metrics.histogram("engine.incremental.edit_ns")
 
 
+def _own_record(shared):
+    """A writable copy of a shared :class:`_LeafRecord`."""
+    state = _NodeState.__new__(_NodeState)
+    state.type_id = shared.type_id
+    state.states = _LEAF_STATES
+    state.strays = 0
+    state.rejected = shared.rejected
+    state.text_viol = None
+    state.attr_viols = ()
+    return state
+
+
 def _count_typed(typed):
     """Count an open's walk of ``typed`` elements (or a root replace's):
     one content replay per typed element, none from the memo (offset
@@ -154,10 +171,13 @@ class _NodeState:
     Records are built without ``__init__`` (the open walk sets every
     slot).  A clean record shares immutable empties: ``()`` for
     ``attr_viols``, and :data:`_LEAF_STATES` for an element without
-    children.  Every writer replaces a field, except that a child edit
-    splices the record's own ``states`` list in place.  No record holds
-    the element's slash path or a message about its content word; those
-    are written when a report needs them, the path derived from
+    children.  A leaf whose attribute and text checks pass holds no
+    record of its own: it shares its type's :class:`_LeafRecord`.  Every
+    writer replaces a field, except that a child edit splices the
+    record's own ``states`` list in place; a writer that finds a shared
+    record swaps in a record of the element's own first.  No record
+    holds the element's slash path or a message about its content word;
+    those are written when a report needs them, the path derived from
     ``parent`` links (:meth:`ValidatedDocument._path`).
 
     Attributes:
@@ -185,6 +205,37 @@ class _NodeState:
                  "attr_viols")
 
 
+class _LeafRecord(_NodeState):
+    """The read-only record every clean leaf of one type shares.
+
+    A leaf's content word is the empty word, so once its attributes and
+    text pass, its record is fixed by its type: states
+    :data:`_LEAF_STATES`, no strays, no messages, and ``rejected`` the
+    type's verdict on the empty word.  A handle makes one per type, at
+    the first leaf of the type its walk meets.  Assignment raises,
+    so a writer that misses :meth:`ValidatedDocument._unshare` fails
+    loudly instead of editing every other leaf of the type; the writers
+    test ``state.__class__ is _LeafRecord``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, type_id, rejected):
+        fill = object.__setattr__
+        fill(self, "type_id", type_id)
+        fill(self, "states", _LEAF_STATES)
+        fill(self, "strays", 0)
+        fill(self, "rejected", rejected)
+        fill(self, "text_viol", None)
+        fill(self, "attr_viols", ())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"a shared leaf record is read-only (set {name!r} on a record "
+            "of the element's own)"
+        )
+
+
 class ValidatedDocument:
     """An XML tree + compiled schema + per-element provenance, editable.
 
@@ -197,12 +248,13 @@ class ValidatedDocument:
             schema cache.
 
     The initial construction performs one walk that checks and types
-    each element from its parent's content step: about 1.2 µs per
+    each element from its parent's content step: about 0.7 µs per
     element on the 6,879-element Figure 3 document (CPython 3.11.7,
-    two-core x86-64 host), close to what the byte tier's fold takes to
-    build that tree, and 1.9-2.6x the rate of the streaming validator's
-    event route over the same tree's events, which folds them into a
-    tree and runs the same walk (perfguard's ``build_vs_compat``).
+    two-core x86-64 host, median of 60 opens), against about 0.9 µs per
+    element for the byte tier's fold that builds that tree, and 2.8-3.1x
+    the rate of the streaming validator's event route over the same
+    tree's events, which folds them into a tree and runs the same walk
+    (perfguard's ``build_vs_compat``).
     Every subsequent edit revalidates only its footprint.  The walk reads
     an ambient :class:`~repro.observability.ResourceBudget`'s clock once
     per 32 elements, so a runaway open or insert stops with
@@ -210,7 +262,7 @@ class ValidatedDocument:
     be reopened.
     """
 
-    __slots__ = ("document", "schema", "_nodes", "_invalid",
+    __slots__ = ("document", "schema", "_nodes", "_invalid", "_leaves",
                  "_root_declared")
 
     def __init__(self, document, schema, cache=None):
@@ -224,6 +276,7 @@ class ValidatedDocument:
         self.schema = schema
         self._nodes = {}
         self._invalid = set()
+        self._leaves = [None] * len(schema.types)
         _DOCUMENTS.inc()
         with span("engine.incremental.build") as trace:
             _count_typed(self._build())
@@ -242,6 +295,7 @@ class ValidatedDocument:
         handle.schema = schema
         handle._nodes = {}
         handle._invalid = set()
+        handle._leaves = [None] * len(schema.types)
         handle._build()
         return handle
 
@@ -267,12 +321,15 @@ class ValidatedDocument:
         matching the reference validators), which the caller counts.
         Every id it records is fresh (the index was just cleared, or the
         subtree is new), so an invalid element is added to the index
-        without a discard.  Reads an ambient budget's clock once per
-        :data:`_CHECK_ELEMENTS` elements.
+        without a discard.  A leaf whose attributes and text pass gets
+        its type's shared :class:`_LeafRecord`, so the empty word is
+        judged once per type, not per leaf.  Reads an ambient budget's
+        clock once per :data:`_CHECK_ELEMENTS` elements.
         """
         types = self.schema.types
         nodes = self._nodes
         invalid = self._invalid
+        leaves = self._leaves
         run_content = self._run_content
         new = _NodeState.__new__
         budget = current_budget()
@@ -286,45 +343,55 @@ class ValidatedDocument:
             if budget is not None and not typed % _CHECK_ELEMENTS:
                 budget.check_time("engine.validate")
             compiled = types[type_id]
-            state = new(_NodeState)
-            state.type_id = type_id
-            nodes[id(node)] = state
-            path = None
+            path = text_viol = None
+            attr_viols = ()
             attributes = node.attributes
             if (attributes or compiled.required_attrs) and \
                     compiled.attribute_problems(attributes):
                 path = self._path(node)
-                state.attr_viols = compiled.attribute_violations(
+                attr_viols = compiled.attribute_violations(
                     path, node.name, attributes
                 )
-                bad = True
-            else:
-                state.attr_viols = ()
-                bad = False
-            state.text_viol = None
             if not compiled.mixed:
                 for run in node.texts:
                     if run.strip():
-                        if path is None:
-                            path = self._path(node)
-                        state.text_viol = compiled.text_not_allowed(
-                            path, node.name
+                        text_viol = compiled.text_not_allowed(
+                            path or self._path(node), node.name
                         )
-                        bad = True
                         break
             if node.children:
-                if run_content(node, compiled, state, push):
-                    bad = True
+                state = new(_NodeState)
+                state.type_id = type_id
+                state.attr_viols = attr_viols
+                state.text_viol = text_viol
+                bad = run_content(node, compiled, state, push) or \
+                    attr_viols or text_viol is not None
             else:
-                state.states = _LEAF_STATES
-                state.strays = 0
-                if compiled.dfa.is_accepting(0):
-                    state.rejected = False
+                state = leaves[type_id]
+                if state is None:  # the type's first leaf
+                    state = leaves[type_id] = _LeafRecord(
+                        type_id, not compiled.dfa.is_accepting(0)
+                    )
+                if attr_viols or text_viol is not None:
+                    state = _own_record(state)
+                    state.attr_viols = attr_viols
+                    state.text_viol = text_viol
+                    bad = True
                 else:
-                    state.rejected = bad = True
+                    bad = state.rejected
+            nodes[id(node)] = state
             if bad:
                 invalid.add(id(node))
         return typed
+
+    def _unshare(self, node, state):
+        """``node``'s record, made its own if it is a shared
+        :class:`_LeafRecord`; the three writers (:meth:`set_attribute`,
+        :meth:`set_text` and the parent's :meth:`_after_child_edit`) call
+        this only when they must write."""
+        if state.__class__ is _LeafRecord:
+            state = self._nodes[id(node)] = _own_record(state)
+        return state
 
     def _path(self, node):
         """``node``'s slash path, from the handle's root down.
@@ -343,13 +410,11 @@ class ValidatedDocument:
 
     # -- per-element checks (the open walk inlines all but the content
     # step; the edit API calls them) ------------------------------------
-    def _check_text(self, node, compiled, state):
+    def _text_violation(self, node, compiled):
+        """The may-not-contain-text message for ``node``, or ``None``."""
         if not compiled.mixed and node.has_text():
-            state.text_viol = compiled.text_not_allowed(
-                self._path(node), node.name
-            )
-        else:
-            state.text_viol = None
+            return compiled.text_not_allowed(self._path(node), node.name)
+        return None
 
     def _run_content(self, node, compiled, state, push):
         """Run ``node``'s content word from the initial state (opens).
@@ -563,10 +628,11 @@ class ValidatedDocument:
             if state is not None:
                 compiled = self.schema.types[state.type_id]
                 if compiled.attribute_problems(attributes):
+                    state = self._unshare(node, state)
                     state.attr_viols = compiled.attribute_violations(
                         self._path(node), node.name, attributes
                     )
-                else:
+                elif state.attr_viols:  # a shared record's are empty
                     state.attr_viols = ()
                 self._refresh_validity(node, state)
 
@@ -581,12 +647,16 @@ class ValidatedDocument:
                     f"text index {index} out of range for element "
                     f"<{node.name}> with {len(node.children)} child(ren)"
                 )
-            node.texts[index] = text
+            node.set_run(index, text)
             state = self._nodes.get(id(node))
             if state is not None:
-                self._check_text(
-                    node, self.schema.types[state.type_id], state
+                text_viol = self._text_violation(
+                    node, self.schema.types[state.type_id]
                 )
+                # A shared record's is None: write only a change.
+                if text_viol is not None or state.text_viol is not None:
+                    state = self._unshare(node, state)
+                    state.text_viol = text_viol
                 self._refresh_validity(node, state)
 
     # -- edit plumbing -----------------------------------------------------
@@ -622,6 +692,8 @@ class ValidatedDocument:
             # The parent lives in a skipped subtree (or under an
             # undeclared root): structurally applied, nothing to check.
             return 0
+        if state.__class__ is _LeafRecord:  # a first child under a leaf
+            state = self._unshare(parent, state)
         compiled = self.schema.types[state.type_id]
         if index:
             _MEMO_HITS.inc()

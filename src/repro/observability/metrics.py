@@ -39,6 +39,7 @@ import contextlib
 import json
 import threading
 import time
+from collections import deque
 
 
 class Counter:
@@ -75,34 +76,55 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (pool sizes, cache occupancy)."""
+    """A value that can go up and down (pool sizes, cache occupancy).
 
-    __slots__ = ("name", "help", "_value", "_lock")
+    :meth:`release` is the one write that waits on no lock.  It is for
+    finalizers: the collector runs them inside whatever allocation freed
+    their object, on a thread that may hold another instrument's lock or
+    this one, as a registry snapshot does.  What they release is folded
+    into the value by the next read or write, under the lock.
+    """
+
+    __slots__ = ("name", "help", "_value", "_released", "_lock")
 
     def __init__(self, name="", help=None):
         self.name = name
         self.help = help
         self._value = 0
+        self._released = deque()
         self._lock = threading.Lock()
 
     def set(self, value):
         with self._lock:
+            self._released.clear()  # a set overrides earlier releases
             self._value = value
 
     def add(self, amount=1):
         with self._lock:
+            self._settle()
             self._value += amount
+
+    def release(self, amount):
+        """Take ``amount`` off the value without taking the lock."""
+        self._released.append(amount)
+
+    def _settle(self):
+        """Fold the released amounts in; the caller holds ``self._lock``."""
+        released = self._released
+        while released:
+            self._value -= released.popleft()
 
     @property
     def value(self):
         with self._lock:
-            return self._value
+            return self._read_locked()
 
     def snapshot(self):
         return self.value
 
     def _read_locked(self):
         """The snapshot value; the caller must hold ``self._lock``."""
+        self._settle()
         return self._value
 
     def __repr__(self):
@@ -140,15 +162,22 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value, exemplar=None):
-        bucket = max(0, (int(value) - 1).bit_length()) if value > 0 else 0
+        """Record ``value``: the bucket of a positive value ``v`` is the
+        bit length of ``int(v) - 1``, and of any other value 0; the
+        first observation seeds the min and the max."""
+        bucket = (int(value) - 1).bit_length() if value > 0 else 0
         with self._lock:
-            self._count += 1
+            count = self._count
+            self._count = count + 1
             self._total += value
-            if self._min is None or value < self._min:
+            if not count:
+                self._min = self._max = value
+            elif value < self._min:
                 self._min = value
-            if self._max is None or value > self._max:
+            elif value > self._max:
                 self._max = value
-            self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+            buckets = self._buckets
+            buckets[bucket] = buckets.get(bucket, 0) + 1
             if exemplar:
                 self._exemplars[bucket] = {
                     "labels": dict(exemplar),

@@ -286,7 +286,7 @@ class SetText(PatchOp):
                 f"text index {self.index} out of range for element "
                 f"<{node.name}> with {len(node.children)} child(ren)"
             )
-        node.texts[self.index] = self.text
+        node.set_run(self.index, self.text)
 
     def apply_incremental(self, handle):
         handle.set_text(

@@ -75,7 +75,7 @@ from itertools import islice
 from repro.errors import ParseError
 from repro.observability.budget import current_budget
 from repro.xmlmodel.lexical import _Cursor, _decode_entities
-from repro.xmlmodel.tree import XMLElement
+from repro.xmlmodel.tree import _LEAF_TEXTS, XMLElement
 
 
 class FallbackRequired(Exception):
@@ -353,7 +353,9 @@ def fold_tree(data, limits):
     tags), and the content after the tag, its text runs and CDATA
     sections joined.  A start tag's content becomes the new node's first
     text run; the content after an end or self-closing tag is the
-    parent's newest run.  Every element gets its own copy of its chunk's
+    parent's newest run.  Leaves share their empties (``()`` children,
+    and the ``("",)`` run when they hold no text), as the tree's own
+    builders make them.  Every element gets its own copy of its chunk's
     attribute dict, which ``set_attribute`` mutates.  End tags must
     close the open element, the root may have no sibling, and
     ``max_depth`` holds as in the char parser.  Raises
@@ -380,6 +382,7 @@ def fold_tree(data, limits):
     memo = {}
     memo_get = memo.get
     new = XMLElement.__new__
+    leaf_texts = _LEAF_TEXTS
     root = node = None  # node: the innermost open element
     depth = 0
     rest = iter(chunks)
@@ -408,19 +411,21 @@ def fold_tree(data, limits):
             child = new(XMLElement)
             child.name = name
             child.attributes = attributes.copy()
-            child.children = []
+            child.children = ()
             child.parent = node
             if node is None:
                 root = child
-            else:
+            elif node.children:
                 node.children.append(child)
                 node.texts.append("")
+            else:
+                node._first_child(child)
             if kind == START:
-                child.texts = [text]
+                child.texts = [text] if text else leaf_texts
                 node = child
                 depth += 1
             else:  # SELFCLOSE
-                child.texts = [""]
+                child.texts = leaf_texts
                 if node is not None:
                     node.texts[-1] = text
     if node is not None:  # an element left open

@@ -16,6 +16,11 @@ from __future__ import annotations
 
 from repro.errors import ParseError, SchemaError
 
+_LEAF_TEXTS = ("",)
+"""The text runs every leaf without text shares (one empty run).  The
+first write to a leaf's runs swaps this tuple for a list
+(:meth:`XMLElement.set_run`, :meth:`XMLElement._first_child`)."""
+
 
 class XMLElement:
     """One element node of an XML tree.
@@ -23,11 +28,23 @@ class XMLElement:
     Attributes:
         name: the element name (label).
         attributes: ``dict`` of attribute name -> string value.
-        children: ordered list of :class:`XMLElement` children.
+        children: the ordered :class:`XMLElement` children: a list, or,
+            for a leaf, the shared empty tuple ``()``.
         texts: mixed-content text runs; ``texts[i]`` is the text appearing
             before ``children[i]`` and ``texts[len(children)]`` the trailing
-            run, so ``len(texts) == len(children) + 1`` always holds.
+            run, so ``len(texts) == len(children) + 1`` always holds.  A
+            list, or, for a leaf without text, the shared run
+            :data:`_LEAF_TEXTS` (``("",)``).
         parent: the parent element, or ``None`` for a root.
+
+    Leaves share their empties, so a tree holds no empty list per leaf:
+    every builder (this constructor, :meth:`from_events`, the byte
+    tier's ``fold_tree``) makes them, and every writer (:meth:`insert`,
+    :meth:`append`, :meth:`append_text`, :meth:`set_run`) swaps in lists
+    on its first write.  So write ``children`` and ``texts`` through
+    these methods only, and test a node for children by emptiness
+    (``if node.children``): a leaf may hold ``()`` or ``[]`` (after its
+    last child was removed).  Equality compares both by value.
     """
 
     __slots__ = ("name", "attributes", "children", "texts", "parent")
@@ -35,28 +52,28 @@ class XMLElement:
     def __init__(self, name, attributes=None, children=None, text=None):
         self.name = name
         self.attributes = dict(attributes or {})
-        self.children = []
-        self.texts = [""]
+        self.children = ()
+        self.texts = [text] if text else _LEAF_TEXTS
         self.parent = None
-        if text:
-            self.texts[0] = text
         for child in children or ():
             self.append(child)
 
     def append(self, child, text_after=""):
         """Append a child element (and optionally text following it)."""
-        if child.parent is not None:
-            raise SchemaError(
-                f"element <{child.name}> already has a parent "
-                f"<{child.parent.name}>"
-            )
-        child.parent = self
-        self.children.append(child)
-        self.texts.append(text_after)
+        self.insert(len(self.children), child, text_after)
 
     def append_text(self, text):
         """Append character data at the current end of the content."""
-        self.texts[-1] += text
+        self.set_run(-1, self.texts[-1] + text)
+
+    def set_run(self, index, text):
+        """Replace the text run at ``index`` (before child ``index``;
+        ``-1`` is the trailing run), swapping a leaf's shared run for a
+        list of its own."""
+        texts = self.texts
+        if texts is _LEAF_TEXTS:
+            texts = self.texts = [""]
+        texts[index] = text
 
     def insert(self, index, child, text_after=""):
         """Insert a child element at ``index`` (and text following it).
@@ -64,21 +81,33 @@ class XMLElement:
         ``index`` may be ``len(self.children)`` (append).  The ``texts``
         invariant (``len(texts) == len(children) + 1``) is maintained:
         the text run that used to follow position ``index`` now follows
-        the inserted child.
+        the inserted child.  A leaf's first child swaps its shared
+        empties for lists.
         """
         if child.parent is not None:
             raise SchemaError(
                 f"element <{child.name}> already has a parent "
                 f"<{child.parent.name}>"
             )
-        if not 0 <= index <= len(self.children):
+        children = self.children
+        if not 0 <= index <= len(children):
             raise IndexError(
                 f"insert index {index} out of range for "
-                f"{len(self.children)} children"
+                f"{len(children)} children"
             )
         child.parent = self
-        self.children.insert(index, child)
-        self.texts.insert(index + 1, text_after)
+        if children:
+            children.insert(index, child)
+            self.texts.insert(index + 1, text_after)
+        else:
+            self._first_child(child, text_after)
+
+    def _first_child(self, child, text_after=""):
+        """Give a leaf its first child: lists of its own replace the
+        shared empties.  :meth:`insert` and the folds (:meth:`from_events`,
+        the byte tier's ``fold_tree``) all swap them here."""
+        self.children = [child]
+        self.texts = [self.texts[0], text_after]
 
     def remove_child(self, index):
         """Detach and return the child at ``index``.
@@ -213,7 +242,8 @@ class XMLElement:
         drained to its end, so an error raised after the element closes
         still propagates.  Each start event's attributes dict is
         adopted, not copied.  The fold fills the node slots directly
-        (this class owns them) and walks back up by ``parent``.
+        (this class owns them), leaves sharing their empties, and walks
+        back up by ``parent``.
 
         Args:
             events: the stream.
@@ -226,6 +256,7 @@ class XMLElement:
                 closes an element that is not open.
         """
         new = cls.__new__
+        leaf_texts = _LEAF_TEXTS
         root = node = None
         events = iter(events)
         while True:
@@ -236,8 +267,8 @@ class XMLElement:
                         child = new(cls)
                         child.name = event[1]
                         child.attributes = event[2]
-                        child.children = []
-                        child.texts = [""]
+                        child.children = ()
+                        child.texts = leaf_texts
                         child.parent = node
                         if node is None:
                             if root is None:
@@ -248,14 +279,20 @@ class XMLElement:
                                 )
                             else:
                                 strays.append(child)
-                        else:
+                        elif node.children:
                             node.children.append(child)
                             node.texts.append("")
+                        else:
+                            node._first_child(child)
                         node = child
                     elif kind == "end":
                         node = node.parent
                     else:
-                        node.texts[-1] += event[1]
+                        texts = node.texts
+                        if texts is leaf_texts:
+                            node.texts = [event[1]]
+                        else:
+                            texts[-1] += event[1]
                 break
             except AttributeError as error:
                 # ``node`` is None outside the element: skip text there
@@ -298,7 +335,8 @@ class XMLElement:
 
     def __eq__(self, other):
         """Equal name, attributes, text runs and children, compared
-        pairwise down both subtrees with an explicit stack."""
+        pairwise down both subtrees with an explicit stack; runs and
+        children compare by value, whether shared tuples or lists."""
         if not isinstance(other, XMLElement):
             return NotImplemented
         stack = [(self, other)]
@@ -306,9 +344,12 @@ class XMLElement:
             mine, theirs = stack.pop()
             if mine is theirs:
                 continue
+            # A shared run (a tuple) never equals a list, so runs that
+            # differ are compared again as lists.
             if (mine.name != theirs.name
                     or mine.attributes != theirs.attributes
                     or mine.texts != theirs.texts
+                    and list(mine.texts) != list(theirs.texts)
                     or len(mine.children) != len(theirs.children)):
                 return False
             stack.extend(zip(mine.children, theirs.children))

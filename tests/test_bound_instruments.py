@@ -17,6 +17,7 @@ registry.  These tests pin that contract:
   tracer records.
 """
 
+import gc
 import sys
 import threading
 
@@ -26,6 +27,7 @@ from repro.engine import (
     SchemaCache,
     StreamingValidator,
     ValidatedDocument,
+    default_cache,
     validate_many,
 )
 from repro.errors import SchemaError
@@ -278,6 +280,138 @@ def test_a_private_registry_cache_counts_into_its_registry(schemas):
     assert registry.histogram("engine.cache.compile_ns").count == 2
     assert registry.gauge("engine.cache.size").value == 1
     assert default.counter("engine.cache.misses").value == before
+
+
+def test_the_size_gauge_sums_the_registrys_live_caches(schemas):
+    """``engine.cache.size`` is the default cache's length plus a second
+    cache's on the same registry, and drops the second's share when it
+    is collected (other tests' live caches add a constant)."""
+    size = default_registry().gauge("engine.cache.size")
+    default = default_cache()
+    gc.collect()
+    others = size.value - len(default)
+    default.get(schemas.xsd)
+    assert size.value == others + len(default)
+    second = SchemaCache(maxsize=64)
+    second.get(schemas.xsd)
+    second.get(schemas.tiny)
+    assert size.value == others + len(default) + 2
+    default.get(_tiny("gauge"))  # a miss in the default cache
+    assert size.value == others + len(default) + 2
+    second.clear()
+    assert size.value == others + len(default)
+    second.get(schemas.tiny)
+    assert size.value == others + len(default) + 1
+    del second
+    gc.collect()
+    assert size.value == others + len(default)
+
+
+def test_threaded_caches_sum_exactly_into_the_size_gauge():
+    """Eight caches of one schema each, on one registry, evicting on
+    every miss from eight threads: the gauge ends at their sum, then at
+    zero once they are collected."""
+    threads, rounds = 8, 40
+    registry = MetricsRegistry()
+    size = registry.gauge("engine.cache.size")
+    caches = [SchemaCache(maxsize=1, registry=registry)
+              for __ in range(threads)]
+    schemas = [_tiny("a"), _tiny("b")]
+    barrier = threading.Barrier(threads)
+
+    def work(cache):
+        barrier.wait(timeout=60)
+        for number in range(rounds):
+            cache.get(schemas[number % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch often: races would show
+    try:
+        workers = [threading.Thread(target=work, args=(cache,))
+                   for cache in caches]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert size.value == sum(len(cache) for cache in caches) == threads
+    del caches, worker, workers
+    gc.collect()
+    assert size.value == 0
+
+
+def test_a_cache_collected_under_a_snapshot_lock_releases_its_size():
+    """The collector may free a cache while this thread holds the size
+    gauge's lock, as a registry snapshot does; its finalizer must not
+    deadlock there."""
+    registry = MetricsRegistry()
+    size = registry.gauge("engine.cache.size")
+    cache = SchemaCache(maxsize=4, registry=registry)
+    cache.get(_tiny("a"))
+    box = [cache]
+    box.append(box)  # a cycle: only the collector frees the cache
+    del cache, box
+    assert size.value == 1
+
+    def collect_under_the_lock():
+        with size._lock:
+            gc.collect()
+
+    worker = threading.Thread(target=collect_under_the_lock, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert size.value == 0
+
+
+def test_a_cache_collected_under_another_lock_meets_a_snapshot():
+    """One thread holds a histogram's lock when the collector frees a
+    cache; another holds the size gauge's lock, as a snapshot does, and
+    waits for that histogram's.  The finalizer must not wait on the
+    gauge's lock, or each thread waits on the other."""
+    registry = MetricsRegistry()
+    size = registry.gauge("engine.cache.size")
+    latency = registry.histogram("serve.request.latency")
+    cache = SchemaCache(maxsize=4, registry=registry)
+    cache.get(_tiny("a"))
+    box = [cache]
+    box.append(box)  # a cycle: only the collector frees the cache
+    del cache, box
+    assert size.value == 1
+    holds_latency = threading.Event()
+    holds_size = threading.Event()
+    took_latency = []
+
+    def collect_under_latency():
+        with latency._lock:
+            holds_latency.set()
+            holds_size.wait(timeout=30)
+            gc.collect()
+
+    def snapshot_order():
+        holds_latency.wait(timeout=30)
+        with size._lock:
+            holds_size.set()
+            took = latency._lock.acquire(timeout=20)
+            took_latency.append(took)
+            if took:
+                latency._lock.release()
+
+    gc.disable()  # no automatic collection frees the cache first
+    try:
+        workers = [threading.Thread(target=target, daemon=True)
+                   for target in (collect_under_latency, snapshot_order)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        gc.enable()
+    assert not any(worker.is_alive() for worker in workers)
+    assert took_latency == [True]
+    assert size.value == 0
 
 
 def test_an_edit_that_raises_is_counted_and_not_timed(world):

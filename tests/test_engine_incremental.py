@@ -627,13 +627,26 @@ def _assert_derived_paths(handle):
 
 def _assert_lean(handle):
     """Clean records hold the shared empties, which stay empty; every
-    record counts its strays over a path aligned with its children."""
+    record counts its strays over a path aligned with its children.  A
+    shared leaf record is held by leaves alone, is its handle's one
+    record for its type, holds the empties and the type's verdict on the
+    empty word, and refuses writes."""
     assert incremental._LEAF_STATES == (0,)
     nodes = handle._nodes
     for node in handle.document.root.iter():
         state = nodes.get(id(node))
         if state is None:
             continue
+        if state.__class__ is incremental._LeafRecord:
+            assert not node.children
+            assert state is handle._leaves[state.type_id]
+            assert state.states is incremental._LEAF_STATES
+            assert (state.strays, state.text_viol, state.attr_viols) == (
+                0, None, ())
+            assert state.rejected == (not handle.schema.types[
+                state.type_id].dfa.is_accepting(0))
+            with pytest.raises(AttributeError):
+                state.strays = 0
         assert state.strays == sum(
             id(child) not in nodes for child in node.children)
         assert len(state.states) == len(node.children) + 1

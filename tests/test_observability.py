@@ -155,6 +155,42 @@ class TestRegistry:
         assert buckets["<=2^2"] == 2  # 3, 4
         assert buckets["<=2^10"] == 1  # 1000
 
+    def test_histogram_snapshot_of_no_observation(self):
+        assert MetricsRegistry().histogram("h").snapshot() == {
+            "count": 0, "total": 0, "min": None, "max": None, "mean": 0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0, "buckets": {},
+        }
+
+    def test_histogram_snapshot_of_float_observations(self):
+        histogram = MetricsRegistry().histogram("h")
+        for value in (0.25, 3.5, 1_200_000.0):
+            histogram.observe(value)
+        assert histogram.snapshot() == {
+            "count": 3, "total": 1_200_003.75, "min": 0.25,
+            "max": 1_200_000.0, "mean": 400_001.25, "p50": 3.0,
+            "p95": 1_177_286.4, "p99": 1_195_457.28,
+            "buckets": {"<=2^1": 1, "<=2^2": 1, "<=2^21": 1},
+        }
+
+    def test_histogram_snapshot_of_zero_observations(self):
+        histogram = MetricsRegistry().histogram("h")
+        for __ in range(3):
+            histogram.observe(0)
+        assert histogram.snapshot() == {
+            "count": 3, "total": 0, "min": 0, "max": 0, "mean": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0, "buckets": {"<=2^0": 3},
+        }
+
+    def test_histogram_first_observation_seeds_min_and_max(self):
+        histogram = MetricsRegistry().histogram("h")
+        for value in (5, 0, 1, 2**20, 7, -3):
+            histogram.observe(value)
+        snapshot = histogram.snapshot()
+        assert (snapshot["min"], snapshot["max"], snapshot["total"]) == (
+            -3, 2**20, 1_048_586)
+        assert snapshot["buckets"] == {"<=2^0": 3, "<=2^3": 2, "<=2^20": 1}
+        assert histogram.percentile(0.5) == 1.0
+
     def test_timer_records_nanoseconds(self):
         registry = MetricsRegistry()
         with registry.timer("t.ns"):
