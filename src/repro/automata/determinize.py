@@ -8,23 +8,21 @@ automaton is required.
 from __future__ import annotations
 
 from repro.automata.dfa import DFA
-from repro.observability import default_registry, resolve_budget
+from repro.observability import current_budget, default_registry
 
 
-def determinize(nfa, budget=None):
+def determinize(nfa):
     """Determinize ``nfa`` by the subset construction.
 
-    Args:
-        nfa: the automaton to determinize.
-        budget: optional :class:`~repro.observability.ResourceBudget`
-            (falls back to the ambient one); each materialized subset is
-            charged, bounding the worst-case ``2^n`` explosion.
+    Each materialized subset is charged to the ambient
+    :class:`~repro.observability.ResourceBudget`, bounding the
+    worst-case ``2^n`` explosion.
 
     Returns:
         A partial :class:`DFA` over frozenset-of-states subsets, renumbered
         to integers for compactness.
     """
-    budget = resolve_budget(budget)
+    budget = current_budget()
     initial = nfa.initial
     subsets = {initial: 0}
     order = [initial]

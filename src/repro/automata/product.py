@@ -12,21 +12,20 @@ from __future__ import annotations
 
 from repro.automata.dfa import DFA
 from repro.errors import SchemaError
-from repro.observability import default_registry, resolve_budget
+from repro.observability import current_budget, default_registry
 
 
-def product_dfa(components, alphabet=None, budget=None):
+def product_dfa(components):
     """The reachable synchronous product of complete DFAs.
 
+    Every product state created is charged to the ambient
+    :class:`~repro.observability.ResourceBudget`, so the exponential
+    blow-up of Lemma 6 trips :class:`~repro.errors.BudgetExceeded`
+    instead of running away.
+
     Args:
-        components: sequence of complete :class:`DFA` objects over a common
-            alphabet.
-        alphabet: optional explicit alphabet (defaults to the union; all
-            components must be complete over it).
-        budget: optional :class:`~repro.observability.ResourceBudget`
-            (falls back to the ambient one); every product state created
-            is charged, so the exponential blow-up of Lemma 6 trips
-            :class:`~repro.errors.BudgetExceeded` instead of running away.
+        components: sequence of complete :class:`DFA` objects, each
+            complete over the union of their alphabets.
 
     Returns:
         A pair ``(dfa, tuples)`` where ``dfa`` has integer states and
@@ -36,8 +35,7 @@ def product_dfa(components, alphabet=None, budget=None):
     """
     if not components:
         raise SchemaError("product of zero automata is undefined")
-    if alphabet is None:
-        alphabet = frozenset().union(*(dfa.alphabet for dfa in components))
+    alphabet = frozenset().union(*(dfa.alphabet for dfa in components))
     for index, dfa in enumerate(components):
         for state in dfa.states:
             for symbol in alphabet:
@@ -47,7 +45,7 @@ def product_dfa(components, alphabet=None, budget=None):
                         f"product alphabet (missing {symbol!r})"
                     )
 
-    budget = resolve_budget(budget)
+    budget = current_budget()
     initial = tuple(dfa.initial for dfa in components)
     ids = {initial: 0}
     tuples = [initial]
@@ -83,14 +81,14 @@ def product_dfa(components, alphabet=None, budget=None):
     return dfa, tuples
 
 
-def pair_product(left, right, combine, budget=None):
+def pair_product(left, right, combine):
     """Binary product with acceptance decided by ``combine(in_l, in_r)``.
 
     Both inputs are completed over the union alphabet first, so set
     difference and symmetric difference work as expected.  State creation
-    is charged to the (explicit or ambient) resource budget.
+    is charged to the ambient resource budget.
     """
-    budget = resolve_budget(budget)
+    budget = current_budget()
     alphabet = left.alphabet | right.alphabet
     left = DFA(
         left.states, alphabet, left.transitions, left.initial, left.accepting

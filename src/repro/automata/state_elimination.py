@@ -13,37 +13,36 @@ order of increasing ``in-degree * out-degree`` weight, resplicing paths as
 
 from __future__ import annotations
 
-from repro.observability import default_registry, resolve_budget
+from repro.observability import current_budget, default_registry
 from repro.regex.ast import EMPTY, EPSILON, Regex, Symbol, concat, star, union
 from repro.regex.simplify import simplify as simplify_regex
 
 
-def dfa_to_regex(dfa, accepting=None, simplify=True, budget=None):
+def dfa_to_regex(dfa, accepting=None, simplify=True):
     """A regular expression for the language of ``dfa``.
+
+    Intermediate label sizes and the wall clock are checked against the
+    ambient :class:`~repro.observability.ResourceBudget` each
+    elimination round, so the Theorem-8 exponential blow-up is refused
+    rather than endured.
 
     Args:
         dfa: the automaton (a partial or complete :class:`DFA`).
         accepting: optional override of the accepting-state set; Algorithm 2
             calls this once per state ``q`` with ``accepting={q}``.
         simplify: run the algebraic simplifier on intermediate labels.
-        budget: optional :class:`~repro.observability.ResourceBudget`
-            (falls back to the ambient one); intermediate label sizes and
-            the wall clock are checked each elimination round, so the
-            Theorem-8 exponential blow-up is refused rather than endured.
 
     Returns:
         A :class:`~repro.regex.ast.Regex`; ``EMPTY`` for the empty language.
     """
     if accepting is None:
         accepting = dfa.accepting
-    return nfa_to_regex(
-        dfa.to_nfa(), accepting=accepting, simplify=simplify, budget=budget
-    )
+    return nfa_to_regex(dfa.to_nfa(), accepting=accepting, simplify=simplify)
 
 
-def nfa_to_regex(nfa, accepting=None, simplify=True, budget=None):
+def nfa_to_regex(nfa, accepting=None, simplify=True):
     """A regular expression for the language of ``nfa`` (state elimination)."""
-    budget = resolve_budget(budget)
+    budget = current_budget()
     if accepting is None:
         accepting = nfa.accepting
     accepting = frozenset(accepting)

@@ -13,6 +13,8 @@ rule's content model; nodes without a relevant rule are unconstrained.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from repro.errors import SchemaError
 from repro.regex.ast import Regex
 from repro.regex.derivatives import DerivativeMatcher
@@ -135,22 +137,24 @@ class BXSD:
                 f"element {sorted(self.start)}"
             )
             return report
+        report.paths = NodePaths(root)
         matchers = [DerivativeMatcher(rule.pattern) for rule in self.rules]
         initial = tuple(matcher.start() for matcher in matchers)
         # Pre-order from an explicit stack, children pushed in reverse,
         # so any depth is matched without recursion.
-        stack = [(root, initial, "/" + root.name)]
+        stack = [(root, initial)]
         while stack:
-            node, states, path = stack.pop()
-            next_states = self._match_node(node, states, matchers, path,
+            node, states = stack.pop()
+            next_states = self._match_node(node, states, matchers, root,
                                            report)
             for child in reversed(node.children):
-                stack.append((child, next_states, f"{path}/{child.name}"))
+                stack.append((child, next_states))
         return report
 
-    def _match_node(self, node, states, matchers, path, report):
+    def _match_node(self, node, states, matchers, root, report):
         """Record and check one node; returns its matchers' states,
-        which its children start from."""
+        which its children start from.  A node's path is worked out
+        only for its violations."""
         # Advance every pattern matcher by this node's label (incremental:
         # each ancestor string extends its parent's by one symbol).
         next_states = tuple(
@@ -163,11 +167,13 @@ class BXSD:
                 relevant = index
                 break
         report.rule_of[id(node)] = relevant
-        report.paths[id(node)] = path
         if relevant is not None:
-            report.violations.extend(
-                self.rules[relevant].content.check_node(node, path=path)
-            )
+            problems = self.rules[relevant].content.problems(node)
+            if problems:
+                path = node.path_from(root)
+                report.violations.extend(
+                    f"{path}: {problem}" for problem in problems
+                )
         return next_states
 
     # -- metadata ----------------------------------------------------------
@@ -190,7 +196,8 @@ class MatchReport:
         violations: list of violation strings (empty = document conforms).
         rule_of: dict ``id(node) -> rule index or None`` (the relevant rule
             under priority semantics; ``None`` = unconstrained node).
-        paths: dict ``id(node) -> slash path`` for display purposes.
+        paths: mapping ``id(node) -> slash path`` for display purposes
+            (a :class:`NodePaths`, or empty when the root is not allowed).
     """
 
     __slots__ = ("violations", "rule_of", "paths")
@@ -203,3 +210,33 @@ class MatchReport:
     @property
     def valid(self):
         return not self.violations
+
+
+class NodePaths(Mapping):
+    """``id(node) -> slash path`` for every element of the tree at
+    ``root``, each path worked out from ``parent`` links when it is read.
+
+    A match then keeps no path per element, whose total length grows
+    with the square of the depth; the id index is built on the first
+    read.
+    """
+
+    __slots__ = ("_root", "_nodes")
+
+    def __init__(self, root):
+        self._root = root
+        self._nodes = None
+
+    def _index(self):
+        if self._nodes is None:
+            self._nodes = {id(node): node for node in self._root.iter()}
+        return self._nodes
+
+    def __getitem__(self, key):
+        return self._index()[key].path_from(self._root)
+
+    def __iter__(self):
+        return iter(self._index())
+
+    def __len__(self):
+        return len(self._index())

@@ -104,10 +104,6 @@ class BonXaiSchema:
             raise SchemaError("the global block must name at least one root")
 
     # -- derived ---------------------------------------------------------
-    def element_rules(self):
-        """The grammar rules that constrain elements (not attribute rules)."""
-        return [rule for rule in self.rules if not rule.is_attribute_rule]
-
     def attribute_rules(self):
         """The simple-type assignment rules (``@name = {type ...}``)."""
         return [rule for rule in self.rules if rule.is_attribute_rule]

@@ -22,7 +22,8 @@ class BonXaiReport:
         violations: list of violation strings (empty = document conforms).
         rule_of: dict ``id(node) -> grammar-rule index or None`` (indices
             refer to ``schema.rules`` of the *concrete* schema).
-        paths: dict ``id(node) -> slash path``.
+        paths: mapping ``id(node) -> slash path``, each worked out when
+            read (the core match's :class:`~repro.bonxai.bxsd.NodePaths`).
     """
 
     __slots__ = ("violations", "rule_of", "paths")
@@ -67,7 +68,7 @@ def validate_bonxai(compiled, document):
         report.rule_of[key] = (
             None if value is None else compiled.rule_indices[value]
         )
-    report.paths.update(core.paths)
+    report.paths = core.paths
 
     _check_attribute_values(compiled, document, core, report)
     _check_constraints(compiled, document, report)

@@ -35,7 +35,7 @@ from repro.conformance.shrink import (
     shrink_case,
 )
 from repro.errors import BudgetExceeded
-from repro.observability import default_registry, resolve_budget
+from repro.observability import current_budget, default_registry
 from repro.observability.tracing import span
 from repro.xmlmodel import parse_document
 from repro.xmlmodel.writer import write_document
@@ -159,7 +159,7 @@ def run_sweep(config=None, oracle=None, progress=None):
         mutants_per_doc=config.mutants_per_doc,
     )
     registry = default_registry()
-    budget = resolve_budget(None)
+    budget = current_budget()
     result = SweepResult()
     started = time.perf_counter()
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.automata.operations import difference, is_empty, some_word
 from repro.diff.separators import find_separator
 from repro.errors import ReproError
-from repro.observability import resolve_budget, span
+from repro.observability import current_budget, span
 from repro.xmlmodel.tree import XMLDocument, XMLElement
 from repro.xmlmodel.writer import write_document
 from repro.xsd.equivalence import dfa_xsd_divergences
@@ -210,7 +210,7 @@ class SchemaDiff:
 
 
 def schema_diff(left, right, max_k=3, max_certificates=MAX_CERTIFICATES,
-                witnesses=True, budget=None):
+                witnesses=True):
     """Diff two DFA-based XSDs into difference certificates.
 
     Args:
@@ -221,14 +221,13 @@ def schema_diff(left, right, max_k=3, max_certificates=MAX_CERTIFICATES,
         max_certificates: most diverging element types reported.
         witnesses: also build one concrete witness document per
             direction (valid against exactly one schema).
-        budget: optional :class:`ResourceBudget`; ambient otherwise.
 
     Returns:
         A :class:`SchemaDiff`; ``equivalent`` is decided by the same
         walk :func:`~repro.xsd.equivalence.dfa_xsd_equivalent` runs, so
         the two verdicts agree by construction.
     """
-    budget = resolve_budget(budget)
+    budget = current_budget()
     with span("diff.schema", max_k=max_k) as diff_span:
         left_witness = _WitnessBuilder(left) if witnesses else None
         right_witness = _WitnessBuilder(right) if witnesses else None
@@ -243,7 +242,7 @@ def schema_diff(left, right, max_k=3, max_certificates=MAX_CERTIFICATES,
                 ))
             else:
                 certificates.append(_content_certificate(
-                    divergence, max_k, budget, left_witness, right_witness
+                    divergence, max_k, left_witness, right_witness
                 ))
         diff_span.set_attribute("certificates", len(certificates))
         diff_span.set_attribute(
@@ -252,8 +251,7 @@ def schema_diff(left, right, max_k=3, max_certificates=MAX_CERTIFICATES,
     return SchemaDiff(not certificates, certificates)
 
 
-def _content_certificate(divergence, max_k, budget, left_witness,
-                         right_witness):
+def _content_certificate(divergence, max_k, left_witness, right_witness):
     """Certificates for one diverging content-language pair."""
     directions = []
     sides = (
@@ -267,9 +265,7 @@ def _content_certificate(divergence, max_k, budget, left_witness,
         if is_empty(only_mine):
             continue
         with span("diff.direction", side=side):
-            separator = find_separator(
-                only_mine, other, max_k=max_k, budget=budget
-            )
+            separator = find_separator(only_mine, other, max_k=max_k)
             word = some_word(only_mine)
             document = None
             if witness_builder is not None:

@@ -28,16 +28,17 @@ tiers of increasing generality:
 Every candidate check runs on the existing automata product/complement
 machinery, so state creation is charged to the ambient
 :class:`~repro.observability.ResourceBudget` for free; the spectrum
-construction charges its own states explicitly.  Languages that are not
-PT-separable at any ``k`` (e.g. even-vs-odd counts) make the search
-return ``None`` — callers fall back to a plain counterexample word.
+construction charges its own states to the same budget.  Languages that
+are not PT-separable at any ``k`` (e.g. even-vs-odd counts) make the
+search return ``None`` — callers fall back to a plain counterexample
+word.
 """
 
 from __future__ import annotations
 
 from repro.automata.dfa import DFA
 from repro.automata.operations import difference, intersection, is_empty
-from repro.observability import resolve_budget, span
+from repro.observability import current_budget, span
 
 #: Most atom candidates tried per k before falling through to the
 #: spectrum tier (|Σ|^k grows fast on wide alphabets; the spectrum
@@ -205,15 +206,15 @@ class SpectrumCapExceeded(Exception):
 MAX_SPECTRUM_STATES = 20_000
 
 
-def spectra(dfa, k, alphabet=None, budget=None, cap=None):
+def spectra(dfa, k, alphabet=None, cap=None):
     """The set of k-spectra of the words ``dfa`` accepts.
 
     Runs the product of ``dfa`` with the (implicit) spectrum automaton;
-    every (state, spectrum) pair created is charged to the budget, and
-    ``cap`` (when given) raises :class:`SpectrumCapExceeded` as a
-    budget-independent backstop.
+    every (state, spectrum) pair created is charged to the ambient
+    budget, and ``cap`` (when given) raises :class:`SpectrumCapExceeded`
+    as a budget-independent backstop.
     """
-    budget = resolve_budget(budget)
+    budget = current_budget()
     if alphabet is None:
         alphabet = dfa.alphabet
     initial = (dfa.initial, frozenset())
@@ -239,10 +240,11 @@ def spectra(dfa, k, alphabet=None, budget=None, cap=None):
     return accepted
 
 
-def spectrum_dfa(k, alphabet, accepting_spectra, budget=None, cap=None):
+def spectrum_dfa(k, alphabet, accepting_spectra, cap=None):
     """DFA over spectrum states accepting words whose k-spectrum is in
-    ``accepting_spectra`` — the canonical k-PT separator machine."""
-    budget = resolve_budget(budget)
+    ``accepting_spectra`` — the canonical k-PT separator machine.  Each
+    spectrum state is charged to the ambient budget."""
+    budget = current_budget()
     alphabet = frozenset(alphabet)
     initial = frozenset()
     ids = {initial: 0}
@@ -278,8 +280,12 @@ def spectrum_dfa(k, alphabet, accepting_spectra, budget=None, cap=None):
 
 
 # -- the search -------------------------------------------------------------
-def find_separator(inside, outside, max_k=3, alphabet=None, budget=None):
+def find_separator(inside, outside, max_k=3):
     """A simple separator containing ``inside`` and missing ``outside``.
+
+    Candidate atoms draw from the letters that actually occur in either
+    language, and the search reads the ambient :class:`ResourceBudget`'s
+    clock before each ``k`` and each atom.
 
     Args:
         inside: DFA of the language the separator must contain (for a
@@ -287,19 +293,16 @@ def find_separator(inside, outside, max_k=3, alphabet=None, budget=None):
         outside: DFA of the language the separator must avoid (``R``).
             The two languages must be disjoint.
         max_k: largest atom length / spectrum depth probed.
-        alphabet: symbols candidate atoms draw from (default: the union
-            of the letters that actually occur in either language).
-        budget: optional :class:`ResourceBudget` (ambient otherwise).
 
     Returns:
         A :class:`Separator`, or ``None`` when no separator exists
         within ``max_k`` (the languages are not k-PT-separable for any
         probed ``k`` — callers fall back to a counterexample word).
     """
-    budget = resolve_budget(budget)
-    if alphabet is None:
-        alphabet = _occurring_letters(inside) | _occurring_letters(outside)
-    letters = sorted(alphabet)
+    budget = current_budget()
+    letters = sorted(
+        _occurring_letters(inside) | _occurring_letters(outside)
+    )
     with span("diff.find_separator", max_k=max_k,
               alphabet=len(letters)) as found:
         for k in range(1, max_k + 1):
@@ -307,9 +310,7 @@ def find_separator(inside, outside, max_k=3, alphabet=None, budget=None):
                 budget.check_time(where="diff.find_separator")
             separator = _atom_tier(inside, outside, letters, k, budget)
             if separator is None:
-                separator = _spectrum_tier(
-                    inside, outside, letters, k, budget
-                )
+                separator = _spectrum_tier(inside, outside, letters, k)
             if separator is not None:
                 found.set_attribute("kind", separator.kind)
                 found.set_attribute("k", separator.k)
@@ -355,23 +356,20 @@ def _atom_tier(inside, outside, letters, k, budget):
     return None
 
 
-def _spectrum_tier(inside, outside, letters, k, budget):
+def _spectrum_tier(inside, outside, letters, k):
     """Tier 3: full k-PT separability via disjoint spectrum sets."""
     alphabet = frozenset(letters)
     try:
         inside_spectra = spectra(
-            inside, k, alphabet=alphabet, budget=budget,
-            cap=MAX_SPECTRUM_STATES,
+            inside, k, alphabet=alphabet, cap=MAX_SPECTRUM_STATES
         )
         outside_spectra = spectra(
-            outside, k, alphabet=alphabet, budget=budget,
-            cap=MAX_SPECTRUM_STATES,
+            outside, k, alphabet=alphabet, cap=MAX_SPECTRUM_STATES
         )
         if inside_spectra & outside_spectra:
             return None
         machine = spectrum_dfa(
-            k, alphabet, inside_spectra, budget=budget,
-            cap=MAX_SPECTRUM_STATES,
+            k, alphabet, inside_spectra, cap=MAX_SPECTRUM_STATES
         )
     except SpectrumCapExceeded:
         return None

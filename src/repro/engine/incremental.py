@@ -104,6 +104,50 @@ _EDITS_BY_OP = {
 _EDIT_NS = _metrics.histogram("engine.incremental.edit_ns")
 
 
+def _typed_elements(schema, root):
+    """``(node, slash path, typed path, type id)`` for every element
+    ``schema`` types in the tree at ``root``, in document order
+    (pre-order; ``root`` must be named by one of the schema's roots).
+
+    A child is typed iff its parent's type declares a type for its
+    label, read from the column its parent's content step reads
+    (:meth:`ValidatedDocument._run_content`), so typing depends on the
+    schema and the tree alone, not on a walk's memo.  Sibling ordinals
+    count typed children only, exactly as the reference validators
+    assign them.
+    """
+    types = schema.types
+    stack = [(root, "/" + root.name, f"/{root.name}[1]",
+              schema.start[root.name])]
+    while stack:
+        node, path, typed_path, type_id = stack.pop()
+        yield node, path, typed_path, type_id
+        compiled = types[type_id]
+        symbol_ids = compiled.dfa.symbol_ids
+        child_types = compiled.child_types
+        ordinals = {}
+        typed_children = []
+        for child in node.children:
+            name = child.name
+            child_type = child_types[symbol_ids.get(name, -1)]
+            if child_type < 0:  # -1 reads the trailing -1
+                continue
+            ordinal = ordinals[name] = ordinals.get(name, 0) + 1
+            typed_children.append((
+                child, f"{path}/{name}", f"{typed_path}/{name}[{ordinal}]",
+                child_type,
+            ))
+        stack.extend(reversed(typed_children))
+
+
+def _typing_of(schema, root):
+    """The typing map of the tree at ``root``: each typed element's
+    indexed path to its type name, in document order."""
+    types = schema.types
+    return {typed_path: types[type_id].name
+            for __, __, typed_path, type_id in _typed_elements(schema, root)}
+
+
 def _own_record(shared):
     """A writable copy of a shared :class:`_LeafRecord`."""
     state = _NodeState.__new__(_NodeState)
@@ -394,19 +438,9 @@ class ValidatedDocument:
         return state
 
     def _path(self, node):
-        """``node``'s slash path, from the handle's root down.
-
-        Derived from ``parent`` links when a violation message needs
-        it; the walk stops at ``document.root``, which may itself have a
-        parent outside the handle.
-        """
-        root = self.document.root
-        names = [node.name]
-        while node is not root:
-            node = node.parent
-            names.append(node.name)
-        names.reverse()
-        return "/" + "/".join(names)
+        """``node``'s slash path, from the handle's root down, derived
+        from ``parent`` links when a violation message needs it."""
+        return node.path_from(self.document.root)
 
     # -- per-element checks (the open walk inlines all but the content
     # step; the edit API calls them) ------------------------------------
@@ -764,16 +798,9 @@ class ValidatedDocument:
                 self.schema.undeclared_root(self.document.root.name)
             )
             return report
-        report.typing = self._typing()
+        report.typing = _typing_of(self.schema, self.document.root)
         self._write_violations(report.violations)
         return report
-
-    def _typing(self):
-        """The typing map: each typed element's indexed path to its type
-        name, in document order."""
-        types = self.schema.types
-        return {typed_path: types[state.type_id].name
-                for __, __, typed_path, state in self._typed_nodes()}
 
     def _write_violations(self, out):
         """Append the violations of the current tree to ``out``, in the
@@ -848,10 +875,13 @@ class ValidatedDocument:
         if not self._root_declared:
             return []
         types = self.schema.types
+        nodes = self._nodes
         invalid = self._invalid
         entries = []
-        for node, path, typed_path, state in self._typed_nodes():
-            compiled = types[state.type_id]
+        for node, path, typed_path, type_id in _typed_elements(
+                self.schema, self.document.root):
+            state = nodes[id(node)]
+            compiled = types[type_id]
             entry = ElementProvenance(
                 path, typed_path, node.name, compiled.name
             )
@@ -884,33 +914,6 @@ class ValidatedDocument:
                 compiled.dfa, [child.name for child in node.children]
             )
         return f"contains text but type {compiled.name} is not mixed"
-
-    def _typed_nodes(self):
-        """``(node, slash path, typed path, state)`` for every typed
-        element, in document order (pre-order; the root must be
-        declared).
-
-        Sibling ordinals count typed (recognized) children only, exactly
-        as the reference validators assign them.
-        """
-        nodes = self._nodes
-        root = self.document.root
-        stack = [(root, "/" + root.name, f"/{root.name}[1]")]
-        while stack:
-            node, path, typed_path = stack.pop()
-            yield node, path, typed_path, nodes[id(node)]
-            ordinals = {}
-            typed_children = []
-            for child in node.children:
-                if id(child) not in nodes:
-                    continue
-                name = child.name
-                ordinal = ordinals[name] = ordinals.get(name, 0) + 1
-                typed_children.append((
-                    child, f"{path}/{name}",
-                    f"{typed_path}/{name}[{ordinal}]",
-                ))
-            stack.extend(reversed(typed_children))
 
     def provenance_of(self, node):
         """``(type name, DFA state path)`` for one element, or ``None``.

@@ -32,22 +32,22 @@ element, or closing one that is not open) is a
 
 Reports write their violations eagerly and build their typing map on
 its first read: from the document's bytes after a dense commit or a
-fold rerun, and from the walk's memo after an event stream.
+fold rerun, and from the validator's tree after an event stream.
 
-Memory: the dense scan holds one register tuple per open element.  A
-fold rerun holds the document's tree and the walk's memo until
-``validate`` returns; its report keeps the document's bytes.  An event
-stream's report keeps the validator's tree and memo until its typing is
-read (DESIGN §8).
+Memory: the dense scan holds one register tuple per open element.  Every
+walk holds its tree and its memo until ``validate`` returns.  A fold
+rerun's report keeps the document's bytes, and an event stream's report
+keeps the validator's tree until its typing is read (DESIGN §8).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, islice
 from time import perf_counter_ns
 
 from repro.engine.compiler import CompiledSchema
-from repro.engine.incremental import ValidatedDocument
+from repro.engine.incremental import ValidatedDocument, _typing_of
 from repro.errors import ParseError
 from repro.observability import default_registry
 from repro.observability.budget import current_budget
@@ -98,10 +98,9 @@ class _LazyReport(XSDValidationReport):
     ``build(source)`` makes it on first access and the source is then
     dropped: :meth:`StreamingValidator._materialize_typing` re-walks the
     document bytes of a dense commit or a fold rerun (the chunk memo
-    makes the re-walk cheap), and
-    :meth:`ValidatedDocument._typing <repro.engine.incremental.ValidatedDocument._typing>`
-    reads the walk's memo over the validator's own tree of an event
-    stream.
+    makes the re-walk cheap), and :func:`repro.engine.incremental._typing_of`
+    types the validator's own tree of an event stream from the schema's
+    columns, so the walk's memo goes when validation returns.
     """
 
     __slots__ = ("_typing", "_build", "_source")
@@ -225,7 +224,7 @@ class StreamingValidator:
             _clocked(chain(head, events), "engine.validate"), strays
         )
         handle = ValidatedDocument._walked(root, schema)
-        report = _LazyReport(ValidatedDocument._typing, handle)
+        report = _LazyReport(partial(_typing_of, schema), root)
         handle._write_violations(report.violations)
         report.violations.extend(
             f"/{stray.name}: document has more than one root element "

@@ -24,11 +24,7 @@ Four orthogonal facilities, all dependency-free and thread-safe:
 """
 
 from repro.errors import BudgetExceeded
-from repro.observability.budget import (
-    ResourceBudget,
-    current_budget,
-    resolve_budget,
-)
+from repro.observability.budget import ResourceBudget, current_budget
 from repro.observability.export import (
     escape_label_value,
     labeled,
@@ -102,7 +98,6 @@ __all__ = [
     "parse_traceparent",
     "read_ring",
     "render_metrics",
-    "resolve_budget",
     "resolve_registry",
     "resolve_tracer",
     "set_baggage",

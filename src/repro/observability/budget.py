@@ -10,16 +10,18 @@ intermediate regular expressions, and raise
 :class:`~repro.errors.BudgetExceeded` (with partial-progress stats) the
 moment a limit trips.
 
-A budget can be threaded explicitly (``budget=`` keyword on the
-construction functions) or installed ambiently for a dynamic extent::
+A budget is installed for a dynamic extent, and every construction in
+that extent reads it (:func:`current_budget`, a contextvar)::
 
     with ResourceBudget(max_states=10_000, max_seconds=2.0):
         bxsd_to_xsd(schema)          # all inner constructions observe it
 
-The ambient form is what the CLI's ``--budget-states`` /
-``--budget-seconds`` flags use; explicit threading wins over ambient.
-An absent limit (``None``) means unlimited, and an absent budget costs the
-hot loops a single ``is None`` test.
+The construction functions take no budget argument: the CLI's
+``--budget-states`` / ``--budget-seconds`` flags, serve's per-tenant
+compile budget, ``validate_many``'s per-document deadline and the
+conformance sweep all install one this way, and the engine's loops read
+it the same way.  An absent limit (``None``) means unlimited, and an
+absent budget costs the hot loops a single ``is None`` test.
 """
 
 from __future__ import annotations
@@ -150,8 +152,3 @@ class ResourceBudget:
 def current_budget():
     """The ambiently installed budget, or ``None``."""
     return _ambient.get()
-
-
-def resolve_budget(budget=None):
-    """``budget`` if given, else the ambient one (``None`` when neither)."""
-    return budget if budget is not None else _ambient.get()

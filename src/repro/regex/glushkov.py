@@ -168,21 +168,6 @@ def _analyze(marked, labels):
     return first, last, follow, accepts_empty
 
 
-def _positions_of(marked):
-    out = set()
-    stack = [marked]
-    while stack:
-        node = stack.pop()
-        tag = node[0]
-        if tag == "sym":
-            out.add(node[1])
-        elif tag in ("cat", "alt", "shuf"):
-            stack.extend(node[1])
-        elif tag in ("star", "plus", "opt"):
-            stack.append(node[1])
-    return out
-
-
 def glushkov_nfa(regex, alphabet=None):
     """Build the Glushkov NFA of ``regex``.
 

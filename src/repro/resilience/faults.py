@@ -8,13 +8,13 @@ reproducible failures at the engine's hot-path sites (``parse``,
 surfaces as exactly one isolated per-document error, never an escaped
 exception.
 
-The injector follows the :class:`~repro.observability.ResourceBudget`
-idiom: thread it explicitly (``injector=`` on
-:func:`repro.engine.validate_many`) or install it ambiently for a dynamic
-extent (``with FaultInjector(...):``).  Instrumented call sites resolve
-the ambient injector with :func:`current_injector`; with none installed
-the probe costs a single contextvar read per *document* (sites fire once
-per unit of work, never per event).
+Install the injector ambiently for a dynamic extent (``with
+FaultInjector(...):``), the way a
+:class:`~repro.observability.ResourceBudget` is, or thread it explicitly
+(``injector=`` on :func:`repro.engine.validate_many`).  Instrumented
+call sites resolve the ambient injector with :func:`current_injector`;
+with none installed the probe costs a single contextvar read per
+*document* (sites fire once per unit of work, never per event).
 
 Determinism: one seeded ``random.Random`` drives every decision behind a
 lock, so for a fixed seed, rates, and number of probes the *number* of

@@ -11,10 +11,11 @@ raises :class:`~repro.errors.LimitExceeded` — a
 the per-document fault isolation in :func:`repro.engine.validate_many`
 treat an over-limit document exactly like a malformed one.
 
-Like :class:`~repro.observability.ResourceBudget`, limits can be threaded
-explicitly (``limits=`` keyword on :func:`~repro.xmlmodel.parse_document`
-and :func:`~repro.xmlmodel.iter_events`) or installed ambiently for a
-dynamic extent::
+Limits can be threaded explicitly (``limits=`` keyword on
+:func:`~repro.xmlmodel.parse_document` and
+:func:`~repro.xmlmodel.iter_events`), since serve and the CLI choose them
+per call, or installed ambiently for a dynamic extent, the way a
+:class:`~repro.observability.ResourceBudget` is::
 
     with ParserLimits(max_depth=64):
         parse_document(text)        # the parser observes the 64-deep cap

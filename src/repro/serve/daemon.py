@@ -546,10 +546,6 @@ class ServerHandle:
         self.thread = None
         self._exit = None
 
-    @property
-    def base_url(self):
-        return f"http://127.0.0.1:{self.port}"
-
     def request_drain(self):
         """Trigger graceful drain from any thread."""
         self.loop.call_soon_threadsafe(self.daemon.request_drain)

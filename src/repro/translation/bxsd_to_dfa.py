@@ -20,7 +20,7 @@ is unavoidable in the worst case.
 from __future__ import annotations
 
 from repro.automata.minimize import minimal_complete_dfa_for_regex
-from repro.observability import default_registry, resolve_budget
+from repro.observability import current_budget, default_registry
 from repro.observability.tracing import span
 from repro.xsd.content import ContentModel
 from repro.xsd.dfa_based import DFABasedXSD
@@ -29,29 +29,30 @@ from repro.regex.ast import universal
 INITIAL_STATE = "__q0__"
 
 
-def bxsd_to_dfa_based(schema, full_product=False, budget=None):
+def bxsd_to_dfa_based(schema, full_product=False):
     """Translate a :class:`~repro.bonxai.bxsd.BXSD` (Algorithm 3).
+
+    Every interned product state is charged to the ambient
+    :class:`~repro.observability.ResourceBudget`, so the Theorem-9
+    ``B_n`` blow-up (``2^n`` product states) raises
+    :class:`~repro.errors.BudgetExceeded` promptly instead of exhausting
+    memory.
 
     Args:
         schema: the BXSD to translate.
         full_product: explore the entire product state space as in the
             textbook formulation (benchmark ablation); by default only
             usefully-reachable states are built.
-        budget: optional :class:`~repro.observability.ResourceBudget`
-            (falls back to the ambient one); every interned product state
-            is charged, so the Theorem-9 ``B_n`` blow-up (``2^n`` product
-            states) raises :class:`~repro.errors.BudgetExceeded` promptly
-            instead of exhausting memory.
 
     Returns:
         An equivalent :class:`~repro.xsd.dfa_based.DFABasedXSD`.
     """
     with span("translation.algorithm3") as trace:
-        return _bxsd_to_dfa_based(schema, full_product, budget, trace)
+        return _bxsd_to_dfa_based(schema, full_product, trace)
 
 
-def _bxsd_to_dfa_based(schema, full_product, budget, trace):
-    budget = resolve_budget(budget)
+def _bxsd_to_dfa_based(schema, full_product, trace):
+    budget = current_budget()
     alphabet = frozenset(schema.ename)
     # Line 2: A_i := minimal complete DFA for L(r_i).
     components = [

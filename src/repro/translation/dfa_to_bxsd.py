@@ -18,35 +18,34 @@ from __future__ import annotations
 
 from repro.automata.state_elimination import dfa_to_regex
 from repro.bonxai.bxsd import BXSD, Rule
-from repro.observability import default_registry, resolve_budget
+from repro.observability import current_budget, default_registry
 from repro.observability.tracing import span
 
 
-def dfa_based_to_bxsd(schema, simplify=True, trim=True, budget=None):
+def dfa_based_to_bxsd(schema, simplify=True):
     """Translate a :class:`~repro.xsd.dfa_based.DFABasedXSD` (Algorithm 2).
+
+    Only usefully-reachable states get rules (rules for unreachable
+    states would be dead weight).  The ambient
+    :class:`~repro.observability.ResourceBudget` bounds the per-rule
+    state eliminations, whose output is exponential on the Theorem-8
+    families.
 
     Args:
         schema: the DFA-based XSD to translate.
         simplify: run the algebraic simplifier on generated expressions
             (ablation knob for the benchmarks).
-        trim: restrict to usefully-reachable states first (rules for
-            unreachable states would be dead weight).
-        budget: optional :class:`~repro.observability.ResourceBudget`
-            (falls back to the ambient one); bounds the per-rule state
-            eliminations, whose output is exponential on the Theorem-8
-            families.
 
     Returns:
         An equivalent :class:`~repro.bonxai.bxsd.BXSD`.
     """
     with span("translation.algorithm2") as trace:
-        budget = resolve_budget(budget)
-        if trim:
-            # Pruning also removes transitions that no conforming document
-            # can take (names outside the source state's content model),
-            # keeping the ancestor automaton -- and hence the generated
-            # expressions -- as sparse as the schema itself.
-            schema = schema.pruned()
+        budget = current_budget()
+        # Pruning also removes transitions that no conforming document
+        # can take (names outside the source state's content model),
+        # keeping the ancestor automaton -- and hence the generated
+        # expressions -- as sparse as the schema itself.
+        schema = schema.pruned()
         ancestor_dfa = schema.ancestor_dfa()
         rules = []
         for state in sorted(schema.states, key=repr):
@@ -57,8 +56,7 @@ def dfa_based_to_bxsd(schema, simplify=True, trim=True, budget=None):
             # Line 2: r_q := a regular expression for
             # (Q, EName, delta, q0, {q}).
             pattern = dfa_to_regex(
-                ancestor_dfa, accepting={state}, simplify=simplify,
-                budget=budget,
+                ancestor_dfa, accepting={state}, simplify=simplify
             )
             # Line 3: s_q := lambda(q), untouched.
             rules.append(Rule(pattern, schema.assign[state]))

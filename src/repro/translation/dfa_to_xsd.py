@@ -9,31 +9,26 @@ expressions are never rebuilt, so UPA is preserved; EDC holds because
 
 from __future__ import annotations
 
-from repro.observability import default_registry, resolve_budget
+from repro.observability import current_budget, default_registry
 from repro.observability.tracing import span
 from repro.xsd.model import XSD
 from repro.xsd.typednames import TypedName
 
 
-def dfa_based_to_xsd(schema, type_namer=None, trim=True, budget=None):
+def dfa_based_to_xsd(schema):
     """Translate a :class:`~repro.xsd.dfa_based.DFABasedXSD` (Algorithm 4).
 
-    Args:
-        schema: the DFA-based XSD to translate.
-        type_namer: optional function mapping each non-initial state to a
-            type-name string; defaults to ``T0, T1, ...`` in a stable order.
-        trim: restrict to usefully-reachable states first.
-        budget: optional :class:`~repro.observability.ResourceBudget`
-            (falls back to the ambient one); linear arrow, charged once
-            for the whole type set.
+    The usefully-reachable non-initial states become the types ``T0, T1,
+    ...``, numbered in a stable order.  A linear arrow, so the ambient
+    :class:`~repro.observability.ResourceBudget` is charged once for the
+    whole type set.
 
     Returns:
         An equivalent formal :class:`~repro.xsd.model.XSD`.
     """
     with span("translation.algorithm4") as trace:
-        budget = resolve_budget(budget)
-        if trim:
-            schema = schema.trimmed()
+        budget = current_budget()
+        schema = schema.trimmed()
         states = sorted(
             (state for state in schema.states if state != schema.initial),
             key=repr,
@@ -44,13 +39,7 @@ def dfa_based_to_xsd(schema, type_namer=None, trim=True, budget=None):
             len(states)
         )
         trace.set_attribute("types", len(states))
-        if type_namer is None:
-            names = {state: f"T{index}" for index, state in enumerate(states)}
-            type_namer = names.__getitem__
-
-        type_of = {state: str(type_namer(state)) for state in states}
-        if len(set(type_of.values())) != len(type_of):
-            raise ValueError("type_namer must be injective on states")
+        type_of = {state: f"T{index}" for index, state in enumerate(states)}
 
         # Line 2: T0 := {a[delta(q0, a)] | a in S, delta(q0, a) defined}.
         start = set()

@@ -44,21 +44,25 @@ from repro.regex.ast import concat, sym, universal
 from repro.regex.derivatives import to_dfa
 from repro.translation.ksuffix import _totalized  # shared totalization
 
+# The longest suffix words tried for (majority) determination.
+_MAX_K = 3
 
-def hybrid_dfa_based_to_bxsd(schema, max_k=3, simplify=True):
+
+def hybrid_dfa_based_to_bxsd(schema):
     """Translate a DFA-based XSD to a BXSD with short rules where possible.
+
+    Suffix words of up to three names are tried, and the fallback
+    state-elimination expressions are simplified.
 
     Args:
         schema: the :class:`~repro.xsd.dfa_based.DFABasedXSD` to translate.
-        max_k: longest suffix words tried for (majority) determination.
-        simplify: simplify the fallback state-elimination expressions.
 
     Returns:
         An equivalent :class:`~repro.bonxai.bxsd.BXSD` (rules ordered
         general-first, exceptions later).
     """
     with span("translation.algorithm2.hybrid") as trace:
-        result = _hybrid_dfa_based_to_bxsd(schema, max_k, simplify)
+        result = _hybrid_dfa_based_to_bxsd(schema)
         trace.set_attribute("rules", len(result.rules))
         trace.set_attribute(
             "regex_size", sum(rule.pattern.size for rule in result.rules)
@@ -66,7 +70,7 @@ def hybrid_dfa_based_to_bxsd(schema, max_k=3, simplify=True):
         return result
 
 
-def _hybrid_dfa_based_to_bxsd(schema, max_k, simplify):
+def _hybrid_dfa_based_to_bxsd(schema):
     schema = schema.pruned()
     states, step = _totalized(schema)
     alphabet = sorted(schema.alphabet)
@@ -85,9 +89,7 @@ def _hybrid_dfa_based_to_bxsd(schema, max_k, simplify):
     exact_regex = {}
     reach_dfa = {}
     for state in real_states:
-        exact_regex[state] = dfa_to_regex(
-            ancestor_dfa, accepting={state}, simplify=simplify
-        )
+        exact_regex[state] = dfa_to_regex(ancestor_dfa, accepting={state})
         reach_dfa[state] = to_dfa(
             exact_regex[state], alphabet=schema.alphabet
         )
@@ -103,7 +105,7 @@ def _hybrid_dfa_based_to_bxsd(schema, max_k, simplify):
     # Word table: word -> set of non-dead target states (totalized runs
     # from every real state).
     word_targets = {}
-    for k in range(1, max_k + 1):
+    for k in range(1, _MAX_K + 1):
         for word in itertools.product(alphabet, repeat=k):
             targets = {_run(step, source, word) for source in sources}
             targets.discard(dead)
@@ -111,10 +113,10 @@ def _hybrid_dfa_based_to_bxsd(schema, max_k, simplify):
             if targets:
                 word_targets[word] = frozenset(targets)
 
-    # Short exact root words (length < max_k) for shallow-path coverage.
+    # Short exact root words (length < _MAX_K) for shallow-path coverage.
     root_words = {}
     def probe(state, word):
-        if len(word) >= max_k:
+        if len(word) >= _MAX_K:
             return
         for name in alphabet:
             target = schema.transitions.get((state, name))

@@ -9,7 +9,7 @@ carried over verbatim modulo erasure, so determinism (UPA) is preserved.
 
 from __future__ import annotations
 
-from repro.observability import default_registry, resolve_budget
+from repro.observability import current_budget, default_registry
 from repro.observability.tracing import span
 from repro.xsd.dfa_based import DFABasedXSD
 from repro.xsd.typednames import split_typed_name
@@ -17,19 +17,19 @@ from repro.xsd.typednames import split_typed_name
 INITIAL_STATE = "__q0__"
 
 
-def xsd_to_dfa_based(xsd, budget=None):
+def xsd_to_dfa_based(xsd):
     """Translate a formal :class:`~repro.xsd.model.XSD` (Algorithm 1).
 
-    Linear, so the (explicit or ambient) budget is charged once for the
-    whole state set — the check exists so a deadline set for the full
-    translation square also covers this arrow.
+    Linear, so the ambient budget is charged once for the whole state
+    set — the check exists so a deadline set for the full translation
+    square also covers this arrow.
 
     Returns:
         An equivalent :class:`~repro.xsd.dfa_based.DFABasedXSD` whose
         states are the XSD's type names plus a fresh initial state.
     """
     with span("translation.algorithm1") as trace:
-        budget = resolve_budget(budget)
+        budget = current_budget()
         if budget is not None:
             budget.charge_states(len(xsd.types) + 1,
                                  where="translation.algorithm1")

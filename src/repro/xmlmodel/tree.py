@@ -172,6 +172,17 @@ class XMLElement:
         path.reverse()
         return path
 
+    def path_from(self, root):
+        """This node's slash path from ``root`` (itself or an ancestor)
+        down, e.g. ``/doc/a``; ``root`` may have a parent of its own."""
+        names = [self.name]
+        node = self
+        while node is not root:
+            node = node.parent
+            names.append(node.name)
+        names.reverse()
+        return "/" + "/".join(names)
+
     def ch_str(self):
         """The child-string of this node (labels of children, in order)."""
         return [child.name for child in self.children]

@@ -132,34 +132,38 @@ class ContentModel:
     def check_node(self, node, path="?"):
         """Validate one XML element's content and attributes.
 
-        Returns a list of human-readable violations (empty = conforming).
+        Returns a list of human-readable violations (empty = conforming),
+        each prefixed with ``path``.
         """
-        violations = []
+        return [f"{path}: {problem}" for problem in self.problems(node)]
+
+    def problems(self, node):
+        """:meth:`check_node`'s violations without their path prefix, so
+        a caller can work out a path only for an element that has one."""
+        problems = []
         if not self.mixed and node.has_text():
-            violations.append(
-                f"{path}: element <{node.name}> may not contain text"
-            )
+            problems.append(f"element <{node.name}> may not contain text")
         children = node.ch_str()
         if not self.matches_children(children):
             shown = " ".join(children) if children else "(no children)"
-            violations.append(
-                f"{path}: children of <{node.name}> [{shown}] do not match "
+            problems.append(
+                f"children of <{node.name}> [{shown}] do not match "
                 f"content model {self.regex}"
             )
         declared = {use.name for use in self.attributes}
         for use in self.attributes:
             if use.required and use.name not in node.attributes:
-                violations.append(
-                    f"{path}: element <{node.name}> is missing required "
+                problems.append(
+                    f"element <{node.name}> is missing required "
                     f"attribute {use.name!r}"
                 )
         for attr_name in node.attributes:
             if attr_name not in declared:
-                violations.append(
-                    f"{path}: element <{node.name}> has undeclared "
+                problems.append(
+                    f"element <{node.name}> has undeclared "
                     f"attribute {attr_name!r}"
                 )
-        return violations
+        return problems
 
     # -- value semantics ---------------------------------------------------
     def __eq__(self, other):

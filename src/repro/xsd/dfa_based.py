@@ -237,15 +237,6 @@ class DFABasedXSD:
             accepting=frozenset(accepting),
         )
 
-    def is_k_suffix(self, k):
-        """True iff the type of a node depends only on the last ``k`` labels.
-
-        Delegates to :func:`repro.translation.ksuffix.check_k_suffix`.
-        """
-        from repro.translation.ksuffix import check_k_suffix
-
-        return check_k_suffix(self, k)
-
     def __repr__(self):
         return (
             f"<DFABasedXSD states={len(self.states)} "

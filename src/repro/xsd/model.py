@@ -105,10 +105,6 @@ class XSD:
             check_deterministic(erased.regex)
 
     # -- accessors ----------------------------------------------------------
-    def content_model(self, type_name):
-        """The :class:`ContentModel` of ``type_name``."""
-        return self.rho[type_name]
-
     def child_type(self, type_name, element_name):
         """The unique type of ``element_name`` inside ``rho(type_name)``.
 

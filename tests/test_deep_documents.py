@@ -228,6 +228,47 @@ class TestBonXaiConstraints:
         assert peak < self.BOUND_BYTES
 
 
+class TestBxsdMatch:
+    """``BXSD.match`` works out a node's path only for its violations or
+    when ``paths`` is read, so a match keeps memory linear in the number
+    of elements."""
+
+    @staticmethod
+    def _peak(bxsd, document):
+        """The match's report and peak traced bytes."""
+        tracemalloc.start()
+        try:
+            report = bxsd.match(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return report, peak
+
+    def test_peak_memory_is_linear_in_depth(self):
+        bxsd = compile_schema(parse_bonxai(BONXAI_A)).bxsd
+        peaks = {}
+        for depth in (DEPTH // 4, DEPTH):
+            document = parse_document(chain(depth))
+            bxsd.match(document)  # warm the matchers' memos
+            report, peaks[depth] = self._peak(bxsd, document)
+            assert report.valid
+        # A slash path kept per element made it 9.6 times.
+        assert peaks[DEPTH] < 5 * peaks[DEPTH // 4]
+
+    def test_paths_and_violations_at_depth(self):
+        bxsd = compile_schema(parse_bonxai(BONXAI_A)).bxsd
+        document = parse_document(
+            "<a>" * (DEPTH - 1) + "<a>x</a>" + "</a>" * (DEPTH - 1))
+        report = bxsd.match(document)
+        deepest = "/a" * DEPTH
+        assert report.violations == [
+            f"{deepest}: element <a> may not contain text"]
+        nodes = list(document.iter())
+        assert len(report.paths) == DEPTH
+        assert report.paths[id(nodes[0])] == "/a"
+        assert report.paths[id(nodes[-1])] == deepest
+
+
 class TestDeepPatchPayloads:
     """``parse_patch`` gives a payload the depth a document may have:
     the ``<patch>`` and ``<add>`` wrappers do not count against it."""

@@ -12,7 +12,6 @@ from repro.observability import (
     ResourceBudget,
     current_budget,
     default_registry,
-    resolve_budget,
     resolve_registry,
 )
 from repro.translation.pipeline import bxsd_to_xsd
@@ -254,9 +253,9 @@ class TestResourceBudget:
         budget = ResourceBudget(max_states=5)
         with budget:
             assert current_budget() is budget
-            assert resolve_budget(None) is budget
-            explicit = ResourceBudget(max_states=1)
-            assert resolve_budget(explicit) is explicit
+            with ResourceBudget(max_states=1) as inner:
+                assert current_budget() is inner
+            assert current_budget() is budget
         assert current_budget() is None
 
     def test_entry_restarts_accounting(self):
@@ -270,9 +269,9 @@ class TestBudgetedTranslations:
     def test_theorem9_trips_state_budget_promptly(self):
         # B_8's product has >= 2^8 states; a 64-state cap must refuse it
         # long before completion, with partial progress attached.
-        with pytest.raises(BudgetExceeded) as info:
-            bxsd_to_xsd(theorem9_bxsd(8),
-                        budget=ResourceBudget(max_states=64))
+        with ResourceBudget(max_states=64):
+            with pytest.raises(BudgetExceeded) as info:
+                bxsd_to_xsd(theorem9_bxsd(8))
         assert info.value.stats["states_created"] == 65
         assert info.value.stats["where"] == "translation.algorithm3"
 
@@ -282,13 +281,13 @@ class TestBudgetedTranslations:
                 bxsd_to_xsd(theorem9_bxsd(8))
 
     def test_unlimited_budget_translates_small_instance(self):
-        xsd = bxsd_to_xsd(theorem9_bxsd(2), budget=ResourceBudget())
+        with ResourceBudget():
+            xsd = bxsd_to_xsd(theorem9_bxsd(2))
         assert len(xsd.types) > 0
 
     def test_generous_budget_translates_small_instance(self):
-        xsd = bxsd_to_xsd(
-            theorem9_bxsd(2), budget=ResourceBudget(max_states=100_000)
-        )
+        with ResourceBudget(max_states=100_000):
+            xsd = bxsd_to_xsd(theorem9_bxsd(2))
         assert len(xsd.types) > 0
 
     def test_state_elimination_regex_budget(self):
@@ -299,12 +298,9 @@ class TestBudgetedTranslations:
         ancestor = dfa_based.ancestor_dfa()
         state = next(iter(s for s in dfa_based.states
                           if s != dfa_based.initial))
-        with pytest.raises(BudgetExceeded):
-            dfa_to_regex(
-                ancestor,
-                accepting={state},
-                budget=ResourceBudget(max_regex_size=2),
-            )
+        with ResourceBudget(max_regex_size=2):
+            with pytest.raises(BudgetExceeded):
+                dfa_to_regex(ancestor, accepting={state})
 
 
 class TestInstrumentation:

@@ -190,16 +190,6 @@ class TestAlgorithm4:
             erased = model.map_symbols(lambda s: split_typed_name(s)[0])
             assert erased.regex.size == model.regex.size
 
-    def test_custom_type_namer(self, small_dfa_based):
-        xsd = dfa_based_to_xsd(
-            small_dfa_based, type_namer=lambda state: f"N_{state}"
-        )
-        assert all(name.startswith("N_") for name in xsd.types)
-
-    def test_non_injective_namer_rejected(self, small_dfa_based):
-        with pytest.raises(ValueError):
-            dfa_based_to_xsd(small_dfa_based, type_namer=lambda state: "X")
-
     def test_edc_and_upa_hold_by_construction(self, small_dfa_based):
         xsd = dfa_based_to_xsd(small_dfa_based)
         xsd.check_edc()
@@ -222,12 +212,13 @@ class TestPipelines:
             assert bxsd.is_valid(doc)
             assert validate_xsd(back, doc).valid
 
-    def test_prefer_ksuffix_used_when_applicable(self):
+    def test_ksuffix_arrow_agrees_with_generic(self):
         from repro.families import dtd_like_bxsd
+        from repro.translation.ksuffix import ksuffix_bxsd_to_dfa_based
 
         bxsd = dtd_like_bxsd(4)
-        xsd = bxsd_to_xsd(bxsd, prefer_ksuffix=True)
-        generic = bxsd_to_xsd(bxsd, prefer_ksuffix=False)
+        xsd = dfa_based_to_xsd(ksuffix_bxsd_to_dfa_based(bxsd))
+        generic = bxsd_to_xsd(bxsd)
         assert dfa_xsd_equivalent(
             xsd_to_dfa_based(xsd), xsd_to_dfa_based(generic)
         )

@@ -9,7 +9,9 @@ the event-stream contract's edges hold: an undeclared root stops the
 stream at its start event.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.paperdata import FIGURE1_XML, figure3_xsd
 from repro.translation import dfa_based_to_xsd
 from repro.xmlmodel import parse_document, write_document
 from repro.xmlmodel.parser import iter_events
+from repro.xmlmodel.tree import XMLElement
 from repro.xsd.dfa_based import DFABasedXSD
 from repro.xsd.validator import validate_xsd
 from tests.test_engine_batch_route import CORPUS_DIR, HEAD, SECTION, TAIL
@@ -179,6 +182,54 @@ class TestEventEdges:
         report = validator.validate(document)
         expected = validate_xsd(figure3_xsd(), parse_document(FIGURE1_XML))
         document.root.children[0].name = "renamed"
+        assert list(report.typing.items()) == list(expected.typing.items())
+
+
+class TestUnreadEventReports:
+    """An unread event-route report keeps the validator's tree for its
+    typing, and not the walk's memo: typing is read off the schema's
+    columns, so the walk's handle goes when validation returns."""
+
+    #: 4,204 elements; every tenth section holds an undeclared child.
+    TEXT = HEAD + (
+        SECTION * 9 + '<section title="s"><bold/><zzz/></section>'
+    ) * 200 + TAIL
+
+    @staticmethod
+    def _retained(run):
+        """The traced bytes that ``run()``'s result holds (after a
+        warm-up run), and the result."""
+        run()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return retained, result
+
+    @pytest.mark.parametrize("route", ["iter_events", "validate(document)"])
+    def test_report_keeps_the_tree_not_the_memo(self, route):
+        xsd = figure3_xsd()
+        validator = StreamingValidator(compile_xsd(xsd))
+        document = parse_document(self.TEXT)
+        events, run = {
+            "iter_events": (
+                lambda: iter_events(self.TEXT),
+                lambda: validator.validate_events(iter_events(self.TEXT))),
+            "validate(document)": (
+                document.events, lambda: validator.validate(document)),
+        }[route]
+        tree, __ = self._retained(lambda: XMLElement.from_events(events()))
+        retained, report = self._retained(run)
+        # With the memo kept, 1.5x (iter_events) and 2.2x the tree.
+        assert retained < 1.2 * tree
+        expected = validate_xsd(xsd, document)
+        assert report.violations == expected.violations
+        assert len(report.violations) == 200
         assert list(report.typing.items()) == list(expected.typing.items())
 
 
