@@ -51,6 +51,10 @@ document: ``memo_bytes_per_el_ceiling`` bounds what the opened handle
 retains per element (:mod:`tracemalloc`), and ``build_vs_compat`` is
 the open's rate over ``validate_events`` of the same tree's events,
 which folds them into a tree and runs the same walk.
+``tree_bytes_per_el_ceiling`` bounds what ``parse_document``'s tree of
+the benchmark document retains per element (:mod:`tracemalloc`), so a
+saving in the memo that moves into the tree (a record per element, an
+attribute dict per element) fails here.
 ``tracked_per_el_ceiling`` bounds the containers the cyclic collector
 tracks per element after ``parse_document`` plus an open of the
 benchmark document (the :func:`gc.get_objects` count before and after,
@@ -193,6 +197,7 @@ def measure():
             text, compiled, validator
         )
         tracked_per_el = _measure_tracked(text, compiled)
+        tree_bytes_per_el = _measure_tree_bytes(text)
 
         wide_edit_vs_narrow = _measure_wide_edit(compiled)
 
@@ -220,6 +225,7 @@ def measure():
         "memo_bytes_per_el": memo_bytes_per_el,
         "build_vs_compat": build_vs_compat,
         "tracked_per_el": tracked_per_el,
+        "tree_bytes_per_el": tree_bytes_per_el,
         "wide_edit_vs_narrow": wide_edit_vs_narrow,
         "diff_vs_tree": diff_vs_tree,
         "bag_compile_ms": bag_compile_ms,
@@ -387,6 +393,28 @@ def _measure_tracked(text, compiled):
     gc.collect()
     tracked = len(gc.get_objects()) - before
     return tracked / handle.document.size()
+
+
+def _measure_tree_bytes(text):
+    """Bytes per element that ``parse_document(text)``'s tree retains
+    under :mod:`tracemalloc` (after a warm-up parse): the nodes, their
+    lists and their attribute maps."""
+    import gc
+    import tracemalloc
+
+    from repro.xmlmodel import parse_document
+
+    parse_document(text)  # first-use objects stay out
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        document = parse_document(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / document.size()
 
 
 def _measure_wide_edit(compiled, repeats=301):
@@ -670,6 +698,13 @@ def main():
             f"per element, above the committed ceiling "
             f"{floors['tracked_per_el_ceiling']:.2f}"
         )
+    if measured["tree_bytes_per_el"] > floors["tree_bytes_per_el_ceiling"]:
+        problems.append(
+            f"tree_bytes_per_el: parse_document's tree retains "
+            f"{measured['tree_bytes_per_el']:.0f} bytes per element, above "
+            f"the committed ceiling "
+            f"{floors['tree_bytes_per_el_ceiling']:.0f} bytes"
+        )
     if measured["fallback_report_bytes_per_el"] > (
             floors["fallback_report_bytes_per_el_ceiling"]):
         problems.append(
@@ -760,6 +795,8 @@ def main():
         f"(ceiling {floors['memo_bytes_per_el_ceiling']:.0f} B) and "
         f"{measured['tracked_per_el']:.2f} tracked containers/element "
         f"with its tree (ceiling {floors['tracked_per_el_ceiling']:.1f}), "
+        f"tree {measured['tree_bytes_per_el']:.0f} B/element "
+        f"(ceiling {floors['tree_bytes_per_el_ceiling']:.0f} B), "
         f"child edit under 10,000 children "
         f"{measured['wide_edit_vs_narrow']:.2f}x under 6 "
         f"(ceiling {floors['wide_edit_vs_narrow']:.1f}x), "

@@ -258,10 +258,10 @@ def mutate_document(document, rng, names, attr_names):
         ))
     elif choice == 3:  # add an attribute (possibly undeclared)
         name = attr_names[rng.randrange(len(attr_names))]
-        victim.attributes[name] = "x"
+        victim.set_attribute(name, "x")
     elif choice == 4 and victim.attributes:  # drop an attribute
         keys = sorted(victim.attributes)
-        del victim.attributes[keys[rng.randrange(len(keys))]]
+        victim.set_attribute(keys[rng.randrange(len(keys))], None)
     else:  # inject text (violates non-mixed models)
         victim.append_text("stray text")
     return XMLDocument(root)

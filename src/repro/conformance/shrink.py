@@ -471,7 +471,7 @@ def _clear_children(document, index):
 
 def _drop_attribute(document, index, attr_name):
     def drop(node):
-        del node.attributes[attr_name]
+        node.set_attribute(attr_name, None)
 
     return _edit(document, index, drop)
 

@@ -30,18 +30,23 @@ anything outside that element's content word and the new subtree itself:
 :class:`~repro.xmlmodel.tree.XMLDocument` with its
 :class:`~repro.engine.compiler.CompiledSchema` and the per-element
 provenance (type assignment + DFA state path + locally attributed
-violations).  A clean record holds shared immutable empties, and a leaf
-whose attributes and text pass shares one read-only record with every
-such leaf of its type (:class:`_LeafRecord`): under EDC its content word
-is the empty word, so its record is fixed by its type alone.  An edit
-that must write a shared record first gives its element a record of its
-own (:meth:`~ValidatedDocument._unshare`).  No record holds a slash path
-or a message whose size grows with the content word: a record counts its
-unrecognized children and notes whether its word is rejected, and
-:meth:`~ValidatedDocument.report` writes those messages, deriving each
-element's path from ``parent`` links.  All edits
-MUST go through its API — mutating the underlying tree directly leaves
-the memo stale.  After every edit the handle's
+violations).  Each element's record lives on the element itself
+(:attr:`~repro.xmlmodel.tree.XMLElement.record`), so the memo is the
+records alone.  A clean record holds shared immutable empties, and a
+leaf whose attributes and text pass shares one read-only record with
+every such leaf of its type (:class:`_LeafRecord`): under EDC its
+content word is the empty word, so its record is fixed by its type
+alone, and the parent's content step records a clean leaf without
+walking it.  An edit that must write a shared record first gives its
+element a record of its own (:meth:`~ValidatedDocument._unshare`).  No
+record holds a slash path or a message whose size grows with the
+content word: a record counts its unrecognized children and notes
+whether its word is rejected, and :meth:`~ValidatedDocument.report`
+writes those messages, deriving each element's path from ``parent``
+links.  All edits MUST go through its API — mutating the underlying
+tree directly leaves the memo stale — and the newest handle opened on a
+tree owns its records: an older one raises
+:class:`~repro.errors.SchemaError`.  After every edit the handle's
 :meth:`report` agrees with a from-scratch run of the tree or streaming
 validator on verdict, violations in order, and typing (the conformance
 harness's ``incremental`` leg enforces this on seeded edit storms), and
@@ -73,7 +78,7 @@ from repro.observability.provenance import ElementProvenance, first_divergence
 from repro.observability.tracing import NULL_SPAN, span
 from repro.xmlmodel.parser import _CHECK_EVENTS
 from repro.xmlmodel.patch import resolve
-from repro.xmlmodel.tree import XMLDocument, XMLElement
+from repro.xmlmodel.tree import _LEAF_TEXTS, XMLDocument, XMLElement
 from repro.xsd.validator import XSDValidationReport
 
 # The walk reads an ambient ResourceBudget's clock once per this many
@@ -148,6 +153,14 @@ def _typing_of(schema, root):
             for __, __, typed_path, type_id in _typed_elements(schema, root)}
 
 
+def _clear(subtree):
+    """Drop every record in ``subtree``: a walk that skips a subtree (an
+    unrecognized child's, or an undeclared root's tree) leaves none of
+    an earlier open's behind, and a detached subtree holds none."""
+    for node in subtree.iter():
+        node.record = None
+
+
 def _own_record(shared):
     """A writable copy of a shared :class:`_LeafRecord`."""
     state = _NodeState.__new__(_NodeState)
@@ -212,17 +225,20 @@ class _EditScope:
 class _NodeState:
     """Per-element provenance: the memo incremental revalidation replays.
 
-    Records are built without ``__init__`` (the open walk sets every
-    slot).  A clean record shares immutable empties: ``()`` for
-    ``attr_viols``, and :data:`_LEAF_STATES` for an element without
-    children.  A leaf whose attribute and text checks pass holds no
-    record of its own: it shares its type's :class:`_LeafRecord`.  Every
-    writer replaces a field, except that a child edit splices the
-    record's own ``states`` list in place; a writer that finds a shared
-    record swaps in a record of the element's own first.  No record
-    holds the element's slash path or a message about its content word;
-    those are written when a report needs them, the path derived from
-    ``parent`` links (:meth:`ValidatedDocument._path`).
+    A record sits in its element's ``record`` slot; a typed element
+    holds one, and an untyped one (an unrecognized child, its subtree,
+    or a tree under an undeclared root) holds ``None``.  Records are
+    built without ``__init__`` (the open walk sets every slot).  A clean
+    record shares immutable empties: ``()`` for ``attr_viols``, and
+    :data:`_LEAF_STATES` for an element without children.  A leaf whose
+    attribute and text checks pass holds no record of its own: it
+    shares its type's :class:`_LeafRecord`.  Every writer replaces a
+    field, except that a child edit splices the record's own ``states``
+    list in place; a writer that finds a shared record swaps in a record
+    of the element's own first.  No record holds the element's slash
+    path or a message about its content word; those are written when a
+    report needs them, the path derived from ``parent`` links
+    (:meth:`ValidatedDocument._path`).
 
     Attributes:
         type_id: the element's compiled type id (unique typing, Def. 2).
@@ -260,18 +276,27 @@ class _LeafRecord(_NodeState):
     so a writer that misses :meth:`ValidatedDocument._unshare` fails
     loudly instead of editing every other leaf of the type; the writers
     test ``state.__class__ is _LeafRecord``.
+
+    ``admits`` says which leaves of the type a parent's content step
+    records without walking them: a leaf with no children and no
+    attributes passes every check of a type that requires no attribute
+    when the type is mixed (``True``) or the leaf's runs are the shared
+    :data:`~repro.xmlmodel.tree._LEAF_TEXTS` (``admits`` is that tuple);
+    ``None`` when the type requires an attribute.
     """
 
-    __slots__ = ()
+    __slots__ = ("admits",)
 
-    def __init__(self, type_id, rejected):
+    def __init__(self, type_id, compiled):
         fill = object.__setattr__
         fill(self, "type_id", type_id)
         fill(self, "states", _LEAF_STATES)
         fill(self, "strays", 0)
-        fill(self, "rejected", rejected)
+        fill(self, "rejected", not compiled.dfa.is_accepting(0))
         fill(self, "text_viol", None)
         fill(self, "attr_viols", ())
+        fill(self, "admits", None if compiled.required_attrs else
+             True if compiled.mixed else _LEAF_TEXTS)
 
     def __setattr__(self, name, value):
         raise AttributeError(
@@ -292,39 +317,58 @@ class ValidatedDocument:
             schema cache.
 
     The initial construction performs one walk that checks and types
-    each element from its parent's content step: about 0.7 µs per
-    element on the 6,879-element Figure 3 document (CPython 3.11.7,
-    two-core x86-64 host, median of 60 opens), against about 0.9 µs per
-    element for the byte tier's fold that builds that tree, and 2.8-3.1x
-    the rate of the streaming validator's event route over the same
-    tree's events, which folds them into a tree and runs the same walk
-    (perfguard's ``build_vs_compat``).
+    each element from its parent's content step, which records a clean
+    leaf in place: about 0.4 µs per element on the 6,879-element Figure
+    3 document (CPython 3.11.7, two-core x86-64 host, median of 61
+    opens), against about 0.8 µs per element for the byte tier's fold
+    that builds that tree, and about 4-5x the rate of the streaming
+    validator's event route over the same tree's events, which folds
+    them into a tree and runs the same walk (perfguard's
+    ``build_vs_compat``).
     Every subsequent edit revalidates only its footprint.  The walk reads
     an ambient :class:`~repro.observability.ResourceBudget`'s clock once
-    per 32 elements, so a runaway open or insert stops with
+    per 32 elements typed, so a runaway open or insert stops with
     ``BudgetExceeded``; a handle whose edit raised it is stale and must
     be reopened.
+
+    The records live on the tree's elements, so one tree holds one
+    handle's: the newest handle opened on a tree owns it.  An older
+    handle notices in O(1), by the identity of its root's record, and
+    its edits, reports and provenance raise
+    :class:`~repro.errors.SchemaError`.  So that every open replaces
+    an older handle's root record, an open refuses an element that has
+    an ancestor holding a record (open a clone of the subtree); a
+    handle whose root is undeclared holds no record and reads none, so
+    a newer open under its root leaves its answers alone.
     """
 
-    __slots__ = ("document", "schema", "_nodes", "_invalid", "_leaves",
-                 "_root_declared")
+    __slots__ = ("document", "schema", "_invalid", "_leaves",
+                 "_root_declared", "_root_record", "_typed")
 
     def __init__(self, document, schema, cache=None):
         if isinstance(document, XMLElement):
             document = XMLDocument(document)
+        ancestor = document.root.parent
+        while ancestor is not None:
+            if ancestor.record is not None:
+                raise SchemaError(
+                    f"element <{document.root.name}> lies under "
+                    f"<{ancestor.name}>, which an open typed: open a "
+                    "clone of the subtree"
+                )
+            ancestor = ancestor.parent
         if not isinstance(schema, CompiledSchema):
             from repro.engine.cache import compile_cached
 
             schema = compile_cached(schema, cache)
         self.document = document
         self.schema = schema
-        self._nodes = {}
         self._invalid = set()
         self._leaves = [None] * len(schema.types)
         _DOCUMENTS.inc()
         with span("engine.incremental.build") as trace:
             _count_typed(self._build())
-            trace.set_attribute("nodes", len(self._nodes))
+            trace.set_attribute("nodes", self._typed)
 
     @classmethod
     def _walked(cls, root, schema):
@@ -337,7 +381,6 @@ class ValidatedDocument:
         handle = cls.__new__(cls)
         handle.document = XMLDocument(root)
         handle.schema = schema
-        handle._nodes = {}
         handle._invalid = set()
         handle._leaves = [None] * len(schema.types)
         handle._build()
@@ -345,46 +388,66 @@ class ValidatedDocument:
 
     # -- initial walk ------------------------------------------------------
     def _build(self):
-        """Walk the whole tree afresh; returns the number of elements
-        typed, which the caller counts."""
-        self._nodes.clear()
+        """Walk the whole tree afresh, taking it over from any older
+        handle; returns the number of elements typed, which the caller
+        counts.  An undeclared root's tree is cleared of records."""
         self._invalid.clear()
         root = self.document.root
         type_id = self.schema.start.get(root.name)
         self._root_declared = type_id is not None
-        return 0 if type_id is None else self._type_subtree(root, type_id)
+        if type_id is None:
+            _clear(root)
+            typed = 0
+        else:
+            typed = self._type_subtree(root, type_id)
+        self._typed = typed
+        self._root_record = root.record
+        return typed
+
+    def _check_owner(self):
+        """Raise :class:`~repro.errors.SchemaError` if a newer handle
+        opened this handle's tree (it replaced the root's record), so
+        the records in it are not this handle's."""
+        if self.document.root.record is not self._root_record:
+            raise SchemaError(
+                "a newer ValidatedDocument was opened on this tree and "
+                "owns its records; use that handle, or open a new one"
+            )
 
     def _type_subtree(self, node, type_id):
         """Validate and record one subtree top-down, in one pass.
 
         The subtree's root type is forced by the caller (parent type +
-        label, per EDC); every other element is pushed with its type by
-        the content step that reads its column
-        (:meth:`_run_content`).  Returns the number of elements typed
-        (skipped subtrees under unrecognized children are not typed,
-        matching the reference validators), which the caller counts.
-        Every id it records is fresh (the index was just cleared, or the
+        label, per EDC); every other element is typed by the content
+        step that reads its column (:meth:`_run_content`), which records
+        a clean leaf there and pushes every other child with its type.
+        Returns the number of elements typed: the root, plus each typed
+        element's recognized children (skipped subtrees under
+        unrecognized children are not typed, matching the reference
+        validators, and hold no record), which the caller counts.  Every
+        id it records is fresh (the index was just cleared, or the
         subtree is new), so an invalid element is added to the index
         without a discard.  A leaf whose attributes and text pass gets
         its type's shared :class:`_LeafRecord`, so the empty word is
         judged once per type, not per leaf.  Reads an ambient budget's
-        clock once per :data:`_CHECK_ELEMENTS` elements.
+        clock once per :data:`_CHECK_ELEMENTS` elements typed, at the
+        first element it pops past each stride.
         """
         types = self.schema.types
-        nodes = self._nodes
         invalid = self._invalid
         leaves = self._leaves
         run_content = self._run_content
         new = _NodeState.__new__
         budget = current_budget()
-        typed = 0
+        typed = 1
+        check_at = _CHECK_ELEMENTS
         stack = [(node, type_id)]
         pop = stack.pop
         push = stack.append
         while stack:
             node, type_id = pop()
-            typed += 1
-            if budget is not None and not typed % _CHECK_ELEMENTS:
+            if budget is not None and typed >= check_at:
+                check_at = typed + _CHECK_ELEMENTS
                 budget.check_time("engine.validate")
             compiled = types[type_id]
             path = text_viol = None
@@ -403,19 +466,19 @@ class ValidatedDocument:
                             path or self._path(node), node.name
                         )
                         break
-            if node.children:
+            children = node.children
+            if children:
                 state = new(_NodeState)
                 state.type_id = type_id
                 state.attr_viols = attr_viols
                 state.text_viol = text_viol
                 bad = run_content(node, compiled, state, push) or \
                     attr_viols or text_viol is not None
+                typed += len(children) - state.strays
             else:
                 state = leaves[type_id]
                 if state is None:  # the type's first leaf
-                    state = leaves[type_id] = _LeafRecord(
-                        type_id, not compiled.dfa.is_accepting(0)
-                    )
+                    state = self._leaf_record(type_id)
                 if attr_viols or text_viol is not None:
                     state = _own_record(state)
                     state.attr_viols = attr_viols
@@ -423,7 +486,7 @@ class ValidatedDocument:
                     bad = True
                 else:
                     bad = state.rejected
-            nodes[id(node)] = state
+            node.record = state
             if bad:
                 invalid.add(id(node))
         return typed
@@ -432,9 +495,12 @@ class ValidatedDocument:
         """``node``'s record, made its own if it is a shared
         :class:`_LeafRecord`; the three writers (:meth:`set_attribute`,
         :meth:`set_text` and the parent's :meth:`_after_child_edit`) call
-        this only when they must write."""
+        this only when they must write.  A new root record is the one
+        :meth:`_check_owner` compares."""
         if state.__class__ is _LeafRecord:
-            state = self._nodes[id(node)] = _own_record(state)
+            state = node.record = _own_record(state)
+            if node is self.document.root:
+                self._root_record = state
         return state
 
     def _path(self, node):
@@ -457,11 +523,16 @@ class ValidatedDocument:
         or for a bag its seen-mask exactly as ``ContentBag.step`` does
         (the path is then a list of masks); the two kinds run separate
         loops, so neither tests the kind per child.  Each recognized
-        child is pushed (``push``, the open walk's stack append) with its
-        type, read from the same column; an unrecognized child repeats
-        the state before it, which keeps the path aligned with child
-        positions.  Sets the record's ``states``, ``strays`` and
-        ``rejected``; returns True iff the word holds a stray or is
+        child is typed from the same column.  A clean leaf (no children,
+        no attributes, and runs its type admits: :attr:`_LeafRecord.admits`)
+        gets its type's shared record here, and joins the invalid index
+        when the type rejects the empty word: the walk's own checks
+        would find nothing on it.  Every other recognized child is pushed
+        (``push``, the open walk's stack append) with its type.  An
+        unrecognized child's subtree is cleared of records, and the
+        child repeats the state before it, which keeps the path aligned
+        with child positions.  Sets the record's ``states``, ``strays``
+        and ``rejected``; returns True iff the word holds a stray or is
         rejected.
         """
         states = [0]
@@ -471,6 +542,8 @@ class ValidatedDocument:
         dfa = compiled.dfa
         symbol_ids = dfa.symbol_ids
         child_types = compiled.child_types
+        leaves = self._leaves
+        add_invalid = self._invalid.add
         bag = compiled.bag
         if bag is None:
             table = dfa.table
@@ -479,9 +552,22 @@ class ValidatedDocument:
                 child_type = child_types[column]
                 if child_type < 0:  # -1 reads the trailing -1
                     strays += 1
+                    _clear(child)
                 else:
                     current = table[current][column]
-                    push((child, child_type))
+                    if child.children or child.attributes:
+                        push((child, child_type))
+                    else:
+                        record = leaves[child_type]
+                        if record is None:
+                            record = self._leaf_record(child_type)
+                        admits = record.admits
+                        if admits is True or child.texts is admits:
+                            child.record = record
+                            if record.rejected:
+                                add_invalid(id(child))
+                        else:
+                            push((child, child_type))
                 append(current)
         else:
             dead = bag.dead
@@ -491,11 +577,24 @@ class ValidatedDocument:
                 child_type = child_types[column]
                 if child_type < 0:
                     strays += 1
+                    _clear(child)
                 else:
                     # A repeated once-member sets the dead bit.
                     bit = 1 << column
                     current |= dead if current & bit & once else bit
-                    push((child, child_type))
+                    if child.children or child.attributes:
+                        push((child, child_type))
+                    else:
+                        record = leaves[child_type]
+                        if record is None:
+                            record = self._leaf_record(child_type)
+                        admits = record.admits
+                        if admits is True or child.texts is admits:
+                            child.record = record
+                            if record.rejected:
+                                add_invalid(id(child))
+                        else:
+                            push((child, child_type))
                 append(current)
         state.states = states
         state.strays = strays
@@ -504,6 +603,14 @@ class ValidatedDocument:
             return True
         state.rejected = rejected = not dfa.is_accepting(current)
         return rejected
+
+    def _leaf_record(self, type_id):
+        """The type's shared :class:`_LeafRecord`, made at its first
+        leaf."""
+        record = self._leaves[type_id] = _LeafRecord(
+            type_id, self.schema.types[type_id]
+        )
+        return record
 
     def _replay_content(self, node, compiled, state, index, delta):
         """Re-step ``node``'s content word after a child edit at ``index``.
@@ -576,6 +683,7 @@ class ValidatedDocument:
         rejoins the memo) and the new subtree are revalidated; every
         element outside that footprint keeps its provenance verbatim.
         """
+        self._check_owner()
         with _EditScope("insert_child") as trace:
             parent.insert(index, child, text_after)
             replayed = self._after_child_edit(parent, index, child,
@@ -592,6 +700,7 @@ class ValidatedDocument:
         Returns the detached subtree (its provenance is dropped — a
         re-inserted subtree is retyped like any new one).
         """
+        self._check_owner()
         with _EditScope("delete_child") as trace:
             removed = parent.remove_child(index)
             self._purge(removed)
@@ -608,6 +717,7 @@ class ValidatedDocument:
         rejoins the memo) plus the new subtree.  Returns the detached
         old subtree.
         """
+        self._check_owner()
         with _EditScope("replace_subtree") as trace:
             node = parent.replace_child_at(index, replacement)
             self._after_replace(parent, index, node, replacement, trace)
@@ -622,6 +732,7 @@ class ValidatedDocument:
         identity and then revalidates as :meth:`replace_child` does.
         Returns the detached old subtree.
         """
+        self._check_owner()
         with _EditScope("replace_subtree") as trace:
             if node is self.document.root:
                 if replacement.parent is not None:
@@ -650,16 +761,17 @@ class ValidatedDocument:
         """Set (or, with ``value=None``, remove) one attribute.
 
         Only the touched element's attribute checks re-run; the content
-        word and every other element are untouched.
+        word and every other element are untouched.  Writes through
+        :meth:`XMLElement.set_attribute
+        <repro.xmlmodel.tree.XMLElement.set_attribute>`, so a parsed
+        element's shared empty map is swapped for a dict of its own.
         """
+        self._check_owner()
         with _EditScope("set_attribute"):
+            node.set_attribute(name, value)
             attributes = node.attributes
-            if value is None:
-                attributes.pop(name, None)
-            else:
-                attributes[name] = value
-            state = self._nodes.get(id(node))
-            if state is not None:
+            state = node.record
+            if state is not None and self._root_declared:
                 compiled = self.schema.types[state.type_id]
                 if compiled.attribute_problems(attributes):
                     state = self._unshare(node, state)
@@ -675,6 +787,7 @@ class ValidatedDocument:
 
         Only the touched element's mixedness check re-runs.
         """
+        self._check_owner()
         with _EditScope("set_text"):
             if not 0 <= index < len(node.texts):
                 raise SchemaError(
@@ -682,8 +795,8 @@ class ValidatedDocument:
                     f"<{node.name}> with {len(node.children)} child(ren)"
                 )
             node.set_run(index, text)
-            state = self._nodes.get(id(node))
-            if state is not None:
+            state = node.record
+            if state is not None and self._root_declared:
                 text_viol = self._text_violation(
                     node, self.schema.types[state.type_id]
                 )
@@ -718,13 +831,18 @@ class ValidatedDocument:
         them, an insert adds ``text_after``), so the parent's text is
         re-checked only when an insert brings a non-blank run.  Counts
         one content replay for the parent's word plus one per element
-        of the new subtree it types, once.  Returns the number of
-        children the replay re-stepped.
+        of the new subtree it types, once.  A new subtree left untyped
+        (under an untyped parent, or an unrecognized child) is cleared
+        of records.  Returns the number of children the replay
+        re-stepped.
         """
-        state = self._nodes.get(id(parent))
-        if state is None:
+        state = parent.record
+        if state is None or not self._root_declared:
             # The parent lives in a skipped subtree (or under an
-            # undeclared root): structurally applied, nothing to check.
+            # undeclared root, whose handle reads no record):
+            # structurally applied, nothing to check.
+            if new_child is not None:
+                _clear(new_child)
             return 0
         if state.__class__ is _LeafRecord:  # a first child under a leaf
             state = self._unshare(parent, state)
@@ -756,20 +874,30 @@ class ValidatedDocument:
         )
         self._refresh_validity(parent, state)
         if child_type < 0:
+            if new_child is not None:
+                _clear(new_child)
             _CONTENT_REPLAYS.inc()
         else:
             typed = self._type_subtree(new_child, child_type)
+            self._typed += typed
             _NODES_TYPED.inc(typed)
             _CONTENT_REPLAYS.inc(1 + typed)
         return replayed
 
     def _purge(self, subtree):
-        nodes = self._nodes
+        """Drop a detached subtree's records and index entries, and its
+        typed elements from the handle's count.  A handle whose root is
+        undeclared holds no record, so it leaves the subtree alone."""
+        if not self._root_declared:
+            return
         invalid = self._invalid
+        typed = 0
         for node in subtree.iter():
-            key = id(node)
-            nodes.pop(key, None)
-            invalid.discard(key)
+            if node.record is not None:
+                typed += 1
+                node.record = None
+                invalid.discard(id(node))
+        self._typed -= typed
 
     def _refresh_validity(self, node, state):
         """Keep the invalid-element index in step with ``state``."""
@@ -792,6 +920,7 @@ class ValidatedDocument:
         validator, violation order included (:meth:`_write_violations`,
         which also writes the streaming validator's reports).
         """
+        self._check_owner()
         report = XSDValidationReport()
         if not self._root_declared:
             report.violations.append(
@@ -836,16 +965,15 @@ class ValidatedDocument:
         written here; the text and attribute ones were written by the
         check that found them.
         """
-        state = self._nodes[id(node)]
+        state = node.record
         compiled = self.schema.types[state.type_id]
         path = self._path(node)
         out = []
         if state.strays:
-            nodes = self._nodes
             name = node.name
             out.extend(
                 compiled.child_not_allowed(path, name, child.name)
-                for child in node.children if id(child) not in nodes
+                for child in _strays(node, compiled)
             )
         elif state.rejected:
             out.append(compiled.content_mismatch(
@@ -872,15 +1000,15 @@ class ValidatedDocument:
                 (:attr:`~repro.bonxai.bxsd.MatchReport.rule_of` of a
                 match over this handle's tree) for ``rule_index``.
         """
+        self._check_owner()
         if not self._root_declared:
             return []
         types = self.schema.types
-        nodes = self._nodes
         invalid = self._invalid
         entries = []
         for node, path, typed_path, type_id in _typed_elements(
                 self.schema, self.document.root):
-            state = nodes[id(node)]
+            state = node.record
             compiled = types[type_id]
             entry = ElementProvenance(
                 path, typed_path, node.name, compiled.name
@@ -901,10 +1029,7 @@ class ValidatedDocument:
                 return f"missing required attribute {name!r}"
             return f"undeclared attribute {name!r}"
         if state.strays:
-            nodes = self._nodes
-            child = next(
-                child for child in node.children if id(child) not in nodes
-            )
+            child = next(_strays(node, compiled))
             return (
                 f"child <{child.name}> is not allowed under <{node.name}> "
                 f"(type {compiled.name})"
@@ -920,11 +1045,19 @@ class ValidatedDocument:
 
         The state path is the ``dfa_states`` of the element's
         :meth:`provenance` entry (initial state 0, one state per
-        recognized child).
+        recognized child).  ``None`` for an untyped element and for one
+        outside this handle's tree.
         """
-        state = self._nodes.get(id(node))
-        if state is None:
+        self._check_owner()
+        state = node.record
+        if state is None or not self._root_declared:
             return None
+        root = self.document.root
+        ancestor = node
+        while ancestor is not root:
+            ancestor = ancestor.parent
+            if ancestor is None:  # another tree's element
+                return None
         return (
             self.schema.types[state.type_id].name,
             self._reported_states(node, state),
@@ -937,18 +1070,31 @@ class ValidatedDocument:
         states = state.states
         if not state.strays:
             return tuple(states)
-        nodes = self._nodes
+        compiled = self.schema.types[state.type_id]
+        symbol_ids = compiled.dfa.symbol_ids
+        child_types = compiled.child_types
         return (states[0], *[
             after for child, after in zip(node.children, states[1:])
-            if id(child) in nodes
+            if child_types[symbol_ids.get(child.name, -1)] >= 0
         ])
 
     def __len__(self):
-        """The number of typed elements."""
-        return len(self._nodes)
+        """The number of typed elements (a count the open and the edits
+        keep)."""
+        return self._typed
 
     def __repr__(self):
         return (
             f"<ValidatedDocument root={self.document.root.name} "
-            f"typed={len(self._nodes)} valid={self.valid}>"
+            f"typed={self._typed} valid={self.valid}>"
         )
+
+
+def _strays(node, compiled):
+    """``node``'s unrecognized children, in order: those whose label its
+    type ``compiled`` declares no type for (EDC: the parent's column),
+    so no reader trusts a stray's ``record`` slot."""
+    symbol_ids = compiled.dfa.symbol_ids
+    child_types = compiled.child_types
+    return (child for child in node.children
+            if child_types[symbol_ids.get(child.name, -1)] < 0)

@@ -35,9 +35,10 @@ its first read: from the document's bytes after a dense commit or a
 fold rerun, and from the validator's tree after an event stream.
 
 Memory: the dense scan holds one register tuple per open element.  Every
-walk holds its tree and its memo until ``validate`` returns.  A fold
-rerun's report keeps the document's bytes, and an event stream's report
-keeps the validator's tree until its typing is read (DESIGN §8).
+walk holds its tree and its memo (the records on the tree's elements)
+until ``validate`` returns.  A fold rerun's report keeps the document's
+bytes, and an event stream's report keeps the validator's tree, cleared
+of records, until its typing is read (DESIGN §8).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from itertools import chain, islice
 from time import perf_counter_ns
 
 from repro.engine.compiler import CompiledSchema
-from repro.engine.incremental import ValidatedDocument, _typing_of
+from repro.engine.incremental import ValidatedDocument, _clear, _typing_of
 from repro.errors import ParseError
 from repro.observability import default_registry
 from repro.observability.budget import current_budget
@@ -206,7 +207,9 @@ class StreamingValidator:
         end event, so that an undeclared root stops it there.  The fold
         then reads it from its first event, under an ambient budget's
         clock (:func:`~repro.xmlmodel.parser._clocked`), and raises
-        every malformed-stream error.
+        every malformed-stream error.  The report keeps the tree for its
+        typing, so the walk's records are cleared off it before this
+        returns: the memo goes with the handle.
         """
         schema = self.schema
         events = iter(events)
@@ -226,6 +229,7 @@ class StreamingValidator:
         handle = ValidatedDocument._walked(root, schema)
         report = _LazyReport(partial(_typing_of, schema), root)
         handle._write_violations(report.violations)
+        _clear(root)
         report.violations.extend(
             f"/{stray.name}: document has more than one root element "
             f"(<{stray.name}> follows the closed root)" for stray in strays

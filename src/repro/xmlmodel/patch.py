@@ -248,11 +248,7 @@ class SetAttribute(PatchOp):
         self.value = value
 
     def apply_full(self, document):
-        node = resolve(document.root, self.sel)
-        if self.value is None:
-            node.attributes.pop(self.name, None)
-        else:
-            node.attributes[self.name] = self.value
+        resolve(document.root, self.sel).set_attribute(self.name, self.value)
 
     def apply_incremental(self, handle):
         handle.set_attribute(

@@ -75,7 +75,7 @@ from itertools import islice
 from repro.errors import ParseError
 from repro.observability.budget import current_budget
 from repro.xmlmodel.lexical import _Cursor, _decode_entities
-from repro.xmlmodel.tree import _LEAF_TEXTS, XMLElement
+from repro.xmlmodel.tree import _LEAF_TEXTS, _NO_ATTRIBUTES, XMLElement
 
 
 class FallbackRequired(Exception):
@@ -355,11 +355,13 @@ def fold_tree(data, limits):
     text run; the content after an end or self-closing tag is the
     parent's newest run.  Leaves share their empties (``()`` children,
     and the ``("",)`` run when they hold no text), as the tree's own
-    builders make them.  Every element gets its own copy of its chunk's
-    attribute dict, which ``set_attribute`` mutates.  End tags must
-    close the open element, the root may have no sibling, and
-    ``max_depth`` holds as in the char parser.  Raises
-    :class:`FallbackRequired` on anything it cannot certify.
+    builders make them.  An element with attributes gets its own copy
+    of its chunk's attribute dict; every element without shares the
+    read-only empty map (:data:`~repro.xmlmodel.tree._NO_ATTRIBUTES`),
+    which :meth:`XMLElement.set_attribute` swaps for a dict on the
+    first write.  End tags must close the open element, the root may
+    have no sibling, and ``max_depth`` holds as in the char parser.
+    Raises :class:`FallbackRequired` on anything it cannot certify.
 
     Two callers: :func:`repro.xmlmodel.parser.parse_document` and the
     streaming validator's rerun of a document its dense scan could not
@@ -383,6 +385,7 @@ def fold_tree(data, limits):
     memo_get = memo.get
     new = XMLElement.__new__
     leaf_texts = _LEAF_TEXTS
+    no_attributes = _NO_ATTRIBUTES
     root = node = None  # node: the innermost open element
     depth = 0
     rest = iter(chunks)
@@ -410,9 +413,11 @@ def fold_tree(data, limits):
                 raise _FALLBACK
             child = new(XMLElement)
             child.name = name
-            child.attributes = attributes.copy()
+            child.attributes = (attributes.copy() if attributes
+                                else no_attributes)
             child.children = ()
             child.parent = node
+            child.record = None
             if node is None:
                 root = child
             elif node.children:

@@ -14,6 +14,8 @@ validators use them.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from repro.errors import ParseError, SchemaError
 
 _LEAF_TEXTS = ("",)
@@ -21,13 +23,22 @@ _LEAF_TEXTS = ("",)
 first write to a leaf's runs swaps this tuple for a list
 (:meth:`XMLElement.set_run`, :meth:`XMLElement._first_child`)."""
 
+_NO_ATTRIBUTES = MappingProxyType({})
+"""The read-only empty attribute map every parsed element without
+attributes shares (:meth:`XMLElement.from_events` and the byte tier's
+``fold_tree`` hand it out).  :meth:`XMLElement.set_attribute` swaps in a
+dict of the element's own on the first write; a direct write raises
+``TypeError`` instead of writing through to every such element."""
+
 
 class XMLElement:
     """One element node of an XML tree.
 
     Attributes:
         name: the element name (label).
-        attributes: ``dict`` of attribute name -> string value.
+        attributes: attribute name -> string value: a ``dict``, or, for a
+            parsed element without attributes, the shared read-only
+            :data:`_NO_ATTRIBUTES`.
         children: the ordered :class:`XMLElement` children: a list, or,
             for a leaf, the shared empty tuple ``()``.
         texts: mixed-content text runs; ``texts[i]`` is the text appearing
@@ -36,6 +47,10 @@ class XMLElement:
             list, or, for a leaf without text, the shared run
             :data:`_LEAF_TEXTS` (``("",)``).
         parent: the parent element, or ``None`` for a root.
+        record: the incremental engine's record of this element
+            (:class:`~repro.engine.incremental.ValidatedDocument`), or
+            ``None`` when no open typed it.  The newest handle opened on
+            a tree owns the records in it.
 
     Leaves share their empties, so a tree holds no empty list per leaf:
     every builder (this constructor, :meth:`from_events`, the byte
@@ -44,10 +59,15 @@ class XMLElement:
     on its first write.  So write ``children`` and ``texts`` through
     these methods only, and test a node for children by emptiness
     (``if node.children``): a leaf may hold ``()`` or ``[]`` (after its
-    last child was removed).  Equality compares both by value.
+    last child was removed).  Equality compares both by value.  Parsed
+    elements without attributes share one read-only map too; this
+    constructor gives every element a dict of its own, and
+    :meth:`set_attribute`, the one writer a parsed tree needs, swaps in
+    a dict on the first write.
     """
 
-    __slots__ = ("name", "attributes", "children", "texts", "parent")
+    __slots__ = ("name", "attributes", "children", "texts", "parent",
+                 "record")
 
     def __init__(self, name, attributes=None, children=None, text=None):
         self.name = name
@@ -55,8 +75,22 @@ class XMLElement:
         self.children = ()
         self.texts = [text] if text else _LEAF_TEXTS
         self.parent = None
+        self.record = None
         for child in children or ():
             self.append(child)
+
+    def set_attribute(self, name, value):
+        """Set attribute ``name`` to ``value`` (``None`` removes it),
+        swapping the shared read-only empty map for a dict of this
+        element's own on the first write."""
+        attributes = self.attributes
+        if value is None:
+            if name in attributes:
+                del attributes[name]
+        else:
+            if attributes is _NO_ATTRIBUTES:
+                attributes = self.attributes = {}
+            attributes[name] = value
 
     def append(self, child, text_after=""):
         """Append a child element (and optionally text following it)."""
@@ -82,13 +116,16 @@ class XMLElement:
         invariant (``len(texts) == len(children) + 1``) is maintained:
         the text run that used to follow position ``index`` now follows
         the inserted child.  A leaf's first child swaps its shared
-        empties for lists.
+        empties for lists.  Raises :class:`~repro.errors.SchemaError`
+        when ``child`` has a parent, or is this element or its root (a
+        cycle).
         """
         if child.parent is not None:
             raise SchemaError(
                 f"element <{child.name}> already has a parent "
                 f"<{child.parent.name}>"
             )
+        self._refuse_cycle(child)
         children = self.children
         if not 0 <= index <= len(children):
             raise IndexError(
@@ -101,6 +138,25 @@ class XMLElement:
             self.texts.insert(index + 1, text_after)
         else:
             self._first_child(child, text_after)
+
+    def _refuse_cycle(self, child):
+        """Raise :class:`~repro.errors.SchemaError` if making the
+        parentless ``child`` a child of this element would make a cycle:
+        ``child`` is this element or its root.  Walks the parent links
+        only when ``child`` has children (a leaf can be no ancestor)."""
+        if child is self or child.children and child is self._top():
+            raise SchemaError(
+                f"element <{child.name}> is <{self.name}> or its ancestor: "
+                "making it a child would make a cycle"
+            )
+
+    def _top(self):
+        """The parentless ancestor of this element (itself for a
+        root)."""
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        return node
 
     def _first_child(self, child, text_after=""):
         """Give a leaf its first child: lists of its own replace the
@@ -130,13 +186,15 @@ class XMLElement:
         """Put ``replacement`` in the child at ``index``'s place.
 
         Returns the detached child.  The text runs around it stay
-        exactly as they were, and nothing shifts: O(1).
+        exactly as they were, and nothing shifts: O(1), or O(depth) for
+        a replacement with children (the cycle check of :meth:`insert`).
         """
         if replacement.parent is not None:
             raise SchemaError(
                 f"element <{replacement.name}> already has a parent "
                 f"<{replacement.parent.name}>"
             )
+        self._refuse_cycle(replacement)
         if not 0 <= index < len(self.children):
             raise IndexError(
                 f"replace index {index} out of range for "
@@ -154,12 +212,16 @@ class XMLElement:
         ``child`` is found by identity (value equality could pick an
         equal-valued sibling at another position); callers that know the
         index use :meth:`replace_child_at`, which this delegates to.
+        Raises :class:`~repro.errors.SchemaError` when ``child`` is not a
+        child of this element.
         """
-        index = next(
-            i for i, sibling in enumerate(self.children) if sibling is child
+        for index, sibling in enumerate(self.children):
+            if sibling is child:
+                self.replace_child_at(index, replacement)
+                return index
+        raise SchemaError(
+            f"element <{child.name}> is not a child of <{self.name}>"
         )
-        self.replace_child_at(index, replacement)
-        return index
 
     # -- the paper's string notions --------------------------------------
     def anc_str(self):
@@ -252,9 +314,10 @@ class XMLElement:
         one run, and text outside the element is ignored.  The stream is
         drained to its end, so an error raised after the element closes
         still propagates.  Each start event's attributes dict is
-        adopted, not copied.  The fold fills the node slots directly
-        (this class owns them), leaves sharing their empties, and walks
-        back up by ``parent``.
+        adopted, not copied, except that an empty one gives way to the
+        shared read-only :data:`_NO_ATTRIBUTES`.  The fold fills the
+        node slots directly (this class owns them), leaves sharing their
+        empties, and walks back up by ``parent``.
 
         Args:
             events: the stream.
@@ -268,6 +331,7 @@ class XMLElement:
         """
         new = cls.__new__
         leaf_texts = _LEAF_TEXTS
+        no_attributes = _NO_ATTRIBUTES
         root = node = None
         events = iter(events)
         while True:
@@ -277,10 +341,11 @@ class XMLElement:
                     if kind == "start":
                         child = new(cls)
                         child.name = event[1]
-                        child.attributes = event[2]
+                        child.attributes = event[2] or no_attributes
                         child.children = ()
                         child.texts = leaf_texts
                         child.parent = node
+                        child.record = None
                         if node is None:
                             if root is None:
                                 root = child

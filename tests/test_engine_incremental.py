@@ -614,14 +614,13 @@ def _recognized_path(compiled_type, node):
 
 def _assert_derived_paths(handle):
     """Both provenance readers report one state per recognized child."""
-    nodes = handle._nodes
     typed = [node for node in handle.document.root.iter()
-             if id(node) in nodes]
+             if node.record is not None]
     entries = handle.provenance()
     assert len(entries) == len(typed)
     for node, entry in zip(typed, entries):
         expected = _recognized_path(
-            handle.schema.types[nodes[id(node)].type_id], node)
+            handle.schema.types[node.record.type_id], node)
         assert handle.provenance_of(node)[1] == entry.dfa_states == expected
 
 
@@ -632,9 +631,8 @@ def _assert_lean(handle):
     record for its type, holds the empties and the type's verdict on the
     empty word, and refuses writes."""
     assert incremental._LEAF_STATES == (0,)
-    nodes = handle._nodes
     for node in handle.document.root.iter():
-        state = nodes.get(id(node))
+        state = node.record
         if state is None:
             continue
         if state.__class__ is incremental._LeafRecord:
@@ -648,7 +646,7 @@ def _assert_lean(handle):
             with pytest.raises(AttributeError):
                 state.strays = 0
         assert state.strays == sum(
-            id(child) not in nodes for child in node.children)
+            child.record is None for child in node.children)
         assert len(state.states) == len(node.children) + 1
         if not state.attr_viols:
             assert state.attr_viols == ()
@@ -666,11 +664,11 @@ class TestLeanRecords:
                   if not node.children]
         assert leaves
         for leaf in leaves:
-            state = handle._nodes[id(leaf)]
+            state = leaf.record
             assert state.states is incremental._LEAF_STATES
             assert state.strays == 0 and state.attr_viols == ()
-        assert not any(hasattr(state, field)
-                       for state in handle._nodes.values()
+        assert not any(hasattr(node.record, field)
+                       for node in handle.document.root.iter()
                        for field in ("path", "child_viols", "content_viol"))
         _assert_lean(handle)
 
@@ -704,7 +702,7 @@ class TestLeanRecords:
         for leaf in leaves:
             if leaf is not innermost:
                 assert handle.provenance_of(leaf)[1] == (0,)
-                assert handle._nodes[id(leaf)].states == (0,)
+                assert leaf.record.states == (0,)
 
     def test_leaf_records_test_the_empty_word(self, compiled):
         # T_document (ordered) and the 24-member bag both reject the
@@ -816,7 +814,6 @@ class TestRejoin:
         rng = random.Random(f"rejoin:{seed}")
         handle = ValidatedDocument(root, compiled)
         parent = handle.node_at(parent_path)
-        nodes = handle._nodes
 
         def check():
             reference = validate_xsd(xsd, handle.document)
@@ -834,7 +831,7 @@ class TestRejoin:
         def apply(kind, where):
             children = parent.children
             strays = [index for index, child in enumerate(children)
-                      if id(child) not in nodes]
+                      if child.record is None]
             if where == "stray" and strays:
                 index = rng.choice(strays)
             elif where == "first":
@@ -859,9 +856,9 @@ class TestRejoin:
             rng.shuffle(plan)
             for kind, where in plan:
                 apply(kind, where)
-            while any(id(child) not in nodes for child in parent.children):
+            while any(child.record is None for child in parent.children):
                 apply("delete", "stray")
-            assert nodes[id(parent)].strays == 0
+            assert parent.record.strays == 0
         return handle
 
     def test_section_star_rejoins_at_once(self, xsd, compiled):

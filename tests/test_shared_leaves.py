@@ -219,12 +219,11 @@ def _template_fonts(handle):
 def _others(handle, edited):
     """Every typed element but ``edited``: its record, verdict and
     provenance."""
-    nodes = handle._nodes
     return {
-        id(node): (nodes[id(node)], id(node) in handle._invalid,
+        id(node): (node.record, id(node) in handle._invalid,
                    handle.provenance_of(node))
         for node in handle.document.root.iter()
-        if node is not edited and id(node) in nodes
+        if node is not edited and node.record is not None
     }
 
 
@@ -245,9 +244,9 @@ class TestSharedRecords:
         handle = ValidatedDocument(parse_document(FIGURE1_XML), compiled)
         fonts = _template_fonts(handle)
         assert len(fonts) == 4
-        records = {id(handle._nodes[id(leaf)]) for leaf in fonts}
+        records = {id(leaf.record) for leaf in fonts}
         assert len(records) == 1
-        record = handle._nodes[id(fonts[0])]
+        record = fonts[0].record
         assert record.__class__ is SHARED
         assert record.states is incremental._LEAF_STATES
         assert (record.strays, record.rejected, record.text_viol,
@@ -258,8 +257,7 @@ class TestSharedRecords:
                 setattr(record, field, getattr(record, field))
         # Every clean leaf of a fresh open shares its type's record.
         for leaf in _leaves(handle.document.root):
-            assert handle._nodes[id(leaf)] is handle._leaves[
-                handle._nodes[id(leaf)].type_id]
+            assert leaf.record is handle._leaves[leaf.record.type_id]
         _assert_lean(handle)
 
     def test_a_leaf_that_fails_gets_its_own_record(self, compiled):
@@ -267,7 +265,7 @@ class TestSharedRecords:
         titlefont = root.children[0].children[0].children[0]
         titlefont.attributes["bogus"] = "1"
         handle = ValidatedDocument(root, compiled)
-        record = handle._nodes[id(titlefont)]
+        record = titlefont.record
         assert record.__class__ is incremental._NodeState
         assert record.attr_viols and id(titlefont) in handle._invalid
         assert record.states is incremental._LEAF_STATES
@@ -284,7 +282,7 @@ class TestSharedRecords:
         )
         assert handle.valid
         bare = ValidatedDocument(element("document"), compiled)
-        record = bare._nodes[id(bare.document.root)]
+        record = bare.document.root.record
         assert record.__class__ is SHARED and record.rejected
         assert not bare.valid
         _assert_fresh(bare, compiled)
@@ -297,7 +295,7 @@ class TestSharedRecords:
         handle = ValidatedDocument(parse_document(FIGURE1_XML), compiled)
         fonts = _template_fonts(handle)
         leaf = fonts[1]
-        shared = handle._nodes[id(leaf)]
+        shared = leaf.record
         before = _others(handle, leaf)
         if edit == "set_attribute":
             handle.set_attribute(leaf, "undeclared", "1")
@@ -305,13 +303,13 @@ class TestSharedRecords:
             handle.set_text(leaf, "text in element-only content")
         else:
             handle.insert_child(leaf, 0, element("stranger"))
-        own = handle._nodes[id(leaf)]
+        own = leaf.record
         assert own is not shared and own.__class__ is incremental._NodeState
         assert not handle.valid and id(leaf) in handle._invalid
         assert _others(handle, leaf) == before
         for other in fonts:
             if other is not leaf:
-                assert handle._nodes[id(other)] is shared
+                assert other.record is shared
         _assert_lean(handle)
         _assert_fresh(handle, compiled)
         # And back: the leaf is clean on its own record; nothing else moved.
@@ -322,7 +320,7 @@ class TestSharedRecords:
         else:
             handle.delete_child(leaf, 0)
         assert handle.valid
-        assert handle._nodes[id(leaf)] is own
+        assert leaf.record is own
         assert handle.provenance_of(leaf) == ("TtemplateFont", (0,))
         assert _others(handle, leaf) == before
         assert (shared.states, shared.strays, shared.rejected,
@@ -334,10 +332,10 @@ class TestSharedRecords:
     def test_a_clean_write_keeps_the_shared_record(self, compiled):
         handle = ValidatedDocument(parse_document(FIGURE1_XML), compiled)
         leaf = _template_fonts(handle)[0]
-        shared = handle._nodes[id(leaf)]
+        shared = leaf.record
         handle.set_attribute(leaf, "size", "7")
         handle.set_text(leaf, "   ")
-        assert handle._nodes[id(leaf)] is shared
+        assert leaf.record is shared
         assert handle.valid
         _assert_fresh(handle, compiled)
 
@@ -357,7 +355,7 @@ class TestSharedRecords:
             applied += 1
             _assert_fresh(handle, compiled)
             for node in handle.document.root.iter():
-                state = handle._nodes.get(id(node))
+                state = node.record
                 if state.__class__ is SHARED:
                     assert not node.children
                     assert state is handle._leaves[state.type_id]
